@@ -26,7 +26,7 @@ BENCH_THRESHOLD ?= 20
 PROFILE_FIG ?= 8
 PROFILE_DIR ?= /tmp
 
-.PHONY: all build test vet fmt-check lint race verify bench bench-json bench-compare determinism serve-smoke cover profile clean
+.PHONY: all build test vet fmt-check lint race verify bench bench-json bench-compare determinism serve-smoke perfbench-test cover profile clean
 
 all: build
 
@@ -92,6 +92,15 @@ determinism: build
 # simulations (see scripts/serve-smoke.sh).
 serve-smoke:
 	sh scripts/serve-smoke.sh
+
+# perfbench-test: vet and race-test the benchmark module. perfbench/ is its
+# own Go module (it replaces loadsched with ../), so the root `go test ./...`
+# never compiles it; this target catches a root API change that breaks it.
+# The environment matches perfbench/run.sh: the local toolchain, no module
+# proxy, no workspace.
+PERFBENCH_ENV = GOTOOLCHAIN=local GOFLAGS=-mod=mod GOPROXY=off GOWORK=off
+perfbench-test:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./... && $(PERFBENCH_ENV) $(GO) test -race ./...
 
 verify: build fmt-check vet race determinism
 	@echo "verify: OK"

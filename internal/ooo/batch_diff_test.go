@@ -10,12 +10,11 @@ import (
 	"loadsched/internal/trace"
 )
 
-// Differential tests for batched lockstep execution: running a job under
-// Pool.RunBatch — whatever unit its grouping lands it in — must be
-// observably absent, producing Stats byte-identical to the same machine
-// running alone. The batch runner varies only WHEN each engine's StepRun
-// slices execute, never what they compute, so any divergence here is a
-// shared-state leak between unit mates.
+// Differential tests for batched execution: running a job under Pool.Run —
+// whatever unit its grouping lands it in, on a fresh or a recycled engine —
+// must be observably absent, producing Stats byte-identical to the same
+// machine running alone. Any divergence here is state leaking between jobs
+// that share a unit's worker or a pooled engine.
 
 // soloStats runs each job alone on a fresh engine, the reference the
 // batched runs must reproduce exactly.
@@ -29,11 +28,11 @@ func soloStats(jobs []runner.Job) []ooo.Stats {
 	return out
 }
 
-// TestRunBatchMatchesSoloDiff extends the scheduler differential to the
+// TestPoolRunMatchesSoloDiff extends the scheduler differential to the
 // batch runner: randomized machines over mixed workloads, executed at
 // worker counts that produce unit sizes of 1, 3 and a full same-workload
 // sweep, must match solo runs per engine.
-func TestRunBatchMatchesSoloDiff(t *testing.T) {
+func TestPoolRunMatchesSoloDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xba7c4))
 	profiles := ooo.DiffProfilesForBatch(rng, 2)
 	const warmup, uops = 1000, 4000
@@ -66,7 +65,7 @@ func TestRunBatchMatchesSoloDiff(t *testing.T) {
 	// every engine alone in its unit.
 	for _, workers := range []int{1, 3, 9} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			got := runner.NewIsolated(workers, nil).RunBatch(jobs)
+			got := runner.NewIsolated(workers, nil).Run(jobs)
 			for i := range jobs {
 				if got[i] != solo[i] {
 					t.Errorf("job %d diverged under batch (workers=%d)\nbatch: %+v\nsolo:  %+v",
@@ -77,55 +76,10 @@ func TestRunBatchMatchesSoloDiff(t *testing.T) {
 	}
 }
 
-// TestRunBatchCoincidentEdgeCases extends the ready-list fast-forward edge
-// cases: machines that pile wakeups, deferred miss detections and bubble
-// expiries onto shared cycles (the coincident workload), batched into one
-// lockstep unit, must match solo — window boundaries may never split or
-// reorder an engine's coincident events.
-func TestRunBatchCoincidentEdgeCases(t *testing.T) {
-	prof := ooo.CoincidentProfileForBatch()
-	narrow := func() ooo.Config {
-		cfg := ooo.DefaultConfig()
-		cfg.FetchWidth, cfg.RetireWidth = 1, 1
-		cfg.Window, cfg.RenamePool = 8, 8
-		cfg.IntUnits, cfg.MemUnits, cfg.STDPorts = 1, 1, 1
-		cfg.MissRecoveryBubble = 6
-		cfg.MissReplayPenalty = 8
-		return cfg
-	}
-	const warmup, uops = 500, 3000
-	var jobs []runner.Job
-	for _, naive := range []bool{false, true} {
-		for _, bubble := range []int{0, 6} {
-			naive, bubble := naive, bubble
-			jobs = append(jobs, runner.Job{
-				Build: func() ooo.Config {
-					cfg := narrow()
-					cfg.NaiveSchedule = naive
-					cfg.MissRecoveryBubble = bubble
-					return cfg
-				},
-				Profile: prof,
-				Uops:    uops,
-				Warmup:  warmup,
-			})
-		}
-	}
-	solo := soloStats(jobs)
-	got := runner.NewIsolated(1, nil).RunBatch(jobs) // one unit of 4
-	for i := range jobs {
-		if got[i] != solo[i] {
-			t.Errorf("coincident job %d diverged under lockstep batch\nbatch: %+v\nsolo:  %+v",
-				i, got[i], solo[i])
-		}
-	}
-}
-
-// TestRunBatchDedupsInUnit pins the in-unit coalescing path: identical
-// describable jobs landing in one unit must simulate once (the followers
-// ride the owner's engine) and still return per-job results identical to
-// solo execution.
-func TestRunBatchDedupsInUnit(t *testing.T) {
+// TestPoolRunDedupsInUnit pins in-unit deduplication: identical describable
+// jobs landing in one unit must simulate once (the repeats are memo hits)
+// and still return per-job results identical to solo execution.
+func TestPoolRunDedupsInUnit(t *testing.T) {
 	prof := ooo.CoincidentProfileForBatch()
 	job := runner.Job{
 		Build:   ooo.DefaultConfig,
@@ -136,7 +90,7 @@ func TestRunBatchDedupsInUnit(t *testing.T) {
 	jobs := []runner.Job{job, job, job, job}
 	solo := soloStats(jobs[:1])
 	p := runner.NewIsolated(1, runner.NewCache()) // one unit of 4, memoized
-	got := p.RunBatch(jobs)
+	got := p.Run(jobs)
 	for i := range got {
 		if got[i] != solo[0] {
 			t.Errorf("deduped job %d diverged: %+v != %+v", i, got[i], solo[0])
@@ -146,7 +100,7 @@ func TestRunBatchDedupsInUnit(t *testing.T) {
 	if c.Simulated != 1 {
 		t.Errorf("Simulated = %d, want 1 (in-unit dedup)", c.Simulated)
 	}
-	if c.Coalesced != 3 {
-		t.Errorf("Coalesced = %d, want 3 (followers)", c.Coalesced)
+	if c.MemoHits+c.Coalesced != 3 {
+		t.Errorf("MemoHits+Coalesced = %d+%d, want 3 (the repeats)", c.MemoHits, c.Coalesced)
 	}
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // Re-exports for the external batch differential test (package ooo_test).
-// The batched lockstep runner lives in internal/runner, which imports ooo,
-// so a test driving both Engine and Pool.RunBatch cannot be an in-package
-// ooo test; these shims hand it the same randomized machine and workload
-// generators the in-package differential tests use.
+// The batch runner lives in internal/runner, which imports ooo, so a test
+// driving both Engine and Pool.Run cannot be an in-package ooo test; these
+// shims hand it the same randomized machine and workload generators the
+// in-package differential tests use.
 
 // DiffProfilesForBatch exposes diffProfiles.
 func DiffProfilesForBatch(rng *rand.Rand, n int) []trace.Profile { return diffProfiles(rng, n) }

@@ -1,6 +1,8 @@
 package ooo
 
 import (
+	"fmt"
+
 	"loadsched/internal/cache"
 	"loadsched/internal/memdep"
 	"loadsched/internal/uop"
@@ -379,30 +381,8 @@ type Engine struct {
 	cycleRenameStalled bool
 	schedHold          stallCause
 
-	// Incremental run state (BeginRun/StepRun/EndRun).
-	run runState
-
 	stats Stats
 }
-
-// runState tracks an in-progress BeginRun/StepRun run: which phase the run
-// is in, that phase's retirement target and livelock guard, and the cycle
-// the measured phase started at.
-type runState struct {
-	phase  runPhase
-	n      int    // measured uop count, set by BeginRun
-	target uint64 // stats.Uops value that completes the current phase
-	guard  int64  // livelock bound for the current phase
-	start  int64  // e.now at measured-phase entry
-}
-
-type runPhase uint8
-
-const (
-	runIdle runPhase = iota
-	runWarmup
-	runMeasure
-)
 
 // NewEngine builds an engine; it panics on an invalid configuration
 // (configurations are static here, so an error return would only be
@@ -469,7 +449,6 @@ func (e *Engine) resetState() {
 	e.recoveryStallUntil, e.recoveryCause = 0, stallNone
 	e.missDetections = e.missDetections[:0]
 	e.cycleRetired, e.cycleRenameStalled, e.schedHold = 0, false, stallNone
-	e.run = runState{}
 	e.stats = Stats{}
 }
 
@@ -549,57 +528,28 @@ func (e *Engine) Retired() uint64 { return e.stats.Uops }
 func (e *Engine) Now() int64 { return e.now }
 
 // Run simulates until n uops retire after warmup and returns the measured
-// statistics. It is BeginRun + StepRun-to-completion + EndRun; batch
-// drivers (runner.RunBatch) use those pieces directly to interleave several
-// engines over one trace window.
+// statistics: Config.WarmupUops retirements, a reset of the statistics and
+// the L1D/L2 counters, then n measured retirements.
 func (e *Engine) Run(n int) Stats {
-	e.BeginRun(n)
-	for !e.StepRun(1 << 30) {
-	}
-	return e.EndRun()
-}
-
-// BeginRun starts an incremental run that measures n retired uops after the
-// configured warmup, from the engine's current state (a fresh or Reset
-// engine gives the canonical from-zero run). Drive it with StepRun until
-// completion, then collect the measured statistics with EndRun.
-func (e *Engine) BeginRun(n int) {
-	e.run.n = n
 	if e.cfg.WarmupUops > 0 {
-		e.run.phase = runWarmup
-		e.run.target = e.stats.Uops + uint64(e.cfg.WarmupUops)
-		e.run.guard = e.now + int64(e.cfg.WarmupUops)*1000 + 1_000_000
-		return
+		e.runUops("warmup", e.cfg.WarmupUops)
+		e.stats = Stats{}
+		e.hier.L1D().ResetStats()
+		e.hier.L2().ResetStats()
 	}
-	e.startMeasure()
+	start := e.now
+	e.runUops("measure", n)
+	e.stats.Cycles = e.now - start
+	return e.stats
 }
 
-// startMeasure enters the measured phase: statistics from here to the
-// phase's retirement target are the run's result.
-func (e *Engine) startMeasure() {
-	e.run.phase = runMeasure
-	e.run.start = e.now
-	e.run.target = e.stats.Uops + uint64(e.run.n)
-	e.run.guard = e.now + int64(e.run.n)*1000 + 1_000_000
-}
-
-// StepRun advances an in-progress run until stride more uops retire, the
-// warmup/measurement boundary is reached, or the run completes; it reports
-// completion. The warmup boundary always returns control (without consuming
-// stride), so external steppers observe it and statistics reset exactly
-// where a monolithic run would have reset them. Cycle-for-cycle, a run
-// driven by any stride sequence is identical to Run(n): the livelock guard
-// is fixed per phase at phase entry, and fast-forward never crosses a
-// boundary because the retirement target bounds every inner loop.
-func (e *Engine) StepRun(stride int) bool {
-	if e.run.phase == runIdle {
-		return true
-	}
-	limit := e.run.target
-	if s := e.stats.Uops + uint64(stride); s < limit {
-		limit = s
-	}
-	for e.stats.Uops < limit {
+// runUops advances the machine until n more uops retire. A phase that runs
+// 1000 cycles per uop plus a million past its start without finishing is
+// wedged, and panics with the machine state that explains why.
+func (e *Engine) runUops(phase string, n int) {
+	target := e.stats.Uops + uint64(n)
+	guard := e.now + int64(n)*1000 + 1_000_000
+	for e.stats.Uops < target {
 		if !e.naive {
 			// Jump over cycles where the machine provably cannot act,
 			// attributing them in bulk (see ready.go). Sits before cycle()
@@ -607,28 +557,23 @@ func (e *Engine) StepRun(stride int) bool {
 			e.fastForward()
 		}
 		e.cycle()
-		if e.now > e.run.guard {
-			panic("ooo: livelock — no retirement progress")
+		if e.now > guard {
+			panic(e.livelock(phase, target))
 		}
 	}
-	if e.stats.Uops < e.run.target {
-		return false // stride exhausted mid-phase
-	}
-	if e.run.phase == runWarmup {
-		e.stats = Stats{}
-		e.hier.L1D().ResetStats()
-		e.hier.L2().ResetStats()
-		e.startMeasure()
-		return false
-	}
-	e.run.phase = runIdle
-	return true
 }
 
-// EndRun finalizes a completed run and returns the measured statistics.
-func (e *Engine) EndRun() Stats {
-	e.stats.Cycles = e.now - e.run.start
-	return e.stats
+// livelock describes a wedged phase: where the run stopped and the oldest
+// uop, whose failure to complete is what holds retirement back.
+func (e *Engine) livelock(phase string, target uint64) string {
+	msg := fmt.Sprintf("ooo: livelock in %s phase at cycle %d: retired %d of %d uops",
+		phase, e.now, e.stats.Uops, target)
+	if e.count == 0 {
+		return msg + "; ROB empty"
+	}
+	h := e.head
+	return msg + fmt.Sprintf("; ROB head %s seq %d flags %#x nwaiting %d",
+		uop.Kind(e.rob.kind[h]), e.rob.seq[h], e.rob.flags[h], e.rob.nwaiting[h])
 }
 
 // cycle advances the machine one clock: retire, resolve collisions,

@@ -1,6 +1,8 @@
 package ooo
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"loadsched/internal/hitmiss"
@@ -466,5 +468,39 @@ func TestSTDPortLimit(t *testing.T) {
 	four := NewEngine(cfg, newSliceSource(us)).Run(len(us)).Cycles
 	if four > one {
 		t.Fatalf("more STD ports cannot be slower: %d vs %d cycles", four, one)
+	}
+}
+
+// TestLivelockPanicNamesPhaseAndHead wedges the machine with an STA whose
+// STD never arrives, ahead of a load from the same address, and requires
+// the livelock panic to say which phase stalled and what kind of uop sits
+// at the ROB head.
+func TestLivelockPanicNamesPhaseAndHead(t *testing.T) {
+	for _, scheme := range []memdep.Scheme{memdep.Traditional, memdep.Opportunistic} {
+		for _, tc := range []struct {
+			warmup int
+			phase  string
+		}{{0, "measure phase"}, {100, "warmup phase"}} {
+			t.Run(fmt.Sprintf("%v/%s", scheme, tc.phase), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Scheme = scheme
+				cfg.WarmupUops = tc.warmup
+				src := newSliceSource([]uop.UOp{
+					{IP: 0x400000, Kind: uop.STA, Addr: 0x9000, Size: 8, StoreID: 1},
+					{IP: 0x400004, Kind: uop.Load, Addr: 0x9000, Size: 8, Dst: 3},
+				})
+				var msg string
+				func() {
+					defer func() { msg = fmt.Sprint(recover()) }()
+					NewEngine(cfg, src).Run(1000)
+				}()
+				if !strings.Contains(msg, "livelock") || !strings.Contains(msg, tc.phase) {
+					t.Fatalf("panic %q does not name the livelocked %s", msg, tc.phase)
+				}
+				if !strings.Contains(msg, "ROB head ld ") {
+					t.Fatalf("panic %q does not name the load at the ROB head", msg)
+				}
+			})
+		}
 	}
 }

@@ -219,7 +219,7 @@ func (e *Engine) drainWakeQ() {
 }
 
 // fastForward jumps e.now to just before the next cycle the machine can
-// act, bulk-attributing the skipped idle cycles. Run by StepRun immediately
+// act, bulk-attributing the skipped idle cycles. Run by runUops immediately
 // before cycle(), so a warmup/measurement boundary never lands inside a
 // skipped span.
 func (e *Engine) fastForward() {
@@ -314,7 +314,7 @@ func (e *Engine) idleSpan() int64 {
 	}
 	if next == math.MaxInt64 {
 		// No future event at all (a wedged machine): don't skip, let the
-		// livelock guard in StepRun fail loudly.
+		// livelock guard in runUops fail loudly.
 		return 0
 	}
 	return next

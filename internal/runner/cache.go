@@ -169,93 +169,62 @@ func (c *Cache) Do(k Key, compute func() ooo.Stats) ooo.Stats {
 	return st
 }
 
-// do is Do plus the outcome classification, built on acquire: claim the
-// key's slot, compute, release. If compute panics, the deferred abandoning
-// release removes the entry from the map BEFORE closing done — waiters
-// observe an invalid entry and retry (the first of them re-runs compute)
-// while this caller's panic propagates.
+// do is Do plus the outcome classification. The first request for k claims
+// its slot and resolves it from disk or by computing; concurrent requests
+// block on the claim (coalesced), later ones find it done (memoHit). If the
+// disk read or compute panics, the deferred release removes the entry from
+// the map BEFORE closing done — waiters observe an invalid entry and retry
+// (the first of them re-runs compute) while this caller's panic propagates.
 func (c *Cache) do(k Key, compute func() ooo.Stats) (ooo.Stats, outcome) {
-	st, how, release := c.acquire(k)
-	if release == nil {
-		return st, how
-	}
-	published := false
-	defer func() {
-		if !published {
-			release(ooo.Stats{}, false)
-		}
-	}()
-	st = compute()
-	published = true
-	release(st, true)
-	return st, computed
-}
-
-// acquire claims or resolves the slot for k. Three outcomes:
-//
-//   - release == nil, how ∈ {memoHit, coalesced, diskHit}: the result is
-//     already resolved (possibly after blocking on an in-flight owner) and
-//     returned directly.
-//   - release != nil: this caller now OWNS the key. It must run the
-//     simulation itself and call release exactly once — release(st, true)
-//     publishes the result (write-through to disk included) and wakes
-//     waiters; release(_, false) abandons the claim, deleting the entry
-//     before closing done so waiters compete to re-claim instead of
-//     consuming zero values. The returned how is computed.
-//
-// Callers that may hold several claims at once (the batch runner steps many
-// owned engines in lockstep) MUST NOT acquire one key twice from the same
-// goroutine: the second acquire would block on the first claim's unpublished
-// entry forever. Dedup by Key before acquiring.
-func (c *Cache) acquire(k Key) (ooo.Stats, outcome, func(ooo.Stats, bool)) {
-	for {
+	var (
+		e    *cacheEntry
+		disk *store.Store
+	)
+	for e == nil {
 		c.mu.Lock()
-		if e, hit := c.m[k]; hit {
+		if w, hit := c.m[k]; hit {
 			c.mu.Unlock()
 			how := coalesced
 			select {
-			case <-e.done:
+			case <-w.done:
 				how = memoHit
 			default:
-				<-e.done
+				<-w.done
 			}
-			if !e.valid {
-				// The in-flight resolution was abandoned and the slot
-				// released; compete to claim it again rather than serving
-				// zero values.
-				continue
+			if w.valid {
+				return w.stats, how
 			}
-			return e.stats, how, nil
+			// The in-flight resolution was abandoned and the slot released;
+			// compete to claim it again rather than serving zero values.
+			continue
 		}
-		e := &cacheEntry{done: make(chan struct{})}
+		e = &cacheEntry{done: make(chan struct{})}
 		c.m[k] = e
-		disk := c.disk
+		disk = c.disk
 		c.mu.Unlock()
-		if disk != nil {
-			if st, ok := diskGet(disk, k); ok {
-				e.stats, e.valid = st, true
-				close(e.done)
-				return st, diskHit, nil
-			}
-		}
-		release := func(st ooo.Stats, ok bool) {
-			if ok {
-				e.stats, e.valid = st, true
-			}
-			if !e.valid {
-				c.mu.Lock()
-				delete(c.m, k)
-				c.mu.Unlock()
-			} else if disk != nil && ok {
-				// Best effort: a failed write-through degrades persistence,
-				// not correctness, and the store's WriteErrors counter
-				// surfaces it.
-				diskPut(disk, k, st)
-			}
-			close(e.done)
-		}
-		return ooo.Stats{}, computed, release
 	}
+	defer func() {
+		if !e.valid {
+			c.mu.Lock()
+			delete(c.m, k)
+			c.mu.Unlock()
+		}
+		close(e.done)
+	}()
+	if disk != nil {
+		if st, ok := diskGet(disk, k); ok {
+			e.stats, e.valid = st, true
+			return st, diskHit
+		}
+	}
+	e.stats = compute()
+	e.valid = true
+	if disk != nil {
+		// Best effort: a failed write-through degrades persistence, not
+		// correctness, and the store's WriteErrors counter surfaces it.
+		diskPut(disk, k, e.stats)
+	}
+	return e.stats, computed
 }
 
 // storeKeyVersion names the serialized-statistics schema inside store keys.

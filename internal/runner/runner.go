@@ -4,6 +4,9 @@
 // notably the Traditional baseline shared by every figure and sweep — are
 // simulated exactly once per process.
 //
+// Pool.Run is the one batch path: it groups a job list by workload into
+// units, each of which runs its jobs back to back through Pool.Do.
+//
 // Determinism: each simulation is a pure function of its Job (the engine,
 // trace generator and predictors share no mutable state across instances),
 // so executing a job list on 1 worker or N workers yields identical result
@@ -114,15 +117,16 @@ type Counters struct {
 	// Uncached ran outside the cache: non-describable configs.
 	Uncached int64
 	// MapTasks counts fan-out units dispatched through Map. Run submits one
-	// task per batch unit (a group of same-workload jobs stepped in
-	// lockstep), so for Run job lists this counts units, not jobs.
+	// task per unit (a group of same-workload jobs run back to back), so
+	// for Run job lists this counts units, not jobs.
 	MapTasks int64
 	// EngineBuilds and EngineReuses split the executed describable
 	// simulations by whether a fresh engine was constructed or a pooled one
 	// was Reset and reused.
 	EngineBuilds, EngineReuses int64
-	// SimTime is wall time spent inside simulations, summed over Do calls
-	// and batch units; it exceeds elapsed time when workers overlap.
+	// SimTime is wall time spent inside simulations, summed over the jobs
+	// that ran an engine (cache hits add nothing); it exceeds elapsed time
+	// when workers overlap.
 	SimTime time.Duration
 }
 
@@ -250,18 +254,66 @@ func (p *Pool) runPooled(desc string, cfg ooo.Config, j Job) ooo.Stats {
 }
 
 // Run executes every job and returns their statistics in job order,
-// regardless of completion order. Identical jobs (equal keys) are simulated
-// once and share the result. Run delegates to RunBatch, so jobs sharing a
-// workload execute in lockstep over the shared recording; results are
-// identical to submitting each job through Do.
+// regardless of completion order. Jobs are grouped by Profile into units
+// (see batchUnits); each unit is one Map task that runs its jobs in order
+// through Do, so results are identical to submitting each job through Do.
+// Identical jobs (equal keys) are simulated once and share the result: a
+// repeat inside a unit is a memo hit, one in flight on another unit
+// coalesces onto it.
 func (p *Pool) Run(jobs []Job) []ooo.Stats {
-	return p.RunBatch(jobs)
+	out := make([]ooo.Stats, len(jobs))
+	units := batchUnits(jobs, p.Workers())
+	Map(p, len(units), func(u int) struct{} {
+		for _, i := range units[u] {
+			out[i] = p.Do(jobs[i])
+		}
+		return struct{}{}
+	})
+	return out
+}
+
+// batchUnits groups job indexes by Profile in first-seen order and chunks
+// each group into units of ceil(total/workers), clamped to [1, 16]. Units
+// are Map's scheduling grain: a unit keeps one worker on one recording,
+// where consecutive same-shape jobs recycle a single pooled engine, and
+// hands off to Map once per unit rather than once per job.
+func batchUnits(jobs []Job, workers int) [][]int {
+	size := (len(jobs) + workers - 1) / workers
+	if size > 16 {
+		size = 16
+	}
+	if size < 1 {
+		size = 1
+	}
+	var order []trace.Profile
+	groups := map[trace.Profile][]int{}
+	for i, j := range jobs {
+		if _, seen := groups[j.Profile]; !seen {
+			order = append(order, j.Profile)
+		}
+		groups[j.Profile] = append(groups[j.Profile], i)
+	}
+	var units [][]int
+	for _, prof := range order {
+		idxs := groups[prof]
+		for len(idxs) > size {
+			units = append(units, idxs[:size])
+			idxs = idxs[size:]
+		}
+		if len(idxs) > 0 {
+			units = append(units, idxs)
+		}
+	}
+	return units
 }
 
 // Map evaluates fn(0..n-1) on the pool's workers and returns the results in
 // index order. It is the generic fan-out primitive behind Pool.Run, used
 // directly by experiments whose unit of work is not a plain engine run
-// (event-stream capture, statistical predictor replays).
+// (event-stream capture, statistical predictor replays). A panic in fn
+// reaches the caller at any worker count: a worker recovers it and keeps
+// draining, no further index is handed out, and the first panic value is
+// re-raised on the calling goroutine once every worker has returned.
 func Map[T any](p *Pool, n int, fn func(int) T) []T {
 	out := make([]T, n)
 	p.m.mapTasks.Add(int64(n))
@@ -275,21 +327,38 @@ func Map[T any](p *Pool, n int, fn func(int) T) []T {
 		}
 		return out
 	}
+	var (
+		wg       sync.WaitGroup
+		first    sync.Once
+		failed   atomic.Bool
+		panicVal any
+	)
+	call := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				first.Do(func() { panicVal = r })
+				failed.Store(true)
+			}
+		}()
+		out[i] = fn(i)
+	}
 	idx := make(chan int)
-	var wg sync.WaitGroup
 	wg.Add(w)
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i] = fn(i)
+				call(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && !failed.Load(); i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
+	if failed.Load() {
+		panic(panicVal)
+	}
 	return out
 }

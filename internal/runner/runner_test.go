@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,6 +53,29 @@ func TestMapOrderPreserving(t *testing.T) {
 func TestMapEmpty(t *testing.T) {
 	if got := Map(NewIsolated(4, nil), 0, func(i int) int { return i }); len(got) != 0 {
 		t.Fatalf("Map over zero items returned %v", got)
+	}
+}
+
+// TestMapPanicReachesCaller: a panic in fn surfaces on the calling
+// goroutine at every worker count, where a recover can isolate it, instead
+// of killing the process from a worker goroutine.
+func TestMapPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				Map(NewIsolated(workers, nil), 8, func(i int) int {
+					if i == 3 {
+						panic("boom")
+					}
+					return i
+				})
+			}()
+			if got != "boom" {
+				t.Fatalf("recovered %v, want boom", got)
+			}
+		})
 	}
 }
 
@@ -315,9 +339,9 @@ func TestPoolCounters(t *testing.T) {
 	if c.Uncached != 0 {
 		t.Fatalf("Uncached = %d, want 0", c.Uncached)
 	}
-	// Pool.Run batches same-workload jobs into lockstep units of
-	// ceil(jobs/workers) and dispatches one Map task per unit: 6 identical
-	// jobs on 4 workers form 3 units of 2.
+	// Pool.Run groups same-workload jobs into units of ceil(jobs/workers)
+	// and dispatches one Map task per unit: 6 identical jobs on 4 workers
+	// form 3 units of 2.
 	if c.MapTasks != 3 {
 		t.Fatalf("MapTasks = %d, want 3", c.MapTasks)
 	}
@@ -454,44 +478,5 @@ func TestPoolCountersNilCache(t *testing.T) {
 	}
 	if p.CacheLen() != 0 {
 		t.Fatalf("CacheLen = %d on cacheless pool", p.CacheLen())
-	}
-}
-
-// TestLockstepWindowingMatchesSolo forces the windowed-lockstep stepping
-// path — which production constants reserve for jobs longer than one window
-// — onto small jobs by shrinking the window, and asserts the interleaved
-// results are identical to solo runs. Mixed schemes keep the engines
-// retiring at different rates so the laggard/limit logic actually engages;
-// one job is deliberately shorter so a slot finishes and detaches while its
-// unit mates continue.
-func TestLockstepWindowingMatchesSolo(t *testing.T) {
-	oldWindow, oldStride := batchWindowUops, batchStepStride
-	batchWindowUops, batchStepStride = 512, 64
-	defer func() { batchWindowUops, batchStepStride = oldWindow, oldStride }()
-
-	schemes := []memdep.Scheme{
-		memdep.Traditional, memdep.Perfect, memdep.Opportunistic,
-		memdep.Traditional, memdep.Exclusive,
-	}
-	var jobs []Job
-	for i, s := range schemes {
-		j := testJob(t, s)
-		if i == 3 {
-			j.Uops = 1_200 // finishes rounds before its unit mates
-		}
-		jobs = append(jobs, j)
-	}
-	var solo []ooo.Stats
-	for _, j := range jobs {
-		cfg := j.Build()
-		cfg.WarmupUops = j.Warmup
-		solo = append(solo, ooo.NewEngine(cfg, trace.Replay(j.Profile)).Run(j.Uops))
-	}
-	got := NewIsolated(1, nil).RunBatch(jobs) // one unit holds all five slots
-	for i := range jobs {
-		if got[i] != solo[i] {
-			t.Errorf("job %d (%v): lockstep stats diverge from solo\n got %+v\nwant %+v",
-				i, schemes[i], got[i], solo[i])
-		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"loadsched/internal/experiments"
 	"loadsched/internal/results"
@@ -150,19 +151,17 @@ func TestServeQueueFullRejectsWith429(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 1, MaxConcurrent: 1, QueueDepth: 1})
 	// Controllable executor: jobs block until released, no simulation runs.
 	block := make(chan struct{})
-	started := make(chan struct{}, 8)
 	s.exec = func(j Job, pool *runner.Pool, emit func(results.Record) error) error {
-		started <- struct{}{}
 		<-block
 		return nil
 	}
 
 	jobBody, _ := json.Marshal(Job{Command: "cpistack", Options: tinyOptions()})
 
-	// First job executes (wait until its executor runs), second occupies the
-	// single queue slot, third must bounce. The two in-flight submissions
-	// run on goroutines because accepted jobs stream: the POST does not
-	// return until the executor finishes.
+	// First job executes, second occupies the single queue slot, third must
+	// bounce. The two in-flight submissions run on goroutines because
+	// accepted jobs stream: the POST does not return until the executor
+	// finishes.
 	var wg sync.WaitGroup
 	wg.Add(2)
 	for i := 0; i < 2; i++ {
@@ -176,26 +175,27 @@ func TestServeQueueFullRejectsWith429(t *testing.T) {
 	}
 	defer wg.Wait()
 	defer close(block) // unblock the held jobs, THEN wait for the goroutines
-	<-started          // the executing job is inside exec; the other is queued or arriving
 
-	// The queue slot may take a moment to be claimed; poll until the third
-	// submission is rejected.
-	var resp *http.Response
-	for i := 0; ; i++ {
-		var err error
-		resp, err = http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(jobBody))
-		if err != nil {
-			t.Fatalf("post: %v", err)
+	// Both submissions must hold an admission slot before the third is
+	// sent. Otherwise the third could claim a slot itself, and an accepted
+	// job streams nothing until its executor returns, which is only after
+	// this test does.
+	deadline := time.Now().Add(10 * time.Second)
+	for len(s.slots) < cap(s.slots) {
+		if time.Now().After(deadline) {
+			t.Fatalf("admission slots %d/%d never filled", len(s.slots), cap(s.slots))
 		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			break
-		}
-		resp.Body.Close()
-		if i > 100 {
-			t.Fatalf("third job was never rejected")
-		}
+		time.Sleep(time.Millisecond)
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(jobBody))
+	if err != nil {
+		t.Fatalf("post: %v", err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("third job: status %d, want 429", resp.StatusCode)
+	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Errorf("429 response missing Retry-After header")
 	}
@@ -242,6 +242,34 @@ func TestServeJobPanicBecomesStreamError(t *testing.T) {
 	_, err := NewClient(hs.URL).Do(Job{Command: "all", Options: tinyOptions()}, nil)
 	if err == nil || !strings.Contains(err.Error(), "engine exploded") {
 		t.Fatalf("want a stream error carrying the panic, got %v", err)
+	}
+}
+
+// TestServeMapPanicBecomesStreamError: a panic on one of a job pool's
+// worker goroutines (Workers >= 2) must still reach Server.run's recover,
+// failing that job with a stream error while the server keeps serving.
+func TestServeMapPanicBecomesStreamError(t *testing.T) {
+	s, hs := newTestServer(t, Config{Workers: 2})
+	s.exec = func(j Job, pool *runner.Pool, emit func(results.Record) error) error {
+		runner.Map(pool, 4, func(i int) int {
+			if i == 1 {
+				panic("simulation exploded on a worker")
+			}
+			return i
+		})
+		return nil
+	}
+	_, err := NewClient(hs.URL).Do(Job{Command: "all", Options: tinyOptions()}, nil)
+	if err == nil || !strings.Contains(err.Error(), "simulation exploded on a worker") {
+		t.Fatalf("want a stream error carrying the worker panic, got %v", err)
+	}
+	resp, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz after a panicked job: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after a panicked job: status %d", resp.StatusCode)
 	}
 }
 

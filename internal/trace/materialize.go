@@ -276,13 +276,9 @@ func (c *Cursor) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
 	return us, deps, c.depBase
 }
 
-// Pos reports how many uops the cursor has consumed so far. Batch drivers
-// (runner.RunBatch) use it to keep a group of engines inside one shared
-// window of the recording.
-func (c *Cursor) Pos() int { return c.base + c.i }
-
-// advance moves the cursor onto the decoded view holding position Pos().
-// Views are whole chunks, so Pos() is chunk-aligned here.
+// advance moves the cursor onto the decoded view holding its next stream
+// position, base+i. Views are whole chunks, so that position is
+// chunk-aligned here.
 func (c *Cursor) advance() {
 	pos := c.base + c.i
 	c.base, c.i = pos, 0
