@@ -18,6 +18,7 @@ import (
 	"loadsched/internal/ooo"
 	"loadsched/internal/runner"
 	"loadsched/internal/smt"
+	"loadsched/internal/store"
 	"loadsched/internal/trace"
 	"loadsched/internal/uop"
 )
@@ -427,6 +428,41 @@ func BenchmarkRunnerMultiFigure(b *testing.B) {
 			figures(o)
 		}
 	})
+}
+
+// BenchmarkWarmStoreHit measures what a restarted `loadsched serve -store`
+// pays for each runner job it answers without simulating: one Pool.Do on a
+// fresh memo cache over a warm store — the config build, key derivation,
+// the store read and the payload decode.
+func BenchmarkWarmStoreHit(b *testing.B) {
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, _ := trace.TraceByName(trace.GroupSpecInt95, "gcc")
+	job := runner.Job{
+		Build: func() ooo.Config {
+			cfg := ooo.DefaultConfig()
+			cfg.Scheme = memdep.Exclusive
+			cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
+			return cfg
+		},
+		Profile: p, Uops: 15_000, Warmup: 3_000,
+	}
+	cold := runner.NewCache()
+	cold.SetStore(st)
+	runner.NewIsolated(1, cold).Do(job) // simulate once and write through
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := runner.NewCache()
+		c.SetStore(st)
+		pool := runner.NewIsolated(1, c)
+		pool.Do(job)
+		if pool.Counters().DiskHits != 1 {
+			b.Fatal("warm-store job was not a disk hit")
+		}
+	}
 }
 
 // guard against dead-code elimination of uop helpers in benches above.

@@ -1,6 +1,8 @@
 package ooo
 
 import (
+	"strconv"
+
 	"loadsched/internal/bankpred"
 	"loadsched/internal/cache"
 )
@@ -48,7 +50,7 @@ func (p BankPolicy) String() string {
 	case BankDualScheduled:
 		return "dual-scheduled"
 	default:
-		return "bank-policy(?)"
+		return "bank-policy(" + strconv.Itoa(int(p)) + ")"
 	}
 }
 

@@ -1,8 +1,7 @@
 package runner
 
 import (
-	"encoding/json"
-	"fmt"
+	"reflect"
 	"sync"
 
 	"loadsched/internal/ooo"
@@ -32,8 +31,14 @@ type Describer interface {
 // ConfigKey derives the canonical machine description of a configuration,
 // or ok=false when the configuration is not memoizable: it carries
 // observation callbacks (whose side effects a cached result would not
-// replay), a predictor that does not describe itself, or a custom policy
-// without a PolicyKey.
+// replay), a predictor that does not describe itself, a custom policy
+// without a PolicyKey, or any other non-nil pointer, interface or func
+// field.
+//
+// The description is the key text (see codec.go) of the configuration with
+// its predictor, barrier, callback and policy fields cleared, followed by
+// the CHT, HMP, barrier and bank-predictor descriptions, each quoted or "-"
+// when absent. New scalar knobs are picked up automatically.
 func ConfigKey(cfg ooo.Config) (key string, ok bool) {
 	if cfg.OnLoadRetire != nil || cfg.OnMemoryLoad != nil {
 		return "", false
@@ -43,12 +48,8 @@ func ConfigKey(cfg ooo.Config) (key string, ok bool) {
 	// author's promise that the constructed policy is deterministic and
 	// fully determined by that description plus the rest of the config.
 	// Undescribed custom policies run uncached, as before.
-	policy := "-"
-	if cfg.NewPolicy != nil {
-		if cfg.PolicyKey == "" {
-			return "", false
-		}
-		policy = cfg.PolicyKey
+	if cfg.NewPolicy != nil && cfg.PolicyKey == "" {
+		return "", false
 	}
 	cht, ok := describe(cfg.CHT == nil, cfg.CHT)
 	if !ok {
@@ -66,21 +67,32 @@ func ConfigKey(cfg ooo.Config) (key string, ok bool) {
 	if !ok {
 		return "", false
 	}
-	// Scalar fields (including the Hier/Lat/Banking value structs) print
-	// canonically once the interface, pointer and callback fields are
-	// cleared; new scalar knobs are picked up automatically.
 	flat := cfg
 	flat.CHT, flat.HMP, flat.Barrier, flat.BankPredictor = nil, nil, nil, nil
-	flat.OnLoadRetire, flat.OnMemoryLoad, flat.NewPolicy = nil, nil, nil
-	flat.PolicyKey = "" // carried by the policy= component below
-	return fmt.Sprintf("%+v|cht=%s|hmp=%s|barrier=%s|bank=%s|policy=%s",
-		flat, cht, hmp, bar, bp, policy), true
+	if flat.NewPolicy == nil {
+		flat.PolicyKey = "" // names nothing without a custom policy
+	}
+	flat.NewPolicy = nil
+	var scratch [keyScratch]byte
+	b, ok := appendText(scratch[:0], reflect.ValueOf(flat), configPlan)
+	if !ok {
+		return "", false
+	}
+	for _, d := range [...]string{cht, hmp, bar, bp} {
+		if d == "" {
+			b = append(b, " -"...)
+		} else {
+			b = appendQuoted(append(b, ' '), d)
+		}
+	}
+	return string(b), true
 }
 
-// describe resolves one pluggable component to its canonical description.
+// describe resolves one pluggable component to its canonical description,
+// "" when it is absent.
 func describe(isNil bool, x any) (string, bool) {
 	if isNil {
-		return "-", true
+		return "", true
 	}
 	d, ok := x.(Describer)
 	if !ok {
@@ -211,57 +223,54 @@ func (c *Cache) do(k Key, compute func() ooo.Stats) (ooo.Stats, outcome) {
 		}
 		close(e.done)
 	}()
-	if disk != nil {
-		if st, ok := diskGet(disk, k); ok {
-			e.stats, e.valid = st, true
-			return st, diskHit
-		}
+	if disk != nil && diskGet(disk, k, &e.stats) {
+		e.valid = true
+		return e.stats, diskHit
 	}
 	e.stats = compute()
 	e.valid = true
 	if disk != nil {
 		// Best effort: a failed write-through degrades persistence, not
 		// correctness, and the store's WriteErrors counter surfaces it.
-		diskPut(disk, k, e.stats)
+		diskPut(disk, k, &e.stats)
 	}
 	return e.stats, computed
 }
 
-// storeKeyVersion names the serialized-statistics schema inside store keys.
-// Bumping it (when ooo.Stats changes shape) orphans old entries as misses
-// instead of decoding them into the wrong fields.
-const storeKeyVersion = "loadsched.stats/v1"
+// storeKeyVersion names the store-key layout and payload encoding. v2 keys
+// are key text (see codec.go) and v2 payloads are 8-byte counter words;
+// every v1 entry (%+v keys, JSON payloads) is a clean miss under them.
+const storeKeyVersion = "loadsched.stats/v2"
 
-// StoreKey derives the canonical persistent-store key for a memo key: the
-// stats schema version plus the printed key struct. Key.Machine is already
-// the canonical machine description and trace.Profile is a pure value
-// struct, so the printed form is deterministic across processes.
+// storeKeyPrefix opens every store key: the layout version plus the
+// schema fingerprint of the types the key text and payload leave unnamed.
+var storeKeyPrefix = storeKeyVersion + "|" + schemaFingerprint + "|"
+
+// StoreKey derives the canonical persistent-store key for a memo key:
+// storeKeyPrefix plus the key text of k. Key.Machine is already the
+// canonical machine description and trace.Profile is a pure value struct,
+// so the text is deterministic across processes.
 func StoreKey(k Key) string {
-	return fmt.Sprintf("%s|%+v", storeKeyVersion, k)
+	var scratch [keyScratch]byte
+	// Key holds no reference fields, so appendText cannot refuse it.
+	b, _ := appendText(append(scratch[:0], storeKeyPrefix...), reflect.ValueOf(k), keyPlan)
+	return string(b)
 }
 
-// diskGet loads and decodes one persisted result. Undecodable payloads are
-// treated as misses (the frame was intact, so this only happens if a future
-// schema slipped past the key version — recompute, then overwrite).
-func diskGet(s *store.Store, k Key) (ooo.Stats, bool) {
+// diskGet reads one persisted result straight into st. A payload that is
+// not exactly one word per Stats counter is a miss and leaves st
+// untouched: the frame was intact, so only a payload layout that slipped
+// past the key prefix gets here — recompute, then overwrite.
+func diskGet(s *store.Store, k Key, st *ooo.Stats) bool {
 	payload, ok := s.Get(StoreKey(k))
-	if !ok {
-		return ooo.Stats{}, false
-	}
-	var st ooo.Stats
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return ooo.Stats{}, false
-	}
-	return st, true
+	return ok && decodeStats(payload, st)
 }
 
 // diskPut persists one computed result (best effort).
-func diskPut(s *store.Store, k Key, st ooo.Stats) {
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return
+func diskPut(s *store.Store, k Key, st *ooo.Stats) {
+	if payload, err := encodeStats(st); err == nil {
+		s.Put(StoreKey(k), payload)
 	}
-	s.Put(StoreKey(k), payload)
 }
 
 // Len reports the number of memoized simulations.

@@ -1,0 +1,385 @@
+package runner
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"loadsched/internal/memdep"
+	"loadsched/internal/ooo"
+	"loadsched/internal/store"
+	"loadsched/internal/trace"
+)
+
+// eachLeaf calls visit with the dotted name and value of every scalar leaf
+// of the addressable struct v, recursing into nested structs. Pointer,
+// interface and func fields are not leaves.
+func eachLeaf(v reflect.Value, prefix string, visit func(name string, f reflect.Value)) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		name := prefix + v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Struct:
+			eachLeaf(f, name+".", visit)
+		case reflect.Pointer, reflect.Interface, reflect.Func:
+		default:
+			visit(name, f)
+		}
+	}
+}
+
+// bump changes the value of scalar leaf f in place.
+func bump(f reflect.Value) {
+	switch f.Kind() {
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		f.SetInt(f.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		f.SetUint(f.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		f.SetFloat(f.Float() + 0.25)
+	case reflect.String:
+		f.SetString(f.String() + "x")
+	}
+}
+
+// keyedConfig is a memoizable machine whose every scalar field is live in
+// its key: a described custom policy makes PolicyKey count.
+func keyedConfig() ooo.Config {
+	cfg := ooo.DefaultConfig()
+	cfg.Scheme = memdep.Exclusive
+	cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
+	cfg.NewPolicy = func(d ooo.PolicyDeps) ooo.SpeculationPolicy { return nil }
+	cfg.PolicyKey = "zoo/base"
+	return cfg
+}
+
+func testKey(t *testing.T, cfg ooo.Config) Key {
+	t.Helper()
+	desc, ok := ConfigKey(cfg)
+	if !ok {
+		t.Fatal("config not memoizable")
+	}
+	return Key{Machine: desc, Profile: trace.Groups()[0].Traces[0], Uops: 15_000, Warmup: 3_000}
+}
+
+// TestConfigKeyCoversEveryLeaf: the key text carries no field names, so
+// each scalar leaf of ooo.Config, nested ones included, must still move
+// both the machine description and the store key.
+func TestConfigKeyCoversEveryLeaf(t *testing.T) {
+	base := keyedConfig()
+	baseKey := testKey(t, base)
+	baseStore := StoreKey(baseKey)
+	leaves := 0
+	cfg := base
+	eachLeaf(reflect.ValueOf(&cfg).Elem(), "", func(name string, f reflect.Value) {
+		leaves++
+		cfg = base
+		bump(f)
+		k := testKey(t, cfg)
+		if k.Machine == baseKey.Machine {
+			t.Errorf("changing Config.%s leaves ConfigKey unchanged", name)
+		}
+		if StoreKey(k) == baseStore {
+			t.Errorf("changing Config.%s leaves StoreKey unchanged", name)
+		}
+	})
+	if leaves < 40 {
+		t.Fatalf("visited only %d Config leaves", leaves)
+	}
+}
+
+// TestStoreKeyCoversEveryLeaf does the same for the memo key: every field
+// of trace.Profile, the machine description and both lengths.
+func TestStoreKeyCoversEveryLeaf(t *testing.T) {
+	base := testKey(t, keyedConfig())
+	baseStore := StoreKey(base)
+	leaves := 0
+	k := base
+	eachLeaf(reflect.ValueOf(&k).Elem(), "", func(name string, f reflect.Value) {
+		leaves++
+		k = base
+		bump(f)
+		if StoreKey(k) == baseStore {
+			t.Errorf("changing Key.%s leaves StoreKey unchanged", name)
+		}
+	})
+	if leaves < 25 {
+		t.Fatalf("visited only %d Key leaves", leaves)
+	}
+	// Floats render as their exact bits: signed zeros are distinct machines.
+	pos, neg := base, base
+	pos.Profile.CallFrac, neg.Profile.CallFrac = 0, math.Copysign(0, -1)
+	if StoreKey(pos) == StoreKey(neg) {
+		t.Error("+0 and -0 CallFrac share a store key")
+	}
+	if !strings.HasPrefix(baseStore, storeKeyVersion+"|"+schemaFingerprint+"|") {
+		t.Errorf("store key %q lacks the version and schema prefix", baseStore)
+	}
+	// A key longer than the stack array it is built in renders whole.
+	long := base
+	long.Profile.Name = strings.Repeat("n", 2*keyScratch)
+	if !strings.Contains(StoreKey(long), `"`+long.Profile.Name+`" `) {
+		t.Error("a store key longer than keyScratch lost its profile name")
+	}
+}
+
+// TestConfigKeyNamesEnums: enum fields render by name, so no two values
+// share a key and reordering constants cannot remap stored machines.
+func TestConfigKeyNamesEnums(t *testing.T) {
+	seen := map[string]string{}
+	check := func(label, name string, cfg ooo.Config) {
+		t.Helper()
+		k, ok := ConfigKey(cfg)
+		if !ok {
+			t.Fatalf("%s: not memoizable", label)
+		}
+		if !strings.Contains(k, " "+name+" ") {
+			t.Errorf("%s: key %q does not name %q", label, k, name)
+		}
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%s and %s share key %q", label, prev, k)
+		}
+		seen[k] = label
+	}
+	for _, s := range append(memdep.Schemes(), memdep.Scheme(6), memdep.Scheme(7)) {
+		cfg := ooo.DefaultConfig()
+		cfg.Scheme = s
+		check("scheme "+s.String(), s.String(), cfg)
+	}
+	for p := ooo.BankPolicy(1); p <= 7; p++ {
+		cfg := ooo.DefaultConfig()
+		cfg.BankPolicy = p
+		check("bank policy "+p.String(), p.String(), cfg)
+	}
+}
+
+// renderText renders the key text of any struct value.
+func renderText(x any) (string, bool) {
+	v := reflect.ValueOf(x)
+	b, ok := appendText(nil, v, planOf(v.Type()))
+	return string(b), ok
+}
+
+// TestKeyTextRefusesReferences: a pointer, func or interface field that a
+// caller did not clear (ConfigKey clears the ones it knows) makes the value
+// unrenderable instead of keying on an address.
+func TestKeyTextRefusesReferences(t *testing.T) {
+	type inner struct{ I any }
+	type probe struct {
+		N   int
+		P   *int
+		F   func()
+		Sub inner
+		S   string
+	}
+	one := 1
+	if got, ok := renderText(probe{N: 3, S: `a"b\c`}); !ok || got != `{3 - - {-} "a\"b\\c"}` {
+		t.Fatalf("all-nil probe renders %q, %v", got, ok)
+	}
+	for name, p := range map[string]probe{
+		"pointer":          {P: &one},
+		"func":             {F: func() {}},
+		"nested interface": {Sub: inner{I: 1}},
+	} {
+		if got, ok := renderText(p); ok {
+			t.Errorf("non-nil %s rendered as %q", name, got)
+		}
+	}
+}
+
+// distinctStats sets every counter of a Stats to a different value with
+// high bits set, negative for the signed ones, and counts them.
+func distinctStats() (ooo.Stats, int) {
+	var st ooo.Stats
+	n := 0
+	eachLeaf(reflect.ValueOf(&st).Elem(), "", func(_ string, f reflect.Value) {
+		n++
+		if f.Kind() == reflect.Int64 {
+			f.SetInt(-int64(n)<<40 - int64(n))
+		} else {
+			f.SetUint(1<<63 | uint64(n)<<32 | uint64(n))
+		}
+	})
+	return st, n
+}
+
+// TestStatsPayloadRoundTrip: a Stats with a distinct value in every field
+// survives encode/decode, one little-endian word per counter.
+func TestStatsPayloadRoundTrip(t *testing.T) {
+	want, n := distinctStats()
+	payload := payloadOf(t, &want)
+	if len(payload) != 8*n {
+		t.Fatalf("payload is %d bytes for %d counters", len(payload), n)
+	}
+	if got := binary.LittleEndian.Uint64(payload); got != uint64(want.Cycles) {
+		t.Fatalf("first word %#x, want Cycles %#x", got, uint64(want.Cycles))
+	}
+	var got ooo.Stats
+	if !decodeStats(payload, &got) || got != want {
+		t.Fatalf("round trip gave %+v, want %+v", got, want)
+	}
+}
+
+// TestDiskPayloadWrongLengthRecomputes: a well-framed entry whose payload
+// is not exactly one word per counter is a miss that recomputes and
+// rewrites the entry, never a decode of the wrong fields.
+func TestDiskPayloadWrongLengthRecomputes(t *testing.T) {
+	want, _ := distinctStats()
+	k := testKey(t, keyedConfig())
+	n := len(payloadOf(t, &want))
+	for _, size := range []int{0, n - 1, n + 1, n + 8} {
+		dir := t.TempDir()
+		st, _ := store.Open(dir)
+		if err := st.Put(StoreKey(k), bytes.Repeat([]byte{0xa5}, size)); err != nil {
+			t.Fatal(err)
+		}
+		st, _ = store.Open(dir)
+		c := NewCache()
+		c.SetStore(st)
+		var calls atomic.Int32
+		got, how := c.do(k, func() ooo.Stats { calls.Add(1); return want })
+		if got != want || how != computed || calls.Load() != 1 {
+			t.Fatalf("payload of %d bytes: outcome %d after %d computes", size, how, calls.Load())
+		}
+		if sc := st.Counters(); sc.Writes != 1 {
+			t.Fatalf("payload of %d bytes: %d rewrites, want 1", size, sc.Writes)
+		}
+		st, _ = store.Open(dir)
+		c = NewCache()
+		c.SetStore(st)
+		if got, how := c.do(k, func() ooo.Stats { t.Error("recomputed a rewritten entry"); return want }); got != want || how != diskHit {
+			t.Fatalf("payload of %d bytes: rewritten entry gave outcome %d", size, how)
+		}
+	}
+}
+
+// TestConfigKeyDiskGetAllocs pins the allocation count of a warm-store
+// lookup's key derivation and read. The machine's CHT describes itself
+// without fmt, whose pooled printers make counts vary under the race
+// detector; FullCHT's Describe would add its own two.
+func TestConfigKeyDiskGetAllocs(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ooo.DefaultConfig()
+	cfg.Scheme = memdep.Inclusive
+	cfg.CHT = memdep.AlwaysColliding{}
+	k := testKey(t, cfg)
+	want, _ := distinctStats()
+	diskPut(st, k, &want)
+	var got ooo.Stats
+	allocs := testing.AllocsPerRun(100, func() {
+		desc, _ := ConfigKey(cfg)
+		if !diskGet(st, Key{Machine: desc, Profile: k.Profile, Uops: k.Uops, Warmup: k.Warmup}, &got) {
+			t.Fatal("warm entry missed")
+		}
+	})
+	if got != want {
+		t.Fatalf("disk hit gave %+v", got)
+	}
+	// 2 in ConfigKey (the boxed config and the key), 2 in StoreKey, 9 in
+	// store.Get and 2 in binary.Read.
+	if allocs > 15 {
+		t.Fatalf("ConfigKey + diskGet made %.0f allocations, want at most 15", allocs)
+	}
+}
+
+// FuzzStoreEntry feeds arbitrary bytes to the cache as the entry file of a
+// fixed key. The only allowed outcomes are a disk hit whose statistics
+// re-encode to the very file read, or a miss that computes once and
+// rewrites the entry; panics and store write errors fail.
+func FuzzStoreEntry(f *testing.F) {
+	k := Key{Machine: "fuzz", Profile: trace.Profile{Name: "fuzz", Seed: 1}, Uops: 100, Warmup: 10}
+	want, _ := distinctStats()
+	valid := storeEntry(f, StoreKey(k), payloadOf(f, &want))
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	crcFlipped := bytes.Clone(valid)
+	crcFlipped[12] ^= 0x01
+	f.Add(crcFlipped)
+	f.Add(storeEntry(f, StoreKey(Key{Machine: "other"}), payloadOf(f, &want)))
+	v1, err := json.Marshal(want)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(storeEntry(f, StoreKey(k), v1))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := st.Path(StoreKey(k))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := NewCache()
+		c.SetStore(st)
+		calls := 0
+		got, how := c.do(k, func() ooo.Stats { calls++; return want })
+		switch how {
+		case diskHit:
+			if calls != 0 {
+				t.Fatalf("disk hit also computed %d times", calls)
+			}
+			if again := storeEntry(t, StoreKey(k), payloadOf(t, &got)); !bytes.Equal(again, data) {
+				t.Fatalf("disk hit's stats re-encode to a different entry")
+			}
+		case computed:
+			if calls != 1 || got != want {
+				t.Fatalf("miss computed %d times, got %+v", calls, got)
+			}
+			if sc := st.Counters(); sc.Writes != 1 || sc.WriteErrors != 0 {
+				t.Fatalf("miss left store counters %+v, want one clean rewrite", sc)
+			}
+			var back ooo.Stats
+			if !diskGet(st, k, &back) || back != want {
+				t.Fatal("rewritten entry does not read back")
+			}
+		default:
+			t.Fatalf("fresh cache reported outcome %d", how)
+		}
+	})
+}
+
+// payloadOf is encodeStats for a Stats that must encode.
+func payloadOf(tb testing.TB, st *ooo.Stats) []byte {
+	tb.Helper()
+	payload, err := encodeStats(st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return payload
+}
+
+// storeEntry returns the entry file a store writes for key and payload.
+func storeEntry(tb testing.TB, key string, payload []byte) []byte {
+	tb.Helper()
+	st, err := store.Open(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := st.Put(key, payload); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(st.Path(key))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}

@@ -103,10 +103,11 @@ func (c *Client) Do(job Job, onRecord func(results.Record) error) (*results.Runn
 		return nil, fmt.Errorf("serve client: %s", e.Error)
 	}
 
-	// The stream is line-framed JSON; a record line can carry a whole
-	// figure's rows, so the scanner buffer is generous.
+	// The stream is line-framed JSON. A record line can carry a whole
+	// figure's rows, so lines may grow to 16 MB; the buffer starts at the
+	// scanner's default size and grows only for such a line.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024)
 	for sc.Scan() {
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {

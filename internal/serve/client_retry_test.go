@@ -103,3 +103,41 @@ func TestRetryWait(t *testing.T) {
 		}
 	}
 }
+
+// TestClientReadsLongRecordLine: the stream scanner starts small and grows,
+// so a record line far beyond its initial buffer (and beyond bufio's
+// default 64 KB token limit) still arrives whole.
+func TestClientReadsLongRecordLine(t *testing.T) {
+	cell := strings.Repeat("x", 200<<10)
+	rec := results.Record{Schema: results.SchemaVersion, ID: "long", Kind: results.KindTable,
+		Title: "long line", Columns: []string{"cell"}, Rows: [][]string{{cell}}}
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(w)
+		_ = enc.Encode(Line{Record: raw})
+		_ = enc.Encode(Line{Done: &Done{Runner: results.RunnerCounters{Jobs: 1}}})
+	}))
+	t.Cleanup(srv.Close)
+	var got []results.Record
+	rc, err := NewClient(srv.URL).Do(Job{Command: "figure", Figures: []string{"5"}}, func(r results.Record) error {
+		got = append(got, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if rc == nil || rc.Jobs != 1 {
+		t.Fatalf("done counters not returned: %+v", rc)
+	}
+	if len(got) != 1 {
+		t.Fatalf("got %d records, want 1", len(got))
+	}
+	rows, ok := got[0].Rows.([][]string)
+	if !ok || len(rows) != 1 || len(rows[0]) != 1 || rows[0][0] != cell {
+		t.Fatalf("long record arrived damaged (%d rows)", len(rows))
+	}
+}
