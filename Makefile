@@ -11,7 +11,7 @@ GO ?= go
 # minimum across repeats; the minimum-of-3 default is what makes the
 # bench-compare gate usable on machines with noisy neighbours, where a
 # single draw can swing ±10% or more.
-BENCH ?= Fig|EngineCycle|TraceReplay|Tournament|FetchRename|WarmStoreHit
+BENCH ?= Fig|EngineCycle|TraceReplay|Tournament|FetchRename|WarmStoreHit|StoreGetPut
 BENCHTIME ?= 10x
 BENCHCOUNT ?= 3
 BENCH_OUT ?= BENCH_results.json

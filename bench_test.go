@@ -8,6 +8,7 @@
 package loadsched
 
 import (
+	"os"
 	"testing"
 
 	"loadsched/internal/bankpred"
@@ -463,6 +464,78 @@ func BenchmarkWarmStoreHit(b *testing.B) {
 			b.Fatal("warm-store job was not a disk hit")
 		}
 	}
+}
+
+// BenchmarkStoreGetPut times the result store's three operations on a
+// store of 1000 entries shaped like the runner's (a 563-byte store key, a
+// 272-byte stats payload) that were loaded from disk at Open: a warm hit,
+// a miss, and a Put, which appends one frame to the store's segment.
+func BenchmarkStoreGetPut(b *testing.B) {
+	const entries = 1000
+	cfg := ooo.DefaultConfig()
+	cfg.Scheme = memdep.Exclusive
+	cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
+	desc, ok := runner.ConfigKey(cfg)
+	if !ok {
+		b.Fatal("machine has no key")
+	}
+	p, _ := trace.TraceByName(trace.GroupSpecInt95, "compress")
+	keys := make([]string, 2*entries) // the second half is never written
+	for i := range keys {
+		keys[i] = runner.StoreKey(runner.Key{Machine: desc, Profile: p, Uops: 15_000 + i, Warmup: 3_000})
+	}
+	payload := make([]byte, 272)
+	open := func(dir string) *store.Store {
+		st, err := store.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st
+	}
+	dir := b.TempDir()
+	st := open(dir)
+	for _, k := range keys[:entries] {
+		if err := st.Put(k, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st = open(dir)
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := st.Get(keys[i%entries]); !ok {
+				b.Fatal("warm entry missed")
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := st.Get(keys[entries+i%entries]); ok {
+				b.Fatal("unwritten key hit")
+			}
+		}
+	})
+	b.Run("put", func(b *testing.B) {
+		putDir := b.TempDir()
+		var st *store.Store
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%entries == 0 {
+				// Start over on an empty store every 1000 Puts, so disk
+				// use stays bounded however large b.N grows.
+				b.StopTimer()
+				if err := os.RemoveAll(putDir); err != nil {
+					b.Fatal(err)
+				}
+				st = open(putDir)
+				b.StartTimer()
+			}
+			if err := st.Put(keys[i%entries], payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // guard against dead-code elimination of uop helpers in benches above.

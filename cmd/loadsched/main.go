@@ -26,7 +26,7 @@
 //	-v          print a runner observability summary (jobs, memo hits,
 //	            coalesces, disk hits, sim wall time) to stderr; with
 //	            -format json the counters also ride in the report envelope
-//	-store DIR  layer a persistent content-addressed result store under the
+//	-store DIR  layer a persistent segment-log result store under the
 //	            memo cache: results survive the process and later runs load
 //	            them instead of simulating
 //	-remote A   submit the job to a running `loadsched serve` at address A

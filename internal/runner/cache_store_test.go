@@ -182,7 +182,7 @@ func TestCacheDiskSingleFlight(t *testing.T) {
 }
 
 // TestCacheDiskCorruptEntryRecomputes: a corrupted persisted entry must
-// degrade to a recompute (and a rewrite), never to wrong data.
+// degrade to a recompute (and an append), never to wrong data.
 func TestCacheDiskCorruptEntryRecomputes(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := store.Open(dir)
@@ -192,13 +192,15 @@ func TestCacheDiskCorruptEntryRecomputes(t *testing.T) {
 	want := ooo.Stats{Cycles: 42}
 	c.Do(k, func() ooo.Stats { return want })
 
-	// Truncate the persisted entry, then look it up through a fresh cache.
-	path := st.Path(StoreKey(k))
-	data, err := os.ReadFile(path)
+	// Flip a payload bit in the persisted frame, then look it up through a
+	// fresh cache.
+	seg := onlySegment(t, dir)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+	data[len(data)-1] ^= 0x01
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st2, _ := store.Open(dir)
@@ -210,14 +212,18 @@ func TestCacheDiskCorruptEntryRecomputes(t *testing.T) {
 		t.Fatalf("corrupt entry: got %+v, outcome %d, calls %d; want recompute", got, how, calls.Load())
 	}
 	if sc := st2.Counters(); sc.Corrupt != 1 || sc.Writes != 1 {
-		t.Fatalf("store counters = %+v; want 1 corrupt, 1 rewrite", sc)
+		t.Fatalf("store counters = %+v; want 1 corrupt, 1 append", sc)
 	}
-	// The rewrite healed the entry.
+	// The appended frame healed the entry; the damaged segment stays on
+	// disk and is rejected again at every Open.
 	st3, _ := store.Open(dir)
 	c3 := NewCache()
 	c3.SetStore(st3)
 	if got, how := c3.do(k, func() ooo.Stats { t.Error("recompute"); return ooo.Stats{} }); got != want || how != diskHit {
 		t.Fatalf("healed entry: got %+v, outcome %d; want disk hit", got, how)
+	}
+	if sc := st3.Counters(); sc.Corrupt != 1 {
+		t.Fatalf("store counters = %+v; want the damaged frame counted at Open", sc)
 	}
 }
 

@@ -261,8 +261,8 @@ func (s *Server) run(job Job, pool *runner.Pool, emit func(results.Record) error
 	return s.exec(job, pool, emit)
 }
 
-// Validate checks a job before admission: known command, known figures and
-// sweep kind, sane options.
+// Validate checks a job before admission: known command, known figures,
+// sweep kind and group, sane options.
 func Validate(j Job) error {
 	if j.Options.Uops <= 0 {
 		return fmt.Errorf("serve: job needs positive options.uops, got %d", j.Options.Uops)
@@ -287,6 +287,9 @@ func Validate(j Job) error {
 		}
 		if !ok {
 			return fmt.Errorf("serve: unknown sweep %q (want one of %v)", j.Sweep, experiments.SweepKinds)
+		}
+		if _, known := trace.GroupByName(j.Group); !known && j.Group != "" {
+			return fmt.Errorf("serve: unknown group %q (want one of %v)", j.Group, trace.GroupNames())
 		}
 	default:
 		return fmt.Errorf("serve: unknown command %q (want figure | all | sweep | cpistack | tournament)", j.Command)

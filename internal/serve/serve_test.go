@@ -219,6 +219,7 @@ func TestServeValidation(t *testing.T) {
 		{"figure without figures", `{"command":"figure","options":{"uops":1000}}`},
 		{"unknown figure", `{"command":"figure","figures":["99"],"options":{"uops":1000}}`},
 		{"unknown sweep", `{"command":"sweep","sweep":"entropy","options":{"uops":1000}}`},
+		{"unknown group", `{"command":"sweep","sweep":"window","group":"Nope","options":{"uops":1000}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,35 +1,52 @@
-// Package store is a content-addressed, disk-backed result store: the
-// persistent second level under the runner's in-process memo cache.
+// Package store is a disk-backed result store: the persistent second level
+// under the runner's in-process memo cache.
 //
 // Keys are arbitrary canonical strings (the runner uses the machine
-// description plus the trace-profile identity); the store addresses entries
-// by the SHA-256 of the key, sharded into two-hex-character subdirectories.
-// Each entry file carries a framed record — magic, key length, payload
-// length, a CRC-32C over key and payload, then the key and payload bytes —
-// so a truncated, corrupted or foreign file is always classified as a miss,
-// never surfaced as data and never an error: the caller recomputes and
-// rewrites. Writes go through a temp file plus rename, so concurrent
-// writers on one key are safe (readers observe either no entry or one
-// complete entry; last writer wins, and writers of the same key write the
-// same bytes by the caller's purity contract).
+// description plus the trace-profile identity). The store is a log of
+// append-only segment files, <dir>/seg-<20-digit creation UnixNano>-<random>.lsr,
+// each a run of frames: magic, key length, payload length, a CRC-32C over
+// key and payload, then the key and payload bytes. Open reads every segment
+// in name order, which is creation order, and indexes each valid frame in
+// memory under a per-Store hash of its key; a later frame for a key
+// replaces an earlier one. Get is then a lookup with no I/O that compares
+// the stored key byte for byte, so a hash collision is a miss, never
+// another key's payload.
 //
-// The store never invalidates by itself: a key is expected to name its
-// value forever (the runner versions its keys, so schema changes orphan old
-// entries as misses rather than misreading them).
+// Each Store appends only to its own segment, created on its first Put, so
+// no two writers, in this process or another, ever share a file. A Store
+// sees what was on disk when it was opened plus its own writes; another
+// live process's appends appear at the next Open, and meanwhile both may
+// compute a shared key, with identical results by the caller's purity
+// contract. Damage never surfaces as data or as an error: a complete frame
+// that fails its magic or checksum ends its segment's load and is counted
+// as Corrupt, a tail shorter than its header announces (a crash, a writer
+// mid-append, or a damaged length) is skipped, and every key not loaded is
+// a miss that the caller recomputes and appends again.
+//
+// The store never invalidates or deletes anything: a key is expected to name
+// its value forever (the runner versions its keys, so schema changes orphan
+// old entries as misses rather than misreading them). A Store holds every
+// segment it loaded in memory, and files other than segments, such as
+// entries of the earlier one-file-per-entry layout, are never read.
 package store
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
+	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// magic identifies a store entry file and its framing version. Bump the
+// magic identifies a store frame and its framing version. Bump the
 // trailing digit if the frame layout ever changes.
 var magic = [4]byte{'L', 'S', 'R', '1'}
 
@@ -41,32 +58,103 @@ const headerSize = 4 + 4 + 4 + 4
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Counters is a point-in-time snapshot of a store's observability counters.
-// Corrupt entries (bad magic, short file, checksum or key mismatch) are
-// counted and also reported as misses: every Get is exactly a hit or a miss.
+// Every Get is exactly a hit or a miss.
 type Counters struct {
 	// Hits and Misses classify Get calls.
 	Hits, Misses int64
-	// Corrupt counts Get calls that found an entry file but rejected it
-	// (truncation, checksum mismatch, foreign key). Each is also a miss.
+	// Corrupt counts complete frames that Open rejected (bad magic or
+	// checksum). Each ends its segment's load, so the keys it and the
+	// frames after it held are misses.
 	Corrupt int64
-	// Writes counts entries persisted; WriteErrors counts Put calls that
+	// Writes counts frames appended; WriteErrors counts Put calls that
 	// failed to persist (disk full, permissions).
 	Writes, WriteErrors int64
 }
 
-// Store is a content-addressed blob store rooted at one directory. It is
-// safe for concurrent use by any number of processes sharing the directory.
+// Store is an append-only segment log rooted at one directory, indexed in
+// memory. It is safe for concurrent use, and any number of Stores, in any
+// number of processes, may share the directory.
 type Store struct {
-	dir                                       string
+	dir  string
+	seed maphash.Seed
+
+	mu sync.RWMutex
+	// index maps the hash of a key to its latest whole frame. Frames are
+	// slices of the segment buffers read at Open or of Put's own buffers,
+	// never copied and never written once indexed.
+	index map[uint64][]byte
+
+	// putMu serializes Puts, so Gets never wait on file I/O under mu.
+	putMu sync.Mutex
+	seg   string // this Store's segment, under putMu; "" until created
+
 	hits, misses, corrupt, writes, writeFails atomic.Int64
 }
 
-// Open creates (if needed) and opens a store rooted at dir.
+// Open creates (if needed) the directory dir and loads every segment in it.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: opening %s: %w", dir, err)
 	}
-	return &Store{dir: dir}, nil
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: opening %s: %w", dir, err)
+	}
+	s := &Store{dir: dir, seed: maphash.MakeSeed(), index: make(map[uint64][]byte)}
+	// ReadDir sorts by name, and names sort by creation time.
+	for _, e := range ents {
+		name := e.Name()
+		if !e.Type().IsRegular() || !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".lsr") {
+			continue
+		}
+		// An unreadable segment loads nothing: its keys are misses.
+		if data, err := readSegment(filepath.Join(dir, name)); err == nil {
+			s.load(data)
+		}
+	}
+	return s, nil
+}
+
+// readSegment reads a segment into one buffer of exactly its size at the
+// time of the read. Bytes a live writer appends after that are left for the
+// next Open; a frame it has only half written is a short tail.
+func readSegment(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, fi.Size())
+	n, err := io.ReadFull(f, data)
+	if err == io.ErrUnexpectedEOF {
+		err = nil
+	}
+	return data[:n], err
+}
+
+// load indexes the frames of one segment in order. It runs before the
+// Store is shared, so it takes no lock.
+func (s *Store) load(seg []byte) {
+	for len(seg) >= headerSize {
+		n := uint64(headerSize) + uint64(binary.BigEndian.Uint32(seg[4:8])) + uint64(binary.BigEndian.Uint32(seg[8:12]))
+		if n > uint64(len(seg)) {
+			return // a short tail: a crash, a writer mid-append, or a damaged length
+		}
+		frame := seg[:n:n]
+		if string(frame[:4]) != string(magic[:]) ||
+			crc32.Checksum(frame[headerSize:], castagnoli) != binary.BigEndian.Uint32(frame[12:16]) {
+			// The lengths that delimit the next frame are untrusted now.
+			s.corrupt.Add(1)
+			return
+		}
+		key, _ := splitFrame(frame)
+		s.index[maphash.Bytes(s.seed, key)] = frame
+		seg = seg[n:]
+	}
 }
 
 // Dir returns the store's root directory.
@@ -80,84 +168,92 @@ func (s *Store) Counters() Counters {
 	}
 }
 
-// Path returns the entry file an entry for key lives at (whether or not it
-// exists): <dir>/<hh>/<sha256-hex>, sharded on the first hash byte.
-func (s *Store) Path(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	h := hex.EncodeToString(sum[:])
-	return filepath.Join(s.dir, h[:2], h)
-}
-
-// Get returns the payload stored for key. Missing, truncated and corrupted
-// entries all report ok=false — the caller recomputes; corrupted files are
-// additionally removed (best effort) so the rewrite starts clean.
+// Get returns a copy of the payload stored for key. It does no I/O: it
+// sees the frames loaded at Open plus this Store's own Puts. A key never
+// written, lost to damage, or written since Open by another Store is a
+// miss, as is a key whose hash slot holds a different key's frame.
 func (s *Store) Get(key string) (payload []byte, ok bool) {
-	path := s.Path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		// Any unreadable entry is a miss; only a readable-but-invalid one
-		// counts as corruption.
-		s.misses.Add(1)
-		return nil, false
+	h := maphash.String(s.seed, key)
+	s.mu.RLock()
+	frame := s.index[h]
+	s.mu.RUnlock()
+	if frame != nil {
+		if k, p := splitFrame(frame); string(k) == key {
+			s.hits.Add(1)
+			return bytes.Clone(p), true
+		}
 	}
-	payload, ok = decodeFrame(data, key)
-	if !ok {
-		s.corrupt.Add(1)
-		s.misses.Add(1)
-		os.Remove(path)
-		return nil, false
-	}
-	s.hits.Add(1)
-	return payload, true
+	s.misses.Add(1)
+	return nil, false
 }
 
-// Put persists payload under key, atomically replacing any previous entry.
+// Put appends one frame for key to this Store's segment and indexes it, so
+// later Gets on this Store see it and later Opens prefer it to any frame
+// for key in this segment or an older one. The segment is created on the
+// first Put and opened, written in one call and closed by each Put, so the
+// Store holds no file between calls.
 func (s *Store) Put(key string, payload []byte) error {
-	path := s.Path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		s.writeFails.Add(1)
-		return fmt.Errorf("store: put: %w", err)
+	frame := encodeFrame(key, payload)
+	// Puts are serialized, so the index and the segment agree on which of
+	// two frames for one key came last.
+	s.putMu.Lock()
+	err := s.append(frame)
+	if err == nil {
+		s.mu.Lock()
+		s.index[maphash.String(s.seed, key)] = frame
+		s.mu.Unlock()
 	}
-	// Write-to-temp plus rename keeps the entry atomic: concurrent readers
-	// see the old complete entry or the new one, never a partial write.
-	f, err := os.CreateTemp(filepath.Dir(path), ".put-*")
+	s.putMu.Unlock()
 	if err != nil {
 		s.writeFails.Add(1)
 		return fmt.Errorf("store: put: %w", err)
-	}
-	tmp := f.Name()
-	_, werr := f.Write(encodeFrame(key, payload))
-	cerr := f.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, path)
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		s.writeFails.Add(1)
-		return fmt.Errorf("store: put: %w", werr)
 	}
 	s.writes.Add(1)
 	return nil
 }
 
-// Len walks the store and counts complete-looking entry files (any name
-// except in-flight temp files). It is an ops/debugging helper, not a hot
-// path.
-func (s *Store) Len() int {
-	n := 0
-	filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && d.Name()[0] != '.' {
-			n++
+// append writes frame at the end of this Store's segment. After a failed
+// open or write the next append starts a new segment, so a torn frame ends
+// only the segment it tore and a segment removed underneath is replaced.
+func (s *Store) append(frame []byte) error {
+	f, err := s.openSegment()
+	if err == nil {
+		_, err = f.Write(frame)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		return nil
-	})
-	return n
+	}
+	if err != nil {
+		s.seg = ""
+	}
+	return err
 }
 
-// encodeFrame assembles one entry file's bytes.
+// openSegment opens this Store's segment for appending, first creating it
+// with O_EXCL under a fresh name so that no other writer can share it. A
+// name clash (same nanosecond, same random suffix) fails that one Put; the
+// next Put draws a new name.
+func (s *Store) openSegment() (*os.File, error) {
+	if s.seg != "" {
+		return os.OpenFile(s.seg, os.O_WRONLY|os.O_APPEND, 0)
+	}
+	name := filepath.Join(s.dir, fmt.Sprintf("seg-%020d-%08x.lsr", time.Now().UnixNano(), rand.Uint32()))
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
+	if err == nil {
+		s.seg = name
+	}
+	return f, err
+}
+
+// Len reports how many distinct keys this Store serves: those loaded at
+// Open plus its own Puts.
+func (s *Store) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.index)
+}
+
+// encodeFrame assembles one frame's bytes.
 func encodeFrame(key string, payload []byte) []byte {
 	buf := make([]byte, headerSize+len(key)+len(payload))
 	copy(buf[0:4], magic[:])
@@ -170,26 +266,8 @@ func encodeFrame(key string, payload []byte) []byte {
 	return buf
 }
 
-// decodeFrame validates one entry file against the framing contract and the
-// expected key, returning the payload. Every violation — short header,
-// wrong magic, lengths that disagree with the file size, checksum mismatch,
-// or an entry recorded for a different key (a hash collision or a misplaced
-// file) — reports ok=false.
-func decodeFrame(data []byte, key string) (payload []byte, ok bool) {
-	if len(data) < headerSize || string(data[0:4]) != string(magic[:]) {
-		return nil, false
-	}
-	keyLen := binary.BigEndian.Uint32(data[4:8])
-	payLen := binary.BigEndian.Uint32(data[8:12])
-	want := binary.BigEndian.Uint32(data[12:16])
-	if uint64(headerSize)+uint64(keyLen)+uint64(payLen) != uint64(len(data)) {
-		return nil, false
-	}
-	if crc32.Checksum(data[headerSize:], castagnoli) != want {
-		return nil, false
-	}
-	if string(data[headerSize:headerSize+int(keyLen)]) != key {
-		return nil, false
-	}
-	return data[headerSize+int(keyLen):], true
+// splitFrame returns the key and payload of a whole, checked frame.
+func splitFrame(frame []byte) (key, payload []byte) {
+	k := headerSize + int(binary.BigEndian.Uint32(frame[4:8]))
+	return frame[headerSize:k], frame[k:]
 }
