@@ -182,7 +182,7 @@ func BenchmarkAblationCHTKinds(b *testing.B) {
 				cfg.Scheme = memdep.Inclusive
 				cfg.CHT = tc.make()
 				cfg.WarmupUops = 8_000
-				ipc = ooo.NewEngine(cfg, trace.New(p)).Run(30_000).IPC()
+				ipc = ooo.NewEngine(cfg, trace.Replay(p)).Run(30_000).IPC()
 			}
 			b.ReportMetric(ipc, "IPC")
 		})
@@ -206,7 +206,7 @@ func BenchmarkAblationCyclicClearing(b *testing.B) {
 				cfg.Scheme = memdep.Inclusive
 				cfg.CHT = cht
 				cfg.WarmupUops = 8_000
-				ipc = ooo.NewEngine(cfg, trace.New(p)).Run(30_000).IPC()
+				ipc = ooo.NewEngine(cfg, trace.Replay(p)).Run(30_000).IPC()
 			}
 			b.ReportMetric(ipc, "IPC")
 		})
@@ -240,7 +240,7 @@ func BenchmarkAblationBankPolicies(b *testing.B) {
 					cfg.BankPredictor = tc.pred()
 				}
 				cfg.WarmupUops = 8_000
-				ipc = ooo.NewEngine(cfg, trace.New(p)).Run(30_000).IPC()
+				ipc = ooo.NewEngine(cfg, trace.Replay(p)).Run(30_000).IPC()
 			}
 			b.ReportMetric(ipc, "IPC")
 		})
@@ -288,7 +288,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	cfg := ooo.DefaultConfig()
 	cfg.Scheme = memdep.Exclusive
 	cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
-	e := ooo.NewEngine(cfg, trace.New(p))
+	e := ooo.NewEngine(cfg, trace.Replay(p))
 	b.ResetTimer()
 	e.Run(b.N) // retire exactly b.N uops
 	b.ReportMetric(float64(b.N), "uops")

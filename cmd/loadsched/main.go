@@ -548,26 +548,9 @@ func runSingle(args []string) {
 	if !ok {
 		fatal("unknown trace %s/%s (see 'loadsched traces')", *group, *traceName)
 	}
-	cfg := ooo.DefaultConfig()
-	cfg.Window = *window
-	cfg.WarmupUops = o.EffectiveWarmup()
-	cfg.Scheme, ok = parseScheme(*scheme)
-	if !ok {
-		fatal("unknown scheme %q", *scheme)
-	}
-	if cfg.Scheme.UsesCHT() {
-		cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
-	}
-	switch *hmp {
-	case "none":
-	case "local":
-		cfg.HMP = hitmiss.NewLocal()
-	case "chooser":
-		cfg.HMP = hitmiss.NewChooser()
-	case "perfect":
-		cfg.HMP = &hitmiss.Perfect{}
-	default:
-		fatal("unknown hmp %q", *hmp)
+	cfg, err := runConfig(*scheme, *hmp, *window, o.EffectiveWarmup(), o.Uops)
+	if err != nil {
+		fatal("run: %v", err)
 	}
 
 	stop := op.startProfiling()
@@ -579,6 +562,46 @@ func runSingle(args []string) {
 		return
 	}
 	printRunStats(*group, *traceName, cfg, st)
+}
+
+// runConfig builds the machine `loadsched run` simulates from its flags,
+// rejecting what NewEngine or Run would panic on.
+func runConfig(scheme, hmp string, window, warmup, uops int) (ooo.Config, error) {
+	if uops < 1 {
+		return ooo.Config{}, fmt.Errorf("-uops must be positive, got %d", uops)
+	}
+	cfg, err := machineConfig(scheme, window, warmup)
+	if err != nil {
+		return cfg, err
+	}
+	switch hmp {
+	case "none":
+	case "local":
+		cfg.HMP = hitmiss.NewLocal()
+	case "chooser":
+		cfg.HMP = hitmiss.NewChooser()
+	case "perfect":
+		cfg.HMP = &hitmiss.Perfect{}
+	default:
+		return cfg, fmt.Errorf("unknown hmp %q", hmp)
+	}
+	return cfg, nil
+}
+
+// machineConfig builds the baseline machine with the flags `run` and
+// `replay` share, checked by Config.Validate.
+func machineConfig(scheme string, window, warmup int) (ooo.Config, error) {
+	cfg := ooo.DefaultConfig()
+	cfg.Window = window
+	cfg.WarmupUops = warmup
+	var ok bool
+	if cfg.Scheme, ok = parseScheme(scheme); !ok {
+		return cfg, fmt.Errorf("unknown scheme %q", scheme)
+	}
+	if cfg.Scheme.UsesCHT() {
+		cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
+	}
+	return cfg, cfg.Validate()
 }
 
 func parseScheme(s string) (memdep.Scheme, bool) {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -43,4 +44,36 @@ func TestWriteResultFile(t *testing.T) {
 			t.Fatal("creating over a directory should fail")
 		}
 	})
+}
+
+// TestRunConfigRejectsBadFlags pins the machine flags of `run` and `replay`
+// to an error instead of a NewEngine or Run panic.
+func TestRunConfigRejectsBadFlags(t *testing.T) {
+	if _, err := runConfig("exclusive", "local", 32, 1000, 5000); err != nil {
+		t.Fatalf("baseline run flags rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name                 string
+		scheme, hmp          string
+		window, warmup, uops int
+		want                 string
+	}{
+		{"zero window", "traditional", "none", 0, 0, 1000, "non-positive window"},
+		{"window beyond pool", "traditional", "none", 200, 0, 1000, "exceeds rename pool"},
+		{"zero uops", "traditional", "none", 32, 0, 0, "-uops must be positive"},
+		{"negative uops", "traditional", "none", 32, 0, -1, "-uops must be positive"},
+		{"unknown scheme", "fifo", "none", 32, 0, 1000, "unknown scheme"},
+		{"unknown hmp", "traditional", "oracle", 32, 0, 1000, "unknown hmp"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := runConfig(tc.scheme, tc.hmp, tc.window, tc.warmup, tc.uops)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+	// replay shares machineConfig: its -window is checked the same way.
+	if _, err := machineConfig("traditional", 500, 40000); err == nil || !strings.Contains(err.Error(), "exceeds rename pool") {
+		t.Fatalf("replay -window 500: err = %v, want the rename-pool bound", err)
+	}
 }

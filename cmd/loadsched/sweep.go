@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"loadsched/internal/experiments"
-	"loadsched/internal/memdep"
 	"loadsched/internal/ooo"
 	"loadsched/internal/results"
 	"loadsched/internal/runner"
@@ -117,16 +116,9 @@ func runReplay(args []string) {
 		fatal("replay: %v", err)
 	}
 	defer rd.Close()
-	cfg := ooo.DefaultConfig()
-	cfg.Window = *window
-	cfg.WarmupUops = *warmup
-	var ok bool
-	cfg.Scheme, ok = parseScheme(*scheme)
-	if !ok {
-		fatal("unknown scheme %q", *scheme)
-	}
-	if cfg.Scheme.UsesCHT() {
-		cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
+	cfg, err := machineConfig(*scheme, *window, *warmup)
+	if err != nil {
+		fatal("replay: %v", err)
 	}
 	n := *uops
 	if n <= 0 {

@@ -51,7 +51,7 @@ func main() {
 		cfg.BankPredictor = o.pred
 		cfg.Banking = cache.DefaultBanking()
 		cfg.BankMispredictPenalty = 8
-		st := ooo.NewEngine(cfg, trace.New(p)).Run(uops)
+		st := ooo.NewEngine(cfg, trace.Replay(p)).Run(uops)
 		t.AddRow(o.name, stats.F3(st.IPC()),
 			fmt.Sprintf("%d", st.BankConflicts),
 			fmt.Sprintf("%d", st.BankMispredicts),

@@ -75,7 +75,7 @@ func main() {
 		cfg.HMP = h
 		cfg.UseTimingHMP = timing
 		cfg.WarmupUops = warmup
-		return ooo.NewEngine(cfg, trace.New(p)).Run(uops).IPC()
+		return ooo.NewEngine(cfg, trace.Replay(p)).Run(uops).IPC()
 	}
 	base := run(nil, false)
 	t2 := stats.Table{Columns: []string{"predictor", "IPC", "speedup"}}

@@ -37,7 +37,7 @@ func main() {
 		if s.UsesCHT() {
 			cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
 		}
-		st := ooo.NewEngine(cfg, trace.New(p)).Run(uops)
+		st := ooo.NewEngine(cfg, trace.Replay(p)).Run(uops)
 		if s == memdep.Traditional {
 			base = st.IPC()
 		}
@@ -63,7 +63,7 @@ func main() {
 		cfg.Scheme = memdep.Inclusive
 		cfg.CHT = cht
 		cfg.WarmupUops = warmup
-		st := ooo.NewEngine(cfg, trace.New(p)).Run(uops)
+		st := ooo.NewEngine(cfg, trace.Replay(p)).Run(uops)
 		c := st.Class
 		t2.AddRow(cht.Name(), stats.F3(st.IPC()),
 			stats.Pct(c.FracOfLoads(c.ACPC)),
@@ -85,7 +85,7 @@ func main() {
 			if s.UsesCHT() {
 				cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
 			}
-			return ooo.NewEngine(cfg, trace.New(p)).Run(uops).IPC()
+			return ooo.NewEngine(cfg, trace.Replay(p)).Run(uops).IPC()
 		}
 		tr, ex := run(memdep.Traditional), run(memdep.Exclusive)
 		t3.AddRow(fmt.Sprintf("%d", w), stats.F3(tr), stats.F3(ex), stats.F3(ex/tr))

@@ -53,7 +53,7 @@ func TestIntegrationCHTOneBitSuffices(t *testing.T) {
 		cfg.Scheme = scheme
 		cfg.CHT = cht
 		cfg.WarmupUops = 20_000
-		return ooo.NewEngine(cfg, trace.New(p)).Run(80_000).IPC()
+		return ooo.NewEngine(cfg, trace.Replay(p)).Run(80_000).IPC()
 	}
 	base := run(nil, memdep.Traditional)
 	oneBit := run(memdep.NewTaglessCHT(4096, 1, false), memdep.Inclusive)
@@ -75,7 +75,7 @@ func TestIntegrationHMPReducesReplays(t *testing.T) {
 		cfg.Scheme = memdep.Perfect
 		cfg.HMP = h
 		cfg.WarmupUops = 20_000
-		return ooo.NewEngine(cfg, trace.New(p)).Run(80_000)
+		return ooo.NewEngine(cfg, trace.Replay(p)).Run(80_000)
 	}
 	base := run(nil)
 	local := run(hitmiss.NewLocal())
@@ -150,7 +150,7 @@ func TestIntegrationWindowScalingMatters(t *testing.T) {
 			if s.UsesCHT() {
 				cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
 			}
-			return ooo.NewEngine(cfg, trace.New(p)).Run(80_000).IPC()
+			return ooo.NewEngine(cfg, trace.Replay(p)).Run(80_000).IPC()
 		}
 		return run(memdep.Exclusive) / run(memdep.Traditional)
 	}

@@ -38,22 +38,15 @@ func TestPoolRunMatchesSoloDiff(t *testing.T) {
 	const warmup, uops = 1000, 4000
 
 	// Six machines on profile 0 (one full-sweep unit at workers=1), three
-	// on profile 1; a couple of jobs also run the naive reference
-	// scheduler so both dispatch paths batch.
+	// on profile 1.
 	var jobs []runner.Job
 	for i := 0; i < 9; i++ {
-		build := ooo.DiffConfigForBatch(rng)
-		naive := i%4 == 1
 		prof := profiles[0]
 		if i >= 6 {
 			prof = profiles[1]
 		}
 		jobs = append(jobs, runner.Job{
-			Build: func() ooo.Config {
-				cfg := build()
-				cfg.NaiveSchedule = naive
-				return cfg
-			},
+			Build:   ooo.DiffConfigForBatch(rng),
 			Profile: prof,
 			Uops:    uops,
 			Warmup:  warmup,

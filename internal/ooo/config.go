@@ -142,22 +142,6 @@ type Config struct {
 	// runner's EngineBuilds counter).
 	PolicyKey string
 
-	// NaiveSchedule selects the retained reference scheduler: the original
-	// per-cycle full-window readiness walk, without the event-driven wakeup
-	// lists and idle-cycle fast-forward of ready.go. It produces identical
-	// results and exists for verification and debugging (the differential
-	// property test runs both and compares Stats); leave it false for
-	// performance.
-	NaiveSchedule bool
-
-	// LegacyAliasRename pins rename to the original per-engine alias-table
-	// producer resolution even when the source publishes the precomputed
-	// dependence side-car (see frontend.go). It produces identical results
-	// and exists as the differential oracle for the side-car path (the
-	// rename differential test runs both and compares Stats); leave it
-	// false for performance.
-	LegacyAliasRename bool
-
 	// Banking configures the multi-banked L1 extension; BankPolicy selects
 	// how the scheduler uses it (see bank.go). Zero value disables banking.
 	Banking cache.Banking
@@ -217,6 +201,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ooo: non-positive window sizes")
 	case c.Window > c.RenamePool:
 		return fmt.Errorf("ooo: scheduling window %d exceeds rename pool %d", c.Window, c.RenamePool)
+	case c.RenamePool >= uop.DepSaturated:
+		// Side-car rename treats a saturated producer delta as retired,
+		// which is exact only while fewer uops than that are in flight.
+		return fmt.Errorf("ooo: rename pool %d must stay below the side-car delta bound %d", c.RenamePool, uop.DepSaturated)
 	case c.IntUnits <= 0 || c.MemUnits <= 0 || c.FPUnits <= 0 || c.ComplexUnits <= 0 || c.STDPorts <= 0:
 		return fmt.Errorf("ooo: every execution-unit count must be positive")
 	case c.NewPolicy == nil && c.Scheme.UsesCHT() && c.CHT == nil:

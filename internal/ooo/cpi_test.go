@@ -38,7 +38,7 @@ func TestCPIStackSumsToCycles(t *testing.T) {
 	for name, build := range configs {
 		for _, g := range trace.Groups() {
 			p := g.Traces[0]
-			e := NewEngine(build(), trace.New(p))
+			e := NewEngine(build(), trace.Replay(p))
 			st := e.Run(15000)
 			if got := st.CPI.Total(); got != st.Cycles {
 				t.Errorf("%s %s/%s: CPI stack sums to %d, want Cycles = %d",
@@ -57,7 +57,7 @@ func TestCPIStackAddPools(t *testing.T) {
 	g, _ := trace.GroupByName(trace.GroupSysmarkNT)
 	var pooled Stats
 	for _, p := range g.Traces[:2] {
-		e := NewEngine(DefaultConfig(), trace.New(p))
+		e := NewEngine(DefaultConfig(), trace.Replay(p))
 		pooled.Add(e.Run(8000))
 	}
 	if got := pooled.CPI.Total(); got != pooled.Cycles {

@@ -11,7 +11,7 @@ import (
 // The engine is decomposed into one file per pipeline stage, all operating
 // on the shared machine state below:
 //
-//	frontend.go  fetch + rename (branch stall, producer tracking, MOB entry)
+//	frontend.go  fetch + rename (branch stall, side-car producers, MOB entry)
 //	schedule.go  dispatch walk, port allocation, replay debt
 //	ready.go     event-driven core: wakeup links, ready set, fast-forward
 //	memory.go    MOB queries, load classification, collision resolution
@@ -30,42 +30,22 @@ import (
 // Every speculation decision flows through the SpeculationPolicy seam, so
 // stage code contains machine mechanics only.
 
-// Source supplies the dynamic uop stream (a trace generator).
+// Source supplies the dynamic uop stream with its static dependence
+// side-car (see internal/trace deplink.go). NextBatchRef exposes the
+// source's next decoded run as direct slices — uops and side-car entries in
+// lockstep, valid until the next call on the source — plus the store base
+// the run's Dep.LastStore deltas are relative to (-1: invalid for this run,
+// the engine falls back to its own MOB watermark). Handing out references
+// instead of filling caller buffers keeps the fetch path copy-free; the
+// engine treats the slices as read-only (shared recording chunks back them
+// for every sweep engine at once). Sources are endless, and the side-car's
+// position deltas share an origin with the engine's rename count because
+// the engine observes the stream from its beginning. trace.Replay cursors
+// and trace.StreamReader implement Source directly; trace.NewBatches
+// adapts any scalar trace.Source.
 type Source interface {
-	Next() uop.UOp
-}
-
-// BulkSource is an optional Source extension for suppliers that can copy a
-// run of uops at once — trace replay cursors and stream readers gather
-// straight out of decoded chunk columns. The engine refills its fetch
-// buffer through it, turning the per-uop interface call into a slice read.
-// A stride of NextBatch calls must yield exactly the stream Next would.
-type BulkSource interface {
-	Source
-	NextBatch(dst []uop.UOp) int
-}
-
-// DepBatchSource is the bulk seam extended with the static dependence
-// side-car (see internal/trace deplink.go): NextBatchRef exposes the
-// source's current decoded run as direct slices — uops and side-car
-// entries in lockstep, valid until the next call on the source — plus the
-// store base the run's Dep.LastStore deltas are relative to (-1: invalid
-// for this run, the engine falls back to its own MOB watermark). Handing
-// out references instead of filling caller buffers removes a ~52-byte copy
-// per uop from the fetch path; the engine treats the slices as read-only
-// (shared recording chunks back them for every sweep engine at once). The
-// side-car lets rename resolve producers by position arithmetic instead of
-// alias-table lookups; the contract that makes that exact is that the
-// consumer has observed the stream from its beginning, so side-car
-// position deltas and the engine's rename count share an origin.
-type DepBatchSource interface {
-	BulkSource
 	NextBatchRef() (us []uop.UOp, deps []uop.Dep, storeBase int64)
 }
-
-// fetchBufUops sizes the engine's fetch refill buffer: a few rename
-// groups' worth, small enough to stay hot in L1.
-const fetchBufUops = 64
 
 // LoadEvent describes one retired load for statistical consumers.
 type LoadEvent struct {
@@ -190,8 +170,8 @@ func (r *robState) size() int { return len(r.flags) }
 
 // clearSlot claims one slot for freshly renamed u: valid, in the scheduling
 // window. Every other per-slot field is left stale on purpose — each is
-// proven write-before-read along its lifecycle: the rename paths write both
-// producer pairs explicitly; linkDeps writes age/readyAt and only
+// proven write-before-read along its lifecycle: rename writes both producer
+// pairs explicitly; linkDeps writes age/readyAt and only
 // increments nwaiting (0 at slot entry: a slot is reused only after it
 // dispatched, which requires nwaiting to have drained, and reset zeroes it
 // between runs); waitHead is -1 whenever a slot frees (wakeDependents
@@ -288,22 +268,17 @@ func (m *mobState) capacity() int { return len(m.flags) }
 // Engine is the out-of-order machine.
 type Engine struct {
 	cfg Config
-	src Source
-	// bulk is src's BulkSource form (nil when unsupported); fetchBuf with
-	// fetchPos/fetchLen is the refill buffer nextUop drains. depSrc is the
-	// side-car-capable form (nil when unsupported or disabled by config);
-	// when set, rename reads fetchRefU/fetchRefD — zero-copy views into the
-	// source's decoded chunk, uops and side-car entries in lockstep — and
-	// fetchStoreBase anchors the current run's Dep.LastStore deltas.
-	bulk               BulkSource
-	depSrc             DepBatchSource
-	fetchBuf           []uop.UOp
-	fetchRefU          []uop.UOp
-	fetchRefD          []uop.Dep
-	fetchStoreBase     int64
-	fetchPos, fetchLen int
-	hier               *cache.Hierarchy
-	missq              *cache.MissQueue
+	// src supplies the uop stream. Rename reads fetchRefU/fetchRefD —
+	// zero-copy views into the source's decoded chunk, uops and side-car
+	// entries in lockstep — from fetchPos on, and fetchStoreBase anchors
+	// the current run's Dep.LastStore deltas.
+	src            Source
+	fetchRefU      []uop.UOp
+	fetchRefD      []uop.Dep
+	fetchStoreBase int64
+	fetchPos       int
+	hier           *cache.Hierarchy
+	missq          *cache.MissQueue
 	// policy is the speculation seam every prediction decision goes
 	// through; oracle caches policy.Oracle(). defPol is non-nil when the
 	// seam is the built-in adapter — the per-load call sites dispatch to
@@ -323,7 +298,8 @@ type Engine struct {
 	// window entries whose operands are ready, in age order; wakeQ holds
 	// entries whose operands complete at a known future cycle. renameAge is
 	// the monotone counter behind rob.age. naive selects the retained
-	// full-walk reference scheduler (Config.NaiveSchedule).
+	// full-walk reference scheduler; only in-package tests set it, after
+	// NewEngine.
 	readyList []int32
 	// readyUnclass counts the loads in readyList still awaiting their
 	// schedule-time classification; the dispatch walk may only early-exit
@@ -335,9 +311,6 @@ type Engine struct {
 	naive        bool
 
 	now int64
-
-	regProd [uop.MaxArchRegs]int32
-	regSeq  [uop.MaxArchRegs]int64
 
 	mob mobState
 
@@ -400,7 +373,6 @@ func NewEngine(cfg Config, src Source) *Engine {
 	}
 	e := &Engine{
 		cfg:            cfg,
-		fetchBuf:       make([]uop.UOp, fetchBufUops),
 		hier:           cache.NewHierarchy(cfg.Hier),
 		missq:          cache.NewMissQueue(16),
 		rob:            newROB(cfg.RenamePool),
@@ -409,7 +381,6 @@ func NewEngine(cfg Config, src Source) *Engine {
 		mob:            newMOB(mobCap),
 		pendingColl:    make([]int32, 0, 16),
 		missDetections: make([]int64, 0, 16),
-		naive:          cfg.NaiveSchedule,
 	}
 	e.setSource(src)
 	deps := PolicyDeps{Hier: e.hier, MissQ: e.missq}
@@ -435,10 +406,6 @@ func (e *Engine) resetState() {
 	e.wakeQ = e.wakeQ[:0]
 	e.renameAge = 0
 	e.now = 0
-	for i := range e.regProd {
-		e.regProd[i] = -1
-		e.regSeq[i] = 0
-	}
 	e.mob.start, e.mob.length = 0, 0
 	e.mob.first = 1
 	e.staDoneTo, e.allDoneTo = 1, 1
@@ -474,39 +441,12 @@ func (e *Engine) Reset(src Source) bool {
 	return true
 }
 
-// setSource wires a (possibly bulk-capable) uop supplier and discards any
-// buffered tail of the previous one. Side-car rename engages only when the
-// source provides it, the configuration has not pinned the legacy
-// alias-table path, and the rename pool is small enough that a saturated
-// producer delta always compares as retired (the exactness condition of
-// the watermark test).
+// setSource wires the uop supplier and drops any unconsumed run of the
+// previous one.
 func (e *Engine) setSource(src Source) {
 	e.src = src
-	e.bulk, _ = src.(BulkSource)
-	e.depSrc, _ = src.(DepBatchSource)
-	if e.cfg.LegacyAliasRename || e.cfg.RenamePool >= uop.DepSaturated {
-		e.depSrc = nil
-	}
 	e.fetchRefU, e.fetchRefD = nil, nil
-	e.fetchPos, e.fetchLen = 0, 0
-}
-
-// nextUop pulls one uop, draining the fetch buffer and refilling it in
-// bulk when the source supports that. Buffering is invisible to the
-// simulation — the engine consumes the identical stream either way.
-func (e *Engine) nextUop() uop.UOp {
-	if e.fetchPos < e.fetchLen {
-		u := e.fetchBuf[e.fetchPos]
-		e.fetchPos++
-		return u
-	}
-	if e.bulk != nil {
-		if n := e.bulk.NextBatch(e.fetchBuf); n > 0 {
-			e.fetchLen, e.fetchPos = n, 1
-			return e.fetchBuf[0]
-		}
-	}
-	return e.src.Next()
+	e.fetchPos = 0
 }
 
 // Hierarchy exposes the simulated data hierarchy (read-only use).
@@ -531,6 +471,9 @@ func (e *Engine) Now() int64 { return e.now }
 // statistics: Config.WarmupUops retirements, a reset of the statistics and
 // the L1D/L2 counters, then n measured retirements.
 func (e *Engine) Run(n int) Stats {
+	if n < 0 {
+		panic(fmt.Sprintf("ooo: Run of a negative uop count %d", n))
+	}
 	if e.cfg.WarmupUops > 0 {
 		e.runUops("warmup", e.cfg.WarmupUops)
 		e.stats = Stats{}

@@ -211,7 +211,7 @@ func TestMissRecoveryBubbleCosts(t *testing.T) {
 		cfg.Scheme = memdep.Perfect
 		cfg.MissRecoveryBubble = bubble
 		cfg.WarmupUops = 10000
-		return NewEngine(cfg, trace.New(p)).Run(60000).IPC()
+		return NewEngine(cfg, trace.Replay(p)).Run(60000).IPC()
 	}
 	if with, without := run(10), run(0); with >= without {
 		t.Fatalf("miss bubbles (%f) must cost IPC vs none (%f)", with, without)
@@ -248,7 +248,7 @@ func TestInvariantsAcrossSchemes(t *testing.T) {
 		if s.UsesCHT() {
 			cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
 		}
-		st := NewEngine(cfg, trace.New(p)).Run(40000)
+		st := NewEngine(cfg, trace.Replay(p)).Run(40000)
 		c := st.Class
 		if c.NotConflicting+c.ANCPC+c.ANCPNC+c.ACPC+c.ACPNC != c.Loads {
 			t.Fatalf("%v: classification buckets do not sum to loads", s)
@@ -270,7 +270,7 @@ func TestNonCHTSchemesNeverPredictColliding(t *testing.T) {
 	for _, s := range []memdep.Scheme{memdep.Traditional, memdep.Opportunistic, memdep.Perfect} {
 		cfg := DefaultConfig()
 		cfg.Scheme = s
-		st := NewEngine(cfg, trace.New(p)).Run(30000)
+		st := NewEngine(cfg, trace.Replay(p)).Run(30000)
 		if st.Class.ANCPC != 0 || st.Class.ACPC != 0 {
 			t.Fatalf("%v: predicted-colliding buckets nonzero without a CHT", s)
 		}
@@ -294,7 +294,7 @@ func TestLoadEventStreamConsistent(t *testing.T) {
 			t.Fatal("load event without address")
 		}
 	}
-	st := NewEngine(cfg, trace.New(p)).Run(40000)
+	st := NewEngine(cfg, trace.Replay(p)).Run(40000)
 	if events != st.Loads {
 		t.Fatalf("events %d != retired loads %d", events, st.Loads)
 	}
@@ -312,7 +312,7 @@ func TestRetireIsProgramOrder(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scheme = memdep.Exclusive
 	cfg.CHT = memdep.NewCombinedCHT(1024, 4, 4096, true)
-	st := NewEngine(cfg, trace.New(p)).Run(50000)
+	st := NewEngine(cfg, trace.Replay(p)).Run(50000)
 	if st.Uops < 50000 {
 		t.Fatalf("retired %d", st.Uops)
 	}
@@ -327,7 +327,7 @@ func TestWindowSweepMonotoneClassification(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Window = w
 		cfg.WarmupUops = 10000
-		st := NewEngine(cfg, trace.New(p)).Run(60000)
+		st := NewEngine(cfg, trace.Replay(p)).Run(60000)
 		nc := st.Class.FracOfLoads(st.Class.NotConflicting)
 		if prev >= 0 && nc > prev+0.02 {
 			t.Fatalf("no-conflict share grew with window: %.3f -> %.3f", prev, nc)
@@ -343,7 +343,7 @@ func TestMOBStaysBounded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scheme = memdep.Exclusive
 	cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
-	e := NewEngine(cfg, trace.New(p))
+	e := NewEngine(cfg, trace.Replay(p))
 	e.Run(120000)
 	if e.mob.capacity() > cfg.RenamePool {
 		t.Fatalf("MOB grew to %d entries (window is %d)", e.mob.capacity(), cfg.RenamePool)

@@ -19,13 +19,15 @@ type sliceSource struct {
 	seq  int64
 }
 
-func newSliceSource(uops []uop.UOp) *sliceSource {
+// newSliceSource wraps the sequence in the side-car batch adapter the
+// engine consumes.
+func newSliceSource(uops []uop.UOp) *trace.Batches {
 	s := &sliceSource{uops: uops}
 	for i := range s.uops {
 		s.uops[i].Seq = int64(i)
 	}
 	s.seq = int64(len(uops))
-	return s
+	return trace.NewBatches(s)
 }
 
 func (s *sliceSource) Next() uop.UOp {
@@ -268,7 +270,7 @@ func TestWindowSizeLimitsILP(t *testing.T) {
 		cfg := testConfig()
 		cfg.Window = window
 		p := trace.Profile{Name: "w", Seed: 42}
-		e := NewEngine(cfg, trace.New(p))
+		e := NewEngine(cfg, trace.Replay(p))
 		return e.Run(30000).IPC()
 	}
 	small, big := run(8), run(128)
@@ -280,7 +282,7 @@ func TestWindowSizeLimitsILP(t *testing.T) {
 func TestClassificationPartitionsLoads(t *testing.T) {
 	p := trace.Profile{Name: "c", Seed: 7}
 	cfg := testConfig()
-	e := NewEngine(cfg, trace.New(p))
+	e := NewEngine(cfg, trace.Replay(p))
 	st := e.Run(50000)
 	c := st.Class
 	if c.Loads == 0 {
@@ -306,7 +308,7 @@ func TestSchemeOrderingOnRealTrace(t *testing.T) {
 		if scheme.UsesCHT() {
 			cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
 		}
-		e := NewEngine(cfg, trace.New(p))
+		e := NewEngine(cfg, trace.Replay(p))
 		return e.Run(100000).IPC()
 	}
 	trad := run(memdep.Traditional)
@@ -330,7 +332,7 @@ func TestHMPPerfectNotSlower(t *testing.T) {
 		if hmp == "perfect" {
 			cfg.HMP = &hitmiss.Perfect{}
 		}
-		e := NewEngine(cfg, trace.New(p))
+		e := NewEngine(cfg, trace.Replay(p))
 		return e.Run(100000).IPC()
 	}
 	base := run("always-hit")
@@ -390,6 +392,31 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
+	// Side-car rename is exact only for pools below the delta saturation
+	// bound: the largest such pool is accepted, the bound itself rejected
+	// by name.
+	edge := DefaultConfig()
+	edge.RenamePool = uop.DepSaturated - 1
+	if err := edge.Validate(); err != nil {
+		t.Errorf("RenamePool %d rejected: %v", edge.RenamePool, err)
+	}
+	edge.RenamePool = uop.DepSaturated
+	if err := edge.Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprint(uop.DepSaturated)) {
+		t.Errorf("RenamePool %d: err = %v, want one naming the bound", edge.RenamePool, err)
+	}
+}
+
+func TestRunPanicsOnNegativeCount(t *testing.T) {
+	e := NewEngine(testConfig(), newSliceSource(nil))
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "negative uop count") {
+			t.Fatalf("panic %q, want the negative uop count named", msg)
+		}
+		if e.Now() != 0 {
+			t.Fatalf("ran %d cycles before rejecting the count", e.Now())
+		}
+	}()
+	e.Run(-1)
 }
 
 func TestNewEnginePanicsOnBadConfig(t *testing.T) {
@@ -407,7 +434,7 @@ func TestWarmupExcludedFromStats(t *testing.T) {
 	p := trace.Profile{Name: "warm", Seed: 3}
 	cfg := testConfig()
 	cfg.WarmupUops = 10000
-	e := NewEngine(cfg, trace.New(p))
+	e := NewEngine(cfg, trace.Replay(p))
 	st := e.Run(20000)
 	if st.Uops < 20000 || st.Uops >= 20000+uint64(cfg.RetireWidth) {
 		t.Fatalf("measured uops = %d, want 20000 (± retire width, warmup excluded)", st.Uops)
@@ -420,7 +447,7 @@ func TestDeterministicRuns(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Scheme = memdep.Inclusive
 		cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
-		e := NewEngine(cfg, trace.New(p))
+		e := NewEngine(cfg, trace.Replay(p))
 		return e.Run(50000)
 	}
 	a, b := run(), run()
@@ -502,5 +529,19 @@ func TestLivelockPanicNamesPhaseAndHead(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestResetClearsFetchBuffer pins Reset semantics with buffered fetch: a
+// reset engine re-fed from a fresh cursor must reproduce its first run.
+func TestResetClearsFetchBuffer(t *testing.T) {
+	p := trace.Profile{Name: "bulk-reset", Seed: 78}
+	cfg := DefaultConfig()
+	e := NewEngine(cfg, trace.Replay(p))
+	first := e.Run(30000)
+	e.Reset(trace.Replay(p))
+	second := e.Run(30000)
+	if first != second {
+		t.Fatalf("reset run diverges:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 }

@@ -36,7 +36,7 @@ func TestBarrierCoarserThanCHT(t *testing.T) {
 		cfg.Scheme = memdep.Opportunistic
 		cfg.WarmupUops = 20000
 		mut(&cfg)
-		return NewEngine(cfg, trace.New(p)).Run(80000).IPC()
+		return NewEngine(cfg, trace.Replay(p)).Run(80000).IPC()
 	}
 	barrier := run(func(c *Config) { c.Barrier = memdep.NewStoreBarrier(1024) })
 	cht := run(func(c *Config) {
@@ -112,7 +112,7 @@ func TestLevelPredictorBeatsBinaryOnMemoryMisses(t *testing.T) {
 		cfg.Scheme = memdep.Perfect
 		cfg.HMP = h
 		cfg.WarmupUops = 20000
-		return NewEngine(cfg, trace.New(p)).Run(80000)
+		return NewEngine(cfg, trace.Replay(p)).Run(80000)
 	}
 	oracleBinary := run(&hitmiss.Perfect{})
 	oracleLevel := run(&hitmiss.PerfectLevel{})
@@ -128,7 +128,7 @@ func TestTwoStageInEngine(t *testing.T) {
 	cfg.Scheme = memdep.Perfect
 	cfg.HMP = hitmiss.NewTwoStage()
 	cfg.WarmupUops = 15000
-	st := NewEngine(cfg, trace.New(p)).Run(60000)
+	st := NewEngine(cfg, trace.Replay(p)).Run(60000)
 	if st.HM.Loads() != st.Loads {
 		t.Fatal("HM accounting broken with level predictor")
 	}
@@ -143,7 +143,7 @@ func TestPerfectLevelNoReplays(t *testing.T) {
 	cfg.Scheme = memdep.Perfect
 	cfg.HMP = &hitmiss.PerfectLevel{}
 	cfg.WarmupUops = 10000
-	st := NewEngine(cfg, trace.New(p)).Run(50000)
+	st := NewEngine(cfg, trace.Replay(p)).Run(50000)
 	if st.HM.AMPH != 0 {
 		t.Fatalf("level oracle suffered %d replays", st.HM.AMPH)
 	}
@@ -167,8 +167,8 @@ func TestEngineRunsFromRecordedTrace(t *testing.T) {
 	cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
 	cfg.WarmupUops = 10000
 
-	live := NewEngine(cfg, trace.New(p)).Run(40000)
-	replay := NewEngine(cfg2(cfg), rd).Run(40000)
+	live := NewEngine(cfg, trace.Replay(p)).Run(40000)
+	replay := NewEngine(cfg2(cfg), trace.NewBatches(rd)).Run(40000)
 	if live != replay {
 		t.Fatalf("recorded replay diverged from live generation:\n%+v\n%+v", live, replay)
 	}
@@ -225,7 +225,7 @@ func TestDistanceForwardingOnRealTrace(t *testing.T) {
 		cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
 		cfg.DistanceForwarding = forward
 		cfg.WarmupUops = 15000
-		return NewEngine(cfg, trace.New(p)).Run(60000)
+		return NewEngine(cfg, trace.Replay(p)).Run(60000)
 	}
 	fwd := run(true)
 	plain := run(false)

@@ -61,8 +61,8 @@ type LoadView struct {
 	// IP and Addr identify the access.
 	IP, Addr uint64
 	// IPHash is uop.HashIP(IP), precomputed by the trace layer's dependence
-	// side-car (or at rename on the legacy path) so table-indexing policies
-	// need not fold the 64-bit IP themselves.
+	// side-car so table-indexing policies need not fold the 64-bit IP
+	// themselves.
 	IPHash uint32
 	// Size is the access width in bytes.
 	Size int

@@ -22,13 +22,13 @@ func TestNewPolicyWrapsDefault(t *testing.T) {
 		cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
 		return cfg
 	}
-	base := NewEngine(mkCfg(), trace.New(p)).Run(20000)
+	base := NewEngine(mkCfg(), trace.Replay(p)).Run(20000)
 
 	wrapped := mkCfg()
 	wrapped.NewPolicy = func(deps PolicyDeps) SpeculationPolicy {
 		return DefaultPolicy(wrapped, deps)
 	}
-	got := NewEngine(wrapped, trace.New(p)).Run(20000)
+	got := NewEngine(wrapped, trace.Replay(p)).Run(20000)
 	if got != base {
 		t.Fatalf("wrapping DefaultPolicy changed the run:\nbase: %+v\ngot:  %+v", base, got)
 	}
@@ -56,7 +56,7 @@ func TestExclusiveExtremeDistances(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Scheme = memdep.Exclusive
 		cfg.CHT = extremeCHT{dist}
-		return NewEngine(cfg, trace.New(p)).Run(10_000)
+		return NewEngine(cfg, trace.Replay(p)).Run(10_000)
 	}
 	// Colliding with no distance information: wait for every older store.
 	conservative := run(memdep.NoDistance)
@@ -74,7 +74,7 @@ func TestExclusiveExtremeDistances(t *testing.T) {
 	// an astronomically long id range) and reproduce that schedule.
 	oppCfg := DefaultConfig()
 	oppCfg.Scheme = memdep.Opportunistic
-	opp := NewEngine(oppCfg, trace.New(p)).Run(10_000)
+	opp := NewEngine(oppCfg, trace.Replay(p)).Run(10_000)
 	for _, d := range []int{1 << 40, math.MaxInt} {
 		got := run(d)
 		if got.Uops != conservative.Uops {
@@ -101,13 +101,13 @@ func TestNewPolicyOverridesOrdering(t *testing.T) {
 	p, _ := trace.TraceByName(trace.GroupSysmarkNT, "ex")
 	oppCfg := DefaultConfig()
 	oppCfg.Scheme = memdep.Opportunistic
-	opp := NewEngine(oppCfg, trace.New(p)).Run(20000)
+	opp := NewEngine(oppCfg, trace.Replay(p)).Run(20000)
 
 	cfg := DefaultConfig() // Traditional
 	cfg.NewPolicy = func(deps PolicyDeps) SpeculationPolicy {
 		return allowAllPolicy{DefaultPolicy(cfg, deps)}
 	}
-	got := NewEngine(cfg, trace.New(p)).Run(20000)
+	got := NewEngine(cfg, trace.Replay(p)).Run(20000)
 	if got.Cycles != opp.Cycles || got.Collisions != opp.Collisions {
 		t.Fatalf("always-allow policy (cycles=%d collisions=%d) != Opportunistic (cycles=%d collisions=%d)",
 			got.Cycles, got.Collisions, opp.Cycles, opp.Collisions)

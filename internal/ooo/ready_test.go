@@ -66,7 +66,7 @@ func TestWakeHeapDuplicateWakeTimes(t *testing.T) {
 // age (rename) order — the invariant the dispatch walk depends on.
 func TestInsertReadyRestoresAgeOrder(t *testing.T) {
 	cfg := DefaultConfig()
-	e := NewEngine(cfg, trace.New(trace.Profile{Name: "unused", Seed: 1}))
+	e := NewEngine(cfg, trace.Replay(trace.Profile{Name: "unused", Seed: 1}))
 	// Give a handful of rob entries distinct ages, then wake them all for the
 	// same cycle in a scrambled push order.
 	idxs := []int32{3, 0, 7, 5, 1}
@@ -136,8 +136,9 @@ func TestFastForwardCoincidentEventsDiff(t *testing.T) {
 			run := func(naive bool) Stats {
 				cfg := build()
 				cfg.WarmupUops = warmup
-				cfg.NaiveSchedule = naive
-				return NewEngine(cfg, trace.New(coincidentProfile)).Run(uops)
+				e := NewEngine(cfg, trace.Replay(coincidentProfile))
+				e.naive = naive
+				return e.Run(uops)
 			}
 			event, naive := run(false), run(true)
 			if event != naive {
@@ -190,12 +191,12 @@ func TestEngineResetReuseDiff(t *testing.T) {
 				cfg.WarmupUops = warmup
 				return cfg
 			}
-			fresh := NewEngine(mk(), trace.New(coincidentProfile)).Run(uops)
+			fresh := NewEngine(mk(), trace.Replay(coincidentProfile)).Run(uops)
 
 			// Dirty an engine on a different workload, then Reset and rerun.
-			e := NewEngine(mk(), trace.New(warmupOther))
+			e := NewEngine(mk(), trace.Replay(warmupOther))
 			e.Run(uops)
-			if !e.Reset(trace.New(coincidentProfile)) {
+			if !e.Reset(trace.Replay(coincidentProfile)) {
 				t.Fatal("Reset refused for the built-in policy")
 			}
 			reused := e.Run(uops)
@@ -204,7 +205,7 @@ func TestEngineResetReuseDiff(t *testing.T) {
 			}
 
 			// A second reset must be just as clean as the first.
-			if !e.Reset(trace.New(coincidentProfile)) {
+			if !e.Reset(trace.Replay(coincidentProfile)) {
 				t.Fatal("second Reset refused")
 			}
 			if again := e.Run(uops); again != fresh {

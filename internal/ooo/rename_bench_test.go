@@ -7,96 +7,82 @@ import (
 )
 
 // BenchmarkFetchRename isolates the front-end rename/producer-resolution
-// path — the code the dependence side-car rewrites — from the rest of the
-// pipeline: it drives fetchRename directly against a shared-recording
-// cursor and, whenever the window fills, drains it with a bulk slot flush
-// that preserves the rename-time invariants (store watermark, architectural
-// producers) without paying for dispatch/execute/retire. The sidecar and
-// legacy sub-benchmarks differ only in Config.LegacyAliasRename, so their
-// ratio is the producer-resolution speedup in isolation.
+// path from the rest of the pipeline: it drives fetchRename directly
+// against a shared-recording cursor and, whenever the window fills, drains
+// it with a bulk slot flush that preserves the rename-time invariants
+// (store watermark, architectural producers) without paying for
+// dispatch/execute/retire. The single sub-benchmark keeps its historical
+// name, sidecar, so committed baselines stay comparable.
 func BenchmarkFetchRename(b *testing.B) {
 	prof := trace.Profile{Name: "bench-fetch-rename", Seed: 7}
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{
-		{"sidecar", false},
-		{"legacy", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Window, cfg.RenamePool = 1024, 1024
-			cfg.LegacyAliasRename = mode.legacy
-			e := NewEngine(cfg, trace.Replay(prof))
-			if mode.legacy == (e.depSrc != nil) {
-				b.Fatalf("legacy=%v but depSrc=%v", mode.legacy, e.depSrc != nil)
+	b.Run("sidecar", func(b *testing.B) {
+		cfg := DefaultConfig()
+		cfg.Window, cfg.RenamePool = 1024, 1024
+		e := NewEngine(cfg, trace.Replay(prof))
+		// drain empties the window in bulk. Clearing every slot's flags
+		// retires the in-flight population as far as rename can observe
+		// (side-car deltas exceed the zeroed count), and sliding the MOB
+		// ring forward keeps its occupancy where in-order retirement would
+		// have left it. The youngest few records stay live so a store
+		// split across the drain (STA before, STD after) still finds its
+		// ring record.
+		drain := func() {
+			r := &e.rob
+			for i := range r.flags {
+				r.flags[i] = 0
+				r.waitHead[i] = -1
+				r.nwaiting[i] = 0
 			}
-			// drain empties the window in bulk. Clearing every slot's flags
-			// retires the in-flight population as far as both rename paths can
-			// observe (alias-table hits fail their fValid guard; side-car
-			// deltas exceed the zeroed count), and sliding the MOB ring
-			// forward keeps lastStoreID — the legacy store watermark — at the
-			// value in-order retirement would have left. The youngest few
-			// records stay live so a store split across the drain (STA before,
-			// STD after) still finds its ring record.
-			drain := func() {
-				r := &e.rob
-				for i := range r.flags {
-					r.flags[i] = 0
-					r.waitHead[i] = -1
-					r.nwaiting[i] = 0
-				}
-				e.head, e.count, e.rsCount = 0, 0, 0
-				e.readyList = e.readyList[:0]
-				e.wakeQ = e.wakeQ[:0]
-				if keep := 64; e.mob.length > keep {
-					slide := e.mob.length - keep
-					e.mob.start = e.mobIdx(slide)
-					e.mob.first += int64(slide)
-					e.mob.length = keep
-				}
-				e.pendingColl = e.pendingColl[:0]
+			e.head, e.count, e.rsCount = 0, 0, 0
+			e.readyList = e.readyList[:0]
+			e.wakeQ = e.wakeQ[:0]
+			if keep := 64; e.mob.length > keep {
+				slide := e.mob.length - keep
+				e.mob.start = e.mobIdx(slide)
+				e.mob.first += int64(slide)
+				e.mob.length = keep
 			}
-			// The measured loop cycles over a fixed prefix of the shared
-			// recording: restarting the stream every epoch keeps any
-			// iteration count inside the shared (decoded, side-car-built)
-			// chunks instead of spilling into private tail generation, which
-			// would swamp rename with generator cost.
-			resetStream := func() {
+			e.pendingColl = e.pendingColl[:0]
+		}
+		// The measured loop cycles over a fixed prefix of the shared
+		// recording: restarting the stream every epoch keeps any
+		// iteration count inside the shared (decoded, side-car-built)
+		// chunks instead of spilling into private tail generation, which
+		// would swamp rename with generator cost.
+		resetStream := func() {
+			drain()
+			e.setSource(trace.Replay(prof))
+			e.mob.first, e.mob.length, e.mob.start = 1, 0, 0
+			e.staDoneTo, e.allDoneTo = 1, 1
+		}
+		const stepsPerEpoch = 32000 // ~192K uops, well inside the cap
+		steps := 0
+		step := func() {
+			steps++
+			if steps%stepsPerEpoch == 0 {
+				resetStream()
+			}
+			e.now++
+			e.awaitingBranch, e.resumeAt = false, 0
+			if e.count+e.cfg.FetchWidth > e.rob.size() {
 				drain()
-				e.setSource(trace.Replay(prof))
-				e.mob.first, e.mob.length, e.mob.start = 1, 0, 0
-				e.staDoneTo, e.allDoneTo = 1, 1
 			}
-			const stepsPerEpoch = 32000 // ~192K uops, well inside the cap
-			steps := 0
-			step := func() {
-				steps++
-				if steps%stepsPerEpoch == 0 {
-					resetStream()
-				}
-				e.now++
-				e.awaitingBranch, e.resumeAt = false, 0
-				if e.count+e.cfg.FetchWidth > e.rob.size() {
-					drain()
-				}
-				e.fetchRename()
-			}
-			// Warm one full epoch (chunk decode + side-car build + engine
-			// steady state) before measuring.
-			for i := 0; i < stepsPerEpoch; i++ {
-				step()
-			}
-			start := e.renameAge
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step()
-			}
-			b.StopTimer()
-			if renamed := e.renameAge - start; renamed > 0 {
-				b.ReportMetric(float64(renamed)/float64(b.N), "uops/op")
-			}
-		})
-	}
+			e.fetchRename()
+		}
+		// Warm one full epoch (chunk decode + side-car build + engine
+		// steady state) before measuring.
+		for i := 0; i < stepsPerEpoch; i++ {
+			step()
+		}
+		start := e.renameAge
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+		b.StopTimer()
+		if renamed := e.renameAge - start; renamed > 0 {
+			b.ReportMetric(float64(renamed)/float64(b.N), "uops/op")
+		}
+	})
 }

@@ -7,16 +7,86 @@ import (
 	"testing"
 
 	"loadsched/internal/trace"
+	"loadsched/internal/uop"
 )
 
-// Differential property tests for side-car rename: producer resolution from
-// the trace layer's precomputed dependence side-car (the default whenever
-// the source publishes one) must agree exactly — same Stats, same cycle
-// count, same CPI stack — with the legacy per-engine alias-table rename
-// (Config.LegacyAliasRename), across randomized machines, mixed trace
-// groups, reused pooled engines and wrapping file replay.
+// Differential checks for side-car rename: the producer links rename
+// derives from the trace layer's dependence side-car must match, slot for
+// slot, what per-register alias tables — the original renamer — resolve on
+// the same stream, across randomized machines, mixed trace groups, reused
+// pooled engines and wrapping file replay.
 
-// TestRenameSidecarDiff pins side-car rename to the alias-table oracle on
+// aliasRef is the reference renamer: for each architectural register, the
+// slot and seq of its youngest renamed writer.
+type aliasRef struct {
+	slot [uop.MaxArchRegs]int32
+	seq  [uop.MaxArchRegs]int64
+}
+
+func newAliasRef() *aliasRef {
+	a := &aliasRef{}
+	for i := range a.slot {
+		a.slot[i] = -1
+	}
+	return a
+}
+
+// resolve returns r's in-flight producer as slot and seq, or (-1, 0) when
+// the value is architectural: its youngest writer has retired, which shows
+// as a freed slot or one reused by a different uop.
+func (a *aliasRef) resolve(e *Engine, r uop.Reg) (int32, int64) {
+	if r == uop.NoReg {
+		return -1, 0
+	}
+	p := a.slot[r]
+	if p < 0 || e.rob.flags[p]&fValid == 0 || e.rob.seq[p] != a.seq[r] || e.rob.u[p].Dst != r {
+		return -1, 0
+	}
+	return p, a.seq[r]
+}
+
+// checkRename steps e, fresh or just Reset, one cycle at a time until n
+// uops have retired. After each cycle it resolves every slot renamed in
+// that cycle, oldest first, through the alias tables and requires the
+// engine's producer slots and seq guards to match. Nothing retires between
+// rename and the end of a cycle, so the post-cycle window is the one rename
+// saw, except for slots renamed later in the same cycle, which the seq
+// guard tells apart.
+func checkRename(t *testing.T, e *Engine, n uint64) {
+	t.Helper()
+	ref := newAliasRef()
+	r := &e.rob
+	linked := 0
+	for e.Retired() < n {
+		before := e.renameAge
+		e.StepCycle()
+		renamed := int(e.renameAge - before)
+		for pos := e.count - renamed; pos < e.count; pos++ {
+			idx := e.robIdx(pos)
+			u := &r.u[idx]
+			p1, s1 := ref.resolve(e, u.Src1)
+			p2, s2 := ref.resolve(e, u.Src2)
+			if r.src1Prod[idx] != p1 || r.src1Seq[idx] != s1 || r.src2Prod[idx] != p2 || r.src2Seq[idx] != s2 {
+				t.Fatalf("cycle %d, uop seq %d: producers (%d,%d)/(%d,%d), alias tables say (%d,%d)/(%d,%d)",
+					e.Now(), u.Seq, r.src1Prod[idx], r.src1Seq[idx], r.src2Prod[idx], r.src2Seq[idx], p1, s1, p2, s2)
+			}
+			if p1 >= 0 {
+				linked++
+			}
+			if p2 >= 0 {
+				linked++
+			}
+			if u.Dst != uop.NoReg {
+				ref.slot[u.Dst], ref.seq[u.Dst] = int32(idx), u.Seq
+			}
+		}
+	}
+	if linked == 0 {
+		t.Fatal("no operand resolved to an in-flight producer; the check saw no dependences")
+	}
+}
+
+// TestRenameSidecarDiff checks side-car rename against the alias tables on
 // randomized machine+workload configurations over shared-recording cursors
 // (the sweep hot path).
 func TestRenameSidecarDiff(t *testing.T) {
@@ -35,62 +105,32 @@ func TestRenameSidecarDiff(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			const warmup, uops = 1000, 4000
-			run := func(legacy bool) Stats {
-				cfg := tc.build()
-				cfg.WarmupUops = warmup
-				cfg.LegacyAliasRename = legacy
-				e := NewEngine(cfg, trace.Replay(tc.prof))
-				if legacy == (e.depSrc != nil) {
-					t.Fatalf("legacy=%v but depSrc=%v", legacy, e.depSrc != nil)
-				}
-				return e.Run(uops)
-			}
-			side, legacy := run(false), run(true)
-			if side != legacy {
-				t.Errorf("side-car and alias-table rename diverged\nside-car: %+v\nlegacy:   %+v", side, legacy)
-			}
-			if got, want := side.CPI.Total(), side.Cycles; got != want {
-				t.Errorf("side-car CPI stack sums to %d, want Cycles=%d", got, want)
-			}
+			checkRename(t, NewEngine(tc.build(), trace.Replay(tc.prof)), 5000)
 		})
 	}
 }
 
-// TestRenameSidecarDiffPooledReuse drives one engine per rename mode
-// through Reset across a mixed sequence of trace groups — the engine-pool
-// reuse pattern — and requires the modes to agree run by run. This is what
-// catches stale per-slot state the trimmed clearSlot no longer rewrites.
+// TestRenameSidecarDiffPooledReuse drives one engine through Reset across a
+// mixed sequence of trace groups — the engine-pool reuse pattern — and
+// checks rename on every run. This is what catches stale per-slot state the
+// trimmed clearSlot no longer rewrites.
 func TestRenameSidecarDiffPooledReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x9001ed))
 	profiles := diffProfiles(rng, 4)
-	mk := func(legacy bool) Config {
-		cfg := DefaultConfig()
-		cfg.WarmupUops = 500
-		cfg.LegacyAliasRename = legacy
-		return cfg
-	}
-	side := NewEngine(mk(false), trace.Replay(profiles[0]))
-	legacy := NewEngine(mk(true), trace.Replay(profiles[0]))
+	e := NewEngine(DefaultConfig(), trace.Replay(profiles[0]))
 	// Revisit groups so reuse happens both across and back onto a profile.
 	order := []int{0, 1, 2, 1, 3, 0, 2}
 	for i, pi := range order {
-		if i > 0 {
-			if !side.Reset(trace.Replay(profiles[pi])) || !legacy.Reset(trace.Replay(profiles[pi])) {
-				t.Fatal("default policy should be pool-reusable")
-			}
+		if i > 0 && !e.Reset(trace.Replay(profiles[pi])) {
+			t.Fatal("default policy should be pool-reusable")
 		}
-		s, l := side.Run(3000), legacy.Run(3000)
-		if s != l {
-			t.Fatalf("run %d (profile %d): side-car and legacy diverged after reuse\nside-car: %+v\nlegacy:   %+v",
-				i, pi, s, l)
-		}
+		checkRename(t, e, 3500)
 	}
 }
 
 // TestRenameSidecarDiffStreamWrap replays a recorded trace file through
 // StreamReader past its end, so the side-car's renumbering-invariant deltas
-// and per-pass store bases are exercised across wrap-around.
+// and per-pass store bases are checked across wrap-around.
 func TestRenameSidecarDiffStreamWrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x77a9))
 	prof := diffProfiles(rng, 1)[0]
@@ -98,20 +138,11 @@ func TestRenameSidecarDiffStreamWrap(t *testing.T) {
 	if err := trace.WriteTraceFile(path, prof, 6000); err != nil {
 		t.Fatal(err)
 	}
-	run := func(legacy bool) Stats {
-		r, err := trace.StreamTraceFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		cfg := DefaultConfig()
-		cfg.WarmupUops = 2000
-		cfg.LegacyAliasRename = legacy
-		// 2000 warmup + 10000 measured = two full wraps of the 6000-uop file.
-		return NewEngine(cfg, r).Run(10000)
+	r, err := trace.StreamTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	side, legacy := run(false), run(true)
-	if side != legacy {
-		t.Errorf("side-car and legacy diverged across file wrap\nside-car: %+v\nlegacy:   %+v", side, legacy)
-	}
+	defer r.Close()
+	// 12000 uops = two full wraps of the 6000-uop file.
+	checkRename(t, NewEngine(DefaultConfig(), r), 12000)
 }

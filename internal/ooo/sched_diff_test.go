@@ -14,9 +14,9 @@ import (
 
 // Differential property test for the event-driven scheduling core: the
 // wakeup-list scheduler plus idle-cycle fast-forward (the default) and the
-// retained naive full-window walk (Config.NaiveSchedule) must agree exactly
-// — same Stats, same cycle count, same CPI stack — on randomized workloads
-// across every ordering scheme, window size and speculation feature.
+// retained naive full-window walk (Engine.naive) must agree exactly — same
+// Stats, same cycle count, same CPI stack — on randomized workloads across
+// every ordering scheme, window size and speculation feature.
 
 // diffCase is one randomized machine+workload configuration.
 type diffCase struct {
@@ -147,8 +147,9 @@ func TestEventSchedulerMatchesNaive(t *testing.T) {
 			run := func(naive bool) Stats {
 				cfg := tc.build()
 				cfg.WarmupUops = warmup
-				cfg.NaiveSchedule = naive
-				return NewEngine(cfg, trace.New(tc.prof)).Run(uops)
+				e := NewEngine(cfg, trace.Replay(tc.prof))
+				e.naive = naive
+				return e.Run(uops)
 			}
 			event, naive := run(false), run(true)
 			if event != naive {

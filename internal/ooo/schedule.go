@@ -85,9 +85,10 @@ func (e *Engine) processMissDetections() {
 	e.missDetections = kept
 }
 
-// dispatchNaive is the retained reference scheduler (Config.NaiveSchedule):
-// the original full-window walk that polls sourcesReady on every slot. The
-// differential property test pins the event-driven core against it.
+// dispatchNaive is the retained reference scheduler, selected by the
+// unexported naive field that only in-package tests set: the original
+// full-window walk that polls sourcesReady on every slot. The differential
+// property test pins the event-driven core against it.
 func (e *Engine) dispatchNaive() {
 	e.intUsed, e.memUsed, e.fpUsed, e.cplxUsed, e.stdUsed = 0, 0, 0, 0, 0
 	e.drainReplayDebt()

@@ -3,6 +3,7 @@ package ooo
 import (
 	"testing"
 
+	"loadsched/internal/trace"
 	"loadsched/internal/uop"
 )
 
@@ -69,9 +70,8 @@ func TestSchedulerPortUsageResetsPerCycle(t *testing.T) {
 // a long store-heavy stream must keep the MOB bounded by the in-flight
 // window, not grow with the trace.
 func TestMOBPrunedAtRetire(t *testing.T) {
-	src := &storeStream{}
 	cfg := testConfig()
-	e := NewEngine(cfg, src)
+	e := NewEngine(cfg, trace.NewBatches(&storeStream{}))
 	st := e.Run(6000)
 	if st.Stores == 0 {
 		t.Fatalf("no stores retired")

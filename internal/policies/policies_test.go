@@ -81,7 +81,7 @@ func TestZooDeterministic(t *testing.T) {
 			if err := Install(&cfg, name); err != nil {
 				t.Fatal(err)
 			}
-			return ooo.NewEngine(cfg, trace.New(p)).Run(3_000)
+			return ooo.NewEngine(cfg, trace.Replay(p)).Run(3_000)
 		}
 		if a, b := run(), run(); a != b {
 			t.Fatalf("%s: repeated runs diverged\nfirst:  %+v\nsecond: %+v", name, a, b)
@@ -102,7 +102,7 @@ func TestZooOverridesReachEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return ooo.NewEngine(cfg, trace.New(p)).Run(10_000)
+		return ooo.NewEngine(cfg, trace.Replay(p)).Run(10_000)
 	}
 	base := mk("")
 	for _, name := range Names() {
@@ -129,18 +129,18 @@ func TestZooResetReuse(t *testing.T) {
 				}
 				return cfg
 			}
-			fresh := ooo.NewEngine(mk(), trace.New(target)).Run(uops)
+			fresh := ooo.NewEngine(mk(), trace.Replay(target)).Run(uops)
 
-			e := ooo.NewEngine(mk(), trace.New(other))
+			e := ooo.NewEngine(mk(), trace.Replay(other))
 			e.Run(uops)
-			if !e.Reset(trace.New(target)) {
+			if !e.Reset(trace.Replay(target)) {
 				t.Fatalf("Reset refused for zoo policy %s", name)
 			}
 			if reused := e.Run(uops); reused != fresh {
 				t.Errorf("reused engine diverged from fresh engine\nfresh:  %+v\nreused: %+v", fresh, reused)
 			}
 
-			if !e.Reset(trace.New(target)) {
+			if !e.Reset(trace.Replay(target)) {
 				t.Fatal("second Reset refused")
 			}
 			if again := e.Run(uops); again != fresh {

@@ -119,7 +119,7 @@ func New(cfg Config) *Machine {
 				th.predicted = predicted
 			}
 		}
-		th.engine = ooo.NewEngine(ecfg, trace.New(p))
+		th.engine = ooo.NewEngine(ecfg, trace.Replay(p))
 		m.threads = append(m.threads, th)
 	}
 	return m

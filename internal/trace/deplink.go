@@ -34,7 +34,7 @@ type DepChunk struct {
 // depAnalyzer derives the side-car in one forward pass. It carries across
 // chunk boundaries: lastWrite and pos persist for the whole stream (and, in
 // file replay, across wraps — producers can reach back through a wrap
-// exactly like the renamer's alias tables do), while storeMax is snapshot
+// exactly as they would in a register renamer), while storeMax is snapshot
 // per batch to form each batch's delta base.
 type depAnalyzer struct {
 	// pos is the stream position of the next uop to observe.
@@ -101,4 +101,32 @@ func (a *depAnalyzer) buildInto(dst []uop.Dep, us []uop.UOp) int64 {
 		return -1
 	}
 	return base
+}
+
+// Batches adapts a scalar Source to the engine's batch seam: each
+// NextBatchRef pulls the next ChunkUops uops into one recycled view and
+// builds their side-car, so a generator, an in-memory Reader or a
+// hand-built stream renames exactly like a shared recording. The returned
+// slices stay valid until the next call. Not safe for concurrent use.
+type Batches struct {
+	src  Source
+	view ChunkView
+	deps []uop.Dep
+	an   depAnalyzer
+}
+
+// NewBatches wraps src, whose next uop is taken as stream position 0.
+func NewBatches(src Source) *Batches {
+	return &Batches{src: src, deps: make([]uop.Dep, ChunkUops)}
+}
+
+// NextBatchRef returns the next ChunkUops uops with their side-car and the
+// store base the batch's Dep.LastStore deltas are relative to (-1 when
+// they overflowed).
+func (b *Batches) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
+	us := b.view.grow(ChunkUops)
+	for i := range us {
+		us[i] = b.src.Next()
+	}
+	return us, b.deps, b.an.buildInto(b.deps, us)
 }

@@ -37,7 +37,7 @@ func (r *refDeps) expect(u *uop.UOp) (src1, src2 uint16, lastStore int64) {
 	return
 }
 
-// TestCursorDepsMatchGroundTruth pins NextBatchDeps — producer deltas, IP
+// TestCursorDepsMatchGroundTruth pins NextBatchRef — producer deltas, IP
 // hashes and absolute last-store ids — to a brute-force recomputation over
 // the whole stream, across chunk boundaries and past the sharing cap into
 // the recycled private tail view.
@@ -49,12 +49,11 @@ func TestCursorDepsMatchGroundTruth(t *testing.T) {
 	c := Replay(p)
 	var ref refDeps
 	total := 5 * ChunkUops // crosses the cap into the private tail
-	buf := make([]uop.UOp, 150)
-	deps := make([]uop.Dep, 150)
 	for consumed := 0; consumed < total; {
-		n, base := c.NextBatchDeps(buf, deps)
-		if n <= 0 {
-			t.Fatalf("NextBatchDeps returned %d", n)
+		buf, deps, base := c.NextBatchRef()
+		n := len(buf)
+		if n <= 0 || len(deps) != n {
+			t.Fatalf("NextBatchRef returned %d uops, %d deps", n, len(deps))
 		}
 		if base < 0 {
 			t.Fatalf("store base invalid at uop %d; generator ids are dense", consumed)
@@ -85,23 +84,17 @@ func TestCursorDepsMatchGroundTruth(t *testing.T) {
 func TestCursorDepsMatchAcrossConsumers(t *testing.T) {
 	p := Profile{Name: "deplink-share", Seed: 92}
 	a, b, scalar := Replay(p), Replay(p), Replay(p)
-	buf := make([]uop.UOp, 200)
-	deps := make([]uop.Dep, 200)
-	buf2 := make([]uop.UOp, 200)
-	deps2 := make([]uop.Dep, 200)
 	for consumed := 0; consumed < 3*ChunkUops; {
-		n, base := a.NextBatchDeps(buf, deps)
-		for done := 0; done < n; {
-			m, base2 := b.NextBatchDeps(buf2[:n-done], deps2)
-			if base2 != base {
-				t.Fatalf("store bases diverged: %d vs %d", base2, base)
+		buf, deps, base := a.NextBatchRef()
+		n := len(buf)
+		_, deps2, base2 := b.NextBatchRef()
+		if base2 != base || len(deps2) != n {
+			t.Fatalf("batches diverged: base %d vs %d, %d vs %d deps", base2, base, len(deps2), n)
+		}
+		for i := range deps2 {
+			if deps2[i] != deps[i] {
+				t.Fatalf("uop %d: deps diverged between cursors", consumed+i)
 			}
-			for i := 0; i < m; i++ {
-				if deps2[i] != deps[done+i] {
-					t.Fatalf("uop %d: deps diverged between cursors", consumed+done+i)
-				}
-			}
-			done += m
 		}
 		for i := 0; i < n; i++ {
 			if want := scalar.Next(); buf[i] != want {
@@ -112,6 +105,29 @@ func TestCursorDepsMatchAcrossConsumers(t *testing.T) {
 	}
 	if Materialize(p).SidecarBytes() == 0 {
 		t.Fatal("shared side-car bytes not accounted")
+	}
+}
+
+// TestBatchesMatchReplay pins the scalar-source adapter from stream
+// position 0: wrapping a plain generator must yield the same uops, side-car
+// entries and store bases, batch for batch, as the shared recording's
+// cursor.
+func TestBatchesMatchReplay(t *testing.T) {
+	p := Profile{Name: "batches-eq", Seed: 95}
+	ad, c := NewBatches(New(p)), Replay(p)
+	for chunk := 0; chunk < 4; chunk++ {
+		us, deps, base := ad.NextBatchRef()
+		wantUs, wantDeps, wantBase := c.NextBatchRef()
+		if len(us) != len(wantUs) || len(deps) != len(wantDeps) || base != wantBase {
+			t.Fatalf("chunk %d: %d uops, %d deps, base %d; want %d, %d, %d",
+				chunk, len(us), len(deps), base, len(wantUs), len(wantDeps), wantBase)
+		}
+		for i := range us {
+			if us[i] != wantUs[i] || deps[i] != wantDeps[i] {
+				t.Fatalf("chunk %d uop %d: %+v %+v, want %+v %+v",
+					chunk, i, us[i], deps[i], wantUs[i], wantDeps[i])
+			}
+		}
 	}
 }
 
@@ -133,13 +149,12 @@ func TestStreamReaderDepsMatchGroundTruth(t *testing.T) {
 	defer r.Close()
 
 	var ref refDeps
-	buf := make([]uop.UOp, 130)
-	deps := make([]uop.Dep, 130)
 	total := 3*fileUops + ChunkUops/4 // several wraps
 	for consumed := 0; consumed < total; {
-		n, base := r.NextBatchDeps(buf, deps)
-		if n <= 0 {
-			t.Fatalf("NextBatchDeps returned %d", n)
+		buf, deps, base := r.NextBatchRef()
+		n := len(buf)
+		if n <= 0 || len(deps) != n {
+			t.Fatalf("NextBatchRef returned %d uops, %d deps", n, len(deps))
 		}
 		if base < 0 {
 			t.Fatalf("store base invalid at uop %d", consumed)
@@ -171,12 +186,10 @@ func TestRecordingSidecarDensity(t *testing.T) {
 	}
 	p := Profile{Name: "sidecar-density", Seed: 94}
 	c := Replay(p)
-	buf := make([]uop.UOp, 256)
-	deps := make([]uop.Dep, 256)
 	const n = 4 * ChunkUops
 	for consumed := 0; consumed < n; {
-		m, _ := c.NextBatchDeps(buf, deps)
-		consumed += m
+		us, _, _ := c.NextBatchRef()
+		consumed += len(us)
 	}
 	r := Materialize(p)
 	built := r.SidecarBytes()

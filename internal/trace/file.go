@@ -372,10 +372,11 @@ type StreamReader struct {
 
 	// Dependence side-car, rebuilt per recycled chunk during replay (never
 	// during the open-time scan, which must not advance the analyzer). The
-	// analyzer's register state carries across wraps — exactly like the
-	// renamer's alias tables, a producer can reach back through a wrap —
-	// while its store counter restarts with the raw IDs at each rewind.
-	// deps is one recycled buffer, so side-car replay stays constant-RSS.
+	// analyzer's state carries across wraps untouched: a producer can reach
+	// back through a wrap, as it would in a register renamer, and the store
+	// watermark stays absolute because chunks are renumbered before the
+	// analyzer observes them. deps is one recycled buffer, so side-car
+	// replay stays constant-RSS.
 	an       depAnalyzer
 	deps     []uop.Dep
 	depBase  int64 // absolute store base for the current chunk's deltas
@@ -540,20 +541,6 @@ func (r *StreamReader) Next() uop.UOp {
 	return u
 }
 
-// NextBatch fills dst from the current decoded chunk (never crossing a
-// chunk boundary) and reports how many uops it wrote.
-func (r *StreamReader) NextBatch(dst []uop.UOp) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	if r.viewPos == len(r.view.us) {
-		r.nextChunk()
-	}
-	n := copy(dst, r.view.us[r.viewPos:])
-	r.viewPos += n
-	return n
-}
-
 func (r *StreamReader) nextChunk() {
 	if r.passUops == r.count {
 		if err := r.rewind(); err != nil {
@@ -585,7 +572,7 @@ func (r *StreamReader) nextChunk() {
 	}
 	// Build the chunk's side-car unconditionally: the analyzer must observe
 	// every replayed uop to keep its carry correct whatever mix of Next and
-	// NextBatchDeps the consumer uses, and emitting the links costs barely
+	// NextBatchRef the consumer uses, and emitting the links costs barely
 	// more than observing. The uops are already renumbered, so the
 	// analyzer's store watermark — and with it the returned base — is
 	// absolute across wraps.
@@ -596,24 +583,6 @@ func (r *StreamReader) nextChunk() {
 	r.depBase = r.an.buildInto(r.deps[:n], r.view.us[:n])
 	r.depNanos += time.Since(start).Nanoseconds()
 	r.depUops += int64(n)
-}
-
-// NextBatchDeps is NextBatch plus the chunk's dependence side-car (see
-// Cursor.NextBatchDeps for the contract). The chunk is renumbered in place
-// at decode time, so uops and deps are both straight copies.
-func (r *StreamReader) NextBatchDeps(dst []uop.UOp, deps []uop.Dep) (int, int64) {
-	if len(dst) == 0 {
-		return 0, 0
-	}
-	if r.viewPos == len(r.view.us) {
-		r.nextChunk()
-	}
-	n := copy(dst, r.view.us[r.viewPos:])
-	if m := copy(deps, r.deps[r.viewPos:r.viewPos+n]); m < n {
-		n = m
-	}
-	r.viewPos += n
-	return n, r.depBase
 }
 
 // NextBatchRef returns the remainder of the current decoded chunk as direct

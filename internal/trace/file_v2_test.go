@@ -81,8 +81,8 @@ func TestStreamReaderMatchesReader(t *testing.T) {
 	}
 }
 
-// TestStreamReaderNextBatch pins the stream reader's bulk path to its
-// scalar path across chunk boundaries and a wrap.
+// TestStreamReaderNextBatch pins the stream reader's batch path
+// (NextBatchRef) to its scalar path across chunk boundaries and a wrap.
 func TestStreamReaderNextBatch(t *testing.T) {
 	p := Profile{Name: "stream-batch", Seed: 29}
 	const n = ChunkUops + 50
@@ -101,11 +101,11 @@ func TestStreamReaderNextBatch(t *testing.T) {
 	}
 	defer bulk.Close()
 	total := 2*n + 7
-	batch := make([]uop.UOp, 100)
 	for consumed := 0; consumed < total; {
-		m := bulk.NextBatch(batch)
+		batch, _, _ := bulk.NextBatchRef()
+		m := len(batch)
 		if m <= 0 {
-			t.Fatalf("NextBatch returned %d", m)
+			t.Fatalf("NextBatchRef returned %d", m)
 		}
 		for i := 0; i < m; i++ {
 			want := scalar.Next()

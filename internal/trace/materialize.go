@@ -176,10 +176,10 @@ func (r *Recording) PackedBytes() int64 { return r.packed.Load() }
 func (r *Recording) SidecarBytes() int64 { return r.sidecar.Load() }
 
 // Cursor replays a recording from the start. It implements the engine's
-// Source (and its bulk extension, NextBatch). Cursors are cheap — one
-// small allocation, no generation state — and independent; a cursor is not
-// safe for concurrent use by multiple goroutines, but any number of
-// cursors may run concurrently over one recording.
+// Source (NextBatchRef) as well as the scalar trace Source. Cursors are
+// cheap — one small allocation, no generation state — and independent; a
+// cursor is not safe for concurrent use by multiple goroutines, but any
+// number of cursors may run concurrently over one recording.
 type Cursor struct {
 	rec *Recording
 	// us is the current decoded chunk's uop slice, held directly (not via
@@ -193,18 +193,12 @@ type Cursor struct {
 	// side-car; depBase is the store base its LastStore deltas are
 	// relative to (-1: invalid, consumers fall back). Wired on every
 	// advance — shared chunks adopt the CAS-published DepChunk, the tail
-	// rebuilds into a private buffer per refill.
+	// takes the adapter's recycled buffers.
 	deps    []uop.Dep
 	depBase int64
 	// tail streams the portion beyond the sharing cap from a private
-	// generator through priv, a recycled single-owner chunk view; both are
-	// nil until the cap is crossed. tailAn replays the shared prefix's
-	// dependence state so private side-cars continue seamlessly, and
-	// privDeps is the recycled side-car buffer paired with priv.
-	tail     *Generator
-	priv     *ChunkView
-	tailAn   *depAnalyzer
-	privDeps []uop.Dep
+	// generator through the batch adapter; nil until the cap is crossed.
+	tail *Batches
 }
 
 // Replay returns a cursor over p's shared recording.
@@ -223,50 +217,12 @@ func (c *Cursor) Next() uop.UOp {
 	return u
 }
 
-// NextBatch fills dst from the current decoded chunk and reports how many
-// uops it wrote (at least 1 for a nonempty dst). It never crosses a chunk
-// boundary in one call, so the copy is a straight memmove.
-func (c *Cursor) NextBatch(dst []uop.UOp) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	if c.i == len(c.us) {
-		c.advance()
-	}
-	n := copy(dst, c.us[c.i:])
-	c.i += n
-	return n
-}
-
-// NextBatchDeps is NextBatch plus the dependence side-car: it fills deps in
-// lockstep with dst (deps must be at least as long as the returned count;
-// callers size it like dst) and returns the store base the batch's
-// Dep.LastStore deltas are relative to, -1 if the chunk's side-car store
-// deltas are invalid. Like NextBatch it never crosses a chunk boundary, so
-// one base covers the whole batch.
-func (c *Cursor) NextBatchDeps(dst []uop.UOp, deps []uop.Dep) (int, int64) {
-	if len(dst) == 0 {
-		return 0, 0
-	}
-	if c.i == len(c.us) {
-		c.advance()
-	}
-	n := copy(dst, c.us[c.i:])
-	if m := copy(deps, c.deps[c.i:c.i+n]); m < n {
-		n = m
-	}
-	c.i += n
-	return n, c.depBase
-}
-
 // NextBatchRef returns the remainder of the current decoded chunk as direct
 // views — the uops, their side-car entries in lockstep, and the store base
 // the batch's Dep.LastStore deltas are relative to — consuming it all. The
 // slices stay valid until the next call on this cursor and must be treated
 // as read-only: shared recording chunks back them for every consumer at
-// once. This is the engine fetch path's refill seam (ooo.DepBatchSource);
-// handing out chunk storage in place replaces the per-batch double copy of
-// NextBatchDeps.
+// once. This is the engine fetch path's refill seam (ooo.Source).
 func (c *Cursor) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
 	if c.i == len(c.us) {
 		c.advance()
@@ -293,36 +249,18 @@ func (c *Cursor) advance() {
 
 // advanceTail serves positions past the sharing cap: regenerate privately,
 // skip the shared prefix — one status-quo generation, only for runs long
-// enough to blow the cap — and refill a single recycled private view chunk
-// by chunk, so the overflow costs O(ChunkUops) memory however far it runs.
+// enough to blow the cap — replaying it through the adapter's analyzer so
+// private side-cars continue seamlessly, then refill the adapter's single
+// recycled view chunk by chunk, so the overflow costs O(ChunkUops) memory
+// however far it runs.
 func (c *Cursor) advanceTail() {
 	if c.tail == nil {
-		c.tail = New(c.rec.prof)
-		c.tailAn = &depAnalyzer{}
+		g := New(c.rec.prof)
+		c.tail = NewBatches(g)
 		for i := 0; i < c.base; i++ {
-			u := c.tail.Next()
-			c.tailAn.observe(&u)
+			u := g.Next()
+			c.tail.an.observe(&u)
 		}
-		c.priv = newOwnedView()
-		c.privDeps = make([]uop.Dep, ChunkUops)
 	}
-	fillView(c.priv, c.tail)
-	c.us = c.priv.us
-	c.depBase = c.tailAn.buildInto(c.privDeps[:len(c.us)], c.us)
-	c.deps = c.privDeps[:len(c.us)]
-}
-
-// newOwnedView allocates a private view with chunk-sized backing storage.
-func newOwnedView() *ChunkView {
-	v := &ChunkView{}
-	v.grow(ChunkUops)
-	return v
-}
-
-// fillView refills an owned view with the generator's next ChunkUops uops.
-func fillView(v *ChunkView, g *Generator) {
-	us := v.grow(ChunkUops)
-	for i := range us {
-		us[i] = g.Next()
-	}
+	c.us, c.deps, c.depBase = c.tail.NextBatchRef()
 }

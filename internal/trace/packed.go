@@ -39,8 +39,8 @@ import (
 const (
 	chunkShift = 12
 	// ChunkUops is the fixed population of a full packed chunk (the last
-	// chunk of a file may be shorter). Replay cursors and the engine's
-	// bulk fetch path align to it.
+	// chunk of a file may be shorter). Replay cursors and the Batches
+	// adapter align to it.
 	ChunkUops = 1 << chunkShift
 )
 

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"testing"
-
-	"loadsched/internal/uop"
-)
+import "testing"
 
 // TestPackedChunkRoundTrip pins the codec: generator uops packed chunk by
 // chunk, marshaled to the file payload form, unmarshaled and decoded, must
@@ -124,9 +120,9 @@ func TestRecordingPackedDensity(t *testing.T) {
 	t.Logf("recording density: %.2f bytes/uop over %d uops", perUop, r.Len())
 }
 
-// TestCursorNextBatchMatchesNext pins the bulk path to the scalar one,
-// including ragged batch sizes across chunk boundaries and the private
-// recycled view past the sharing cap.
+// TestCursorNextBatchMatchesNext pins the batch path (NextBatchRef) to the
+// scalar one, including batches that start mid-chunk after ragged runs of
+// Next and the private recycled view past the sharing cap.
 func TestCursorNextBatchMatchesNext(t *testing.T) {
 	defer func(old int) { maxSharedUops = old }(maxSharedUops)
 	maxSharedUops = 2 * ChunkUops
@@ -134,13 +130,18 @@ func TestCursorNextBatchMatchesNext(t *testing.T) {
 	p := Profile{Name: "packed-batch", Seed: 44}
 	scalar, bulk := Replay(p), Replay(p)
 	total := 5 * ChunkUops // crosses the cap into the recycled private view
-	sizes := []int{1, 3, 64, 100, ChunkUops, ChunkUops + 9}
-	buf := make([]uop.UOp, ChunkUops+9)
+	skips := []int{1, 3, 64, 100, 0, ChunkUops - 1}
 	for consumed, si := 0, 0; consumed < total; si++ {
-		dst := buf[:sizes[si%len(sizes)]]
-		n := bulk.NextBatch(dst)
+		for k := 0; k < skips[si%len(skips)]; k++ {
+			if got, want := bulk.Next(), scalar.Next(); got != want {
+				t.Fatalf("uop %d: bulk %+v, scalar %+v", consumed, got, want)
+			}
+			consumed++
+		}
+		dst, _, _ := bulk.NextBatchRef()
+		n := len(dst)
 		if n <= 0 {
-			t.Fatalf("NextBatch returned %d for dst of %d", n, len(dst))
+			t.Fatalf("NextBatchRef returned %d", n)
 		}
 		for i := 0; i < n; i++ {
 			want := scalar.Next()
