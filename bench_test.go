@@ -433,23 +433,23 @@ func BenchmarkRunnerMultiFigure(b *testing.B) {
 
 // BenchmarkWarmStoreHit measures what a restarted `loadsched serve -store`
 // pays for each runner job it answers without simulating: one Pool.Do on a
-// fresh memo cache over a warm store — the config build, key derivation,
-// the store read and the payload decode.
+// fresh memo cache over a warm store — the profile's key text, the job key,
+// the memo entry, the store read and the payload decode. The machine
+// handle is built once, as a driver builds one per point for all of the
+// point's traces, so no config is built and no ConfigKey runs per job.
 func BenchmarkWarmStoreHit(b *testing.B) {
 	st, err := store.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
 	p, _ := trace.TraceByName(trace.GroupSpecInt95, "gcc")
-	job := runner.Job{
-		Build: func() ooo.Config {
-			cfg := ooo.DefaultConfig()
-			cfg.Scheme = memdep.Exclusive
-			cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
-			return cfg
-		},
-		Profile: p, Uops: 15_000, Warmup: 3_000,
-	}
+	m := runner.NewMachine(func() ooo.Config {
+		cfg := ooo.DefaultConfig()
+		cfg.Scheme = memdep.Exclusive
+		cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
+		return cfg
+	}, 3_000)
+	job := runner.Job{Machine: m, Profile: p, Uops: 15_000}
 	cold := runner.NewCache()
 	cold.SetStore(st)
 	runner.NewIsolated(1, cold).Do(job) // simulate once and write through

@@ -54,6 +54,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"strconv"
 	"strings"
 
 	"loadsched/internal/experiments"
@@ -78,9 +79,9 @@ func main() {
 		if len(args) < 1 {
 			fatal("figure: missing number (5-12)")
 		}
-		runFigures([]string{args[0]}, args[1:])
+		runFigures("figure", []string{args[0]}, args[1:])
 	case "all":
-		runFigures([]string{"5", "6", "7", "8", "9", "10", "11", "12"}, args)
+		runFigures("all", []string{"5", "6", "7", "8", "9", "10", "11", "12"}, args)
 	case "run":
 		runSingle(args)
 	case "sweep":
@@ -98,7 +99,7 @@ func main() {
 	case "replay":
 		runReplay(args)
 	case "traces":
-		listTraces()
+		listTraces(args)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -131,6 +132,24 @@ in place of -trace for execution tracing)`)
 func fatal(format string, a ...any) {
 	fmt.Fprintf(os.Stderr, "loadsched: "+format+"\n", a...)
 	os.Exit(1)
+}
+
+// parseFlags parses a subcommand's arguments and rejects any left over.
+// flag stops at the first argument that is not a flag, so a stray word
+// would otherwise drop itself and every flag after it silently; instead it
+// is a usage error (exit 2, as for a bad flag) that names the leftovers.
+func parseFlags(fs *flag.FlagSet, args []string) {
+	_ = fs.Parse(args)
+	if fs.NArg() == 0 {
+		return
+	}
+	quoted := make([]string, fs.NArg())
+	for i, a := range fs.Args() {
+		quoted[i] = strconv.Quote(a)
+	}
+	fmt.Fprintf(fs.Output(), "loadsched %s: unexpected arguments %s\n", fs.Name(), strings.Join(quoted, " "))
+	fs.Usage()
+	os.Exit(2)
 }
 
 func optionFlags(fs *flag.FlagSet) *experiments.Options {
@@ -251,13 +270,13 @@ func runnerCounters(pool *runner.Pool) results.RunnerCounters {
 	return serve.Counters(pool)
 }
 
-func runFigures(figs []string, args []string) {
-	fs := flag.NewFlagSet("figure", flag.ExitOnError)
+func runFigures(name string, figs []string, args []string) {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	o := optionFlags(fs)
 	quick := fs.Bool("quick", false, "small fast preset")
 	chart := fs.Bool("chart", false, "also render bar charts (table format)")
 	op := outputFlags(fs)
-	_ = fs.Parse(args)
+	parseFlags(fs, args)
 	if *quick {
 		applyQuick(o)
 	}
@@ -435,7 +454,7 @@ func runCPIStack(args []string) {
 	o := optionFlags(fs)
 	quick := fs.Bool("quick", false, "small fast preset")
 	op := outputFlags(fs)
-	_ = fs.Parse(args)
+	parseFlags(fs, args)
 	if *quick {
 		applyQuick(o)
 	}
@@ -487,7 +506,7 @@ func runTournament(args []string) {
 	o := optionFlags(fs)
 	quick := fs.Bool("quick", false, "small fast preset")
 	op := outputFlags(fs)
-	_ = fs.Parse(args)
+	parseFlags(fs, args)
 	if *quick {
 		applyQuick(o)
 	}
@@ -542,7 +561,7 @@ func runSingle(args []string) {
 	asJSON := fs.Bool("json", false, "print the statistics as JSON")
 	op := &outputOptions{}
 	op.profileFlags(fs, "exectrace")
-	_ = fs.Parse(args)
+	parseFlags(fs, args)
 
 	p, ok := trace.TraceByName(*group, *traceName)
 	if !ok {
@@ -665,7 +684,8 @@ func printRunStats(group, name string, cfg ooo.Config, st ooo.Stats) {
 		share(cp.DataStall), cp.Total(), st.Cycles)
 }
 
-func listTraces() {
+func listTraces(args []string) {
+	parseFlags(flag.NewFlagSet("traces", flag.ExitOnError), args)
 	for _, g := range trace.Groups() {
 		fmt.Printf("%s (%d traces):", g.Name, len(g.Traces))
 		for _, t := range g.Traces {

@@ -1,11 +1,68 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestMain lets a test run the command itself: with LOADSCHED_TEST_MAIN=1
+// in its environment, the test binary is loadsched.
+func TestMain(m *testing.M) {
+	if os.Getenv("LOADSCHED_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestStrayArgumentsRejected: flag parsing stops at the first positional
+// argument, so `figure 5 junk -quick` used to run the full-size figure and
+// exit 0. Every subcommand must instead exit 2 before doing any work, with
+// a usage error naming each leftover argument.
+func TestStrayArgumentsRejected(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "t.lsut")
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		stray []string
+	}{
+		{"figure", []string{"figure", "5", "junk", "-quick"}, []string{"junk", "-quick"}},
+		{"all", []string{"all", "-quick", "junk"}, []string{"junk"}},
+		{"run", []string{"run", "junk"}, []string{"junk"}},
+		{"sweep", []string{"sweep", "window", "junk", "-quick"}, []string{"junk", "-quick"}},
+		{"cpistack", []string{"cpistack", "-quick", "junk"}, []string{"junk"}},
+		{"tournament", []string{"tournament", "junk", "-quick"}, []string{"junk", "-quick"}},
+		{"serve", []string{"serve", "junk"}, []string{"junk"}},
+		{"trace record", []string{"trace", "record", "-o", out, "junk"}, []string{"junk"}},
+		{"record", []string{"record", "-o", out, "junk"}, []string{"junk"}},
+		{"replay", []string{"replay", "-f", out, "junk", "-v"}, []string{"junk", "-v"}},
+		{"traces", []string{"traces", "junk"}, []string{"junk"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], tc.args...)
+			cmd.Env = append(os.Environ(), "LOADSCHED_TEST_MAIN=1")
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("exit: %v, want status 2; stderr:\n%s", err, stderr.String())
+			}
+			want := `unexpected arguments "` + strings.Join(tc.stray, `" "`) + `"`
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("stderr does not contain %s:\n%s", want, stderr.String())
+			}
+		})
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a rejected record wrote %s (stat: %v)", out, err)
+	}
+}
 
 func TestWriteResultFile(t *testing.T) {
 	dir := t.TempDir()

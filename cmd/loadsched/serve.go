@@ -41,7 +41,7 @@ func runServe(args []string) {
 	workers := fs.Int("j", 0, "concurrent simulations per job (0 = GOMAXPROCS)")
 	jobs := fs.Int("jobs", 2, "concurrently executing jobs")
 	queue := fs.Int("queue", 8, "jobs queued behind the executing ones before 429")
-	_ = fs.Parse(args)
+	parseFlags(fs, args)
 
 	if *storeDir != "" {
 		s, err := store.Open(*storeDir)

@@ -28,7 +28,7 @@ func runSweep(args []string) {
 	group := fs.String("group", trace.GroupSysmarkNT, "trace group")
 	quick := fs.Bool("quick", false, "small fast preset")
 	op := outputFlags(fs)
-	_ = fs.Parse(args[1:])
+	parseFlags(fs, args[1:])
 	if *quick {
 		applyQuick(o)
 	}
@@ -83,7 +83,7 @@ func runRecord(args []string) {
 	traceName := fs.String("trace", "ex", "trace name")
 	n := fs.Int("n", 300_000, "uops to record")
 	out := fs.String("o", "", "output file (required)")
-	_ = fs.Parse(args)
+	parseFlags(fs, args)
 	if *out == "" {
 		fatal("record: -o <file> is required")
 	}
@@ -105,7 +105,7 @@ func runReplay(args []string) {
 	window := fs.Int("window", 32, "scheduling window entries")
 	warmup := fs.Int("warmup", 40_000, "warmup uops")
 	uops := fs.Int("uops", 0, "measured uops (default: file length - warmup)")
-	_ = fs.Parse(args)
+	parseFlags(fs, args)
 	if *file == "" {
 		fatal("replay: -f <file> is required")
 	}

@@ -34,7 +34,7 @@ func runTraceRecord(args []string) {
 	n := fs.Int("n", 300_000, "uops to record")
 	out := fs.String("o", "", "output file (required)")
 	v1 := fs.Bool("v1", false, "write the legacy flat v1 format")
-	_ = fs.Parse(args)
+	parseFlags(fs, args)
 	if *out == "" {
 		fatal("trace record: -o <file> is required")
 	}

@@ -34,18 +34,20 @@ func CPIStacks(o Options) []CPIStackRow {
 		scheme memdep.Scheme
 		lo, hi int
 	}
+	points := make([]*runner.Machine, len(CPIStackSchemes))
+	for i, s := range CPIStackSchemes {
+		points[i] = o.schemeMachine(s)
+	}
 	var spans []span
 	var jobs []runner.Job
 	for _, gname := range trace.GroupNames() {
-		for _, s := range CPIStackSchemes {
+		for i, s := range CPIStackSchemes {
 			start := len(jobs)
-			for _, p := range o.groupTraces(gname) {
-				jobs = append(jobs, o.schemeJob(s, p))
-			}
+			jobs = o.addJobs(jobs, points[i], o.groupTraces(gname))
 			spans = append(spans, span{gname, s, start, len(jobs)})
 		}
 	}
-	sts := o.pool().Run(jobs)
+	sts := o.run(jobs)
 	rows := make([]CPIStackRow, len(spans))
 	for i, sp := range spans {
 		var pooled ooo.Stats

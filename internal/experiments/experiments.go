@@ -47,6 +47,10 @@ type Options struct {
 	// isolated pools; nil selects a pool of Workers workers sharing the
 	// process-wide cache.
 	Pool *runner.Pool
+
+	// exec, when set, stands in for the pool on every job list a driver
+	// submits; tests use it to capture the jobs without simulating them.
+	exec func([]runner.Job) []ooo.Stats
 }
 
 // DefaultOptions is the CLI default: every trace, 200K measured uops each.
@@ -92,23 +96,34 @@ func (o Options) groupTraces(name string) []trace.Profile {
 	return o.traces(g)
 }
 
-// job wraps one (config, trace) simulation for the runner. build must
-// construct a fresh Config on every call (predictors are stateful).
-func (o Options) job(build func() ooo.Config, p trace.Profile) runner.Job {
-	return runner.Job{Build: build, Profile: p, Uops: o.Uops, Warmup: o.EffectiveWarmup()}
+// machine wraps one machine point for the runner: its keys are derived
+// once, and every trace's job on the point shares it. build must construct
+// a fresh Config on every call (predictors are stateful).
+func (o Options) machine(build func() ooo.Config) *runner.Machine {
+	return runner.NewMachine(build, o.EffectiveWarmup())
 }
 
-// schemeJob is the common case: the §3.1 baseline machine under one
+// schemeMachine is the common case: the §3.1 baseline machine under one
 // ordering scheme. Every figure that shares the Traditional baseline
 // builds it through here, so the memo keys coincide across figures.
-func (o Options) schemeJob(s memdep.Scheme, p trace.Profile) runner.Job {
-	return o.job(func() ooo.Config { return baseConfig(s) }, p)
+func (o Options) schemeMachine(s memdep.Scheme) *runner.Machine {
+	return o.machine(func() ooo.Config { return baseConfig(s) })
 }
 
-// run simulates one trace on one machine configuration (through the pool's
-// cache, serially on the calling goroutine).
-func (o Options) run(cfg ooo.Config, p trace.Profile) ooo.Stats {
-	return o.pool().Do(o.job(func() ooo.Config { return cfg }, p))
+// addJobs appends one job per trace on machine m.
+func (o Options) addJobs(jobs []runner.Job, m *runner.Machine, traces []trace.Profile) []runner.Job {
+	for _, p := range traces {
+		jobs = append(jobs, runner.Job{Machine: m, Profile: p, Uops: o.Uops})
+	}
+	return jobs
+}
+
+// run executes one driver's job list on the experiment's pool.
+func (o Options) run(jobs []runner.Job) []ooo.Stats {
+	if o.exec != nil {
+		return o.exec(jobs)
+	}
+	return o.pool().Run(jobs)
 }
 
 // baseConfig is the §3.1 machine with the given ordering scheme; CHT-based

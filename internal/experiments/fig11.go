@@ -66,18 +66,20 @@ func Fig11(o Options) []Fig11Cell {
 		n     int
 		start int // index of the group's "none" baseline jobs
 	}
+	var points []*runner.Machine // "none" first, then Fig11Predictors
+	for _, pred := range append([]string{"none"}, Fig11Predictors...) {
+		points = append(points, o.machine(func() ooo.Config { return fig11Config(pred) }))
+	}
 	var blocks []block
 	var jobs []runner.Job
 	for _, gname := range Fig11Groups {
 		traces := o.groupTraces(gname)
 		blocks = append(blocks, block{gname: gname, n: len(traces), start: len(jobs)})
-		for _, pred := range append([]string{"none"}, Fig11Predictors...) {
-			for _, p := range traces {
-				jobs = append(jobs, o.job(func() ooo.Config { return fig11Config(pred) }, p))
-			}
+		for _, pt := range points {
+			jobs = o.addJobs(jobs, pt, traces)
 		}
 	}
-	sts := o.pool().Run(jobs)
+	sts := o.run(jobs)
 	var cells []Fig11Cell
 	for _, b := range blocks {
 		base := make([]float64, b.n)

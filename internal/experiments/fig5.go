@@ -24,18 +24,17 @@ func Fig5(o Options) []Fig5Row {
 	var groups []string
 	var spans [][2]int
 	var jobs []runner.Job
+	base := o.schemeMachine(memdep.Traditional)
 	for _, gname := range trace.GroupNames() {
 		if gname == trace.GroupSpecFP95 {
 			continue // the paper's disambiguation runs exclude SpecFP95 (§4.1)
 		}
 		start := len(jobs)
-		for _, p := range o.groupTraces(gname) {
-			jobs = append(jobs, o.schemeJob(memdep.Traditional, p))
-		}
+		jobs = o.addJobs(jobs, base, o.groupTraces(gname))
 		groups = append(groups, gname)
 		spans = append(spans, [2]int{start, len(jobs)})
 	}
-	sts := o.pool().Run(jobs)
+	sts := o.run(jobs)
 	rows := make([]Fig5Row, len(groups))
 	for i, gname := range groups {
 		var cl memdep.Classification

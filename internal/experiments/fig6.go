@@ -29,15 +29,13 @@ func Fig6(o Options) []Fig6Row {
 	traces := o.groupTraces(trace.GroupSysmarkNT)
 	var jobs []runner.Job
 	for _, w := range Fig6Windows {
-		for _, p := range traces {
-			jobs = append(jobs, o.job(func() ooo.Config {
-				cfg := baseConfig(memdep.Traditional)
-				cfg.Window = w
-				return cfg
-			}, p))
-		}
+		jobs = o.addJobs(jobs, o.machine(func() ooo.Config {
+			cfg := baseConfig(memdep.Traditional)
+			cfg.Window = w
+			return cfg
+		}), traces)
 	}
-	sts := o.pool().Run(jobs)
+	sts := o.run(jobs)
 	rows := make([]Fig6Row, len(Fig6Windows))
 	for i, w := range Fig6Windows {
 		var cl memdep.Classification

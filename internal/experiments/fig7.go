@@ -48,11 +48,9 @@ func Fig7(o Options) Fig7Result {
 	schemes := memdep.Schemes()
 	jobs := make([]runner.Job, 0, len(schemes)*len(traces))
 	for _, s := range schemes {
-		for _, p := range traces {
-			jobs = append(jobs, o.schemeJob(s, p))
-		}
+		jobs = o.addJobs(jobs, o.schemeMachine(s), traces)
 	}
-	sts := o.pool().Run(jobs)
+	sts := o.run(jobs)
 	base := make([]float64, len(traces))
 	for i := range traces {
 		base[i] = sts[i].IPC() // schemes[0] is Traditional

@@ -55,31 +55,31 @@ func Fig8(o Options) []Fig8Cell {
 		traces []trace.Profile
 		start  int // index of the block's Traditional jobs; schemes follow
 	}
+	// One handle per (machine, scheme) point, Traditional first, shared by
+	// every group's traces.
+	points := make([][]*runner.Machine, len(Fig8Machines))
+	for mi, m := range Fig8Machines {
+		for _, s := range append([]memdep.Scheme{memdep.Traditional}, fig8Schemes...) {
+			points[mi] = append(points[mi], o.machine(func() ooo.Config {
+				cfg := baseConfig(s)
+				cfg.IntUnits = m.IntUnits
+				cfg.MemUnits = m.MemUnits
+				return cfg
+			}))
+		}
+	}
 	var blocks []block
 	var jobs []runner.Job
 	for _, gname := range Fig8Groups {
 		traces := fig8Traces(o, gname)
-		for _, m := range Fig8Machines {
-			mk := func(s memdep.Scheme) func() ooo.Config {
-				return func() ooo.Config {
-					cfg := baseConfig(s)
-					cfg.IntUnits = m.IntUnits
-					cfg.MemUnits = m.MemUnits
-					return cfg
-				}
-			}
+		for mi, m := range Fig8Machines {
 			blocks = append(blocks, block{gname: gname, m: m, traces: traces, start: len(jobs)})
-			for _, p := range traces {
-				jobs = append(jobs, o.job(mk(memdep.Traditional), p))
-			}
-			for _, s := range fig8Schemes {
-				for _, p := range traces {
-					jobs = append(jobs, o.job(mk(s), p))
-				}
+			for _, pt := range points[mi] {
+				jobs = o.addJobs(jobs, pt, traces)
 			}
 		}
 	}
-	sts := o.pool().Run(jobs)
+	sts := o.run(jobs)
 	var cells []Fig8Cell
 	for _, b := range blocks {
 		n := len(b.traces)

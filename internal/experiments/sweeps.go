@@ -32,10 +32,9 @@ func SweepTable(kind, group string, o Options) (stats.Table, error) {
 		return stats.Table{}, fmt.Errorf("experiments: unknown group %q", group)
 	}
 	traces := o.traces(g)
-	pool := o.pool()
 
 	// The sweep is built in two passes so the whole design space executes as
-	// ONE pool.Run: registration walks the axis and appends every point's
+	// ONE Pool.Run: registration walks the axis and appends every point's
 	// jobs (one per trace) to a single list, then the runner groups the
 	// cross-product by workload into units that run same-trace jobs back
 	// to back. point() closures read the shared result slice afterwards,
@@ -45,16 +44,14 @@ func SweepTable(kind, group string, o Options) (stats.Table, error) {
 	var sts []ooo.Stats
 	// addPoint registers one machine point over every trace and returns its
 	// geomean-IPC thunk. mut must be a pure config mutation: it is re-run
-	// for every trace.
+	// for every build.
 	addPoint := func(mut func(*ooo.Config)) func() float64 {
 		off := len(jobs)
-		for _, p := range traces {
-			jobs = append(jobs, o.job(func() ooo.Config {
-				cfg := ooo.DefaultConfig()
-				mut(&cfg)
-				return cfg
-			}, p))
-		}
+		jobs = o.addJobs(jobs, o.machine(func() ooo.Config {
+			cfg := ooo.DefaultConfig()
+			mut(&cfg)
+			return cfg
+		}), traces)
 		return func() float64 {
 			ipc := make([]float64, len(traces))
 			for i := range ipc {
@@ -138,7 +135,7 @@ func SweepTable(kind, group string, o Options) (stats.Table, error) {
 	default:
 		return stats.Table{}, fmt.Errorf("experiments: unknown sweep %q (want window | penalty | chtsize | bankpolicies)", kind)
 	}
-	sts = pool.Run(jobs)
+	sts = o.run(jobs)
 	for _, r := range render {
 		r()
 	}

@@ -50,19 +50,20 @@ type TournamentRow struct {
 	CPI, Speedup float64
 }
 
-// tournamentJob builds one participant's job: the unmodified host machine
-// for "default", or the host machine with the named zoo policy installed.
-func (o Options) tournamentJob(policy string, p trace.Profile) runner.Job {
+// tournamentMachine builds one participant's machine: the unmodified host
+// machine for "default", or the host machine with the named zoo policy
+// installed.
+func (o Options) tournamentMachine(policy string) *runner.Machine {
 	if policy == "default" {
-		return o.schemeJob(tournamentScheme, p)
+		return o.schemeMachine(tournamentScheme)
 	}
-	return o.job(func() ooo.Config {
+	return o.machine(func() ooo.Config {
 		cfg := baseConfig(tournamentScheme)
 		if err := policies.Install(&cfg, policy); err != nil {
 			panic(err) // unreachable: TournamentPolicies names are registered
 		}
 		return cfg
-	}, p)
+	})
 }
 
 // Tournament races every participant over every trace group and returns the
@@ -73,18 +74,20 @@ func Tournament(o Options) []TournamentRow {
 		group, policy string
 		lo, hi        int
 	}
+	points := make([]*runner.Machine, len(names))
+	for i, name := range names {
+		points[i] = o.tournamentMachine(name)
+	}
 	var spans []span
 	var jobs []runner.Job
 	for _, gname := range trace.GroupNames() {
-		for _, name := range names {
+		for i, name := range names {
 			start := len(jobs)
-			for _, p := range o.groupTraces(gname) {
-				jobs = append(jobs, o.tournamentJob(name, p))
-			}
+			jobs = o.addJobs(jobs, points[i], o.groupTraces(gname))
 			spans = append(spans, span{gname, name, start, len(jobs)})
 		}
 	}
-	sts := o.pool().Run(jobs)
+	sts := o.run(jobs)
 
 	rows := make([]TournamentRow, 0, len(spans))
 	for g := 0; g < len(spans); g += len(names) {

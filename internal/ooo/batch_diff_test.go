@@ -21,9 +21,7 @@ import (
 func soloStats(jobs []runner.Job) []ooo.Stats {
 	out := make([]ooo.Stats, len(jobs))
 	for i, j := range jobs {
-		cfg := j.Build()
-		cfg.WarmupUops = j.Warmup
-		out[i] = ooo.NewEngine(cfg, trace.Replay(j.Profile)).Run(j.Uops)
+		out[i] = ooo.NewEngine(j.Machine.Config(), trace.Replay(j.Profile)).Run(j.Uops)
 	}
 	return out
 }
@@ -46,10 +44,9 @@ func TestPoolRunMatchesSoloDiff(t *testing.T) {
 			prof = profiles[1]
 		}
 		jobs = append(jobs, runner.Job{
-			Build:   ooo.DiffConfigForBatch(rng),
+			Machine: runner.NewMachine(ooo.DiffConfigForBatch(rng), warmup),
 			Profile: prof,
 			Uops:    uops,
-			Warmup:  warmup,
 		})
 	}
 	solo := soloStats(jobs)
@@ -74,12 +71,7 @@ func TestPoolRunMatchesSoloDiff(t *testing.T) {
 // and still return per-job results identical to solo execution.
 func TestPoolRunDedupsInUnit(t *testing.T) {
 	prof := ooo.CoincidentProfileForBatch()
-	job := runner.Job{
-		Build:   ooo.DefaultConfig,
-		Profile: prof,
-		Uops:    3000,
-		Warmup:  500,
-	}
+	job := runner.Job{Machine: runner.NewMachine(ooo.DefaultConfig, 500), Profile: prof, Uops: 3000}
 	jobs := []runner.Job{job, job, job, job}
 	solo := soloStats(jobs[:1])
 	p := runner.NewIsolated(1, runner.NewCache()) // one unit of 4, memoized

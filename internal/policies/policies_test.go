@@ -162,20 +162,15 @@ func TestZooPooledCountersProveReuse(t *testing.T) {
 	pool := runner.NewIsolated(1, runner.NewCache())
 	var jobs []runner.Job
 	for _, name := range Names() {
-		name := name
+		m := runner.NewMachine(func() ooo.Config {
+			cfg := baseConfig()
+			if err := Install(&cfg, name); err != nil {
+				t.Error(err)
+			}
+			return cfg
+		}, 500)
 		for _, prof := range []trace.Profile{a, b} {
-			jobs = append(jobs, runner.Job{
-				Build: func() ooo.Config {
-					cfg := baseConfig()
-					if err := Install(&cfg, name); err != nil {
-						t.Error(err)
-					}
-					return cfg
-				},
-				Profile: prof,
-				Uops:    3_000,
-				Warmup:  500,
-			})
+			jobs = append(jobs, runner.Job{Machine: m, Profile: prof, Uops: 3_000})
 		}
 	}
 	first := pool.Run(jobs)

@@ -9,10 +9,11 @@ import (
 	"loadsched/internal/trace"
 )
 
-// Key identifies one simulation for memoization: a canonical machine
-// description plus the full workload identity. trace.Profile is a pure value
-// struct (equal profiles generate identical traces), so the key is
-// comparable and collision-free by construction.
+// Key names one simulation by its parts: a canonical machine description
+// plus the full workload identity and both lengths. StoreKey renders it as
+// the key the memo cache and the persistent store share; the runner
+// renders the same bytes from a Machine's precomputed head, so it never
+// builds a Key per job.
 type Key struct {
 	Machine      string
 	Profile      trace.Profile
@@ -102,20 +103,21 @@ func describe(isNil bool, x any) (string, bool) {
 	return s, s != ""
 }
 
-// Cache memoizes simulation results by Key with single-flight semantics:
-// concurrent requests for the same key block until the first computes it.
-// It is safe for concurrent use and only ever grows; entries are small
-// (ooo.Stats values), and the number of distinct (machine, trace, length)
-// combinations a process explores bounds its size.
+// Cache memoizes simulation results by store key (see StoreKey) with
+// single-flight semantics: concurrent requests for the same key block until
+// the first computes it. It is safe for concurrent use and only ever grows;
+// entries are small (ooo.Stats values), and the number of distinct
+// (machine, trace, length) combinations a process explores bounds its size.
 //
 // A cache can additionally be backed by a persistent second level (see
 // SetStore): lookups then go memory → disk → compute, with single-flight
 // preserved across all three — concurrent requests for one key perform at
 // most one disk read or one simulation between them, and a computed result
-// is written through so later processes start warm.
+// is written through so later processes start warm. Both levels use the
+// same key string.
 type Cache struct {
 	mu   sync.Mutex
-	m    map[Key]*cacheEntry
+	m    map[string]*cacheEntry
 	disk *store.Store
 }
 
@@ -131,7 +133,7 @@ type cacheEntry struct {
 }
 
 // NewCache returns an empty cache.
-func NewCache() *Cache { return &Cache{m: map[Key]*cacheEntry{}} }
+func NewCache() *Cache { return &Cache{m: map[string]*cacheEntry{}} }
 
 // SetStore attaches a persistent second-level store (nil detaches). Results
 // already memoized in memory are not flushed; new computations write
@@ -172,29 +174,23 @@ const (
 	diskHit
 )
 
-// Do returns the memoized result for k, computing it with compute on the
-// first request. compute runs at most once per key for the cache's lifetime
-// — unless it panics, in which case the key's slot is released and a later
-// (or concurrently waiting) request runs compute again.
-func (c *Cache) Do(k Key, compute func() ooo.Stats) ooo.Stats {
-	st, _ := c.do(k, compute)
-	return st
-}
-
-// do is Do plus the outcome classification. The first request for k claims
+// do returns the memoized result for key and how it was served, computing
+// it with compute on the first request. The first request for key claims
 // its slot and resolves it from disk or by computing; concurrent requests
-// block on the claim (coalesced), later ones find it done (memoHit). If the
-// disk read or compute panics, the deferred release removes the entry from
-// the map BEFORE closing done — waiters observe an invalid entry and retry
-// (the first of them re-runs compute) while this caller's panic propagates.
-func (c *Cache) do(k Key, compute func() ooo.Stats) (ooo.Stats, outcome) {
+// block on the claim (coalesced), later ones find it done (memoHit). So
+// compute runs at most once per key for the cache's lifetime — unless it
+// (or the disk read) panics: the deferred release then removes the entry
+// from the map BEFORE closing done, waiters observe an invalid entry and
+// retry (the first of them re-runs compute) while this caller's panic
+// propagates.
+func (c *Cache) do(key string, compute func() ooo.Stats) (ooo.Stats, outcome) {
 	var (
 		e    *cacheEntry
 		disk *store.Store
 	)
 	for e == nil {
 		c.mu.Lock()
-		if w, hit := c.m[k]; hit {
+		if w, hit := c.m[key]; hit {
 			c.mu.Unlock()
 			how := coalesced
 			select {
@@ -211,19 +207,19 @@ func (c *Cache) do(k Key, compute func() ooo.Stats) (ooo.Stats, outcome) {
 			continue
 		}
 		e = &cacheEntry{done: make(chan struct{})}
-		c.m[k] = e
+		c.m[key] = e
 		disk = c.disk
 		c.mu.Unlock()
 	}
 	defer func() {
 		if !e.valid {
 			c.mu.Lock()
-			delete(c.m, k)
+			delete(c.m, key)
 			c.mu.Unlock()
 		}
 		close(e.done)
 	}()
-	if disk != nil && diskGet(disk, k, &e.stats) {
+	if disk != nil && diskGet(disk, key, &e.stats) {
 		e.valid = true
 		return e.stats, diskHit
 	}
@@ -232,7 +228,7 @@ func (c *Cache) do(k Key, compute func() ooo.Stats) (ooo.Stats, outcome) {
 	if disk != nil {
 		// Best effort: a failed write-through degrades persistence, not
 		// correctness, and the store's WriteErrors counter surfaces it.
-		diskPut(disk, k, &e.stats)
+		diskPut(disk, key, &e.stats)
 	}
 	return e.stats, computed
 }
@@ -249,28 +245,27 @@ var storeKeyPrefix = storeKeyVersion + "|" + schemaFingerprint + "|"
 // StoreKey derives the canonical persistent-store key for a memo key:
 // storeKeyPrefix plus the key text of k. Key.Machine is already the
 // canonical machine description and trace.Profile is a pure value struct,
-// so the text is deterministic across processes.
+// so the text is deterministic across processes. It renders from the same
+// pieces as a Machine's job keys (see appendKeyHead), byte for byte.
 func StoreKey(k Key) string {
 	var scratch [keyScratch]byte
-	// Key holds no reference fields, so appendText cannot refuse it.
-	b, _ := appendText(append(scratch[:0], storeKeyPrefix...), reflect.ValueOf(k), keyPlan)
-	return string(b)
+	b := appendProfileText(appendKeyHead(scratch[:0], k.Machine), &k.Profile)
+	return string(appendKeyTail(b, k.Uops, k.Warmup))
 }
 
 // diskGet reads one persisted result straight into st. A payload that is
 // not exactly one word per Stats counter is a miss and leaves st
 // untouched: the frame was intact, so only a payload layout that slipped
 // past the key prefix gets here — recompute, then overwrite.
-func diskGet(s *store.Store, k Key, st *ooo.Stats) bool {
-	payload, ok := s.Get(StoreKey(k))
+func diskGet(s *store.Store, key string, st *ooo.Stats) bool {
+	payload, ok := s.Get(key)
 	return ok && decodeStats(payload, st)
 }
 
-// diskPut persists one computed result (best effort).
-func diskPut(s *store.Store, k Key, st *ooo.Stats) {
-	if payload, err := encodeStats(st); err == nil {
-		s.Put(StoreKey(k), payload)
-	}
+// diskPut persists one computed result (best effort: the store's
+// WriteErrors counter surfaces a failed append).
+func diskPut(s *store.Store, key string, st *ooo.Stats) {
+	s.Put(key, encodeStats(st))
 }
 
 // Len reports the number of memoized simulations.

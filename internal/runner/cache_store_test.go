@@ -21,14 +21,14 @@ import (
 // calling compute.)
 func TestCachePanicDoesNotPoison(t *testing.T) {
 	c := NewCache()
-	k := Key{Machine: "m", Uops: 1}
+	const k = "m"
 	panicked := func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("compute's panic did not propagate to the caller")
 			}
 		}()
-		c.Do(k, func() ooo.Stats { panic("engine blew up") })
+		c.do(k, func() ooo.Stats { panic("engine blew up") })
 	}
 	panicked()
 	if c.Len() != 0 {
@@ -36,7 +36,7 @@ func TestCachePanicDoesNotPoison(t *testing.T) {
 	}
 	var calls atomic.Int32
 	want := ooo.Stats{Cycles: 42, Uops: 7}
-	got := c.Do(k, func() ooo.Stats { calls.Add(1); return want })
+	got, _ := c.do(k, func() ooo.Stats { calls.Add(1); return want })
 	if got != want {
 		t.Fatalf("retry after panic returned %+v, want %+v", got, want)
 	}
@@ -51,14 +51,14 @@ func TestCachePanicDoesNotPoison(t *testing.T) {
 // stats from the dead entry.
 func TestCachePanicWakesCoalescedWaiters(t *testing.T) {
 	c := NewCache()
-	k := Key{Machine: "m", Uops: 1}
+	const k = "m"
 	inCompute := make(chan struct{})
 	release := make(chan struct{})
 	ownerDone := make(chan struct{})
 	go func() {
 		defer close(ownerDone)
 		defer func() { recover() }()
-		c.Do(k, func() ooo.Stats {
+		c.do(k, func() ooo.Stats {
 			close(inCompute)
 			<-release
 			panic("engine blew up mid-flight")
@@ -75,7 +75,7 @@ func TestCachePanicWakesCoalescedWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = c.Do(k, func() ooo.Stats {
+			results[i], _ = c.do(k, func() ooo.Stats {
 				retryCalls.Add(1)
 				return want
 			})
@@ -108,10 +108,10 @@ func TestCacheDiskLayerWarmReopen(t *testing.T) {
 	}
 	c1 := NewCache()
 	c1.SetStore(st1)
-	keys := []Key{
-		{Machine: "a", Uops: 100},
-		{Machine: "b", Uops: 100},
-		{Machine: "a", Uops: 200, Warmup: 10},
+	keys := []string{
+		StoreKey(Key{Machine: "a", Uops: 100}),
+		StoreKey(Key{Machine: "b", Uops: 100}),
+		StoreKey(Key{Machine: "a", Uops: 200, Warmup: 10}),
 	}
 	for i, k := range keys {
 		want := ooo.Stats{Cycles: int64(100 + i), Uops: uint64(i)}
@@ -159,7 +159,7 @@ func TestCacheDiskSingleFlight(t *testing.T) {
 	}
 	c := NewCache()
 	c.SetStore(st)
-	k := Key{Machine: "m", Uops: 1}
+	const k = "m"
 	want := ooo.Stats{Cycles: 42}
 	var calls atomic.Int32
 	var wg sync.WaitGroup
@@ -167,7 +167,7 @@ func TestCacheDiskSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := c.Do(k, func() ooo.Stats { calls.Add(1); return want }); got != want {
+			if got, _ := c.do(k, func() ooo.Stats { calls.Add(1); return want }); got != want {
 				t.Errorf("got %+v, want %+v", got, want)
 			}
 		}()
@@ -188,9 +188,9 @@ func TestCacheDiskCorruptEntryRecomputes(t *testing.T) {
 	st, _ := store.Open(dir)
 	c := NewCache()
 	c.SetStore(st)
-	k := Key{Machine: "m", Uops: 1}
+	const k = "m"
 	want := ooo.Stats{Cycles: 42}
-	c.Do(k, func() ooo.Stats { return want })
+	c.do(k, func() ooo.Stats { return want })
 
 	// Flip a payload bit in the persisted frame, then look it up through a
 	// fresh cache.

@@ -132,6 +132,21 @@ func TestStoreKeyCoversEveryLeaf(t *testing.T) {
 	}
 }
 
+// TestStoreKeyText pins the store key's layout after its prefix byte for
+// byte: Key's fields in order, the description quoted, the profile's
+// fields in braces, floats as their bits. Stores written by every build
+// since the v2 key layout hold keys of exactly this shape, so a change
+// here makes all of them miss.
+func TestStoreKeyText(t *testing.T) {
+	k := Key{Machine: `m"\x`, Profile: trace.Profile{Name: "p", Seed: -7, CallFrac: 0.25, NumFuncs: 3}, Uops: 2, Warmup: 3}
+	const zero = "0000000000000000"
+	want := `{"m\"\\x" {"p" -7 3 0 0 0 3fd0000000000000 0 0 ` + strings.Repeat(zero+" ", 11) +
+		`0 0 0 0 0 ` + zero + " " + zero + `} 2 3}`
+	if got := strings.TrimPrefix(StoreKey(k), storeKeyPrefix); got != want {
+		t.Fatalf("store key text\n got  %s\n want %s", got, want)
+	}
+}
+
 // TestConfigKeyNamesEnums: enum fields render by name, so no two values
 // share a key and reordering constants cannot remap stored machines.
 func TestConfigKeyNamesEnums(t *testing.T) {
@@ -213,15 +228,24 @@ func distinctStats() (ooo.Stats, int) {
 }
 
 // TestStatsPayloadRoundTrip: a Stats with a distinct value in every field
-// survives encode/decode, one little-endian word per counter.
+// survives encode/decode, one little-endian word per counter, laid out
+// exactly as encoding/binary lays out the struct, so stores written
+// through binary.Write keep answering.
 func TestStatsPayloadRoundTrip(t *testing.T) {
 	want, n := distinctStats()
-	payload := payloadOf(t, &want)
+	payload := encodeStats(&want)
 	if len(payload) != 8*n {
 		t.Fatalf("payload is %d bytes for %d counters", len(payload), n)
 	}
 	if got := binary.LittleEndian.Uint64(payload); got != uint64(want.Cycles) {
 		t.Fatalf("first word %#x, want Cycles %#x", got, uint64(want.Cycles))
+	}
+	var oracle bytes.Buffer
+	if err := binary.Write(&oracle, binary.LittleEndian, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(payload, oracle.Bytes()) {
+		t.Fatalf("payload differs from binary.Write's layout:\n got  %x\n want %x", payload, oracle.Bytes())
 	}
 	var got ooo.Stats
 	if !decodeStats(payload, &got) || got != want {
@@ -236,11 +260,11 @@ func TestStatsPayloadRoundTrip(t *testing.T) {
 // restart does not recompute the key again.
 func TestDiskPayloadWrongLengthRecomputes(t *testing.T) {
 	want, _ := distinctStats()
-	k := testKey(t, keyedConfig())
-	n := len(payloadOf(t, &want))
+	k := StoreKey(testKey(t, keyedConfig()))
+	n := len(encodeStats(&want))
 	for _, size := range []int{0, n - 1, n + 1, n + 8} {
 		dir := t.TempDir()
-		writeSegment(t, dir, storeEntry(t, StoreKey(k), bytes.Repeat([]byte{0xa5}, size)))
+		writeSegment(t, dir, storeEntry(t, k, bytes.Repeat([]byte{0xa5}, size)))
 		st, _ := store.Open(dir)
 		c := NewCache()
 		c.SetStore(st)
@@ -264,38 +288,42 @@ func TestDiskPayloadWrongLengthRecomputes(t *testing.T) {
 }
 
 // TestConfigKeyDiskGetAllocs pins the allocation count of a warm-store
-// lookup's key derivation and read. The machine's CHT describes itself
-// without fmt, whose pooled printers make counts vary under the race
-// detector; FullCHT's Describe would add its own two.
+// lookup for one job of a machine whose keys NewMachine derived once: the
+// profile's key text, the job key and the read. The machine's CHT
+// describes itself without fmt, whose pooled printers make counts vary
+// under the race detector.
 func TestConfigKeyDiskGetAllocs(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ooo.DefaultConfig()
-	cfg.Scheme = memdep.Inclusive
-	cfg.CHT = memdep.AlwaysColliding{}
-	k := testKey(t, cfg)
+	m := NewMachine(func() ooo.Config {
+		cfg := ooo.DefaultConfig()
+		cfg.Scheme = memdep.Inclusive
+		cfg.CHT = memdep.AlwaysColliding{}
+		return cfg
+	}, 3_000)
+	j := Job{Machine: m, Profile: trace.Groups()[0].Traces[0], Uops: 15_000}
 	want, _ := distinctStats()
-	diskPut(st, k, &want)
+	diskPut(st, StoreKey(Key{Machine: m.desc, Profile: j.Profile, Uops: j.Uops, Warmup: 3_000}), &want)
 	if st, err = store.Open(dir); err != nil {
 		t.Fatal(err)
 	}
 	var got ooo.Stats
 	allocs := testing.AllocsPerRun(100, func() {
-		desc, _ := ConfigKey(cfg)
-		if !diskGet(st, Key{Machine: desc, Profile: k.Profile, Uops: k.Uops, Warmup: k.Warmup}, &got) {
+		var scratch [keyScratch]byte
+		if !diskGet(st, m.key(appendProfileText(scratch[:0], &j.Profile), j.Uops), &got) {
 			t.Fatal("warm entry missed")
 		}
 	})
 	if got != want {
 		t.Fatalf("disk hit gave %+v", got)
 	}
-	// 2 in ConfigKey (the boxed config and the key), 2 in StoreKey, 1 in
-	// store.Get (the payload copy) and 2 in binary.Read.
-	if allocs > 7 {
-		t.Fatalf("ConfigKey + diskGet made %.0f allocations, want at most 7", allocs)
+	// 1 for the job key and 1 in store.Get (the payload copy); the profile
+	// text renders on the stack and the payload decodes in place.
+	if allocs > 2 {
+		t.Fatalf("job key + diskGet made %.0f allocations, want at most 2", allocs)
 	}
 }
 
@@ -305,20 +333,20 @@ func TestConfigKeyDiskGetAllocs(t *testing.T) {
 // computes once and appends one frame, which a fresh Open reads back as a
 // hit; panics and store write errors fail.
 func FuzzStoreEntry(f *testing.F) {
-	k := Key{Machine: "fuzz", Profile: trace.Profile{Name: "fuzz", Seed: 1}, Uops: 100, Warmup: 10}
+	k := StoreKey(Key{Machine: "fuzz", Profile: trace.Profile{Name: "fuzz", Seed: 1}, Uops: 100, Warmup: 10})
 	want, _ := distinctStats()
-	valid := storeEntry(f, StoreKey(k), payloadOf(f, &want))
+	valid := storeEntry(f, k, encodeStats(&want))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	crcFlipped := bytes.Clone(valid)
 	crcFlipped[12] ^= 0x01
 	f.Add(crcFlipped)
-	f.Add(storeEntry(f, StoreKey(Key{Machine: "other"}), payloadOf(f, &want)))
+	f.Add(storeEntry(f, StoreKey(Key{Machine: "other"}), encodeStats(&want)))
 	v1, err := json.Marshal(want)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(storeEntry(f, StoreKey(k), v1))
+	f.Add(storeEntry(f, k, v1))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -337,7 +365,7 @@ func FuzzStoreEntry(f *testing.F) {
 			if calls != 0 {
 				t.Fatalf("disk hit also computed %d times", calls)
 			}
-			if again := storeEntry(t, StoreKey(k), payloadOf(t, &got)); !bytes.Contains(data, again) {
+			if again := storeEntry(t, k, encodeStats(&got)); !bytes.Contains(data, again) {
 				t.Fatalf("disk hit's stats re-encode to a frame the segment does not hold")
 			}
 		case computed:
@@ -359,16 +387,6 @@ func FuzzStoreEntry(f *testing.F) {
 			t.Fatalf("fresh cache reported outcome %d", how)
 		}
 	})
-}
-
-// payloadOf is encodeStats for a Stats that must encode.
-func payloadOf(tb testing.TB, st *ooo.Stats) []byte {
-	tb.Helper()
-	payload, err := encodeStats(st)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return payload
 }
 
 // storeEntry returns the segment a store writes for one Put of key and

@@ -22,20 +22,20 @@ func testProfile(t *testing.T) trace.Profile {
 	return p
 }
 
-func testJob(t *testing.T, scheme memdep.Scheme) Job {
-	return Job{
-		Build: func() ooo.Config {
-			cfg := ooo.DefaultConfig()
-			cfg.Scheme = scheme
-			if scheme.UsesCHT() {
-				cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
-			}
-			return cfg
-		},
-		Profile: testProfile(t),
-		Uops:    5_000,
-		Warmup:  1_000,
+// schemeBuild returns a builder of the default machine under scheme.
+func schemeBuild(scheme memdep.Scheme) func() ooo.Config {
+	return func() ooo.Config {
+		cfg := ooo.DefaultConfig()
+		cfg.Scheme = scheme
+		if scheme.UsesCHT() {
+			cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
+		}
+		return cfg
 	}
+}
+
+func testJob(t *testing.T, scheme memdep.Scheme) Job {
+	return Job{Machine: NewMachine(schemeBuild(scheme), 1_000), Profile: testProfile(t), Uops: 5_000}
 }
 
 func TestMapOrderPreserving(t *testing.T) {
@@ -84,7 +84,7 @@ func TestMapPanicReachesCaller(t *testing.T) {
 // result. Run under -race this also proves the cache is race-free.
 func TestCacheSingleFlight(t *testing.T) {
 	c := NewCache()
-	k := Key{Machine: "m", Uops: 1, Warmup: 0}
+	const k = "m"
 	var calls atomic.Int32
 	want := ooo.Stats{Cycles: 42, Uops: 99}
 	var wg sync.WaitGroup
@@ -92,7 +92,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := c.Do(k, func() ooo.Stats {
+			got, _ := c.do(k, func() ooo.Stats {
 				calls.Add(1)
 				return want
 			})
@@ -110,7 +110,8 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
-// TestCacheDistinctKeys checks keys do not collide across the fields.
+// TestCacheDistinctKeys checks store keys do not collide across the
+// fields of Key.
 func TestCacheDistinctKeys(t *testing.T) {
 	c := NewCache()
 	keys := []Key{
@@ -120,13 +121,13 @@ func TestCacheDistinctKeys(t *testing.T) {
 		{Machine: "a", Uops: 1, Warmup: 7},
 	}
 	for i, k := range keys {
-		c.Do(k, func() ooo.Stats { return ooo.Stats{Cycles: int64(i)} })
+		c.do(StoreKey(k), func() ooo.Stats { return ooo.Stats{Cycles: int64(i)} })
 	}
 	if c.Len() != len(keys) {
 		t.Fatalf("cache holds %d entries, want %d", c.Len(), len(keys))
 	}
 	for i, k := range keys {
-		got := c.Do(k, func() ooo.Stats { t.Error("recompute"); return ooo.Stats{} })
+		got, _ := c.do(StoreKey(k), func() ooo.Stats { t.Error("recompute"); return ooo.Stats{} })
 		if got.Cycles != int64(i) {
 			t.Fatalf("key %d returned cycles %d", i, got.Cycles)
 		}
@@ -138,9 +139,9 @@ func TestCacheDistinctKeys(t *testing.T) {
 func TestPoolMemoizesIdenticalJobs(t *testing.T) {
 	var builds atomic.Int32
 	p := NewIsolated(8, NewCache())
+	inner := schemeBuild(memdep.Traditional)
 	job := testJob(t, memdep.Traditional)
-	inner := job.Build
-	job.Build = func() ooo.Config { builds.Add(1); return inner() }
+	job.Machine = NewMachine(func() ooo.Config { builds.Add(1); return inner() }, 1_000)
 	jobs := make([]Job, 16)
 	for i := range jobs {
 		jobs[i] = job
@@ -151,11 +152,10 @@ func TestPoolMemoizesIdenticalJobs(t *testing.T) {
 			t.Fatalf("job %d diverged from job 0", i)
 		}
 	}
-	// Build runs once per Do for keying; the single-flight cache must keep
-	// the simulation count at one (asserted via cache length below), so
-	// Build never runs more than once per submitted job.
-	if n := builds.Load(); n > int32(len(jobs)) {
-		t.Fatalf("Build called %d times for %d identical jobs", n, len(jobs))
+	// Build runs once in NewMachine for keying and once for the one
+	// simulation, which builds the only engine; hits never build.
+	if n := builds.Load(); n != 2 {
+		t.Fatalf("Build called %d times for %d identical jobs, want 2", n, len(jobs))
 	}
 	if p.cache.Len() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", p.cache.Len())
@@ -306,9 +306,6 @@ func TestSharedCacheProcessWide(t *testing.T) {
 	}
 }
 
-// guard: Key must stay comparable (it is a map key).
-var _ = map[Key]bool{}
-
 // TestPoolCounters pins the observability contract: identical jobs on one
 // pool yield Jobs submissions but one simulation, with the remainder split
 // between memo hits and coalesces; an uncacheable job lands in Uncached.
@@ -354,11 +351,11 @@ func TestPoolCounters(t *testing.T) {
 
 	// A callback-carrying job is not describable and must run uncached.
 	uj := job
-	uj.Build = func() ooo.Config {
-		cfg := job.Build()
+	uj.Machine = NewMachine(func() ooo.Config {
+		cfg := schemeBuild(memdep.Traditional)()
 		cfg.OnLoadRetire = func(ooo.LoadEvent) {}
 		return cfg
-	}
+	}, 1_000)
 	p.Do(uj)
 	c = p.Counters()
 	if c.Uncached != 1 {
@@ -385,24 +382,20 @@ type opaquePolicy struct{ ooo.SpeculationPolicy }
 // the given PolicyKey.
 func customJob(t *testing.T, p trace.Profile, key string, resettable bool) Job {
 	t.Helper()
-	return Job{
-		Build: func() ooo.Config {
-			cfg := ooo.DefaultConfig()
-			base := cfg
-			cfg.PolicyKey = key
-			cfg.NewPolicy = func(d ooo.PolicyDeps) ooo.SpeculationPolicy {
-				inner := ooo.DefaultPolicy(base, d)
-				if resettable {
-					return resettablePolicy{inner}
-				}
-				return opaquePolicy{inner}
+	build := func() ooo.Config {
+		cfg := ooo.DefaultConfig()
+		base := cfg
+		cfg.PolicyKey = key
+		cfg.NewPolicy = func(d ooo.PolicyDeps) ooo.SpeculationPolicy {
+			inner := ooo.DefaultPolicy(base, d)
+			if resettable {
+				return resettablePolicy{inner}
 			}
-			return cfg
-		},
-		Profile: p,
-		Uops:    5_000,
-		Warmup:  1_000,
+			return opaquePolicy{inner}
+		}
+		return cfg
 	}
+	return Job{Machine: NewMachine(build, 1_000), Profile: p, Uops: 5_000}
 }
 
 // TestPoolCustomPolicyMemoized: the ISSUE 6 regression — submitting the same
@@ -478,5 +471,45 @@ func TestPoolCountersNilCache(t *testing.T) {
 	}
 	if p.CacheLen() != 0 {
 		t.Fatalf("CacheLen = %d on cacheless pool", p.CacheLen())
+	}
+}
+
+// TestSharedMachineConcurrentJobs runs one Machine handle's jobs from many
+// goroutines at once, as Map workers do, on a memoizing pool and on a
+// cacheless one, and requires every result to equal a solo run. Under
+// -race it shows the handle is only read after NewMachine.
+func TestSharedMachineConcurrentJobs(t *testing.T) {
+	m := NewMachine(schemeBuild(memdep.Inclusive), 500)
+	g, _ := trace.GroupByName(trace.GroupSysmarkNT)
+	profs := g.Traces[:4]
+	want := make([]ooo.Stats, len(profs))
+	for i, p := range profs {
+		want[i] = NewIsolated(1, nil).Do(Job{Machine: m, Profile: p, Uops: 2_000})
+	}
+	for _, cache := range []*Cache{NewCache(), nil} {
+		pool := NewIsolated(4, cache)
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range profs {
+					i := (w + k) % len(profs)
+					if got := pool.Do(Job{Machine: m, Profile: profs[i], Uops: 2_000}); got != want[i] {
+						t.Errorf("cache %v: %s diverged from its solo run", cache != nil, profs[i].Name)
+					}
+				}
+			}()
+		}
+		jobs := make([]Job, 3*len(profs))
+		for i := range jobs {
+			jobs[i] = Job{Machine: m, Profile: profs[i%len(profs)], Uops: 2_000}
+		}
+		for i, got := range pool.Run(jobs) {
+			if got != want[i%len(profs)] {
+				t.Errorf("cache %v: Run job %d diverged from its solo run", cache != nil, i)
+			}
+		}
+		wg.Wait()
 	}
 }

@@ -132,6 +132,28 @@ func GroupNames() []string {
 	}
 }
 
+// groups holds the seven groups, built once; every accessor hands out
+// copies of their trace slices, so no caller can alter another's view.
+var groups = buildGroups()
+
+func buildGroups() map[string]Group {
+	out := make(map[string]Group, len(traceNames))
+	for name, members := range traceNames {
+		g := Group{Name: name}
+		for i, tn := range members {
+			p := baseProfile(name).withDefaults()
+			p.Name = tn
+			p.Seed = groupSeed(name) + int64(i)*7919
+			// Mild per-trace jitter so members differ without leaving the
+			// group's characteristic band.
+			jitterProfile(&p, p.Seed)
+			g.Traces = append(g.Traces, p)
+		}
+		out[name] = g
+	}
+	return out
+}
+
 // Groups returns all seven trace groups with their member traces.
 func Groups() []Group {
 	names := GroupNames()
@@ -143,32 +165,19 @@ func Groups() []Group {
 	return out
 }
 
-// GroupByName returns the named group.
+// GroupByName returns the named group, its Traces a fresh copy.
 func GroupByName(name string) (Group, bool) {
-	members, ok := traceNames[name]
+	g, ok := groups[name]
 	if !ok {
 		return Group{}, false
 	}
-	g := Group{Name: name}
-	for i, tn := range members {
-		p := baseProfile(name).withDefaults()
-		p.Name = tn
-		p.Seed = groupSeed(name) + int64(i)*7919
-		// Mild per-trace jitter so members differ without leaving the
-		// group's characteristic band.
-		jitterProfile(&p, p.Seed)
-		g.Traces = append(g.Traces, p)
-	}
+	g.Traces = append([]Profile(nil), g.Traces...)
 	return g, true
 }
 
 // TraceByName returns a single trace profile as "Group/name".
 func TraceByName(group, name string) (Profile, bool) {
-	g, ok := GroupByName(group)
-	if !ok {
-		return Profile{}, false
-	}
-	for _, t := range g.Traces {
+	for _, t := range groups[group].Traces {
 		if t.Name == name {
 			return t, true
 		}

@@ -223,6 +223,30 @@ func TestGroupByName(t *testing.T) {
 	}
 }
 
+// TestGroupsReturnCopies: the groups are built once, so a caller that
+// edits the traces it was handed must not change what the next call
+// returns.
+func TestGroupsReturnCopies(t *testing.T) {
+	g, _ := GroupByName(GroupSpecInt95)
+	want := append([]Profile(nil), g.Traces...) // a snapshot no call shares
+	g.Traces[0].Seed++
+	g.Traces[1].Name = "edited"
+	for _, all := range Groups() {
+		if all.Name == GroupSpecInt95 {
+			all.Traces[0].CallFrac = 0
+		}
+	}
+	again, _ := GroupByName(GroupSpecInt95)
+	for i := range want {
+		if again.Traces[i] != want[i] {
+			t.Fatalf("trace %d after edits to returned slices: %+v, want %+v", i, again.Traces[i], want[i])
+		}
+	}
+	if p, _ := TraceByName(GroupSpecInt95, want[0].Name); p != want[0] {
+		t.Fatalf("TraceByName after edits: %+v, want %+v", p, want[0])
+	}
+}
+
 func TestTraceByName(t *testing.T) {
 	p, ok := TraceByName(GroupSpecInt95, "gcc")
 	if !ok || p.Name != "gcc" {

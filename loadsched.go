@@ -115,18 +115,11 @@ func Run(w Workload, m Machine) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("loadsched: unknown trace %s/%s", w.Group, w.Trace)
 	}
-	if _, err := m.config(); err != nil {
+	h, err := m.handle(w.warmup())
+	if err != nil {
 		return Result{}, err
 	}
-	st := runner.New(1).Do(runner.Job{
-		Build: func() ooo.Config {
-			cfg, _ := m.config()
-			return cfg
-		},
-		Profile: p,
-		Uops:    w.Uops,
-		Warmup:  w.warmup(),
-	})
+	st := runner.New(1).Do(runner.Job{Machine: h, Profile: p, Uops: w.Uops})
 	return Result{Stats: st, Workload: w, Machine: m}, nil
 }
 
@@ -146,18 +139,11 @@ func Compare(w Workload, m Machine) (map[Scheme]float64, error) {
 	for i, s := range schemes {
 		ms := m
 		ms.Scheme = s
-		if _, err := ms.config(); err != nil {
+		h, err := ms.handle(w.warmup())
+		if err != nil {
 			return nil, err
 		}
-		jobs[i] = runner.Job{
-			Build: func() ooo.Config {
-				cfg, _ := ms.config()
-				return cfg
-			},
-			Profile: p,
-			Uops:    wd.Uops,
-			Warmup:  w.warmup(),
-		}
+		jobs[i] = runner.Job{Machine: h, Profile: p, Uops: wd.Uops}
 	}
 	sts := runner.New(0).Run(jobs)
 	out := make(map[Scheme]float64, len(schemes))
@@ -193,6 +179,18 @@ func (w Workload) warmup() int {
 		return 0
 	}
 	return wu
+}
+
+// handle validates the machine and wraps it as the runner's machine point
+// for the given warmup length, its keys derived once.
+func (m Machine) handle(warmup int) (*runner.Machine, error) {
+	if _, err := m.config(); err != nil {
+		return nil, err
+	}
+	return runner.NewMachine(func() ooo.Config {
+		cfg, _ := m.config()
+		return cfg
+	}, warmup), nil
 }
 
 func (m Machine) config() (ooo.Config, error) {
