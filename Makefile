@@ -11,7 +11,7 @@ GO ?= go
 # minimum across repeats; the minimum-of-3 default is what makes the
 # bench-compare gate usable on machines with noisy neighbours, where a
 # single draw can swing ±10% or more.
-BENCH ?= Fig|EngineCycle|TraceReplay|Tournament|FetchRename|WarmStoreHit|StoreGetPut
+BENCH ?= Fig|EngineCycle|TraceReplay|Tournament|FetchRename|WarmStoreHit|StoreGetPut|Recording
 BENCHTIME ?= 10x
 BENCHCOUNT ?= 3
 BENCH_OUT ?= BENCH_results.json
@@ -58,13 +58,13 @@ race:
 bench:
 	$(GO) test -bench=RunnerMultiFigure -benchtime=3x -run='^$$'
 
-# bench-json: run the figure + scheduler-core benchmarks and snapshot their
-# metrics as structured JSON, so the perf trajectory has machine-readable
-# data points. -p 1 keeps the two package test binaries from running
-# concurrently, which would corrupt each other's timings.
+# bench-json: run the figure, scheduler-core and trace-recording benchmarks
+# and snapshot their metrics as structured JSON, so the perf trajectory has
+# machine-readable data points. -p 1 keeps the package test binaries from
+# running concurrently, which would corrupt each other's timings.
 bench-json:
 	$(GO) build -o /tmp/loadsched-benchjson ./cmd/benchjson
-	$(GO) test -p 1 -bench='$(BENCH)' -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) -benchmem -run='^$$' . ./internal/ooo | /tmp/loadsched-benchjson -o $(BENCH_OUT)
+	$(GO) test -p 1 -bench='$(BENCH)' -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) -benchmem -run='^$$' . ./internal/ooo ./internal/trace | /tmp/loadsched-benchjson -o $(BENCH_OUT)
 
 # bench-compare: run the benchmarks fresh and diff them against the
 # committed baseline; exits non-zero on a regression beyond

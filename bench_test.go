@@ -304,25 +304,45 @@ func BenchmarkTraceGeneration(b *testing.B) {
 }
 
 // BenchmarkEngineCycle measures the event-driven scheduling core on the
-// baseline machine. Each iteration retires a fixed uop chunk on a primed
-// engine, so the numbers are steady-state per-chunk costs even under count
-// based -benchtime (the bench-json snapshot runs 2x). The simulated
-// cycles-per-uop is reported so throughput changes stay attributable (same
-// CPI + fewer ns = faster scheduler, not a different machine).
+// baseline machine. Every op replays one fixed window: untimed, it resets
+// the engine onto a fresh cursor and retires the first engineCyclePrime
+// uops (filling the pipeline, caches and predictors, like the quick
+// preset's warmup); timed, it retires the next engineCycleWindow. The
+// recording covers the whole window before the timer starts, so no op pays
+// trace recording, and the simulated work — and the reported cycles/uop —
+// is the same at any -benchtime. The simulated cycles-per-uop keeps
+// throughput changes attributable (same CPI + fewer ns = faster scheduler,
+// not a different machine).
 func BenchmarkEngineCycle(b *testing.B) {
-	const chunk = 5_000
+	const engineCyclePrime, engineCycleWindow = 15_000, 10_000
 	p, _ := trace.TraceByName(trace.GroupSysmarkNT, "ex")
-	cfg := ooo.DefaultConfig()
-	e := ooo.NewEngine(cfg, trace.Replay(p))
-	e.Run(chunk) // prime: fill the pipeline, caches and ready structures
+	c := trace.Replay(p)
+	for seen := 0; seen < engineCyclePrime+engineCycleWindow+trace.ChunkUops; {
+		us, _, _ := c.NextBatchRef() // record the window and the fetch run-ahead past it
+		seen += len(us)
+	}
+	cursors := make([]*trace.Cursor, b.N)
+	for i := range cursors {
+		cursors[i] = trace.Replay(p)
+	}
+	e := ooo.NewEngine(ooo.DefaultConfig(), cursors[0])
+	var cycles int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Run(chunk)
+		b.StopTimer()
+		if !e.Reset(cursors[i]) {
+			b.Fatal("the baseline engine cannot be reset")
+		}
+		e.Run(engineCyclePrime)
+		start := e.Now()
+		b.StartTimer()
+		e.Run(engineCycleWindow)
+		cycles += e.Now() - start
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(e.Now())/float64(e.Retired()), "cycles/uop")
-	b.ReportMetric(chunk, "uops/op")
+	b.ReportMetric(float64(cycles)/float64(b.N*engineCycleWindow), "cycles/uop")
+	b.ReportMetric(engineCycleWindow, "uops/op")
 }
 
 // BenchmarkTraceReplay measures the shared-recording cursor next to

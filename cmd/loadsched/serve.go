@@ -61,7 +61,9 @@ func runServe(args []string) {
 	if err != nil {
 		fatal("serve: %v", err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	// A client that never finishes its request headers must not hold its
+	// connection forever.
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	fmt.Fprintf(os.Stderr, "loadsched serve: listening on http://%s\n", ln.Addr())
 
 	// Graceful shutdown: stop accepting, let streaming jobs finish (bounded).

@@ -54,6 +54,7 @@ type Cache struct {
 	lines    []line
 	lineBits uint
 	setMask  uint64
+	setBits  uint // log2(Sets): the line-address shift that leaves the tag
 	tick     uint64
 
 	// Hits and Misses count Access results since the last ResetStats.
@@ -69,6 +70,7 @@ func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg}
 	c.lineBits = uint(log2(cfg.LineBytes))
 	c.setMask = uint64(cfg.Sets() - 1)
+	c.setBits = uint(log2(cfg.Sets()))
 	c.lines = make([]line, cfg.Sets()*cfg.Ways)
 	return c
 }
@@ -86,7 +88,7 @@ func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	lineAddr := addr >> c.lineBits
-	return lineAddr & c.setMask, lineAddr >> uint(log2(c.cfg.Sets()))
+	return lineAddr & c.setMask, lineAddr >> c.setBits
 }
 
 // set returns the ways of one set as a sub-slice of the flat backing array.

@@ -17,11 +17,13 @@
 // the done-line counters are per-job: a client can prove a warm run
 // performed zero simulations. Back-pressure is a bounded admission queue —
 // jobs beyond the executing + queued capacity are rejected with 429 and a
-// Retry-After header rather than piling onto the process.
+// Retry-After header rather than piling onto the process. A request body
+// larger than maxJobBytes is rejected with 413 before it is decoded.
 package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -65,6 +67,11 @@ type Line struct {
 type Done struct {
 	Runner results.RunnerCounters `json:"runner"`
 }
+
+// maxJobBytes bounds a job request body. A job is well under 1 KB; the cap
+// only stops one request from making the server buffer an arbitrarily
+// large JSON value.
+const maxJobBytes = 1 << 20
 
 // Config parameterizes a Server.
 type Config struct {
@@ -189,7 +196,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var job Job
-	if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes)).Decode(&job); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "job body exceeds the %d-byte limit", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "decoding job: %v", err)
 		return
 	}

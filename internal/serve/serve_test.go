@@ -235,6 +235,35 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// TestServeOversizedBodyRejectedWith413 checks the request-size bound: a
+// job body past maxJobBytes is refused with 413 and a message naming the
+// limit, and nothing runs.
+func TestServeOversizedBodyRejectedWith413(t *testing.T) {
+	s, hs := newTestServer(t, Config{})
+	s.exec = func(Job, *runner.Pool, func(results.Record) error) error {
+		t.Error("an oversized job reached execution")
+		return nil
+	}
+	body := `{"command":"` + strings.Repeat("x", maxJobBytes) + `"}`
+	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("decoding the error body: %v", err)
+	}
+	if limit := fmt.Sprint(maxJobBytes); !strings.Contains(e.Error, limit) {
+		t.Fatalf("error %q does not name the %s-byte limit", e.Error, limit)
+	}
+}
+
 func TestServeJobPanicBecomesStreamError(t *testing.T) {
 	s, hs := newTestServer(t, Config{})
 	s.exec = func(j Job, pool *runner.Pool, emit func(results.Record) error) error {

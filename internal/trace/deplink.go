@@ -5,11 +5,12 @@ import "loadsched/internal/uop"
 // Static dependence side-car. Which uop produces a source register, and
 // which store is the youngest one older than a load, are properties of the
 // uop stream alone — no machine configuration changes them. Yet every
-// engine in a sweep re-derives them per uop through its private alias
+// engine in a sweep would re-derive them per uop through private alias
 // tables and MOB bookkeeping. The side-car hoists that analysis to the
-// trace layer: one depAnalyzer pass per chunk, at decode time, produces a
-// []uop.Dep that every engine replaying the chunk consumes by plain
-// indexing (see internal/ooo frontend.go for the consumer contract).
+// trace layer: one depAnalyzer pass per chunk — as a recording produces
+// the chunk, or as a file reader decodes it — yields a []uop.Dep that every
+// engine replaying the chunk consumes by plain indexing (see internal/ooo
+// frontend.go for the consumer contract).
 //
 // All producer references are backward stream-position deltas, so they are
 // invariant under the Seq/StoreID renumbering that file replay applies when
@@ -20,16 +21,6 @@ import "loadsched/internal/uop"
 // depSize is the in-memory footprint of one side-car entry, used for the
 // bytes/uop accounting surfaced by `trace info` and Recording.SidecarBytes.
 const depSize = int64(12)
-
-// DepChunk is one chunk's published side-car: a Dep per uop plus the store
-// base its LastStore deltas are relative to. BaseStore is -1 when the
-// chunk's store IDs could not be delta-encoded (a gap wider than a uint16,
-// which dense generator/file IDs never produce); consumers then fall back
-// to their own store tracking for the whole chunk.
-type DepChunk struct {
-	Deps      []uop.Dep
-	BaseStore int64
-}
 
 // depAnalyzer derives the side-car in one forward pass. It carries across
 // chunk boundaries: lastWrite and pos persist for the whole stream (and, in
@@ -103,30 +94,38 @@ func (a *depAnalyzer) buildInto(dst []uop.Dep, us []uop.UOp) int64 {
 	return base
 }
 
+// fill pulls len(us) uops from src into us and builds their side-car into
+// deps, returning the batch's store base (see buildInto): the one step in
+// which a recording produces a chunk and Batches a batch.
+func (a *depAnalyzer) fill(src Source, us []uop.UOp, deps []uop.Dep) int64 {
+	for i := range us {
+		us[i] = src.Next()
+	}
+	return a.buildInto(deps, us)
+}
+
 // Batches adapts a scalar Source to the engine's batch seam: each
-// NextBatchRef pulls the next ChunkUops uops into one recycled view and
-// builds their side-car, so a generator, an in-memory Reader or a
-// hand-built stream renames exactly like a shared recording. The returned
-// slices stay valid until the next call. Not safe for concurrent use.
+// NextBatchRef fills one recycled buffer with the next ChunkUops uops and
+// their side-car the way a shared recording produces a chunk, so a
+// generator, an in-memory Reader or a hand-built stream renames exactly
+// like a recording. The returned slices stay valid until the next call.
+// Not safe for concurrent use.
 type Batches struct {
 	src  Source
-	view ChunkView
+	us   []uop.UOp
 	deps []uop.Dep
 	an   depAnalyzer
 }
 
 // NewBatches wraps src, whose next uop is taken as stream position 0.
 func NewBatches(src Source) *Batches {
-	return &Batches{src: src, deps: make([]uop.Dep, ChunkUops)}
+	return &Batches{src: src, us: make([]uop.UOp, ChunkUops), deps: make([]uop.Dep, ChunkUops)}
 }
 
 // NextBatchRef returns the next ChunkUops uops with their side-car and the
 // store base the batch's Dep.LastStore deltas are relative to (-1 when
 // they overflowed).
 func (b *Batches) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
-	us := b.view.grow(ChunkUops)
-	for i := range us {
-		us[i] = b.src.Next()
-	}
-	return us, b.deps, b.an.buildInto(b.deps, us)
+	base := b.an.fill(b.src, b.us, b.deps)
+	return b.us, b.deps, base
 }

@@ -14,29 +14,24 @@ import (
 // profile's stream once per process; Replay hands out lightweight cursors
 // over it, so N configs per figure pay one generation instead of N.
 //
-// The recording is stored as sealed packed chunks (see packed.go), about
-// 9 bytes/uop instead of the 40 bytes/uop a []uop.UOp costs. Cursors never
-// read the packed form directly: each chunk is decoded once, on first
-// demand, into an immutable ChunkView — a flat uop slice — that every
-// cursor replays by plain indexing. The decoded views are a cache bounded
-// by the same cap as the packed chunks, so steady-state replay touches no
-// allocator at all.
+// A recording holds each chunk of ChunkUops uops once, in the form every
+// replay reads: a flat []uop.UOp (40 bytes/uop) and its dependence
+// side-car in lockstep (12 bytes/uop, see deplink.go). A chunk is produced
+// in one step — the generator writes its uops straight into the chunk and
+// the recording's analyzer links them right after — and steady-state
+// replay is an index walk that touches no allocator.
 //
-// Concurrency model, per-chunk: the chunk list only ever grows, and sealed
-// chunks are immutable. The generator appends whole chunks under
-// Recording.mu and publishes the extended list through an atomic snapshot;
-// readers walk their own snapshot lock-free and take the lock only to
-// generate a chunk that does not exist yet. Decoded views publish by
-// compare-and-swap into a fixed slot array — racing decoders do redundant
-// work, but exactly one view wins and the losers adopt it, so a view, once
-// observed, is permanent and immutable.
+// Concurrency model, per chunk: chunks are produced in stream order under
+// Recording.mu and each is published once, immutable, into its own atomic
+// slot. Readers load the slot lock-free and take the lock only to produce
+// a chunk that does not exist yet; a chunk, once observed, is permanent.
 
 // maxSharedUops bounds the per-profile recording (a variable so tests can
-// shrink it). At the default 1<<20 the packed chunks top out around 9 MB
-// and the decoded views around 40 MB; a cursor that runs past the cap
-// falls back to a private generator feeding a recycled private chunk view
-// — paying one status-quo generation for that outlier run instead of
-// growing the shared buffers without bound.
+// shrink it). At the default 1<<20 a recording tops out at 40 MB of uops
+// plus 12 MB of side-car; a cursor that runs past the cap falls back to a
+// private generator feeding recycled private buffers — paying one
+// status-quo generation for that outlier run instead of growing the shared
+// recording without bound.
 var maxSharedUops = 1 << 20
 
 var (
@@ -47,25 +42,26 @@ var (
 // Recording is one profile's process-wide recorded uop stream.
 type Recording struct {
 	prof Profile
-	// maxChunks is the recording's chunk cap, frozen at Materialize time
-	// (so tests that shrink maxSharedUops only affect recordings they
-	// create): floor(maxSharedUops/ChunkUops), at least 1.
+	// maxChunks is the recording's chunk cap, frozen at construction (so
+	// tests that shrink maxSharedUops only affect recordings they create):
+	// floor(maxSharedUops/ChunkUops), at least 1.
 	maxChunks int
 
-	mu     sync.Mutex
-	gen    *Generator
-	sealed []*packedChunk // generated so far; guarded by mu
-	// depGen shadows gen: it observes every generated uop so that carries
-	// holds, for each chunk, the analyzer state at that chunk's start —
-	// the carry a lazy side-car build resumes from. Both guarded by mu.
-	depGen  depAnalyzer
-	carries []depAnalyzer // analyzer snapshot at each chunk's start
+	mu   sync.Mutex
+	gen  *Generator
+	an   depAnalyzer // side-car carry at the end of the recorded prefix; guarded by mu
+	made int         // chunks produced so far; guarded by mu
 
-	chunks  atomic.Value                // []*packedChunk: published prefix of sealed
-	views   []atomic.Pointer[ChunkView] // decoded-chunk cache, one slot per chunk
-	deps    []atomic.Pointer[DepChunk]  // side-car cache, one slot per chunk
-	packed  atomic.Int64                // total payload bytes across sealed chunks
-	sidecar atomic.Int64                // total side-car bytes across built DepChunks
+	chunks []atomic.Pointer[recChunk] // one slot per chunk, nil until produced
+}
+
+// recChunk is one published chunk: its uops, their side-car entry for
+// entry, and the store base the side-car's LastStore deltas are relative
+// to (-1: invalid, consumers fall back). Immutable once published.
+type recChunk struct {
+	us        []uop.UOp
+	deps      []uop.Dep
+	storeBase int64
 }
 
 // Materialize returns the process-wide recording for p, creating it (empty)
@@ -75,105 +71,54 @@ func Materialize(p Profile) *Recording {
 	p = p.withDefaults()
 	recordingsMu.Lock()
 	defer recordingsMu.Unlock()
-	if r, ok := recordings[p]; ok {
-		return r
+	r, ok := recordings[p]
+	if !ok {
+		r = newRecording(p)
+		recordings[p] = r
 	}
-	mc := maxSharedUops / ChunkUops
-	if mc < 1 {
-		mc = 1
-	}
-	r := &Recording{prof: p, maxChunks: mc, gen: New(p)}
-	r.chunks.Store([]*packedChunk(nil))
-	r.views = make([]atomic.Pointer[ChunkView], mc)
-	r.deps = make([]atomic.Pointer[DepChunk], mc)
-	r.carries = make([]depAnalyzer, mc)
-	recordings[p] = r
 	return r
 }
 
-// chunk returns sealed chunk ci (ci < maxChunks), generating up to it if
-// needed. One lock round generates a whole chunk, so racing cursors on a
-// cold recording amortize the lock over ChunkUops uops.
-func (r *Recording) chunk(ci int) *packedChunk {
-	if cs := r.chunks.Load().([]*packedChunk); ci < len(cs) {
-		return cs[ci]
+// newRecording builds an empty recording of p without registering it
+// process-wide.
+func newRecording(p Profile) *Recording {
+	mc := max(maxSharedUops/ChunkUops, 1)
+	return &Recording{prof: p, maxChunks: mc, gen: New(p), chunks: make([]atomic.Pointer[recChunk], mc)}
+}
+
+// chunk returns chunk ci (ci < maxChunks), producing up to it if needed.
+// One lock round produces a whole chunk, so racing cursors on a cold
+// recording amortize the lock over ChunkUops uops.
+func (r *Recording) chunk(ci int) *recChunk {
+	if ch := r.chunks[ci].Load(); ch != nil {
+		return ch
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cs := r.sealed
-	for len(cs) <= ci {
-		var e chunkEncoder
-		e.begin()
-		r.carries[len(cs)] = r.depGen
-		for i := 0; i < ChunkUops; i++ {
-			u := r.gen.Next()
-			e.add(u)
-			r.depGen.observe(&u)
-		}
-		c := e.seal()
-		r.packed.Add(int64(c.packedBytes()))
-		cs = append(cs, c)
+	for ; r.made <= ci; r.made++ {
+		ch := &recChunk{us: make([]uop.UOp, ChunkUops), deps: make([]uop.Dep, ChunkUops)}
+		ch.storeBase = r.an.fill(r.gen, ch.us, ch.deps)
+		r.chunks[r.made].Store(ch)
 	}
-	r.sealed = cs
-	r.chunks.Store(cs[:len(cs):len(cs)])
-	return cs[ci]
+	return r.chunks[ci].Load()
 }
 
-// view returns the decoded form of chunk ci, decoding and publishing it on
-// first demand. Published views are immutable and live for the process —
-// the cache is bounded by maxChunks, and permanence is what keeps the
-// replay hot path allocation-free.
-func (r *Recording) view(ci int) *ChunkView {
-	if v := r.views[ci].Load(); v != nil {
-		return v
-	}
-	v, err := r.chunk(ci).decodeChunk()
-	if err != nil {
-		// Sealed chunks came out of our own encoder; a decode failure is a
-		// codec bug, not an input condition.
-		panic("trace: recorded chunk failed to decode: " + err.Error())
-	}
-	if r.views[ci].CompareAndSwap(nil, v) {
-		return v
-	}
-	return r.views[ci].Load()
-}
-
-// dep returns the dependence side-car for chunk ci, building and publishing
-// it on first demand. Like views, published side-cars are immutable and
-// permanent: recordings are append-only, so a chunk's dependence links can
-// never be invalidated. Racing builders do redundant work; one wins the CAS
-// and the losers adopt its result.
-func (r *Recording) dep(ci int) *DepChunk {
-	if d := r.deps[ci].Load(); d != nil {
-		return d
-	}
-	v := r.view(ci) // ensures the chunk exists, so carries[ci] is written
-	r.mu.Lock()
-	an := r.carries[ci]
-	r.mu.Unlock()
-	d := &DepChunk{Deps: make([]uop.Dep, len(v.us))}
-	d.BaseStore = an.buildInto(d.Deps, v.us)
-	if r.deps[ci].CompareAndSwap(nil, d) {
-		r.sidecar.Add(int64(len(d.Deps)) * depSize)
-		return d
-	}
-	return r.deps[ci].Load()
-}
-
-// Len reports how many uops have been recorded so far. Shared chunks are
-// always full, so the length is a whole number of chunks.
+// Len reports how many uops have been recorded so far. Chunks are always
+// full, so the length is a whole number of chunks.
 func (r *Recording) Len() int {
-	return len(r.chunks.Load().([]*packedChunk)) * ChunkUops
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.made * ChunkUops
 }
 
-// PackedBytes reports the recording's payload footprint in bytes — the
-// packed columns and delta streams, excluding the decoded-view cache.
-func (r *Recording) PackedBytes() int64 { return r.packed.Load() }
+// PackedBytes reports the recording's packed-payload footprint, which is
+// always 0: packed chunks are only the trace-file format, and a recording
+// holds each chunk once, flat.
+func (r *Recording) PackedBytes() int64 { return 0 }
 
-// SidecarBytes reports the footprint of the dependence side-cars built so
-// far (12 bytes per uop per built chunk).
-func (r *Recording) SidecarBytes() int64 { return r.sidecar.Load() }
+// SidecarBytes reports the footprint of the recorded side-car: 12 bytes
+// per recorded uop.
+func (r *Recording) SidecarBytes() int64 { return int64(r.Len()) * depSize }
 
 // Cursor replays a recording from the start. It implements the engine's
 // Source (NextBatchRef) as well as the scalar trace Source. Cursors are
@@ -182,18 +127,17 @@ func (r *Recording) SidecarBytes() int64 { return r.sidecar.Load() }
 // number of cursors may run concurrently over one recording.
 type Cursor struct {
 	rec *Recording
-	// us is the current decoded chunk's uop slice, held directly (not via
-	// the view) so Next is an index, an increment and one length check —
-	// nil before the first advance, which a fresh cursor trips exactly like
-	// a chunk boundary.
+	// us is the current chunk's uop slice, held directly so Next is an
+	// index, an increment and one length check — nil before the first
+	// advance, which a fresh cursor trips exactly like a chunk boundary.
 	us   []uop.UOp
 	base int // stream position of us[0]
 	i    int // next index within us
 	// deps mirrors us entry for entry with the chunk's dependence
 	// side-car; depBase is the store base its LastStore deltas are
 	// relative to (-1: invalid, consumers fall back). Wired on every
-	// advance — shared chunks adopt the CAS-published DepChunk, the tail
-	// takes the adapter's recycled buffers.
+	// advance — shared chunks carry their own, the tail takes the
+	// adapter's recycled buffers.
 	deps    []uop.Dep
 	depBase int64
 	// tail streams the portion beyond the sharing cap from a private
@@ -217,9 +161,9 @@ func (c *Cursor) Next() uop.UOp {
 	return u
 }
 
-// NextBatchRef returns the remainder of the current decoded chunk as direct
-// views — the uops, their side-car entries in lockstep, and the store base
-// the batch's Dep.LastStore deltas are relative to — consuming it all. The
+// NextBatchRef returns the remainder of the current chunk as direct views
+// — the uops, their side-car entries in lockstep, and the store base the
+// batch's Dep.LastStore deltas are relative to — consuming it all. The
 // slices stay valid until the next call on this cursor and must be treated
 // as read-only: shared recording chunks back them for every consumer at
 // once. This is the engine fetch path's refill seam (ooo.Source).
@@ -232,16 +176,15 @@ func (c *Cursor) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
 	return us, deps, c.depBase
 }
 
-// advance moves the cursor onto the decoded view holding its next stream
-// position, base+i. Views are whole chunks, so that position is
-// chunk-aligned here.
+// advance moves the cursor onto the chunk holding its next stream
+// position, base+i. Chunks are whole, so that position is chunk-aligned
+// here.
 func (c *Cursor) advance() {
 	pos := c.base + c.i
 	c.base, c.i = pos, 0
 	if ci := pos >> chunkShift; ci < c.rec.maxChunks {
-		c.us = c.rec.view(ci).us
-		dc := c.rec.dep(ci)
-		c.deps, c.depBase = dc.Deps, dc.BaseStore
+		ch := c.rec.chunk(ci)
+		c.us, c.deps, c.depBase = ch.us, ch.deps, ch.storeBase
 		return
 	}
 	c.advanceTail()
@@ -250,9 +193,9 @@ func (c *Cursor) advance() {
 // advanceTail serves positions past the sharing cap: regenerate privately,
 // skip the shared prefix — one status-quo generation, only for runs long
 // enough to blow the cap — replaying it through the adapter's analyzer so
-// private side-cars continue seamlessly, then refill the adapter's single
-// recycled view chunk by chunk, so the overflow costs O(ChunkUops) memory
-// however far it runs.
+// private side-cars continue seamlessly, then refill the adapter's
+// recycled buffers chunk by chunk, so the overflow costs O(ChunkUops)
+// memory however far it runs.
 func (c *Cursor) advanceTail() {
 	if c.tail == nil {
 		g := New(c.rec.prof)

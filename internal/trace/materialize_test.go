@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -81,29 +84,82 @@ func TestReplayBeyondCap(t *testing.T) {
 	}
 }
 
-// TestReplayConcurrent hammers one recording from many goroutines; run
-// under -race this checks the lock-free snapshot protocol.
+// concurrentRuns numbers TestReplayConcurrent's runs, so each run (one
+// per -count) names a profile no earlier run has recorded.
+var concurrentRuns atomic.Int64
+
+// TestReplayConcurrent races many cursors over one cold recording; run
+// under -race this checks chunk production and publication. Half the
+// goroutines replay with Next against the generator, half with
+// NextBatchRef against a private Batches adapter, uops and side-car both,
+// and every one runs past a shrunk sharing cap into its private tail.
 func TestReplayConcurrent(t *testing.T) {
-	p := Profile{Name: "replay-conc", Seed: 3}
-	want := Collect(p, 8000)
+	defer func(old int) { maxSharedUops = old }(maxSharedUops)
+	maxSharedUops = 2 * ChunkUops
+
+	p := Profile{Name: fmt.Sprintf("replay-conc-%d", concurrentRuns.Add(1)), Seed: 3}
+	const total = 4 * ChunkUops
+	want := Collect(p, total)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func() {
+		go func(batched bool) {
 			defer wg.Done()
 			c := Replay(p)
-			for i, u := range want {
-				if got := c.Next(); got != u {
-					errs <- "stream diverged at uop " + string(rune('0'+i%10))
+			if !batched {
+				for i, u := range want {
+					if got := c.Next(); got != u {
+						errs <- fmt.Sprintf("Next diverged at uop %d: %+v, want %+v", i, got, u)
+						return
+					}
+				}
+				return
+			}
+			ref := NewBatches(New(p))
+			for pos := 0; pos < total; {
+				us, deps, base := c.NextBatchRef()
+				wantUs, wantDeps, wantBase := ref.NextBatchRef()
+				if len(us) != len(wantUs) || len(deps) != len(wantDeps) || base != wantBase {
+					errs <- fmt.Sprintf("batch at uop %d: %d uops, %d deps, base %d; want %d, %d, %d",
+						pos, len(us), len(deps), base, len(wantUs), len(wantDeps), wantBase)
 					return
 				}
+				for i := range us {
+					if us[i] != wantUs[i] || deps[i] != wantDeps[i] {
+						errs <- fmt.Sprintf("NextBatchRef diverged at uop %d: %+v %+v, want %+v %+v",
+							pos+i, us[i], deps[i], wantUs[i], wantDeps[i])
+						return
+					}
+				}
+				pos += len(us)
 			}
-		}()
+		}(w%2 == 1)
 	}
 	wg.Wait()
 	close(errs)
 	for e := range errs {
-		t.Fatal(e)
+		t.Error(e)
 	}
+}
+
+// BenchmarkRecording measures first-touch recording, what the first replay
+// of a profile in a process pays: each op builds a fresh recording of gcc
+// (unregistered, so every op is cold) and produces its first
+// benchRecordChunks chunks, uops and side-car. It reports ns and allocated
+// bytes per recorded uop, generator construction included.
+func BenchmarkRecording(b *testing.B) {
+	const benchRecordChunks = 16
+	p, _ := TraceByName(GroupSpecInt95, "gcc")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newRecording(p).chunk(benchRecordChunks - 1)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	uops := float64(b.N) * benchRecordChunks * ChunkUops
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/uops, "ns/uop")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/uops, "B/uop")
 }

@@ -7,11 +7,8 @@ import (
 	"loadsched/internal/uop"
 )
 
-// Packed trace chunks. A materialized recording used to hold []uop.UOp at
-// ~64 bytes per uop — mostly zero padding and slowly-varying u64 fields —
-// which tops out near 60 MB at the sharing cap, far larger than any cache
-// level the replay loop could hope to stay in. The durable representation
-// is instead a sequence of fixed-population packed chunks in
+// Packed trace chunks: the v2 trace-file format (see file.go). A file
+// stores its uop stream as a sequence of fixed-population chunks in
 // structure-of-arrays form:
 //
 //   - kind/dst/src1/src2/size/flags: one byte column each (flags packs
@@ -26,21 +23,21 @@ import (
 //   - Seq: implicit from position when the chunk is dense (generator and
 //     file traces always are); an explicit delta stream otherwise
 //
-// Synthetic traces pack to ~9 bytes/uop — about 7× smaller than the old
-// slice. Each chunk also carries the absolute base values of its first uop,
-// so chunks decode independently of one another; that independence is what
-// lets the file reader and the shared recording stream or drop decoded
-// chunks at will.
+// Synthetic traces pack to ~8 bytes/uop on disk, against 40 for a flat
+// uop.UOp. Each chunk also carries the absolute base values of its first
+// uop, so chunks decode independently of one another; that independence
+// is what lets the stream reader replay a file one recycled chunk at a
+// time.
 //
-// A decoded chunk is a ChunkView: a flat []uop.UOp, materialized once per
-// chunk so replay stays a plain slice copy. Views over shared recordings
-// are immutable once published; streaming readers recycle a private view.
+// A decoded chunk is a ChunkView: a flat []uop.UOp, so replay stays a
+// plain slice read. In-process recordings (materialize.go) never pack:
+// they hold each chunk once, flat, as the generator produced it.
 
 const (
 	chunkShift = 12
-	// ChunkUops is the fixed population of a full packed chunk (the last
-	// chunk of a file may be shorter). Replay cursors and the Batches
-	// adapter align to it.
+	// ChunkUops is the fixed population of a recording chunk and of a
+	// full file chunk (the last chunk of a file may be shorter). Replay
+	// cursors and the Batches adapter align to it.
 	ChunkUops = 1 << chunkShift
 )
 
@@ -160,24 +157,11 @@ func (e *chunkEncoder) seal() *packedChunk {
 	return c
 }
 
-// packUops is the one-shot form: packs len(us) uops (≤ ChunkUops) into a
-// sealed chunk.
-func packUops(us []uop.UOp) *packedChunk {
-	var e chunkEncoder
-	e.begin()
-	for _, u := range us {
-		e.add(u)
-	}
-	return e.seal()
-}
-
 // ChunkView is one decoded chunk: a flat []uop.UOp ready for the replay
-// hot path. Replay is a straight slice copy — a per-uop column gather
-// measures ~9× slower than copying a flat record, so decoding pays the
-// gather exactly once per chunk (amortized across every cursor and every
-// configuration that replays the chunk) and the steady state touches only
-// the flat form. Views published on a shared recording are immutable;
-// streaming readers recycle a private view through buf.
+// hot path. Replay is a straight slice read — a per-uop column gather
+// measures ~9× slower than copying a flat record — so a reader pays the
+// gather once per chunk and the consumer touches only the flat form.
+// Readers recycle one view through buf.
 type ChunkView struct {
 	us  []uop.UOp // decoded uops, buf[:n]
 	buf []uop.UOp // backing storage, reused across decodes
@@ -308,15 +292,6 @@ func (c *packedChunk) decode(v *ChunkView) error {
 		return fmt.Errorf("trace: chunk store stream has %d trailing bytes", len(p))
 	}
 	return nil
-}
-
-// decodeChunk is decode into a fresh view (shared-recording publication).
-func (c *packedChunk) decodeChunk() (*ChunkView, error) {
-	v := &ChunkView{}
-	if err := c.decode(v); err != nil {
-		return nil, err
-	}
-	return v, nil
 }
 
 // marshal serializes the chunk as a file-v2 payload:

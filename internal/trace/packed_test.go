@@ -1,6 +1,22 @@
 package trace
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"loadsched/internal/uop"
+)
+
+// packUops packs len(us) uops (≤ ChunkUops) into one sealed chunk.
+func packUops(us []uop.UOp) *packedChunk {
+	var e chunkEncoder
+	e.begin()
+	for _, u := range us {
+		e.add(u)
+	}
+	return e.seal()
+}
 
 // TestPackedChunkRoundTrip pins the codec: generator uops packed chunk by
 // chunk, marshaled to the file payload form, unmarshaled and decoded, must
@@ -19,8 +35,8 @@ func TestPackedChunkRoundTrip(t *testing.T) {
 		if err := unmarshalChunk(payload, &c, ChunkUops); err != nil {
 			t.Fatalf("unmarshal chunk at %d: %v", off, err)
 		}
-		v, err := c.decodeChunk()
-		if err != nil {
+		var v ChunkView
+		if err := c.decode(&v); err != nil {
 			t.Fatalf("decode chunk at %d: %v", off, err)
 		}
 		if v.Len() != len(us) {
@@ -49,8 +65,8 @@ func TestPackedNonDenseSeq(t *testing.T) {
 	if c.dense {
 		t.Fatal("gapped Seq chunk marked dense")
 	}
-	v, err := c.decodeChunk()
-	if err != nil {
+	var v ChunkView
+	if err := c.decode(&v); err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range us {
@@ -99,25 +115,45 @@ func TestUnmarshalChunkRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRecordingPackedDensity pins the tentpole target: the shared
-// recording must cost at most 16 bytes per uop (it packs to ~9 in
-// practice, versus 64 for the old []uop.UOp buffer).
-func TestRecordingPackedDensity(t *testing.T) {
-	p := Profile{Name: "packed-density", Seed: 33}
-	c := Replay(p)
+// TestRecordingFootprint pins what a recording holds: each chunk once,
+// as flat uops plus side-car (52 bytes/uop), with no packed copy beside
+// them. The accounted bytes must say so, and so must the live heap the
+// recording actually retains.
+func TestRecordingFootprint(t *testing.T) {
 	const n = 16 * ChunkUops
-	for i := 0; i < n; i++ {
-		c.Next()
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
 	}
-	r := Materialize(p)
-	if r.Len() < n {
-		t.Fatalf("recording holds %d uops, want at least %d", r.Len(), n)
+	before := heap()
+	r := newRecording(Profile{Name: "footprint", Seed: 33})
+	c := &Cursor{rec: r}
+	for seen := 0; seen < n; {
+		us, _, _ := c.NextBatchRef()
+		seen += len(us)
 	}
-	perUop := float64(r.PackedBytes()) / float64(r.Len())
-	if perUop > 16 {
-		t.Fatalf("recording costs %.2f bytes/uop, want <= 16", perUop)
+	live := float64(int64(heap())-int64(before)) / n
+	runtime.KeepAlive(c)
+
+	if r.Len() != n {
+		t.Fatalf("recording holds %d uops, want %d", r.Len(), n)
 	}
-	t.Logf("recording density: %.2f bytes/uop over %d uops", perUop, r.Len())
+	if b := r.PackedBytes(); b != 0 {
+		t.Fatalf("recording holds %d packed bytes, want none", b)
+	}
+	perUop := float64(int64(r.Len())*int64(unsafe.Sizeof(uop.UOp{}))+r.SidecarBytes()) / float64(r.Len())
+	if perUop > 52 {
+		t.Fatalf("recording accounts %.2f bytes/uop, want <= 52 (flat uops + side-car)", perUop)
+	}
+	// The live heap adds the generator and the chunk slots to the chunks
+	// themselves; a second copy of the stream (a packed form at ~8
+	// bytes/uop) would not fit under this bound.
+	if live > 56 {
+		t.Fatalf("recording retains %.2f heap bytes/uop, want <= 56", live)
+	}
+	t.Logf("recording footprint: %.2f accounted, %.2f live heap bytes/uop over %d uops", perUop, live, n)
 }
 
 // TestCursorNextBatchMatchesNext pins the batch path (NextBatchRef) to the

@@ -115,7 +115,7 @@ type UOp struct {
 // Seq/StoreID renumbering replay sources apply when a finite trace wraps.
 //
 // The struct packs to 12 bytes; the side-car rides next to the 40-byte uop
-// itself, so a chunk's side-car costs ~30% of its decoded view.
+// itself, so a chunk's side-car costs 30% of its flat uops.
 type Dep struct {
 	// IPHash is HashIP(IP), precomputed so predictor-indexing policies can
 	// fold a 64-bit IP without rehashing per configuration.
