@@ -176,10 +176,11 @@ func TestStreamReaderDepsMatchGroundTruth(t *testing.T) {
 	}
 }
 
-// TestRecordingSidecarDensity pins the side-car's memory cost alongside the
-// packed-chunk density: exactly 12 bytes per uop of built chunk, and the
-// Dep struct itself must stay at 12 bytes — it is the unit the accounting
-// and the ~30%-of-view overhead story are based on.
+// TestRecordingSidecarDensity pins the side-car's memory cost (the whole
+// recording's is TestRecordingFootprint): exactly 12 bytes per uop of
+// recorded chunk, and the Dep struct itself must stay at 12 bytes — it is
+// the unit the accounting and the 30%-of-the-flat-uops overhead are based
+// on.
 func TestRecordingSidecarDensity(t *testing.T) {
 	if sz := unsafe.Sizeof(uop.Dep{}); int64(sz) != depSize {
 		t.Fatalf("uop.Dep is %d bytes, accounting assumes %d", sz, depSize)
