@@ -7,14 +7,20 @@
 //	loadsched figure <5|6|7|8|9|10|11|12> [flags]   reproduce one paper figure
 //	loadsched all [flags]                           reproduce every figure
 //	loadsched run [flags]                           one simulation, full stats
+//	loadsched sweep <kind> [flags]                  sensitivity sweep (window |
+//	                                                penalty | chtsize | bankpolicies)
 //	loadsched cpistack [flags]                      per-group CPI stack view
 //	loadsched tournament [flags]                    race the policy zoo per group
 //	loadsched serve [flags]                         HTTP job API over the pool
+//	loadsched trace record|info [flags]             write or inspect a trace file
+//	loadsched replay -f FILE [flags]                simulate a recorded trace file
 //	loadsched traces                                list the trace groups
 //
-// Flags (figure/all/run/sweep):
+// The job commands are figure, all, sweep, cpistack and tournament. Each
+// becomes one serve job, run here or, with -remote, by a server; both
+// paths emit the same records. Their flags:
 //
-//	-uops N     measured uops per trace (default 200000)
+//	-uops N     measured uops per trace (default 200000, must be positive)
 //	-warmup N   warmup uops per trace (default 40000, -1 = none)
 //	-traces N   traces per group (default all)
 //	-quick      small preset (60K uops, 2 traces/group)
@@ -22,20 +28,26 @@
 //	            output is byte-identical for every setting
 //	-format F   output format: table (default) | json | csv; json/csv emit
 //	            versioned records (schema loadsched.results/v1)
-//	-out DIR    write one result file per figure into DIR instead of stdout
+//	-out DIR    write one result file per record into DIR instead of stdout
 //	-v          print a runner observability summary (jobs, memo hits,
 //	            coalesces, disk hits, sim wall time) to stderr; with
 //	            -format json the counters also ride in the report envelope
 //	-store DIR  layer a persistent segment-log result store under the
 //	            memo cache: results survive the process and later runs load
 //	            them instead of simulating
+//	-chart      (figure, all) also render bar charts under the tables
+//	-group G    (sweep) trace group the sweep runs over (default SysmarkNT)
 //	-remote A   submit the job to a running `loadsched serve` at address A
 //	            (requires -format json or csv); records stream back and are
-//	            re-emitted byte-identically to a local run
+//	            re-emitted byte-identically to a local run. With -remote a
+//	            command takes -uops, -warmup, -traces, -quick, -format, -out,
+//	            -v, -chart and -group; -store, -j and the profiles act on a
+//	            local run only, so naming one is a usage error
 //	-cpuprofile/-memprofile/-trace F   write pprof / execution-trace data
 //
 // Flags (run):
 //
+//	-uops N -warmup N   measured and warmup uops
 //	-group G -trace T   workload (default SysmarkNT/ex)
 //	-scheme S           ordering scheme (traditional opportunistic postponing
 //	                    inclusive exclusive perfect)
@@ -50,7 +62,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
@@ -62,7 +73,6 @@ import (
 	"loadsched/internal/memdep"
 	"loadsched/internal/ooo"
 	"loadsched/internal/results"
-	"loadsched/internal/runner"
 	"loadsched/internal/serve"
 	"loadsched/internal/stats"
 	"loadsched/internal/trace"
@@ -79,23 +89,20 @@ func main() {
 		if len(args) < 1 {
 			fatal("figure: missing number (5-12)")
 		}
-		runFigures("figure", []string{args[0]}, args[1:])
-	case "all":
-		runFigures("all", []string{"5", "6", "7", "8", "9", "10", "11", "12"}, args)
+		runJob(serve.Job{Command: "figure", Figures: args[:1]}, args[1:])
+	case "all", "cpistack", "tournament":
+		runJob(serve.Job{Command: cmd}, args)
+	case "sweep":
+		if len(args) < 1 {
+			fatal("sweep: missing kind (window | penalty | chtsize | bankpolicies)")
+		}
+		runJob(serve.Job{Command: "sweep", Sweep: args[0]}, args[1:])
 	case "run":
 		runSingle(args)
-	case "sweep":
-		runSweep(args)
-	case "cpistack":
-		runCPIStack(args)
-	case "tournament":
-		runTournament(args)
 	case "serve":
 		runServe(args)
 	case "trace":
 		runTraceCmd(args)
-	case "record":
-		runRecord(args)
 	case "replay":
 		runReplay(args)
 	case "traces":
@@ -113,18 +120,19 @@ commands:
   figure <5..12> [flags]  reproduce one paper figure
   all [flags]             reproduce all figures
   run [flags]             single simulation with full statistics
-  sweep <kind> [flags]    sensitivity sweeps: window | penalty | chtsize
+  sweep <kind> [flags]    sensitivity sweeps: window | penalty | chtsize | bankpolicies
   cpistack [flags]        attribute every cycle to a stall cause per group
   tournament [flags]      race the related-work policy zoo per trace group
   serve [flags]           HTTP job API: -addr -store -j -jobs -queue
-  trace record|info       trace-file toolbox: write (v2/v1), validate, inspect
-  record -o f [flags]     serialize a synthetic trace to a file (= trace record)
+  trace record|info       trace-file toolbox: write (v2), validate, inspect
   replay -f f [flags]     simulate a recorded trace file (streamed, constant RSS)
   traces                  list trace groups and members
-run 'loadsched <cmd> -h' style flags: -uops -warmup -traces -quick -j
-plus -format table|json|csv, -out DIR, -v, -cpuprofile -memprofile -trace;
+the job commands (figure, all, sweep, cpistack, tournament) take -uops
+-warmup -traces -quick -j, -format table|json|csv, -out DIR, -v,
+-cpuprofile -memprofile -trace, plus -chart (figure, all) and -group (sweep);
 -store DIR layers a persistent result store under the memo cache;
--remote ADDR submits the job to a running 'loadsched serve' instead;
+-remote ADDR submits the job to a running 'loadsched serve' instead, and
+then takes neither -store nor -j nor a profile;
 'run' also takes -group -trace -scheme -window -hmp -json (and -exectrace
 in place of -trace for execution tracing)`)
 }
@@ -147,7 +155,13 @@ func parseFlags(fs *flag.FlagSet, args []string) {
 	for i, a := range fs.Args() {
 		quoted[i] = strconv.Quote(a)
 	}
-	fmt.Fprintf(fs.Output(), "loadsched %s: unexpected arguments %s\n", fs.Name(), strings.Join(quoted, " "))
+	usageError(fs, "unexpected arguments %s", strings.Join(quoted, " "))
+}
+
+// usageError reports a misuse of fs's command, prints the command's flags
+// and exits 2, as flag does for a flag it cannot parse.
+func usageError(fs *flag.FlagSet, format string, a ...any) {
+	fmt.Fprintf(fs.Output(), "loadsched %s: %s\n", fs.Name(), fmt.Sprintf(format, a...))
 	fs.Usage()
 	os.Exit(2)
 }
@@ -161,16 +175,16 @@ func optionFlags(fs *flag.FlagSet) *experiments.Options {
 	return &o
 }
 
-// applyQuick replaces the options with the quick preset while preserving the
-// flags (like -j) and wiring (the pool) the preset does not cover.
+// applyQuick replaces the options with the quick preset, keeping -j, which
+// the preset does not cover.
 func applyQuick(o *experiments.Options) {
-	workers, pool := o.Workers, o.Pool
+	workers := o.Workers
 	*o = experiments.Quick()
-	o.Workers, o.Pool = workers, pool
+	o.Workers = workers
 }
 
-// outputOptions are the observability and emission flags shared by the
-// figure, all and sweep commands.
+// outputOptions are the observability and emission flags shared by the job
+// commands; run registers only the profiling ones.
 type outputOptions struct {
 	format     string
 	out        string
@@ -185,7 +199,7 @@ type outputOptions struct {
 func outputFlags(fs *flag.FlagSet) *outputOptions {
 	op := &outputOptions{}
 	fs.StringVar(&op.format, "format", "table", "output format: table | json | csv")
-	fs.StringVar(&op.out, "out", "", "write one result file per figure into this directory")
+	fs.StringVar(&op.out, "out", "", "write one result file per record into this directory")
 	fs.BoolVar(&op.verbose, "v", false, "print a runner observability summary to stderr")
 	fs.StringVar(&op.store, "store", "", "persistent result store directory (disk-backed second-level cache)")
 	fs.StringVar(&op.remote, "remote", "", "submit the job to a `loadsched serve` address instead of simulating locally")
@@ -260,293 +274,6 @@ func (op *outputOptions) startProfiling() func() {
 		for i := len(stops) - 1; i >= 0; i-- {
 			stops[i]()
 		}
-	}
-}
-
-// runnerCounters converts a pool's counter snapshot to the JSON envelope
-// form, for both the -v summary and the report's Runner field. The
-// conversion lives in serve (the done-line uses the identical one).
-func runnerCounters(pool *runner.Pool) results.RunnerCounters {
-	return serve.Counters(pool)
-}
-
-func runFigures(name string, figs []string, args []string) {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	o := optionFlags(fs)
-	quick := fs.Bool("quick", false, "small fast preset")
-	chart := fs.Bool("chart", false, "also render bar charts (table format)")
-	op := outputFlags(fs)
-	parseFlags(fs, args)
-	if *quick {
-		applyQuick(o)
-	}
-	if op.remote != "" {
-		job := serve.Job{Command: "figure", Figures: figs}
-		command := "figure " + strings.Join(figs, " ")
-		if len(figs) == 8 {
-			job = serve.Job{Command: "all"}
-			command = "all"
-		}
-		runRemote(op, job, command, o)
-		return
-	}
-	op.attachStore()
-	// One pool for the whole invocation, so the -v counters aggregate every
-	// figure's jobs (drivers would otherwise each resolve a fresh pool).
-	pool := runner.New(o.Workers)
-	o.Pool = pool
-	stop := op.startProfiling()
-	defer stop()
-
-	switch op.format {
-	case "table":
-		for _, f := range figs {
-			tbl, ch, _ := figureData(f, *o)
-			if op.out != "" {
-				text := tbl.String()
-				if *chart && ch != nil {
-					text += "\n" + ch.String()
-				}
-				writeOut(op.out, "fig"+f+".txt", []byte(text))
-				continue
-			}
-			tbl.Render(os.Stdout)
-			if *chart && ch != nil {
-				fmt.Println()
-				ch.Render(os.Stdout)
-			}
-			fmt.Println()
-		}
-	case "json", "csv":
-		recs := make([]results.Record, 0, len(figs))
-		for _, f := range figs {
-			_, _, rec := figureData(f, *o)
-			recs = append(recs, rec)
-		}
-		command := "figure " + strings.Join(figs, " ")
-		if len(figs) == 8 {
-			command = "all"
-		}
-		report := results.NewReport(command, results.Options{
-			Uops: o.Uops, Warmup: o.Warmup, TracesPerGroup: o.TracesPerGroup}, recs)
-		if op.verbose {
-			rc := runnerCounters(pool)
-			report.Runner = &rc
-		}
-		if err := report.Validate(); err != nil {
-			fatal("internal: %v", err)
-		}
-		emitReport(report, op)
-	default:
-		fatal("unknown format %q (want table | json | csv)", op.format)
-	}
-	if op.verbose {
-		fmt.Fprintln(os.Stderr, runnerCounters(pool))
-	}
-}
-
-// emitReport writes a validated report to stdout, or one file per record
-// into -out DIR.
-func emitReport(report results.Report, op *outputOptions) {
-	if op.out == "" {
-		var err error
-		if op.format == "json" {
-			err = results.WriteJSON(os.Stdout, report)
-		} else {
-			err = results.WriteReportCSV(os.Stdout, report)
-		}
-		if err != nil {
-			fatal("emit: %v", err)
-		}
-		return
-	}
-	for _, rec := range report.Records {
-		var b strings.Builder
-		var err error
-		if op.format == "json" {
-			// Per-figure files carry the full envelope so each file is
-			// independently consumable.
-			one := report
-			one.Records = []results.Record{rec}
-			err = results.WriteJSON(&b, one)
-		} else {
-			err = results.WriteCSV(&b, rec)
-		}
-		if err != nil {
-			fatal("emit %s: %v", rec.ID, err)
-		}
-		writeOut(op.out, rec.ID+"."+op.format, []byte(b.String()))
-	}
-}
-
-// writeOut writes one output file under dir, creating the directory, and
-// exits through fatal on any failure.
-func writeOut(dir, name string, data []byte) {
-	path, err := writeResultFile(dir, name, data)
-	if err != nil {
-		fatal("out: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-}
-
-// writeResultFile writes one result file under dir and reports write AND
-// close errors. Result files are the tool's product; a close-time flush
-// failure (full disk, remote filesystem) silently truncates them if only
-// the write is checked.
-func writeResultFile(dir, name string, data []byte) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return "", fmt.Errorf("writing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return "", fmt.Errorf("closing %s: %w", path, err)
-	}
-	return path, nil
-}
-
-// figureData runs one figure and derives every view — table, chart and
-// structured record — from the same rows, so the driver executes once.
-func figureData(f string, o experiments.Options) (stats.Table, *stats.BarChart, results.Record) {
-	switch f {
-	case "5":
-		rows := experiments.Fig5(o)
-		return experiments.Fig5Table(rows), experiments.Fig5Chart(rows), experiments.Fig5Record(o, rows)
-	case "6":
-		rows := experiments.Fig6(o)
-		return experiments.Fig6Table(rows), experiments.Fig6Chart(rows), experiments.Fig6Record(o, rows)
-	case "7":
-		r := experiments.Fig7(o)
-		return experiments.Fig7Table(r), experiments.Fig7Chart(r), experiments.Fig7Record(o, r)
-	case "8":
-		cells := experiments.Fig8(o)
-		return experiments.Fig8Table(cells), nil, experiments.Fig8Record(o, cells)
-	case "9":
-		rows := experiments.Fig9(o)
-		return experiments.Fig9Table(rows), nil, experiments.Fig9Record(o, rows)
-	case "10":
-		rows := experiments.Fig10(o)
-		return experiments.Fig10Table(rows), nil, experiments.Fig10Record(o, rows)
-	case "11":
-		cells := experiments.Fig11(o)
-		return experiments.Fig11Table(cells), experiments.Fig11Chart(cells), experiments.Fig11Record(o, cells)
-	case "12":
-		rows := experiments.Fig12(o)
-		return experiments.Fig12Table(rows), experiments.Fig12Chart(rows, 5), experiments.Fig12Record(o, rows)
-	default:
-		fatal("unknown figure %q (want 5-12)", f)
-		panic("unreachable")
-	}
-}
-
-// runCPIStack reproduces the CPI-stack view: every simulated cycle of each
-// trace group attributed to a stall cause, contrasting the Traditional
-// baseline against the Inclusive CHT scheme.
-func runCPIStack(args []string) {
-	fs := flag.NewFlagSet("cpistack", flag.ExitOnError)
-	o := optionFlags(fs)
-	quick := fs.Bool("quick", false, "small fast preset")
-	op := outputFlags(fs)
-	parseFlags(fs, args)
-	if *quick {
-		applyQuick(o)
-	}
-	if op.remote != "" {
-		runRemote(op, serve.Job{Command: "cpistack"}, "cpistack", o)
-		return
-	}
-	op.attachStore()
-	pool := runner.New(o.Workers)
-	o.Pool = pool
-	stop := op.startProfiling()
-	defer stop()
-
-	rows := experiments.CPIStacks(*o)
-	switch op.format {
-	case "table":
-		tbl := experiments.CPIStackTable(rows)
-		if op.out != "" {
-			writeOut(op.out, "cpistack.txt", []byte(tbl.String()))
-			break
-		}
-		tbl.Render(os.Stdout)
-	case "json", "csv":
-		rec := experiments.CPIStackRecord(*o, rows)
-		report := results.NewReport("cpistack", results.Options{
-			Uops: o.Uops, Warmup: o.Warmup, TracesPerGroup: o.TracesPerGroup},
-			[]results.Record{rec})
-		if op.verbose {
-			rc := runnerCounters(pool)
-			report.Runner = &rc
-		}
-		if err := report.Validate(); err != nil {
-			fatal("internal: %v", err)
-		}
-		emitReport(report, op)
-	default:
-		fatal("unknown format %q (want table | json | csv)", op.format)
-	}
-	if op.verbose {
-		fmt.Fprintln(os.Stderr, runnerCounters(pool))
-	}
-}
-
-// runTournament races the built-in policy against the internal/policies
-// zoo on every trace group, ranked on CPI, with each row's cycle
-// attribution showing where a policy's prediction moved the stall time.
-func runTournament(args []string) {
-	fs := flag.NewFlagSet("tournament", flag.ExitOnError)
-	o := optionFlags(fs)
-	quick := fs.Bool("quick", false, "small fast preset")
-	op := outputFlags(fs)
-	parseFlags(fs, args)
-	if *quick {
-		applyQuick(o)
-	}
-	if op.remote != "" {
-		runRemote(op, serve.Job{Command: "tournament"}, "tournament", o)
-		return
-	}
-	op.attachStore()
-	pool := runner.New(o.Workers)
-	o.Pool = pool
-	stop := op.startProfiling()
-	defer stop()
-
-	rows := experiments.Tournament(*o)
-	switch op.format {
-	case "table":
-		tbl := experiments.TournamentTable(rows)
-		if op.out != "" {
-			writeOut(op.out, "tournament.txt", []byte(tbl.String()))
-			break
-		}
-		tbl.Render(os.Stdout)
-	case "json", "csv":
-		rec := experiments.TournamentRecord(*o, rows)
-		report := results.NewReport("tournament", results.Options{
-			Uops: o.Uops, Warmup: o.Warmup, TracesPerGroup: o.TracesPerGroup},
-			[]results.Record{rec})
-		if op.verbose {
-			rc := runnerCounters(pool)
-			report.Runner = &rc
-		}
-		if err := report.Validate(); err != nil {
-			fatal("internal: %v", err)
-		}
-		emitReport(report, op)
-	default:
-		fatal("unknown format %q (want table | json | csv)", op.format)
-	}
-	if op.verbose {
-		fmt.Fprintln(os.Stderr, runnerCounters(pool))
 	}
 }
 

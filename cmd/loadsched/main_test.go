@@ -39,7 +39,6 @@ func TestStrayArgumentsRejected(t *testing.T) {
 		{"tournament", []string{"tournament", "junk", "-quick"}, []string{"junk", "-quick"}},
 		{"serve", []string{"serve", "junk"}, []string{"junk"}},
 		{"trace record", []string{"trace", "record", "-o", out, "junk"}, []string{"junk"}},
-		{"record", []string{"record", "-o", out, "junk"}, []string{"junk"}},
 		{"replay", []string{"replay", "-f", out, "junk", "-v"}, []string{"junk", "-v"}},
 		{"traces", []string{"traces", "junk"}, []string{"junk"}},
 	} {
@@ -62,6 +61,39 @@ func TestStrayArgumentsRejected(t *testing.T) {
 	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("a rejected record wrote %s (stat: %v)", out, err)
 	}
+}
+
+// TestRecordCommandRemoved: the top-level `record` was a subset of `trace
+// record` and is gone; it is now an unknown command.
+func TestRecordCommandRemoved(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "t.lsut")
+	stdout, stderr, code := runCLI(t, "record", "-o", out, "-n", "100")
+	if code != 1 || stdout != "" || !strings.Contains(stderr, `unknown command "record"`) {
+		t.Fatalf("record: exit %d, stdout %q, stderr %q; want exit 1 naming the unknown command", code, stdout, stderr)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("record wrote %s (stat: %v)", out, err)
+	}
+}
+
+// runCLI runs loadsched with args in a child process and returns its
+// stdout, stderr and exit status.
+func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "LOADSCHED_TEST_MAIN=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	default:
+		t.Fatalf("running loadsched %v: %v", args, err)
+	}
+	return out.String(), errOut.String(), code
 }
 
 func TestWriteResultFile(t *testing.T) {

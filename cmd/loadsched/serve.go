@@ -11,8 +11,6 @@ import (
 	"syscall"
 	"time"
 
-	"loadsched/internal/experiments"
-	"loadsched/internal/results"
 	"loadsched/internal/runner"
 	"loadsched/internal/serve"
 	"loadsched/internal/store"
@@ -78,36 +76,5 @@ func runServe(args []string) {
 	}()
 	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fatal("serve: %v", err)
-	}
-}
-
-// runRemote submits a job to the -remote serve endpoint and re-emits the
-// streamed records through the same formatting path local runs use, so a
-// remote `-format json` run is byte-identical to the local one. The server's
-// per-job counters replace the local pool's in -v output — that is how a
-// client proves a warm store run simulated nothing.
-func runRemote(op *outputOptions, job serve.Job, command string, o *experiments.Options) {
-	if op.format != "json" && op.format != "csv" {
-		fatal("-remote requires -format json or csv (tables render locally; ask for json)")
-	}
-	job.Options = results.Options{Uops: o.Uops, Warmup: o.Warmup, TracesPerGroup: o.TracesPerGroup}
-	var recs []results.Record
-	rc, err := serve.NewClient(op.remote).Do(job, func(rec results.Record) error {
-		recs = append(recs, rec)
-		return nil
-	})
-	if err != nil {
-		fatal("%v", err)
-	}
-	report := results.NewReport(command, job.Options, recs)
-	if op.verbose {
-		report.Runner = rc
-	}
-	if err := report.Validate(); err != nil {
-		fatal("internal: %v", err)
-	}
-	emitReport(report, op)
-	if op.verbose {
-		fmt.Fprintln(os.Stderr, *rc)
 	}
 }

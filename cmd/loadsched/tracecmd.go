@@ -4,15 +4,16 @@ import (
 	"flag"
 	"fmt"
 
+	"loadsched/internal/ooo"
 	"loadsched/internal/trace"
 	"loadsched/internal/uop"
 )
 
 // runTraceCmd implements `loadsched trace <record|info>`: the trace-file
-// toolbox. `trace record` serializes a synthetic trace (v2 packed-chunk
-// format by default, -v1 for the legacy flat format); `trace info`
-// validates a file — structure, per-chunk CRCs, Seq monotonicity — and
-// reports its shape and packing density without materializing it.
+// toolbox. `trace record` serializes a synthetic trace in the v2
+// packed-chunk format; `trace info` validates a file of either version —
+// structure, per-chunk CRCs, Seq monotonicity — and reports its shape and
+// packing density without materializing it.
 func runTraceCmd(args []string) {
 	if len(args) < 1 {
 		fatal("trace: missing subcommand (record | info)")
@@ -33,7 +34,6 @@ func runTraceRecord(args []string) {
 	traceName := fs.String("trace", "ex", "trace name")
 	n := fs.Int("n", 300_000, "uops to record")
 	out := fs.String("o", "", "output file (required)")
-	v1 := fs.Bool("v1", false, "write the legacy flat v1 format")
 	parseFlags(fs, args)
 	if *out == "" {
 		fatal("trace record: -o <file> is required")
@@ -42,14 +42,10 @@ func runTraceRecord(args []string) {
 	if !ok {
 		fatal("unknown trace %s/%s", *group, *traceName)
 	}
-	write, version := trace.WriteTraceFile, 2
-	if *v1 {
-		write, version = trace.WriteTraceFileV1, 1
-	}
-	if err := write(*out, p, *n); err != nil {
+	if err := trace.WriteTraceFile(*out, p, *n); err != nil {
 		fatal("trace record: %v", err)
 	}
-	fmt.Printf("recorded %d uops of %s/%s to %s (format v%d)\n", *n, *group, *traceName, *out, version)
+	fmt.Printf("recorded %d uops of %s/%s to %s (format v2)\n", *n, *group, *traceName, *out)
 }
 
 func runTraceInfo(args []string) {
@@ -81,4 +77,38 @@ func runTraceInfo(args []string) {
 		fmt.Printf("  %s %d (%.1f%%)", uop.Kind(k), n, 100*float64(n)/float64(fi.Uops))
 	}
 	fmt.Println()
+}
+
+// runReplay implements `loadsched replay`: simulate a recorded trace file.
+func runReplay(args []string) {
+	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+	file := fs.String("f", "", "trace file (required)")
+	scheme := fs.String("scheme", "traditional", "memory ordering scheme")
+	window := fs.Int("window", 32, "scheduling window entries")
+	warmup := fs.Int("warmup", 40_000, "warmup uops")
+	uops := fs.Int("uops", 0, "measured uops (default: file length - warmup)")
+	parseFlags(fs, args)
+	if *file == "" {
+		fatal("replay: -f <file> is required")
+	}
+	// Stream the file instead of materializing it: replay memory stays
+	// O(one decoded chunk) no matter how long the trace is.
+	rd, err := trace.StreamTraceFile(*file)
+	if err != nil {
+		fatal("replay: %v", err)
+	}
+	defer rd.Close()
+	cfg, err := machineConfig(*scheme, *window, *warmup)
+	if err != nil {
+		fatal("replay: %v", err)
+	}
+	n := *uops
+	if n <= 0 {
+		n = int(rd.Uops()) - *warmup
+		if n <= 0 {
+			fatal("replay: trace shorter than warmup")
+		}
+	}
+	st := ooo.NewEngine(cfg, rd).Run(n)
+	printRunStats("file", *file, cfg, st)
 }

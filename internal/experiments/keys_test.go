@@ -23,7 +23,7 @@ func runJobDrivers(t *testing.T, o Options) {
 	Fig11(o)
 	for _, kind := range []string{"window", "penalty", "chtsize"} {
 		for _, g := range trace.GroupNames() {
-			if _, err := SweepTable(kind, g, o); err != nil {
+			if _, err := sweepTable(kind, g, o); err != nil {
 				t.Fatal(err)
 			}
 		}

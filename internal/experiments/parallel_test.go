@@ -6,7 +6,7 @@ import (
 
 	"loadsched/internal/results"
 	"loadsched/internal/runner"
-	"loadsched/internal/stats"
+	"loadsched/internal/trace"
 )
 
 // parallelOptions builds the quick preset on an isolated pool, so the test
@@ -20,50 +20,40 @@ func parallelOptions(workers int) Options {
 	return o
 }
 
-// TestFiguresDeterministicAcrossWorkers renders every figure's table and
-// machine-readable record serially and on a wide pool and requires
-// byte-identical text and JSON — the property that makes -j safe to
-// default on and lets shape checks diff emitted records across runs.
+// TestFiguresDeterministicAcrossWorkers runs every experiment serially
+// and on a wide pool and requires byte-identical text (table and chart)
+// and JSON — the property that makes -j safe to default on and lets shape
+// checks diff emitted records across runs. The text and the record of a
+// side come from one run, as the CLI renders them.
 func TestFiguresDeterministicAcrossWorkers(t *testing.T) {
-	figures := map[string]struct {
-		table  func(Options) stats.Table
-		record string // FigureRecord id; the table and record share o's pool
-	}{
-		"fig5":     {func(o Options) stats.Table { return Fig5Table(Fig5(o)) }, "fig5"},
-		"fig6":     {func(o Options) stats.Table { return Fig6Table(Fig6(o)) }, "fig6"},
-		"fig7":     {func(o Options) stats.Table { return Fig7Table(Fig7(o)) }, "fig7"},
-		"fig8":     {func(o Options) stats.Table { return Fig8Table(Fig8(o)) }, "fig8"},
-		"fig9":     {func(o Options) stats.Table { return Fig9Table(Fig9(o)) }, "fig9"},
-		"fig10":    {func(o Options) stats.Table { return Fig10Table(Fig10(o)) }, "fig10"},
-		"fig11":    {func(o Options) stats.Table { return Fig11Table(Fig11(o)) }, "fig11"},
-		"fig12":    {func(o Options) stats.Table { return Fig12Table(Fig12(o)) }, "fig12"},
-		"policies": {func(o Options) stats.Table { return BankPoliciesTable(BankPolicies(o)) }, "bankpolicies"},
-	}
-	emit := func(t *testing.T, id string, o Options) []byte {
+	render := func(t *testing.T, id string, o Options) (string, []byte) {
 		t.Helper()
-		rec, err := FigureRecord(id, o)
+		res, err := Run(id, trace.GroupSysmarkNT, o)
 		if err != nil {
-			t.Fatalf("FigureRecord(%q): %v", id, err)
+			t.Fatalf("Run(%q): %v", id, err)
 		}
-		if err := rec.Validate(); err != nil {
+		if err := res.Record.Validate(); err != nil {
 			t.Fatalf("record %q invalid: %v", id, err)
 		}
+		tbl := res.Table()
+		text := tbl.String()
+		if res.Chart != nil {
+			text += res.Chart().String()
+		}
 		var buf bytes.Buffer
-		if err := results.WriteJSON(&buf, results.NewReport("test", rec.Options, []results.Record{rec})); err != nil {
+		if err := results.WriteJSON(&buf, results.NewReport("test", res.Record.Options, []results.Record{res.Record})); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return text, buf.Bytes()
 	}
-	for name, fig := range figures {
-		t.Run(name, func(t *testing.T) {
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			o1, o8 := parallelOptions(1), parallelOptions(8)
-			serialTbl, wideTbl := fig.table(o1), fig.table(o8)
-			serial, wide := serialTbl.String(), wideTbl.String()
+			serial, j1 := render(t, id, parallelOptions(1))
+			wide, j8 := render(t, id, parallelOptions(8))
 			if serial != wide {
-				t.Fatalf("-j1 and -j8 tables differ:\n--- j1 ---\n%s\n--- j8 ---\n%s", serial, wide)
+				t.Fatalf("-j1 and -j8 text differs:\n--- j1 ---\n%s\n--- j8 ---\n%s", serial, wide)
 			}
-			j1, j8 := emit(t, fig.record, o1), emit(t, fig.record, o8)
 			if !bytes.Equal(j1, j8) {
 				t.Fatalf("-j1 and -j8 JSON records differ:\n--- j1 ---\n%s\n--- j8 ---\n%s", j1, j8)
 			}

@@ -190,34 +190,11 @@ func BankPoliciesRecord(o Options, rows []BankPolicyRow) results.Record {
 		"§2.3 combination policies for bank prediction (SpecInt95)", "", recordOptions(o), out)
 }
 
-// FigureRecord runs one figure by ID and returns its structured record.
+// FigureRecord runs one experiment by ID (see IDs) and returns its
+// structured record.
 func FigureRecord(id string, o Options) (results.Record, error) {
-	switch id {
-	case "fig5":
-		return Fig5Record(o, Fig5(o)), nil
-	case "fig6":
-		return Fig6Record(o, Fig6(o)), nil
-	case "fig7":
-		return Fig7Record(o, Fig7(o)), nil
-	case "fig8":
-		return Fig8Record(o, Fig8(o)), nil
-	case "fig9":
-		return Fig9Record(o, Fig9(o)), nil
-	case "fig10":
-		return Fig10Record(o, Fig10(o)), nil
-	case "fig11":
-		return Fig11Record(o, Fig11(o)), nil
-	case "fig12":
-		return Fig12Record(o, Fig12(o)), nil
-	case "bankpolicies":
-		return BankPoliciesRecord(o, BankPolicies(o)), nil
-	case "cpistack":
-		return CPIStackRecord(o, CPIStacks(o)), nil
-	case "tournament":
-		return TournamentRecord(o, Tournament(o)), nil
-	default:
-		return results.Record{}, fmt.Errorf("experiments: unknown figure record %q", id)
-	}
+	res, err := Run(id, "", o)
+	return res.Record, err
 }
 
 // AllRecords runs every paper figure under o and returns the records in

@@ -12,18 +12,16 @@ import (
 	"loadsched/internal/trace"
 )
 
-// SweepKinds lists the sensitivity sweeps SweepTable accepts.
+// SweepKinds lists the sensitivity sweeps; Run accepts each as
+// "sweep-<kind>".
 var SweepKinds = []string{"window", "penalty", "chtsize", "bankpolicies"}
 
-// SweepTable runs one sensitivity sweep — design-space exploration beyond
+// sweepTable runs one sensitivity sweep — design-space exploration beyond
 // the paper's figures — and returns its rendered table. kind selects the
 // axis (window size, collision penalty, Full-CHT size, or the §2.3 bank
 // combination policies); group names the trace group the geomeans run over
 // (ignored by bankpolicies, which is defined on SpecInt95).
-//
-// Previously this logic lived in the CLI; it moved here so the serve job
-// API and the CLI execute the identical sweep.
-func SweepTable(kind, group string, o Options) (stats.Table, error) {
+func sweepTable(kind, group string, o Options) (stats.Table, error) {
 	if kind == "bankpolicies" {
 		return BankPoliciesTable(BankPolicies(o)), nil
 	}
@@ -142,15 +140,9 @@ func SweepTable(kind, group string, o Options) (stats.Table, error) {
 	return t, nil
 }
 
-// SweepRecord runs one sweep and wraps the rendered table as a table-kind
-// results/v1 record (positional string cells under the table's column
-// names), exactly as the CLI has always emitted sweeps.
+// SweepRecord runs one sweep and returns its table-kind results/v1 record
+// (positional string cells under the table's column names).
 func SweepRecord(kind, group string, o Options) (results.Record, error) {
-	t, err := SweepTable(kind, group, o)
-	if err != nil {
-		return results.Record{}, err
-	}
-	return results.NewTable("sweep-"+kind, t.Title, t.Note,
-		results.Options{Uops: o.Uops, Warmup: o.Warmup, TracesPerGroup: o.TracesPerGroup},
-		t.Columns, t.Rows), nil
+	res, err := Run("sweep-"+kind, group, o)
+	return res.Record, err
 }

@@ -158,17 +158,18 @@ func TestEngineRunsFromRecordedTrace(t *testing.T) {
 	if err := trace.WriteTraceFile(path, p, 60000); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := trace.ReadTraceFile(path)
+	rd, err := trace.StreamTraceFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rd.Close()
 	cfg := DefaultConfig()
 	cfg.Scheme = memdep.Exclusive
 	cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
 	cfg.WarmupUops = 10000
 
 	live := NewEngine(cfg, trace.Replay(p)).Run(40000)
-	replay := NewEngine(cfg2(cfg), trace.NewBatches(rd)).Run(40000)
+	replay := NewEngine(cfg2(cfg), rd).Run(40000)
 	if live != replay {
 		t.Fatalf("recorded replay diverged from live generation:\n%+v\n%+v", live, replay)
 	}

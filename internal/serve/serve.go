@@ -1,9 +1,10 @@
 // Package serve puts an HTTP job API in front of the simulation pool: the
 // first step from single-process tool to shared simulation service. A
-// loadsched serve process accepts figure/sweep/run jobs as JSON, executes
-// them on the process-wide memo cache (optionally backed by the persistent
-// result store, so a warm second sweep performs zero simulations), and
-// streams results/v1 records back chunk-by-chunk as they are produced.
+// loadsched serve process accepts figure/all/sweep/cpistack/tournament
+// jobs as JSON, executes them on the process-wide memo cache (optionally
+// backed by the persistent result store, so a warm second sweep performs
+// zero simulations), and streams results/v1 records back chunk-by-chunk as
+// they are produced.
 //
 // Protocol (POST /v1/jobs):
 //
@@ -26,6 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"strings"
 	"time"
 
 	"loadsched/internal/experiments"
@@ -49,6 +52,18 @@ type Job struct {
 	Sweep   string          `json:"sweep,omitempty"`
 	Group   string          `json:"group,omitempty"`
 	Options results.Options `json:"options"`
+}
+
+// Name is the job as a command line, the form the results envelope
+// records: "all", "figure 5", "sweep window", "cpistack", "tournament".
+func (j Job) Name() string {
+	switch j.Command {
+	case "figure":
+		return "figure " + strings.Join(j.Figures, " ")
+	case "sweep":
+		return "sweep " + j.Sweep
+	}
+	return j.Command
 }
 
 // Line is one NDJSON message of a job's response stream.
@@ -273,66 +288,64 @@ func (s *Server) run(job Job, pool *runner.Pool, emit func(results.Record) error
 	return s.exec(job, pool, emit)
 }
 
-// Validate checks a job before admission: known command, known figures,
-// sweep kind and group, sane options.
+// Validate checks a job before it runs: known command, known figures,
+// sweep kind and group, sane options. The server answers a failure with
+// 400 and the CLI with its one-line error, so the messages name only the
+// job.
 func Validate(j Job) error {
 	if j.Options.Uops <= 0 {
-		return fmt.Errorf("serve: job needs positive options.uops, got %d", j.Options.Uops)
+		return fmt.Errorf("uops must be positive, got %d", j.Options.Uops)
 	}
 	switch j.Command {
 	case "figure":
 		if len(j.Figures) == 0 {
-			return fmt.Errorf("serve: figure job names no figures")
+			return fmt.Errorf("figure job names no figures")
 		}
 		for _, f := range j.Figures {
-			if !knownFigure(f) {
-				return fmt.Errorf("serve: unknown figure %q (want 5-12)", f)
+			if !slices.Contains(experiments.FigureIDs, "fig"+f) {
+				return fmt.Errorf("unknown figure %q (want 5-12)", f)
 			}
 		}
 	case "all", "cpistack", "tournament":
 	case "sweep":
-		ok := false
-		for _, k := range experiments.SweepKinds {
-			if j.Sweep == k {
-				ok = true
-			}
-		}
-		if !ok {
-			return fmt.Errorf("serve: unknown sweep %q (want one of %v)", j.Sweep, experiments.SweepKinds)
+		if !slices.Contains(experiments.SweepKinds, j.Sweep) {
+			return fmt.Errorf("unknown sweep %q (want one of %v)", j.Sweep, experiments.SweepKinds)
 		}
 		if _, known := trace.GroupByName(j.Group); !known && j.Group != "" {
-			return fmt.Errorf("serve: unknown group %q (want one of %v)", j.Group, trace.GroupNames())
+			return fmt.Errorf("unknown group %q (want one of %v)", j.Group, trace.GroupNames())
 		}
 	default:
-		return fmt.Errorf("serve: unknown command %q (want figure | all | sweep | cpistack | tournament)", j.Command)
+		return fmt.Errorf("unknown command %q (want figure | all | sweep | cpistack | tournament)", j.Command)
 	}
 	return nil
 }
 
-func knownFigure(f string) bool {
-	switch f {
-	case "5", "6", "7", "8", "9", "10", "11", "12":
-		return true
-	}
-	return false
+// runJob is the server's executor: Execute, emitting records only.
+func runJob(j Job, pool *runner.Pool, emit func(results.Record) error) error {
+	return Execute(j, pool, func(r experiments.Result) error { return emit(r.Record) })
 }
 
-// runJob is the real executor: it resolves the job to experiment runs and
-// emits each record as soon as it is complete, which is what lets large
-// multi-figure jobs stream instead of buffering.
-func runJob(j Job, pool *runner.Pool, emit func(results.Record) error) error {
+// Execute runs a validated job on pool and emits each experiment's result
+// as soon as it is complete, which is what lets multi-figure jobs stream
+// instead of buffering. It is the one path from a job to its results:
+// the server and the CLI's local runs both take it.
+func Execute(j Job, pool *runner.Pool, emit func(experiments.Result) error) error {
 	o := experiments.Options{
 		Uops:           j.Options.Uops,
 		Warmup:         j.Options.Warmup,
 		TracesPerGroup: j.Options.TracesPerGroup,
 		Pool:           pool,
 	}
+	group := j.Group
+	if group == "" {
+		group = defaultSweepGroup
+	}
 	one := func(id string) error {
-		rec, err := experiments.FigureRecord(id, o)
+		res, err := experiments.Run(id, group, o)
 		if err != nil {
 			return err
 		}
-		return emit(rec)
+		return emit(res)
 	}
 	switch j.Command {
 	case "figure":
@@ -350,17 +363,9 @@ func runJob(j Job, pool *runner.Pool, emit func(results.Record) error) error {
 	case "cpistack", "tournament":
 		return one(j.Command)
 	case "sweep":
-		group := j.Group
-		if group == "" {
-			group = defaultSweepGroup
-		}
-		rec, err := experiments.SweepRecord(j.Sweep, group, o)
-		if err != nil {
-			return err
-		}
-		return emit(rec)
+		return one("sweep-" + j.Sweep)
 	default:
-		return fmt.Errorf("serve: unknown command %q", j.Command)
+		return fmt.Errorf("unknown command %q", j.Command)
 	}
 	return nil
 }

@@ -19,8 +19,8 @@ import (
 //
 //	header:  magic "LSUT" | u16 version | u16 reserved | u64 count
 //
-// Version 1 (legacy, still decodable) is a flat array of fixed-size
-// little-endian records:
+// Version 1 (legacy: still decoded, no longer written) is a flat array of
+// fixed-size little-endian records:
 //
 //	record:  u64 seq | u64 ip | u64 addr | u64 storeID
 //	         u8 kind | u8 dst | u8 src1 | u8 src2 | u8 size | u8 flags
@@ -38,8 +38,8 @@ import (
 // (Castagnoli, matching the result store's framing) localizes corruption
 // to the chunk that suffered it.
 //
-// Uop Seq values must be strictly increasing within a file — both readers
-// reject violations, because wrap-around renumbering (and the engine's
+// Uop Seq values must be strictly increasing within a file — the reader
+// rejects violations, because wrap-around renumbering (and the engine's
 // program order) depend on it.
 
 const (
@@ -103,41 +103,7 @@ func WriteTrace(w io.Writer, src Source, n int) error {
 	return bw.Flush()
 }
 
-// WriteTraceV1 serializes n uops from src to w in the legacy flat-record
-// format, for tools that predate v2.
-func WriteTraceV1(w io.Writer, src Source, n int) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, fileVersionV1, uint64(n)); err != nil {
-		return err
-	}
-	var rec [recordSize]byte
-	for i := 0; i < n; i++ {
-		u := src.Next()
-		binary.LittleEndian.PutUint64(rec[0:8], uint64(u.Seq))
-		binary.LittleEndian.PutUint64(rec[8:16], u.IP)
-		binary.LittleEndian.PutUint64(rec[16:24], u.Addr)
-		binary.LittleEndian.PutUint64(rec[24:32], uint64(u.StoreID))
-		rec[32] = byte(u.Kind)
-		rec[33] = byte(u.Dst)
-		rec[34] = byte(u.Src1)
-		rec[35] = byte(u.Src2)
-		rec[36] = u.Size
-		var flags byte
-		if u.Taken {
-			flags |= 1
-		}
-		if u.Mispredicted {
-			flags |= 2
-		}
-		rec[37] = flags
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Source is the uop supplier interface (satisfied by *Generator, *Reader,
+// Source is the uop supplier interface (satisfied by *Generator,
 // *StreamReader and *Cursor).
 type Source interface {
 	Next() uop.UOp
@@ -145,37 +111,15 @@ type Source interface {
 
 // WriteTraceFile records n uops of a profile's trace into path (v2 format).
 func WriteTraceFile(path string, p Profile, n int) error {
-	return writeTraceFileWith(path, p, n, WriteTrace)
-}
-
-// WriteTraceFileV1 is WriteTraceFile in the legacy v1 format.
-func WriteTraceFileV1(path string, p Profile, n int) error {
-	return writeTraceFileWith(path, p, n, WriteTraceV1)
-}
-
-func writeTraceFileWith(path string, p Profile, n int, write func(io.Writer, Source, int) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := write(f, New(p), n); err != nil {
+	if err := WriteTrace(f, New(p), n); err != nil {
 		return err
 	}
 	return f.Sync()
-}
-
-// Reader replays a recorded trace fully materialized in memory. Next wraps
-// around at the end (renumbering Seq and StoreID monotonically) so the
-// reader satisfies the engine's unbounded Source contract; Len reports the
-// recorded length. For large files prefer StreamReader, which replays in
-// constant memory.
-type Reader struct {
-	uops []uop.UOp
-	pos  int
-	// wrap offsets keep Seq/StoreID strictly increasing across loops.
-	seqBase, storeBase int64
-	lastStoreID        int64
 }
 
 func parseHeader(hdr [16]byte) (version uint16, count uint64, err error) {
@@ -192,69 +136,6 @@ func parseHeader(hdr [16]byte) (version uint16, count uint64, err error) {
 		return 0, 0, fmt.Errorf("trace: implausible record count %d", count)
 	}
 	return version, count, nil
-}
-
-// NewReader parses a recorded trace (either format version) from r.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: short header: %w", err)
-	}
-	version, count, err := parseHeader(hdr)
-	if err != nil {
-		return nil, err
-	}
-	// The header count is still unverified here: preallocating it wholesale
-	// would let a 16-byte file demand gigabytes. Seed a bounded capacity and
-	// let append grow as records actually arrive.
-	pre := count
-	if pre > 1<<16 {
-		pre = 1 << 16
-	}
-	rd := &Reader{uops: make([]uop.UOp, 0, pre)}
-	add := func(u uop.UOp, i uint64) error {
-		if int(u.Kind) >= uop.NumKinds {
-			return fmt.Errorf("trace: record %d has invalid kind %d", i, u.Kind)
-		}
-		if len(rd.uops) > 0 && u.Seq <= rd.uops[len(rd.uops)-1].Seq {
-			return fmt.Errorf("trace: record %d breaks Seq monotonicity (%d after %d)",
-				i, u.Seq, rd.uops[len(rd.uops)-1].Seq)
-		}
-		rd.uops = append(rd.uops, u)
-		if u.StoreID > rd.lastStoreID {
-			rd.lastStoreID = u.StoreID
-		}
-		return nil
-	}
-	if version == fileVersionV1 {
-		var rec [recordSize]byte
-		for i := uint64(0); i < count; i++ {
-			if _, err := io.ReadFull(br, rec[:]); err != nil {
-				return nil, fmt.Errorf("trace: truncated at record %d: %w", i, err)
-			}
-			if err := add(decodeV1Record(rec), i); err != nil {
-				return nil, err
-			}
-		}
-		return rd, nil
-	}
-	var payload []byte
-	var c packedChunk
-	var v ChunkView
-	for total := uint64(0); total < count; {
-		n, err := readChunkFrame(br, &payload, &c, &v, count-total)
-		if err != nil {
-			return nil, fmt.Errorf("trace: chunk at uop %d: %w", total, err)
-		}
-		for i := 0; i < n; i++ {
-			if err := add(v.UOp(i), total+uint64(i)); err != nil {
-				return nil, err
-			}
-		}
-		total += uint64(n)
-	}
-	return rd, nil
 }
 
 func decodeV1Record(rec [recordSize]byte) uop.UOp {
@@ -317,44 +198,15 @@ func readChunkFrame(r io.Reader, payload *[]byte, c *packedChunk, v *ChunkView, 
 	return int(n), nil
 }
 
-// ReadTraceFile parses a recorded trace from path into memory.
-func ReadTraceFile(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return NewReader(f)
-}
-
-// Len returns the number of recorded uops.
-func (r *Reader) Len() int { return len(r.uops) }
-
-// Next implements Source, wrapping around with renumbered Seq/StoreID.
-func (r *Reader) Next() uop.UOp {
-	if r.pos == len(r.uops) {
-		r.pos = 0
-		last := r.uops[len(r.uops)-1]
-		r.seqBase += last.Seq + 1
-		r.storeBase += r.lastStoreID
-	}
-	u := r.uops[r.pos]
-	r.pos++
-	u.Seq += r.seqBase
-	if u.StoreID != 0 {
-		u.StoreID += r.storeBase
-	}
-	return u
-}
-
 // StreamReader replays a recorded trace in constant memory: one decoded
 // chunk is resident at a time, recycled through a single payload buffer
 // and view, so replaying a billion-uop file costs the same RSS as a
 // thousand-uop one. Construction validates the whole file — structure,
 // CRCs, kinds, Seq monotonicity — in one bounded-memory pass, so Next
 // (which has no error to return under the Source contract) can only fail
-// on an I/O fault, which panics. Like Reader, Next wraps around at the end
-// with renumbered Seq/StoreID. Not safe for concurrent use.
+// on an I/O fault, which panics. Next wraps around at the end with Seq and
+// StoreID renumbered past the previous pass, so the reader satisfies the
+// engine's unbounded Source contract. Not safe for concurrent use.
 type StreamReader struct {
 	rs        io.ReadSeeker
 	br        *bufio.Reader // over rs; reset by rewind

@@ -2,37 +2,42 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"loadsched/internal/uop"
 )
 
 // TestV1V2CrossDecode pins cross-version equivalence: the same stream
-// written in both formats must replay identically through both readers,
-// across wrap-around renumbering too.
+// written in both formats must replay identically, across wrap-around
+// renumbering too.
 func TestV1V2CrossDecode(t *testing.T) {
 	p := Profile{Name: "xdec", Seed: 17}
 	const n = ChunkUops + 700 // full chunk + short tail chunk
 	var v1, v2 bytes.Buffer
-	if err := WriteTraceV1(&v1, New(p), n); err != nil {
+	if err := writeTraceV1(&v1, New(p), n); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteTrace(&v2, New(p), n); err != nil {
 		t.Fatal(err)
 	}
-	r1, err := NewReader(bytes.NewReader(v1.Bytes()))
+	r1, err := NewStreamReader(bytes.NewReader(v1.Bytes()))
 	if err != nil {
 		t.Fatalf("v1 reader: %v", err)
 	}
-	r2, err := NewReader(bytes.NewReader(v2.Bytes()))
+	r2, err := NewStreamReader(bytes.NewReader(v2.Bytes()))
 	if err != nil {
 		t.Fatalf("v2 reader: %v", err)
 	}
-	if r1.Len() != n || r2.Len() != n {
-		t.Fatalf("lengths %d/%d, want %d", r1.Len(), r2.Len(), n)
+	if r1.Uops() != n || r2.Uops() != n {
+		t.Fatalf("lengths %d/%d, want %d", r1.Uops(), r2.Uops(), n)
+	}
+	if r1.Version() != 1 || r2.Version() != 2 {
+		t.Fatalf("versions %d/%d, want 1/2", r1.Version(), r2.Version())
 	}
 	for i := 0; i < 5*n/2; i++ { // crosses two wraps
 		a, b := r1.Next(), r2.Next()
@@ -42,24 +47,29 @@ func TestV1V2CrossDecode(t *testing.T) {
 	}
 }
 
-// TestStreamReaderMatchesReader pins the constant-memory path to the
-// in-RAM one for both format versions, including wrap renumbering.
+// TestStreamReaderMatchesReader pins the constant-memory reader to the
+// whole-file reference decode for both format versions, including wrap
+// renumbering.
 func TestStreamReaderMatchesReader(t *testing.T) {
 	p := Profile{Name: "stream-eq", Seed: 23}
 	const n = 2*ChunkUops + 123
 	for _, tc := range []struct {
 		name  string
-		write func(path string) error
+		write func(w io.Writer) error
 	}{
-		{"v2", func(path string) error { return WriteTraceFile(path, p, n) }},
-		{"v1", func(path string) error { return WriteTraceFileV1(path, p, n) }},
+		{"v2", func(w io.Writer) error { return WriteTrace(w, New(p), n) }},
+		{"v1", func(w io.Writer) error { return writeTraceV1(w, New(p), n) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "t.lsut")
-			if err := tc.write(path); err != nil {
+			var buf bytes.Buffer
+			if err := tc.write(&buf); err != nil {
 				t.Fatal(err)
 			}
-			rd, err := ReadTraceFile(path)
+			path := filepath.Join(t.TempDir(), "t.lsut")
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ref, err := decodeTraceFile(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,13 +78,14 @@ func TestStreamReaderMatchesReader(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sr.Close()
-			if sr.Uops() != n {
-				t.Fatalf("stream length %d, want %d", sr.Uops(), n)
+			if sr.Uops() != n || len(ref) != n {
+				t.Fatalf("stream length %d, reference %d, want %d", sr.Uops(), len(ref), n)
 			}
+			want := replayReference(ref)
 			for i := 0; i < 5*n/2; i++ {
-				want, got := rd.Next(), sr.Next()
-				if got != want {
-					t.Fatalf("uop %d: stream %+v, reader %+v", i, got, want)
+				w, got := want(), sr.Next()
+				if got != w {
+					t.Fatalf("uop %d: stream %+v, reference %+v", i, got, w)
 				}
 			}
 		})
@@ -117,8 +128,8 @@ func TestStreamReaderNextBatch(t *testing.T) {
 	}
 }
 
-// TestV2RejectsCorruptCRC flips one payload byte of a valid v2 file; both
-// readers must refuse the file and name the CRC.
+// TestV2RejectsCorruptCRC flips one payload byte of a valid v2 file; the
+// reader must refuse the file and name the CRC.
 func TestV2RejectsCorruptCRC(t *testing.T) {
 	p := Profile{Name: "crc", Seed: 31}
 	var buf bytes.Buffer
@@ -129,16 +140,14 @@ func TestV2RejectsCorruptCRC(t *testing.T) {
 	// Header is 16 bytes, frame 8; corrupt a byte well inside the first
 	// chunk's payload.
 	data[16+8+40] ^= 0x01
-	if _, err := NewReader(bytes.NewReader(data)); err == nil {
-		t.Error("NewReader accepted a corrupt-CRC file")
-	}
-	if _, err := NewStreamReader(bytes.NewReader(data)); err == nil {
-		t.Error("NewStreamReader accepted a corrupt-CRC file")
+	_, err := NewStreamReader(bytes.NewReader(data))
+	if err == nil || !strings.Contains(err.Error(), "crc") {
+		t.Errorf("NewStreamReader on a corrupt-CRC file: err %v, want a crc mismatch", err)
 	}
 }
 
 // TestV2RejectsTruncation cuts a valid v2 file at every structural
-// boundary class; both readers must error, never hang or panic.
+// boundary class; the reader must error, never hang or panic.
 func TestV2RejectsTruncation(t *testing.T) {
 	p := Profile{Name: "trunc2", Seed: 37}
 	var buf bytes.Buffer
@@ -149,17 +158,14 @@ func TestV2RejectsTruncation(t *testing.T) {
 	cuts := []int{15, 16, 20, 23, 100, len(data) / 2, len(data) - 5, len(data) - 1}
 	for _, cut := range cuts {
 		short := data[:cut]
-		if _, err := NewReader(bytes.NewReader(short)); err == nil {
-			t.Errorf("NewReader accepted file truncated at %d", cut)
-		}
 		if _, err := NewStreamReader(bytes.NewReader(short)); err == nil {
 			t.Errorf("NewStreamReader accepted file truncated at %d", cut)
 		}
 	}
 }
 
-// TestV2RejectsNonMonotonicSeq: both readers depend on strictly increasing
-// Seq for wrap renumbering and reject files that violate it.
+// TestV2RejectsNonMonotonicSeq: the reader depends on strictly increasing
+// Seq for wrap renumbering and rejects files that violate it.
 func TestV2RejectsNonMonotonicSeq(t *testing.T) {
 	us := Collect(Profile{Name: "mono", Seed: 41}, 100)
 	us[40].Seq = us[39].Seq // duplicate
@@ -167,9 +173,6 @@ func TestV2RejectsNonMonotonicSeq(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, src, len(us)); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := NewReader(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("NewReader accepted non-monotonic Seq")
 	}
 	if _, err := NewStreamReader(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("NewStreamReader accepted non-monotonic Seq")

@@ -16,7 +16,7 @@ func fuzzTraceSeeds(f *testing.F) {
 	if err := WriteTrace(&v2, New(Profile{Name: "seed", Seed: 1}), 64); err != nil {
 		f.Fatal(err)
 	}
-	if err := WriteTraceV1(&v1, New(Profile{Name: "seed", Seed: 1}), 64); err != nil {
+	if err := writeTraceV1(&v1, New(Profile{Name: "seed", Seed: 1}), 64); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v2.Bytes())
@@ -33,9 +33,9 @@ func fuzzTraceSeeds(f *testing.F) {
 	f.Add(crc)
 }
 
-// fuzzCheckUops drains a bounded number of uops from any source, asserting
-// the invariant both readers promise on accepted files: strictly increasing
-// Seq, across at least one wrap.
+// fuzzCheckUops drains a bounded number of uops from a reader, asserting
+// the invariant it promises on accepted files: strictly increasing Seq,
+// across at least one wrap.
 func fuzzCheckUops(t *testing.T, length int, next func() uop.UOp) {
 	n := length*2 + 4
 	if n > 4096 {
@@ -51,45 +51,34 @@ func fuzzCheckUops(t *testing.T, length int, next func() uop.UOp) {
 	}
 }
 
-// FuzzReader hardens the in-RAM trace-file parser against corrupt input: it
+// FuzzStreamReader hardens the trace-file reader against corrupt input: it
 // must either return an error or produce a reader whose records all have
-// valid kinds and monotonic Seq — never panic or hang.
-func FuzzReader(f *testing.F) {
-	fuzzTraceSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rd, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if rd.Len() <= 0 {
-			t.Fatal("reader with no records must be an error")
-		}
-		fuzzCheckUops(t, rd.Len(), rd.Next)
-	})
-}
-
-// FuzzStreamReader holds the constant-memory reader to the same contract as
-// the in-RAM one, and additionally requires the two to agree on whether an
-// input is acceptable at all.
+// valid kinds and monotonic Seq, never panic or hang. It must also accept
+// exactly the inputs the whole-file reference decode accepts, and replay
+// the same uops.
 func FuzzStreamReader(f *testing.F) {
 	fuzzTraceSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sr, serr := NewStreamReader(bytes.NewReader(data))
-		rd, rerr := NewReader(bytes.NewReader(data))
+		ref, rerr := decodeTraceFile(data)
 		if (serr == nil) != (rerr == nil) {
-			t.Fatalf("readers disagree: stream err %v, in-RAM err %v", serr, rerr)
+			t.Fatalf("readers disagree: stream err %v, reference err %v", serr, rerr)
 		}
 		if serr != nil {
 			return
 		}
 		defer sr.Close()
-		if sr.Uops() != int64(rd.Len()) {
-			t.Fatalf("stream sees %d uops, in-RAM %d", sr.Uops(), rd.Len())
+		if len(ref) == 0 {
+			t.Fatal("a file with no records must be an error")
 		}
-		fuzzCheckUops(t, rd.Len(), func() uop.UOp {
-			want, got := rd.Next(), sr.Next()
-			if got != want {
-				t.Fatalf("streams diverge: %+v vs %+v", got, want)
+		if sr.Uops() != int64(len(ref)) {
+			t.Fatalf("stream sees %d uops, reference %d", sr.Uops(), len(ref))
+		}
+		want := replayReference(ref)
+		fuzzCheckUops(t, len(ref), func() uop.UOp {
+			w, got := want(), sr.Next()
+			if got != w {
+				t.Fatalf("streams diverge: %+v vs %+v", got, w)
 			}
 			return got
 		})
