@@ -40,7 +40,8 @@ import (
 //
 // Uop Seq values must be strictly increasing within a file — the reader
 // rejects violations, because wrap-around renumbering (and the engine's
-// program order) depend on it.
+// program order) depend on it. It likewise rejects register numbers at or
+// beyond uop.MaxArchRegs, which the dependence side-car indexes by.
 
 const (
 	fileMagic     = "LSUT"
@@ -202,7 +203,7 @@ func readChunkFrame(r io.Reader, payload *[]byte, c *packedChunk, v *ChunkView, 
 // chunk is resident at a time, recycled through a single payload buffer
 // and view, so replaying a billion-uop file costs the same RSS as a
 // thousand-uop one. Construction validates the whole file — structure,
-// CRCs, kinds, Seq monotonicity — in one bounded-memory pass, so Next
+// CRCs, kinds, registers, Seq monotonicity — in one bounded-memory pass, so Next
 // (which has no error to return under the Source contract) can only fail
 // on an I/O fault, which panics. Next wraps around at the end with Seq and
 // StoreID renumbered past the previous pass, so the reader satisfies the
@@ -283,7 +284,7 @@ func StreamTraceFile(path string) (*StreamReader, error) {
 
 // scan is the open-time validation pass: it streams every chunk through
 // the recycled buffers exactly as replay will, verifying structure, CRCs,
-// kinds and Seq monotonicity, and collects the wrap offsets (last Seq,
+// kinds, registers and Seq monotonicity, and collects the wrap offsets (last Seq,
 // max StoreID) and the metadata trace info reports.
 func (r *StreamReader) scan() error {
 	prevSeq := int64(math.MinInt64)
@@ -297,6 +298,9 @@ func (r *StreamReader) scan() error {
 			u := r.view.UOp(i)
 			if int(u.Kind) >= uop.NumKinds {
 				return fmt.Errorf("trace: record %d has invalid kind %d", total+int64(i), u.Kind)
+			}
+			if u.Dst >= uop.MaxArchRegs || u.Src1 >= uop.MaxArchRegs || u.Src2 >= uop.MaxArchRegs {
+				return fmt.Errorf("trace: record %d names a register beyond r%d", total+int64(i), uop.MaxArchRegs-1)
 			}
 			if u.Seq <= prevSeq {
 				return fmt.Errorf("trace: record %d breaks Seq monotonicity (%d after %d)",

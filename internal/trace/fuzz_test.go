@@ -31,6 +31,9 @@ func fuzzTraceSeeds(f *testing.F) {
 	crc := append([]byte{}, v2.Bytes()...)
 	crc[len(crc)-10] ^= 0x40 // damage inside the last chunk's payload/CRC
 	f.Add(crc)
+	reg := append([]byte{}, v1.Bytes()...)
+	reg[16+33] = uop.MaxArchRegs // first record's Dst: past the side-car's register table
+	f.Add(reg)
 }
 
 // fuzzCheckUops drains a bounded number of uops from a reader, asserting
@@ -49,6 +52,55 @@ func fuzzCheckUops(t *testing.T, length int, next func() uop.UOp) {
 		}
 		prev = u.Seq
 	}
+}
+
+// FuzzReader hardens the replay path the engine consumes, NextBatchRef and
+// its dependence side-car, against corrupt input: on any file the reader
+// accepts, every batch must hold the reference decode's uops, and a
+// side-car that matches the brute-force ground truth, across at least one
+// wrap, never panicking or hanging.
+func FuzzReader(f *testing.F) {
+	fuzzTraceSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sr, err := NewStreamReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		defer sr.Close()
+		ref, err := decodeTraceFile(data)
+		if err != nil {
+			t.Fatalf("reader accepted a file the reference rejects: %v", err)
+		}
+		want := replayReference(ref)
+		var truth refDeps
+		n := min(len(ref)*2+4, 4096)
+		for consumed := 0; consumed < n; {
+			buf, deps, base := sr.NextBatchRef()
+			if len(buf) == 0 || len(deps) != len(buf) {
+				t.Fatalf("NextBatchRef returned %d uops, %d deps", len(buf), len(deps))
+			}
+			wantBase, overflow := truth.storeMax, false
+			for i := range buf {
+				if w := want(); buf[i] != w {
+					t.Fatalf("uop %d: %+v, want %+v", consumed+i, buf[i], w)
+				}
+				s1, s2, ls := truth.expect(&buf[i])
+				d := deps[i]
+				if d.IPHash != uop.HashIP(buf[i].IP) || d.Src1Back != s1 || d.Src2Back != s2 {
+					t.Fatalf("uop %d: side-car %+v, want producer deltas (%d,%d)", consumed+i, d, s1, s2)
+				}
+				if ls-wantBase > uop.DepSaturated {
+					overflow = true
+				} else if base >= 0 && base+int64(d.LastStore) != ls {
+					t.Fatalf("uop %d: last store %d, want %d", consumed+i, base+int64(d.LastStore), ls)
+				}
+			}
+			if overflow != (base < 0) || (base >= 0 && base != wantBase) {
+				t.Fatalf("batch at uop %d: store base %d, want %d (overflow %v)", consumed, base, wantBase, overflow)
+			}
+			consumed += len(buf)
+		}
+	})
 }
 
 // FuzzStreamReader hardens the trace-file reader against corrupt input: it

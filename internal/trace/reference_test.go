@@ -31,6 +31,9 @@ func decodeTraceFile(data []byte) ([]uop.UOp, error) {
 		if int(u.Kind) >= uop.NumKinds {
 			return fmt.Errorf("record %d has invalid kind %d", len(us), u.Kind)
 		}
+		if u.Dst >= uop.MaxArchRegs || u.Src1 >= uop.MaxArchRegs || u.Src2 >= uop.MaxArchRegs {
+			return fmt.Errorf("record %d names a register beyond r%d", len(us), uop.MaxArchRegs-1)
+		}
 		if len(us) > 0 && u.Seq <= us[len(us)-1].Seq {
 			return fmt.Errorf("record %d breaks Seq monotonicity", len(us))
 		}
