@@ -30,7 +30,9 @@ func runJob(job serve.Job, args []string) {
 		fs.BoolVar(&chart, "chart", false, "also render bar charts (table format)")
 	}
 	if job.Command == "sweep" {
-		fs.StringVar(&job.Group, "group", trace.GroupSysmarkNT, "trace group")
+		// Left empty unless given, so that serve.Validate can refuse a
+		// group the sweep would ignore; serve picks the default.
+		fs.StringVar(&job.Group, "group", "", "trace group (default "+trace.GroupSysmarkNT+"; bankpolicies takes none)")
 	}
 	op := outputFlags(fs)
 	parseFlags(fs, args)

@@ -22,7 +22,7 @@
 //
 //	-uops N     measured uops per trace (default 200000, must be positive)
 //	-warmup N   warmup uops per trace (default 40000, -1 = none)
-//	-traces N   traces per group (default all)
+//	-traces N   traces per group (default 0 = all; negative is an error)
 //	-quick      small preset (60K uops, 2 traces/group)
 //	-j N        concurrent simulations (default GOMAXPROCS, 1 = serial);
 //	            output is byte-identical for every setting
@@ -36,7 +36,9 @@
 //	            memo cache: results survive the process and later runs load
 //	            them instead of simulating
 //	-chart      (figure, all) also render bar charts under the tables
-//	-group G    (sweep) trace group the sweep runs over (default SysmarkNT)
+//	-group G    (sweep window|penalty|chtsize) trace group the sweep runs
+//	            over (default SysmarkNT); bankpolicies runs on SpecInt95
+//	            and rejects -group
 //	-remote A   submit the job to a running `loadsched serve` at address A
 //	            (requires -format json or csv); records stream back and are
 //	            re-emitted byte-identically to a local run. With -remote a
@@ -133,8 +135,9 @@ the job commands (figure, all, sweep, cpistack, tournament) take -uops
 -store DIR layers a persistent result store under the memo cache;
 -remote ADDR submits the job to a running 'loadsched serve' instead, and
 then takes neither -store nor -j nor a profile;
-'run' also takes -group -trace -scheme -window -hmp -json (and -exectrace
-in place of -trace for execution tracing)`)
+'run' takes -uops -warmup -group -trace -scheme -window -hmp -json
+-cpuprofile -memprofile (and -exectrace in place of -trace for execution
+tracing)`)
 }
 
 func fatal(format string, a ...any) {
@@ -166,13 +169,22 @@ func usageError(fs *flag.FlagSet, format string, a ...any) {
 	os.Exit(2)
 }
 
-func optionFlags(fs *flag.FlagSet) *experiments.Options {
+// uopFlags registers -uops and -warmup, the only options a single run
+// reads.
+func uopFlags(fs *flag.FlagSet) *experiments.Options {
 	o := experiments.DefaultOptions()
 	fs.IntVar(&o.Uops, "uops", o.Uops, "measured uops per trace")
 	fs.IntVar(&o.Warmup, "warmup", o.Warmup, "warmup uops per trace (-1 = none)")
+	return &o
+}
+
+// optionFlags registers the job commands' options: uopFlags plus -traces
+// and -j, which only a job over many traces reads.
+func optionFlags(fs *flag.FlagSet) *experiments.Options {
+	o := uopFlags(fs)
 	fs.IntVar(&o.TracesPerGroup, "traces", o.TracesPerGroup, "traces per group (0 = all)")
 	fs.IntVar(&o.Workers, "j", o.Workers, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	return &o
+	return o
 }
 
 // applyQuick replaces the options with the quick preset, keeping -j, which
@@ -279,7 +291,7 @@ func (op *outputOptions) startProfiling() func() {
 
 func runSingle(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	o := optionFlags(fs)
+	o := uopFlags(fs)
 	group := fs.String("group", trace.GroupSysmarkNT, "trace group")
 	traceName := fs.String("trace", "ex", "trace name within the group")
 	scheme := fs.String("scheme", "traditional", "memory ordering scheme")

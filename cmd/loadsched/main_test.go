@@ -63,6 +63,20 @@ func TestStrayArgumentsRejected(t *testing.T) {
 	}
 }
 
+// TestRunRejectsJobOnlyFlags: a single run reads neither -traces nor -j,
+// so it does not take them; naming one is a usage error (exit 2) instead
+// of a flag silently dropped.
+func TestRunRejectsJobOnlyFlags(t *testing.T) {
+	for _, flag := range []string{"-traces", "-j"} {
+		t.Run(flag, func(t *testing.T) {
+			stdout, stderr, code := runCLI(t, "run", flag, "3", "-uops", "1000", "-warmup", "100")
+			if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+flag) {
+				t.Fatalf("exit %d, stdout %q, stderr:\n%s\nwant a usage error naming %s", code, stdout, stderr, flag)
+			}
+		})
+	}
+}
+
 // TestRecordCommandRemoved: the top-level `record` was a subset of `trace
 // record` and is gone; it is now an unknown command.
 func TestRecordCommandRemoved(t *testing.T) {

@@ -16,29 +16,21 @@ import (
 type sliceSource struct {
 	uops []uop.UOp
 	pos  int
-	seq  int64
 }
 
 // newSliceSource wraps the sequence in the side-car batch adapter the
 // engine consumes.
 func newSliceSource(uops []uop.UOp) *trace.Batches {
-	s := &sliceSource{uops: uops}
-	for i := range s.uops {
-		s.uops[i].Seq = int64(i)
-	}
-	s.seq = int64(len(uops))
-	return trace.NewBatches(s)
+	return trace.NewBatches(&sliceSource{uops: uops})
 }
 
 func (s *sliceSource) Next() uop.UOp {
-	if s.pos < len(s.uops) {
-		u := s.uops[s.pos]
-		s.pos++
-		return u
+	pos := s.pos
+	s.pos++
+	if pos < len(s.uops) {
+		return s.uops[pos]
 	}
-	u := uop.UOp{Seq: s.seq, IP: 0x700000 + uint64(s.seq%8)*4, Kind: uop.IntALU, Dst: 1}
-	s.seq++
-	return u
+	return uop.UOp{IP: 0x700000 + uint64(pos%8)*4, Kind: uop.IntALU, Dst: 1}
 }
 
 func testConfig() Config {

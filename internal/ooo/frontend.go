@@ -68,20 +68,21 @@ func (e *Engine) renameDep(u *uop.UOp, d *uop.Dep) {
 	cnt := e.count
 	e.count++
 	r := &e.rob
-	r.clearSlot(idx, *u)
+	r.clearSlot(idx, *u, e.renameAge)
+	e.renameAge++
 	e.rsCount++
 
 	if db := int(d.Src1Back); db != 0 && db <= cnt {
 		p := int32(e.robIdx(cnt - db))
-		r.src1Prod[idx], r.src1Seq[idx] = p, r.seq[p]
+		r.src1Prod[idx], r.src1Age[idx] = p, r.age[p]
 	} else {
-		r.src1Prod[idx], r.src1Seq[idx] = -1, 0
+		r.src1Prod[idx], r.src1Age[idx] = -1, 0
 	}
 	if db := int(d.Src2Back); db != 0 && db <= cnt {
 		p := int32(e.robIdx(cnt - db))
-		r.src2Prod[idx], r.src2Seq[idx] = p, r.seq[p]
+		r.src2Prod[idx], r.src2Age[idx] = p, r.age[p]
 	} else {
-		r.src2Prod[idx], r.src2Seq[idx] = -1, 0
+		r.src2Prod[idx], r.src2Age[idx] = -1, 0
 	}
 	if u.Kind == uop.Branch && u.Mispredicted {
 		r.flags[idx] |= fBlockingBranch
@@ -116,7 +117,6 @@ func (e *Engine) renameDep(u *uop.UOp, d *uop.Dep) {
 		} else {
 			r.olderStores[idx] = e.lastStoreID()
 		}
-		r.ipHash[idx] = d.IPHash
 		r.pred[idx] = e.predictCollision(u.IP)
 	}
 

@@ -181,11 +181,6 @@ func overlap(a uint64, asz int, b uint64, bsz int) bool {
 func (e *Engine) classifyLoad(idx int32) {
 	r := &e.rob
 	r.flags[idx] |= fClassified
-	if !e.naive {
-		// The load was counted unclassified when it entered the ready list
-		// (insertReady); the naive walk never maintains that list.
-		e.readyUnclass--
-	}
 	addr, size := r.u[idx].Addr, int(r.u[idx].Size)
 	conflicting, colliding, dist := false, false, int64(0)
 	older := r.olderStores[idx]

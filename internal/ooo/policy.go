@@ -60,10 +60,6 @@ type SpeculationPolicy interface {
 type LoadView struct {
 	// IP and Addr identify the access.
 	IP, Addr uint64
-	// IPHash is uop.HashIP(IP), precomputed by the trace layer's dependence
-	// side-car so table-indexing policies need not fold the 64-bit IP
-	// themselves.
-	IPHash uint32
 	// Size is the access width in bytes.
 	Size int
 	// OlderStores is the id of the youngest store older than this load;

@@ -1,10 +1,6 @@
 package ooo
 
-import (
-	"math"
-
-	"loadsched/internal/uop"
-)
+import "math"
 
 // Event-driven scheduling core. The naive scheduler re-scans the whole
 // window every cycle asking "are your operands ready yet?"; this file keeps
@@ -104,12 +100,10 @@ func (h *wakeHeap) pop() wakeEvent {
 // their chain. With no unfinished producers the slot is scheduled
 // immediately.
 func (e *Engine) linkDeps(idx int32) {
-	r := &e.rob
-	r.age[idx] = e.renameAge
-	e.renameAge++
 	if e.naive {
 		return
 	}
+	r := &e.rob
 	var ready int64
 	if p := r.src1Prod[idx]; p >= 0 {
 		if r.flags[p]&fDone != 0 {
@@ -182,12 +176,6 @@ func (e *Engine) enqueueReady(idx int32, at int64) {
 // append. Insertion during the dispatch walk is safe: a same-cycle waker's
 // consumer is younger than its producer, so it lands after the walk index.
 func (e *Engine) insertReady(idx int32) {
-	if uop.Kind(e.rob.kind[idx]) == uop.Load && e.rob.flags[idx]&fClassified == 0 {
-		// An unclassified load's first offer runs classification, which
-		// reads the MOB at that exact cycle — the dispatch walk may not
-		// early-exit past it (see dispatch).
-		e.readyUnclass++
-	}
 	rl := e.readyList
 	ages := e.rob.age
 	age := ages[idx]

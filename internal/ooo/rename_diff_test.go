@@ -17,10 +17,10 @@ import (
 // pooled engines and wrapping file replay.
 
 // aliasRef is the reference renamer: for each architectural register, the
-// slot and seq of its youngest renamed writer.
+// slot and rename age of its youngest renamed writer.
 type aliasRef struct {
 	slot [uop.MaxArchRegs]int32
-	seq  [uop.MaxArchRegs]int64
+	age  [uop.MaxArchRegs]int64
 }
 
 func newAliasRef() *aliasRef {
@@ -31,7 +31,7 @@ func newAliasRef() *aliasRef {
 	return a
 }
 
-// resolve returns r's in-flight producer as slot and seq, or (-1, 0) when
+// resolve returns r's in-flight producer as slot and age, or (-1, 0) when
 // the value is architectural: its youngest writer has retired, which shows
 // as a freed slot or one reused by a different uop.
 func (a *aliasRef) resolve(e *Engine, r uop.Reg) (int32, int64) {
@@ -39,36 +39,41 @@ func (a *aliasRef) resolve(e *Engine, r uop.Reg) (int32, int64) {
 		return -1, 0
 	}
 	p := a.slot[r]
-	if p < 0 || e.rob.flags[p]&fValid == 0 || e.rob.seq[p] != a.seq[r] || e.rob.u[p].Dst != r {
+	if p < 0 || e.rob.flags[p]&fValid == 0 || e.rob.age[p] != a.age[r] || e.rob.u[p].Dst != r {
 		return -1, 0
 	}
-	return p, a.seq[r]
+	return p, a.age[r]
 }
 
 // checkRename steps e, fresh or just Reset, one cycle at a time until n
 // uops have retired. After each cycle it resolves every slot renamed in
 // that cycle, oldest first, through the alias tables and requires the
-// engine's producer slots and seq guards to match. Nothing retires between
+// engine's producer slots and age guards to match, and each slot's age to
+// be its uop's stream position. Nothing retires between
 // rename and the end of a cycle, so the post-cycle window is the one rename
-// saw, except for slots renamed later in the same cycle, which the seq
+// saw, except for slots renamed later in the same cycle, which the age
 // guard tells apart.
 func checkRename(t *testing.T, e *Engine, n uint64) {
 	t.Helper()
 	ref := newAliasRef()
 	r := &e.rob
 	linked := 0
+	var pos int64 // stream position of the next uop renamed
 	for e.Retired() < n {
 		before := e.renameAge
 		e.StepCycle()
 		renamed := int(e.renameAge - before)
-		for pos := e.count - renamed; pos < e.count; pos++ {
-			idx := e.robIdx(pos)
+		for w := e.count - renamed; w < e.count; w++ {
+			idx := e.robIdx(w)
 			u := &r.u[idx]
+			if r.age[idx] != pos {
+				t.Fatalf("cycle %d: uop %d renamed with age %d", e.Now(), pos, r.age[idx])
+			}
 			p1, s1 := ref.resolve(e, u.Src1)
 			p2, s2 := ref.resolve(e, u.Src2)
-			if r.src1Prod[idx] != p1 || r.src1Seq[idx] != s1 || r.src2Prod[idx] != p2 || r.src2Seq[idx] != s2 {
-				t.Fatalf("cycle %d, uop seq %d: producers (%d,%d)/(%d,%d), alias tables say (%d,%d)/(%d,%d)",
-					e.Now(), u.Seq, r.src1Prod[idx], r.src1Seq[idx], r.src2Prod[idx], r.src2Seq[idx], p1, s1, p2, s2)
+			if r.src1Prod[idx] != p1 || r.src1Age[idx] != s1 || r.src2Prod[idx] != p2 || r.src2Age[idx] != s2 {
+				t.Fatalf("cycle %d, uop %d: producers (%d,%d)/(%d,%d), alias tables say (%d,%d)/(%d,%d)",
+					e.Now(), pos, r.src1Prod[idx], r.src1Age[idx], r.src2Prod[idx], r.src2Age[idx], p1, s1, p2, s2)
 			}
 			if p1 >= 0 {
 				linked++
@@ -77,8 +82,9 @@ func checkRename(t *testing.T, e *Engine, n uint64) {
 				linked++
 			}
 			if u.Dst != uop.NoReg {
-				ref.slot[u.Dst], ref.seq[u.Dst] = int32(idx), u.Seq
+				ref.slot[u.Dst], ref.age[u.Dst] = int32(idx), pos
 			}
+			pos++
 		}
 	}
 	if linked == 0 {

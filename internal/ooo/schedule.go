@@ -43,20 +43,6 @@ func (e *Engine) dispatch() {
 			e.readyList[w] = idx // still held: re-offer next cycle
 			w++
 		}
-		// Early exit: with every port class exhausted nothing further can
-		// dispatch, and visiting the rest would only re-note holds — the
-		// CPI stack keeps just the first note, and every remaining entry
-		// would note exactly stallPort. The walk must still reach any
-		// unclassified load (its first offer classifies against this
-		// cycle's MOB state); readyUnclass tracks whether one remains.
-		if e.readyUnclass == 0 && i+1 < len(e.readyList) &&
-			e.intUsed >= e.cfg.IntUnits && e.memUsed >= e.cfg.MemUnits &&
-			e.fpUsed >= e.cfg.FPUnits && e.cplxUsed >= e.cfg.ComplexUnits &&
-			e.stdUsed >= e.cfg.STDPorts {
-			e.noteSchedHold(stallPort)
-			w += copy(e.readyList[w:], e.readyList[i+1:])
-			break
-		}
 	}
 	e.readyList = e.readyList[:w]
 }
@@ -233,15 +219,15 @@ func (e *Engine) drainReplayDebt() {
 
 func (e *Engine) sourcesReady(idx int32) bool {
 	r := &e.rob
-	return e.producerReady(r.src1Prod[idx], r.src1Seq[idx]) &&
-		e.producerReady(r.src2Prod[idx], r.src2Seq[idx])
+	return e.producerReady(r.src1Prod[idx], r.src1Age[idx]) &&
+		e.producerReady(r.src2Prod[idx], r.src2Age[idx])
 }
 
-func (e *Engine) producerReady(idx int32, seq int64) bool {
+func (e *Engine) producerReady(idx int32, age int64) bool {
 	if idx < 0 {
 		return true
 	}
-	if e.rob.flags[idx]&fValid == 0 || e.rob.seq[idx] != seq {
+	if e.rob.flags[idx]&fValid == 0 || e.rob.age[idx] != age {
 		return true // retired
 	}
 	return e.rob.flags[idx]&fDone != 0 && e.rob.doneCycle[idx] <= e.now

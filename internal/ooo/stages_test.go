@@ -94,7 +94,7 @@ type storeStream struct {
 }
 
 func (s *storeStream) Next() uop.UOp {
-	u := uop.UOp{Seq: s.seq, IP: 0x500000 + uint64(s.seq%32)*4}
+	u := uop.UOp{IP: 0x500000 + uint64(s.seq%32)*4}
 	switch s.seq % 4 {
 	case 0:
 		s.id++

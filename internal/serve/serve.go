@@ -37,8 +37,8 @@ import (
 	"loadsched/internal/trace"
 )
 
-// defaultSweepGroup mirrors the CLI's -group default for sweep jobs that
-// omit one.
+// defaultSweepGroup is the group a window, penalty or chtsize sweep job
+// that names none runs over; the CLI sends -group only when it is given.
 const defaultSweepGroup = trace.GroupSysmarkNT
 
 // Job is one simulation request. Command selects the work: "figure" (the
@@ -296,6 +296,9 @@ func Validate(j Job) error {
 	if j.Options.Uops <= 0 {
 		return fmt.Errorf("uops must be positive, got %d", j.Options.Uops)
 	}
+	if j.Options.TracesPerGroup < 0 {
+		return fmt.Errorf("traces per group must be positive, or 0 for every trace, got %d", j.Options.TracesPerGroup)
+	}
 	switch j.Command {
 	case "figure":
 		if len(j.Figures) == 0 {
@@ -316,6 +319,11 @@ func Validate(j Job) error {
 		}
 	default:
 		return fmt.Errorf("unknown command %q (want figure | all | sweep | cpistack | tournament)", j.Command)
+	}
+	// Only these sweeps run over a chosen group; the bank-policy sweep is
+	// defined on SpecInt95, and the other jobs cover every group.
+	if j.Group != "" && (j.Command != "sweep" || j.Sweep == "bankpolicies") {
+		return fmt.Errorf("%s takes no group (only the window, penalty and chtsize sweeps do)", j.Name())
 	}
 	return nil
 }

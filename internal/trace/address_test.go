@@ -16,14 +16,14 @@ func TestParamStoresMatchParamLoads(t *testing.T) {
 	us := Collect(p, 60000)
 	// For every STA, look ahead a short distance for a load to that address.
 	matched, stores := 0, 0
-	byAddr := map[uint64]int64{}
-	for _, u := range us {
+	byAddr := map[uint64]int{} // addr → stream position of the last STA
+	for i, u := range us {
 		switch u.Kind {
 		case uop.STA:
 			stores++
-			byAddr[u.Addr] = u.Seq
+			byAddr[u.Addr] = i
 		case uop.Load:
-			if s, ok := byAddr[u.Addr]; ok && u.Seq-s <= 96 {
+			if s, ok := byAddr[u.Addr]; ok && i-s <= 96 {
 				matched++
 				delete(byAddr, u.Addr)
 			}

@@ -13,14 +13,14 @@ import "loadsched/internal/uop"
 // frontend.go for the consumer contract).
 //
 // All producer references are backward stream-position deltas, so they are
-// invariant under the Seq/StoreID renumbering that file replay applies when
-// a finite trace wraps, and under where in the stream the chunk sits.
+// invariant under the StoreID renumbering that file replay applies when a
+// finite trace wraps, and under where in the stream the chunk sits.
 // Store references are deltas against a per-batch base so they fit a
 // uint16 even though absolute store IDs grow without bound.
 
 // depSize is the in-memory footprint of one side-car entry, used for the
 // bytes/uop accounting surfaced by `trace info` and Recording.SidecarBytes.
-const depSize = int64(12)
+const depSize = int64(6)
 
 // depAnalyzer derives the side-car in one forward pass. It carries across
 // chunk boundaries: lastWrite and pos persist for the whole stream (and, in
@@ -77,7 +77,6 @@ func (a *depAnalyzer) buildInto(dst []uop.Dep, us []uop.UOp) int64 {
 	for i := range us {
 		u := &us[i]
 		d := &dst[i]
-		d.IPHash = uop.HashIP(u.IP)
 		d.Src1Back = a.backRef(u.Src1)
 		d.Src2Back = a.backRef(u.Src2)
 		ls := a.storeMax - base
@@ -107,8 +106,7 @@ func (a *depAnalyzer) fill(src Source, us []uop.UOp, deps []uop.Dep) int64 {
 // Batches adapts a scalar Source to the engine's batch seam: each
 // NextBatchRef fills one recycled buffer with the next ChunkUops uops and
 // their side-car the way a shared recording produces a chunk, so a
-// generator, an in-memory Reader or a hand-built stream renames exactly
-// like a recording. The returned slices stay valid until the next call.
+// generator or a hand-built stream renames exactly like a recording. The returned slices stay valid until the next call.
 // Not safe for concurrent use.
 type Batches struct {
 	src  Source

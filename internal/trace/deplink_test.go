@@ -37,8 +37,8 @@ func (r *refDeps) expect(u *uop.UOp) (src1, src2 uint16, lastStore int64) {
 	return
 }
 
-// TestCursorDepsMatchGroundTruth pins NextBatchRef — producer deltas, IP
-// hashes and absolute last-store ids — to a brute-force recomputation over
+// TestCursorDepsMatchGroundTruth pins NextBatchRef — producer deltas and
+// absolute last-store ids — to a brute-force recomputation over
 // the whole stream, across chunk boundaries and past the sharing cap into
 // the recycled private tail view.
 func TestCursorDepsMatchGroundTruth(t *testing.T) {
@@ -68,9 +68,6 @@ func TestCursorDepsMatchGroundTruth(t *testing.T) {
 			if got := base + int64(d.LastStore); got != ls {
 				t.Fatalf("uop %d: last store %d (base %d + %d), want %d",
 					consumed+i, got, base, d.LastStore, ls)
-			}
-			if d.IPHash != uop.HashIP(u.IP) {
-				t.Fatalf("uop %d: IPHash %#x, want %#x", consumed+i, d.IPHash, uop.HashIP(u.IP))
 			}
 		}
 		consumed += n
@@ -177,13 +174,12 @@ func TestStreamReaderDepsMatchGroundTruth(t *testing.T) {
 }
 
 // TestRecordingSidecarDensity pins the side-car's memory cost (the whole
-// recording's is TestRecordingFootprint): exactly 12 bytes per uop of
-// recorded chunk, and the Dep struct itself must stay at 12 bytes — it is
-// the unit the accounting and the 30%-of-the-flat-uops overhead are based
-// on.
+// recording's is TestRecordingFootprint): exactly 6 bytes per uop of
+// recorded chunk, and the Dep struct itself must stay at the 6 bytes the
+// accounting assumes.
 func TestRecordingSidecarDensity(t *testing.T) {
-	if sz := unsafe.Sizeof(uop.Dep{}); int64(sz) != depSize {
-		t.Fatalf("uop.Dep is %d bytes, accounting assumes %d", sz, depSize)
+	if sz := unsafe.Sizeof(uop.Dep{}); int64(sz) != depSize || depSize != 6 {
+		t.Fatalf("uop.Dep is %d bytes, accounting assumes %d, want 6", sz, depSize)
 	}
 	p := Profile{Name: "sidecar-density", Seed: 94}
 	c := Replay(p)
@@ -198,8 +194,8 @@ func TestRecordingSidecarDensity(t *testing.T) {
 		t.Fatalf("side-car bytes %d, want at least %d", built, int64(n)*depSize)
 	}
 	perUop := float64(built) / float64(r.Len())
-	if perUop > 12 {
-		t.Fatalf("side-car costs %.2f bytes/uop, want <= 12", perUop)
+	if perUop > 6 {
+		t.Fatalf("side-car costs %.2f bytes/uop, want <= 6", perUop)
 	}
 	t.Logf("side-car density: %.2f bytes/uop over %d uops", perUop, r.Len())
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"path/filepath"
 	"testing"
 
@@ -30,24 +32,37 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReaderWrapsAround: past the end of the file the reader replays it
+// again with every StoreID moved past the previous pass's largest, so no
+// StoreID names two stores.
 func TestReaderWrapsAround(t *testing.T) {
 	p := testProfile()
+	const n = 1000
+	want := Collect(p, n)
+	var maxStore int64
+	for _, u := range want {
+		if u.StoreID > maxStore {
+			maxStore = u.StoreID
+		}
+	}
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, New(p), 1000); err != nil {
+	if err := WriteTrace(&buf, New(p), n); err != nil {
 		t.Fatal(err)
 	}
 	rd, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var prevSeq int64 = -1
 	lastStore := map[int64]uop.Kind{}
 	for i := 0; i < 3500; i++ {
 		u := rd.Next()
-		if u.Seq <= prevSeq {
-			t.Fatalf("Seq not strictly increasing across wrap: %d after %d", u.Seq, prevSeq)
+		w := want[i%n]
+		if w.StoreID != 0 {
+			w.StoreID += int64(i/n) * maxStore
 		}
-		prevSeq = u.Seq
+		if u != w {
+			t.Fatalf("uop %d (pass %d): %+v, want %+v", i, i/n, u, w)
+		}
 		if u.Kind == uop.STA {
 			if k, seen := lastStore[u.StoreID]; seen && k == uop.STA {
 				t.Fatalf("StoreID %d reused for a second STA across wraps", u.StoreID)
@@ -113,5 +128,40 @@ func TestReaderRejectsBadVersionAndKind(t *testing.T) {
 	bad[16+32] = 200 // first record's kind
 	if _, err := NewStreamReader(bytes.NewReader(bad)); err == nil {
 		t.Error("bad kind accepted")
+	}
+}
+
+// TestWriteTraceDigest pins the v2 file bytes WriteTrace writes for three
+// profiles at 10K uops each, so a change to the uop model, the generator or
+// the encoder cannot move the file format unnoticed. The digests were
+// taken when uops still carried a Seq field that WriteTrace encoded; it
+// now numbers uops by position, and the bytes did not change. A deliberate
+// format change regenerates them with
+// `go test ./internal/trace -run TestWriteTraceDigest -v`.
+func TestWriteTraceDigest(t *testing.T) {
+	for _, tc := range []struct {
+		group, name string
+		size        int
+		sha256      string
+	}{
+		{GroupSpecInt95, "gcc", 83844, "31efd19f122e6f1718f09de2d9e92b4ea36bb51a6ba5426f95b23e378d4d31d1"},
+		{GroupSpecFP95, "swim", 83422, "bacacdd26a26140c379cc57a54d1449c63dd7b858bdb34afe2e6343e9096cae8"},
+		{GroupSysmarkNT, "ex", 86626, "e83be1b4559350ca156fc69918d85c8509c5d010ab127846e688173e6f82272c"},
+	} {
+		p, ok := TraceByName(tc.group, tc.name)
+		if !ok {
+			t.Fatalf("no trace %s/%s", tc.group, tc.name)
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, New(p), 10_000); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		got := hex.EncodeToString(sum[:])
+		t.Logf("%s/%s: %d bytes, sha256 %s", tc.group, tc.name, buf.Len(), got)
+		if buf.Len() != tc.size || got != tc.sha256 {
+			t.Errorf("%s/%s: %d bytes, sha256 %s; want %d bytes, sha256 %s",
+				tc.group, tc.name, buf.Len(), got, tc.size, tc.sha256)
+		}
 	}
 }

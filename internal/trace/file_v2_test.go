@@ -8,8 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"loadsched/internal/uop"
 )
 
 // TestV1V2CrossDecode pins cross-version equivalence: the same stream
@@ -164,30 +162,59 @@ func TestV2RejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestV2RejectsNonMonotonicSeq: the reader depends on strictly increasing
-// Seq for wrap renumbering and rejects files that violate it.
+// TestV2RejectsNonMonotonicSeq: no decoded uop carries the file's Seq, but
+// the reader still requires it to strictly increase and names the record
+// that breaks it. The helper that writes the file with a duplicate Seq
+// must write exactly WriteTrace's bytes when given the positions.
 func TestV2RejectsNonMonotonicSeq(t *testing.T) {
-	us := Collect(Profile{Name: "mono", Seed: 41}, 100)
-	us[40].Seq = us[39].Seq // duplicate
-	src := &sliceSource{us: us}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, src, len(us)); err != nil {
+	p := Profile{Name: "mono", Seed: 41}
+	us := Collect(p, 100)
+	var want, got bytes.Buffer
+	if err := WriteTrace(&want, New(p), len(us)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewStreamReader(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("NewStreamReader accepted non-monotonic Seq")
+	if err := writeChunkV2(&got, us, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("writeChunkV2 with positional Seqs differs from WriteTrace")
+	}
+
+	seqs := make([]int64, len(us))
+	for i := range seqs {
+		seqs[i] = int64(i)
+	}
+	seqs[40] = seqs[39] // duplicate
+	var buf bytes.Buffer
+	if err := writeChunkV2(&buf, us, seqs); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
+	if err == nil || err.Error() != "trace: record 40 breaks Seq monotonicity (39 after 39)" {
+		t.Errorf("NewStreamReader on a duplicate Seq: err %v, want record 40 named", err)
+	}
+	if _, err := decodeTraceFile(buf.Bytes()); err == nil {
+		t.Error("reference decode accepted a duplicate Seq")
 	}
 }
 
-type sliceSource struct {
-	us  []uop.UOp
-	pos int
-}
-
-func (s *sliceSource) Next() uop.UOp {
-	u := s.us[s.pos%len(s.us)]
-	s.pos++
-	return u
+// TestV1RejectsDuplicateSeq is the v1 twin of TestV2RejectsNonMonotonicSeq:
+// a flat-record file whose record 40 repeats record 39's Seq is rejected
+// with the same error.
+func TestV1RejectsDuplicateSeq(t *testing.T) {
+	var buf bytes.Buffer
+	if err := writeTraceV1(&buf, New(Profile{Name: "mono1", Seed: 41}), 100); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	copy(data[16+40*recordSize:][:8], data[16+39*recordSize:][:8])
+	_, err := NewStreamReader(bytes.NewReader(data))
+	if err == nil || err.Error() != "trace: record 40 breaks Seq monotonicity (39 after 39)" {
+		t.Errorf("NewStreamReader on a duplicate Seq: err %v, want record 40 named", err)
+	}
+	if _, err := decodeTraceFile(data); err == nil {
+		t.Error("reference decode accepted a duplicate Seq")
+	}
 }
 
 // TestInspectTraceFile pins the trace-info metadata: counts, chunking,

@@ -37,21 +37,26 @@ func fuzzTraceSeeds(f *testing.F) {
 }
 
 // fuzzCheckUops drains a bounded number of uops from a reader, asserting
-// the invariant it promises on accepted files: strictly increasing Seq,
-// across at least one wrap.
+// the invariant it promises on accepted files: valid kinds and registers
+// the side-car can index, across at least one wrap.
 func fuzzCheckUops(t *testing.T, length int, next func() uop.UOp) {
 	n := length*2 + 4
 	if n > 4096 {
 		n = 4096
 	}
-	prev := int64(-1)
 	for i := 0; i < n; i++ {
-		u := next()
-		if u.Seq <= prev {
-			t.Fatalf("Seq regressed: %d after %d", u.Seq, prev)
+		if u := next(); !validUop(&u) {
+			t.Fatalf("uop %d: %+v has an invalid kind or register", i, u)
 		}
-		prev = u.Seq
 	}
+}
+
+// validUop reports whether u has a known kind and registers below
+// uop.MaxArchRegs: what a trace reader promises of every uop it accepts,
+// and the generator of every uop it emits.
+func validUop(u *uop.UOp) bool {
+	return int(u.Kind) < uop.NumKinds &&
+		u.Dst < uop.MaxArchRegs && u.Src1 < uop.MaxArchRegs && u.Src2 < uop.MaxArchRegs
 }
 
 // FuzzReader hardens the replay path the engine consumes, NextBatchRef and
@@ -86,7 +91,7 @@ func FuzzReader(f *testing.F) {
 				}
 				s1, s2, ls := truth.expect(&buf[i])
 				d := deps[i]
-				if d.IPHash != uop.HashIP(buf[i].IP) || d.Src1Back != s1 || d.Src2Back != s2 {
+				if d.Src1Back != s1 || d.Src2Back != s2 {
 					t.Fatalf("uop %d: side-car %+v, want producer deltas (%d,%d)", consumed+i, d, s1, s2)
 				}
 				if ls-wantBase > uop.DepSaturated {
@@ -105,7 +110,7 @@ func FuzzReader(f *testing.F) {
 
 // FuzzStreamReader hardens the trace-file reader against corrupt input: it
 // must either return an error or produce a reader whose records all have
-// valid kinds and monotonic Seq, never panic or hang. It must also accept
+// valid kinds and registers, never panic or hang. It must also accept
 // exactly the inputs the whole-file reference decode accepts, and replay
 // the same uops.
 func FuzzStreamReader(f *testing.F) {
@@ -138,8 +143,8 @@ func FuzzStreamReader(f *testing.F) {
 }
 
 // FuzzGeneratorProfile hardens generator construction against odd profile
-// values: any profile that survives withDefaults must generate without
-// panicking.
+// values: any profile that survives withDefaults must generate valid uops
+// without panicking.
 func FuzzGeneratorProfile(f *testing.F) {
 	f.Add(int64(1), 4, 2, 3, 0.2, 0.1)
 	f.Add(int64(99), 64, 12, 1, 0.5, 0.4)
@@ -157,9 +162,8 @@ func FuzzGeneratorProfile(f *testing.F) {
 		}
 		g := New(p)
 		for i := 0; i < 2000; i++ {
-			u := g.Next()
-			if u.Seq != int64(i) {
-				t.Fatalf("Seq %d at position %d", u.Seq, i)
+			if u := g.Next(); !validUop(&u) {
+				t.Fatalf("uop %d: %+v has an invalid kind or register", i, u)
 			}
 		}
 	})

@@ -15,7 +15,6 @@ type Generator struct {
 	prog *program
 	rng  *rand.Rand
 
-	seq      int64
 	storeSeq int64
 
 	streamPos []uint64
@@ -85,8 +84,6 @@ func (g *Generator) Next() uop.UOp {
 		f := g.stack[len(g.stack)-1]
 		u, ok := g.step(f)
 		if ok {
-			u.Seq = g.seq
-			g.seq++
 			return u
 		}
 	}

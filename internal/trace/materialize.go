@@ -15,8 +15,8 @@ import (
 // over it, so N configs per figure pay one generation instead of N.
 //
 // A recording holds each chunk of ChunkUops uops once, in the form every
-// replay reads: a flat []uop.UOp (40 bytes/uop) and its dependence
-// side-car in lockstep (12 bytes/uop, see deplink.go). A chunk is produced
+// replay reads: a flat []uop.UOp (32 bytes/uop) and its dependence
+// side-car in lockstep (6 bytes/uop, see deplink.go). A chunk is produced
 // in one step — the generator writes its uops straight into the chunk and
 // the recording's analyzer links them right after — and steady-state
 // replay is an index walk that touches no allocator.
@@ -27,8 +27,8 @@ import (
 // a chunk that does not exist yet; a chunk, once observed, is permanent.
 
 // maxSharedUops bounds the per-profile recording (a variable so tests can
-// shrink it). At the default 1<<20 a recording tops out at 40 MB of uops
-// plus 12 MB of side-car; a cursor that runs past the cap falls back to a
+// shrink it). At the default 1<<20 a recording tops out at 32 MiB of uops
+// plus 6 MiB of side-car; a cursor that runs past the cap falls back to a
 // private generator feeding recycled private buffers — paying one
 // status-quo generation for that outlier run instead of growing the shared
 // recording without bound.
@@ -116,7 +116,7 @@ func (r *Recording) Len() int {
 // holds each chunk once, flat.
 func (r *Recording) PackedBytes() int64 { return 0 }
 
-// SidecarBytes reports the footprint of the recorded side-car: 12 bytes
+// SidecarBytes reports the footprint of the recorded side-car: 6 bytes
 // per recorded uop.
 func (r *Recording) SidecarBytes() int64 { return int64(r.Len()) * depSize }
 

@@ -20,10 +20,12 @@ import (
 //     don't thrash the delta context
 //   - StoreID: likewise, only under pfHasStore (StoreIDs are dense per
 //     store, so the common delta is 1 → one byte)
-//   - Seq: implicit from position when the chunk is dense (generator and
-//     file traces always are); an explicit delta stream otherwise
+//   - Seq: implicit from position when the chunk is dense (WriteTrace
+//     numbers uops by position, so its chunks always are); an explicit
+//     delta stream otherwise. No uop.UOp carries the value: the decoder
+//     hands it to the open-time scan, which checks it strictly increases
 //
-// Synthetic traces pack to ~8 bytes/uop on disk, against 40 for a flat
+// Synthetic traces pack to ~8 bytes/uop on disk, against 32 for a flat
 // uop.UOp. Each chunk also carries the absolute base values of its first
 // uop, so chunks decode independently of one another; that independence
 // is what lets the stream reader replay a file one recycled chunk at a
@@ -82,7 +84,8 @@ func (c *packedChunk) packedBytes() int {
 }
 
 // chunkEncoder packs a uop stream chunk by chunk. begin/add/seal; the
-// encoder owns no chunk memory after seal.
+// encoder owns no chunk memory after seal. add takes each uop's file Seq
+// explicitly, since uops carry none.
 type chunkEncoder struct {
 	c                 *packedChunk
 	prevSeq           int64
@@ -97,7 +100,7 @@ func (e *chunkEncoder) begin() {
 	e.sawAddr, e.sawStore = false, false
 }
 
-func (e *chunkEncoder) add(u uop.UOp) {
+func (e *chunkEncoder) add(u uop.UOp, seq int64) {
 	c := e.c
 	var f byte
 	if u.Taken {
@@ -119,15 +122,15 @@ func (e *chunkEncoder) add(u uop.UOp) {
 	c.sizes = append(c.sizes, u.Size)
 	c.flags = append(c.flags, f)
 	if c.n == 0 {
-		c.baseSeq, c.baseIP = u.Seq, u.IP
+		c.baseSeq, c.baseIP = seq, u.IP
 	} else {
-		c.seqd = appendZigzag(c.seqd, u.Seq-e.prevSeq)
+		c.seqd = appendZigzag(c.seqd, seq-e.prevSeq)
 		c.ipd = appendZigzag(c.ipd, int64(u.IP-e.prevIP))
-		if u.Seq != c.baseSeq+int64(c.n) {
+		if seq != c.baseSeq+int64(c.n) {
 			c.dense = false
 		}
 	}
-	e.prevSeq, e.prevIP = u.Seq, u.IP
+	e.prevSeq, e.prevIP = seq, u.IP
 	if u.Addr != 0 {
 		if !e.sawAddr {
 			c.baseAddr, e.sawAddr = u.Addr, true
@@ -161,10 +164,12 @@ func (e *chunkEncoder) seal() *packedChunk {
 // hot path. Replay is a straight slice read — a per-uop column gather
 // measures ~9× slower than copying a flat record — so a reader pays the
 // gather once per chunk and the consumer touches only the flat form.
-// Readers recycle one view through buf.
+// Readers recycle one view through buf. seqs holds the file's Seq value of
+// each decoded uop, which only validation reads.
 type ChunkView struct {
-	us  []uop.UOp // decoded uops, buf[:n]
-	buf []uop.UOp // backing storage, reused across decodes
+	us   []uop.UOp // decoded uops, buf[:n]
+	buf  []uop.UOp // backing storage, reused across decodes
+	seqs []int64   // file Seq of us[i], len n
 }
 
 // Len reports the view's uop population.
@@ -173,12 +178,14 @@ func (v *ChunkView) Len() int { return len(v.us) }
 // UOp returns uop i of the view. i must be in [0, Len()).
 func (v *ChunkView) UOp(i int) uop.UOp { return v.us[i] }
 
-// grow readies the view's backing storage for n uops.
+// grow readies the view's backing storage for n uops and their seqs.
 func (v *ChunkView) grow(n int) []uop.UOp {
 	if cap(v.buf) < n {
 		v.buf = make([]uop.UOp, n)
+		v.seqs = make([]int64, n)
 	}
 	v.us = v.buf[:n]
+	v.seqs = v.seqs[:n]
 	return v.us
 }
 
@@ -194,11 +201,9 @@ func (c *packedChunk) decode(v *ChunkView) error {
 	src2s := c.src2s[:n]
 	sizes := c.sizes[:n]
 	flags := c.flags[:n]
-	seq0 := c.baseSeq
 	for i := range us {
 		f := flags[i]
 		us[i] = uop.UOp{
-			Seq:          seq0 + int64(i),
 			Kind:         uop.Kind(kinds[i]),
 			Dst:          uop.Reg(dsts[i]),
 			Src1:         uop.Reg(src1s[i]),
@@ -225,8 +230,14 @@ func (c *packedChunk) decode(v *ChunkView) error {
 		return fmt.Errorf("trace: chunk ip stream has %d trailing bytes", len(p))
 	}
 
-	if !c.dense {
+	seqs := v.seqs
+	if c.dense {
+		for i := range seqs {
+			seqs[i] = c.baseSeq + int64(i)
+		}
+	} else {
 		seq := c.baseSeq
+		seqs[0] = seq
 		p = c.seqd
 		for i := 1; i < n; i++ {
 			d, k := readZigzag(p)
@@ -235,7 +246,7 @@ func (c *packedChunk) decode(v *ChunkView) error {
 			}
 			p = p[k:]
 			seq += d
-			us[i].Seq = seq
+			seqs[i] = seq
 		}
 		if len(p) != 0 {
 			return fmt.Errorf("trace: chunk seq stream has %d trailing bytes", len(p))

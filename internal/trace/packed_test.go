@@ -8,12 +8,17 @@ import (
 	"loadsched/internal/uop"
 )
 
-// packUops packs len(us) uops (≤ ChunkUops) into one sealed chunk.
-func packUops(us []uop.UOp) *packedChunk {
+// packUops packs len(us) uops (≤ ChunkUops) into one sealed chunk, uop i
+// carrying Seq seqs[i], or its position i when seqs is nil.
+func packUops(us []uop.UOp, seqs []int64) *packedChunk {
 	var e chunkEncoder
 	e.begin()
-	for _, u := range us {
-		e.add(u)
+	for i, u := range us {
+		seq := int64(i)
+		if seqs != nil {
+			seq = seqs[i]
+		}
+		e.add(u, seq)
 	}
 	return e.seal()
 }
@@ -30,7 +35,7 @@ func TestPackedChunkRoundTrip(t *testing.T) {
 			end = len(want)
 		}
 		us := want[off:end]
-		payload := packUops(us).marshal(nil)
+		payload := packUops(us, nil).marshal(nil)
 		var c packedChunk
 		if err := unmarshalChunk(payload, &c, ChunkUops); err != nil {
 			t.Fatalf("unmarshal chunk at %d: %v", off, err)
@@ -51,13 +56,15 @@ func TestPackedChunkRoundTrip(t *testing.T) {
 }
 
 // TestPackedNonDenseSeq exercises the explicit-Seq stream: monotonic but
-// gapped Seq values (as an imported trace might carry) must round-trip.
+// gapped Seq values (as an imported trace might carry) must round-trip,
+// into the view's seqs beside unchanged uops.
 func TestPackedNonDenseSeq(t *testing.T) {
 	us := Collect(Profile{Name: "packed-gap", Seed: 5}, 100)
-	for i := range us {
-		us[i].Seq = int64(i) * 7 // monotonic, non-dense
+	seqs := make([]int64, len(us))
+	for i := range seqs {
+		seqs[i] = int64(i) * 7 // monotonic, non-dense
 	}
-	payload := packUops(us).marshal(nil)
+	payload := packUops(us, seqs).marshal(nil)
 	var c packedChunk
 	if err := unmarshalChunk(payload, &c, ChunkUops); err != nil {
 		t.Fatal(err)
@@ -73,6 +80,9 @@ func TestPackedNonDenseSeq(t *testing.T) {
 		if got := v.UOp(i); got != w {
 			t.Fatalf("uop %d: got %+v want %+v", i, got, w)
 		}
+		if v.seqs[i] != seqs[i] {
+			t.Fatalf("uop %d: Seq %d, want %d", i, v.seqs[i], seqs[i])
+		}
 	}
 }
 
@@ -80,7 +90,7 @@ func TestPackedNonDenseSeq(t *testing.T) {
 // inputs; every one must error rather than panic or mis-decode.
 func TestUnmarshalChunkRejectsCorruption(t *testing.T) {
 	us := Collect(Profile{Name: "packed-bad", Seed: 9}, 256)
-	good := packUops(us).marshal(nil)
+	good := packUops(us, nil).marshal(nil)
 	check := func(name string, payload []byte) {
 		t.Helper()
 		var c packedChunk
@@ -116,7 +126,7 @@ func TestUnmarshalChunkRejectsCorruption(t *testing.T) {
 }
 
 // TestRecordingFootprint pins what a recording holds: each chunk once,
-// as flat uops plus side-car (52 bytes/uop), with no packed copy beside
+// as flat uops plus side-car (38 bytes/uop), with no packed copy beside
 // them. The accounted bytes must say so, and so must the live heap the
 // recording actually retains.
 func TestRecordingFootprint(t *testing.T) {
@@ -144,14 +154,15 @@ func TestRecordingFootprint(t *testing.T) {
 		t.Fatalf("recording holds %d packed bytes, want none", b)
 	}
 	perUop := float64(int64(r.Len())*int64(unsafe.Sizeof(uop.UOp{}))+r.SidecarBytes()) / float64(r.Len())
-	if perUop > 52 {
-		t.Fatalf("recording accounts %.2f bytes/uop, want <= 52 (flat uops + side-car)", perUop)
+	if perUop > 38 {
+		t.Fatalf("recording accounts %.2f bytes/uop, want <= 38 (flat uops + side-car)", perUop)
 	}
 	// The live heap adds the generator and the chunk slots to the chunks
 	// themselves; a second copy of the stream (a packed form at ~8
-	// bytes/uop) would not fit under this bound.
-	if live > 56 {
-		t.Fatalf("recording retains %.2f heap bytes/uop, want <= 56", live)
+	// bytes/uop), or a field grown back onto UOp or Dep, would not fit
+	// under this bound.
+	if live > 40 {
+		t.Fatalf("recording retains %.2f heap bytes/uop, want <= 40", live)
 	}
 	t.Logf("recording footprint: %.2f accounted, %.2f live heap bytes/uop over %d uops", perUop, live, n)
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 
 	"loadsched/internal/uop"
@@ -12,8 +13,8 @@ import (
 
 // decodeTraceFile is the reference the stream reader is checked against:
 // it decodes a whole trace file of either version into memory with the
-// same validation, but with none of StreamReader's seeking, recycled
-// buffers or wrap-around.
+// same validation, Seq monotonicity included, but with none of
+// StreamReader's seeking, recycled buffers or wrap-around.
 func decodeTraceFile(data []byte) ([]uop.UOp, error) {
 	r := bytes.NewReader(data)
 	var hdr [16]byte
@@ -27,16 +28,18 @@ func decodeTraceFile(data []byte) ([]uop.UOp, error) {
 	// The header count is unverified, so the slice grows with the records
 	// that actually arrive rather than being sized from it.
 	var us []uop.UOp
-	add := func(u uop.UOp) error {
+	var prevSeq int64
+	add := func(u uop.UOp, seq int64) error {
 		if int(u.Kind) >= uop.NumKinds {
 			return fmt.Errorf("record %d has invalid kind %d", len(us), u.Kind)
 		}
 		if u.Dst >= uop.MaxArchRegs || u.Src1 >= uop.MaxArchRegs || u.Src2 >= uop.MaxArchRegs {
 			return fmt.Errorf("record %d names a register beyond r%d", len(us), uop.MaxArchRegs-1)
 		}
-		if len(us) > 0 && u.Seq <= us[len(us)-1].Seq {
+		if len(us) > 0 && seq <= prevSeq {
 			return fmt.Errorf("record %d breaks Seq monotonicity", len(us))
 		}
+		prevSeq = seq
 		us = append(us, u)
 		return nil
 	}
@@ -61,7 +64,7 @@ func decodeTraceFile(data []byte) ([]uop.UOp, error) {
 			return nil, fmt.Errorf("chunk at uop %d: %w", len(us), err)
 		}
 		for i := 0; i < n; i++ {
-			if err := add(v.UOp(i)); err != nil {
+			if err := add(v.UOp(i), v.seqs[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -70,8 +73,8 @@ func decodeTraceFile(data []byte) ([]uop.UOp, error) {
 }
 
 // replayReference returns the endless replay of decoded uops that a
-// reader's Next must produce: pass k shifts every Seq past pass k-1's last
-// Seq and every nonzero StoreID past its largest StoreID.
+// reader's Next must produce: pass k shifts every nonzero StoreID past
+// pass k-1's largest StoreID.
 func replayReference(us []uop.UOp) func() uop.UOp {
 	var maxStore int64
 	for _, u := range us {
@@ -79,13 +82,11 @@ func replayReference(us []uop.UOp) func() uop.UOp {
 			maxStore = u.StoreID
 		}
 	}
-	seqStep := us[len(us)-1].Seq + 1
 	i := 0
 	return func() uop.UOp {
 		pass := int64(i / len(us))
 		u := us[i%len(us)]
 		i++
-		u.Seq += pass * seqStep
 		if u.StoreID != 0 {
 			u.StoreID += pass * maxStore
 		}
@@ -94,7 +95,8 @@ func replayReference(us []uop.UOp) func() uop.UOp {
 }
 
 // writeTraceV1 writes n uops of src in the legacy v1 flat-record format,
-// which the package still decodes but no longer writes.
+// which the package still decodes but no longer writes, numbering them by
+// stream position as WriteTrace does.
 func writeTraceV1(w io.Writer, src Source, n int) error {
 	bw := bufio.NewWriter(w)
 	if err := writeHeader(bw, fileVersionV1, uint64(n)); err != nil {
@@ -103,7 +105,7 @@ func writeTraceV1(w io.Writer, src Source, n int) error {
 	var rec [recordSize]byte
 	for i := 0; i < n; i++ {
 		u := src.Next()
-		binary.LittleEndian.PutUint64(rec[0:8], uint64(u.Seq))
+		binary.LittleEndian.PutUint64(rec[0:8], uint64(i))
 		binary.LittleEndian.PutUint64(rec[8:16], u.IP)
 		binary.LittleEndian.PutUint64(rec[16:24], u.Addr)
 		binary.LittleEndian.PutUint64(rec[24:32], uint64(u.StoreID))
@@ -125,4 +127,24 @@ func writeTraceV1(w io.Writer, src Source, n int) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// writeChunkV2 writes us (≤ ChunkUops) as a one-chunk v2 trace file whose
+// uop i carries Seq seqs[i], or its position i when seqs is nil: with nil
+// it writes WriteTrace's bytes, and otherwise lets a test give a file the
+// Seq values WriteTrace never writes.
+func writeChunkV2(w io.Writer, us []uop.UOp, seqs []int64) error {
+	if err := writeHeader(w, fileVersionV2, uint64(len(us))); err != nil {
+		return err
+	}
+	payload := packUops(us, seqs).marshal(nil)
+	var frame [frameSize]byte
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(us)))
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
+	payload = binary.LittleEndian.AppendUint32(payload, crc32.Checksum(payload, fileCRC))
+	if _, err := w.Write(frame[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
 }

@@ -76,11 +76,12 @@ const MaxArchRegs = 64
 
 // UOp is one dynamic micro-operation in a trace. Fields that do not apply to
 // a kind are zero (e.g. Addr for IntALU). The wide fields lead and the byte
-// fields trail so the struct packs to 40 bytes — uops are copied on every
-// fetch, trace replay and recording step, so the layout is hot.
+// fields trail so the struct packs to 32 bytes — uops are copied on every
+// fetch, trace replay and recording step, so the layout is hot. A uop
+// carries no sequence number: its place in the stream is its position,
+// which every consumer already counts (the engine's rename counter, a
+// trace file's record index).
 type UOp struct {
-	// Seq is the dynamic sequence number, dense from 0 within a trace.
-	Seq int64
 	// IP is the static instruction pointer of the uop. All history-based
 	// predictors in the paper index on the load's IP, so recurrence of IPs
 	// is what makes prediction possible.
@@ -112,14 +113,11 @@ type UOp struct {
 // configuration replaying it (the same observation that makes Moshovos-style
 // dependence prediction work — dependences are stable stream properties).
 // All references are stream-position deltas, which are invariant under the
-// Seq/StoreID renumbering replay sources apply when a finite trace wraps.
+// StoreID renumbering replay sources apply when a finite trace wraps.
 //
-// The struct packs to 12 bytes; the side-car rides next to the 40-byte uop
-// itself, so a chunk's side-car costs 30% of its flat uops.
+// The struct packs to 6 bytes; the side-car rides next to the 32-byte uop
+// itself, so a chunk's side-car costs under a fifth of its flat uops.
 type Dep struct {
-	// IPHash is HashIP(IP), precomputed so predictor-indexing policies can
-	// fold a 64-bit IP without rehashing per configuration.
-	IPHash uint32
 	// Src1Back and Src2Back give each source register's producer as a
 	// backward stream-position delta: the producer of SrcN is the uop
 	// DepSrcNBack positions earlier in the stream. 0 means no in-trace
@@ -139,15 +137,6 @@ type Dep struct {
 // DepSaturated is the saturation value of the Src1Back/Src2Back deltas.
 const DepSaturated = 1<<16 - 1
 
-// HashIP folds an instruction pointer to the 32-bit value carried in
-// Dep.IPHash: the word-aligned IP (low bits dropped, as every history-based
-// predictor in the paper does) with its high half XOR-folded in, so IPs
-// beyond 4 GiB still contribute entropy.
-func HashIP(ip uint64) uint32 {
-	v := ip >> 2
-	return uint32(v) ^ uint32(v>>32)
-}
-
 // HasMemAddr reports whether Addr is meaningful for this uop.
 func (u *UOp) HasMemAddr() bool { return u.Kind == Load || u.Kind == STA }
 
@@ -158,18 +147,18 @@ func (u *UOp) CacheLine() uint64 { return u.Addr &^ 63 }
 func (u *UOp) String() string {
 	switch u.Kind {
 	case Load:
-		return fmt.Sprintf("%d: %s r%d <- [%#x] @%#x", u.Seq, u.Kind, u.Dst, u.Addr, u.IP)
+		return fmt.Sprintf("%s r%d <- [%#x] @%#x", u.Kind, u.Dst, u.Addr, u.IP)
 	case STA:
-		return fmt.Sprintf("%d: %s#%d [%#x] @%#x", u.Seq, u.Kind, u.StoreID, u.Addr, u.IP)
+		return fmt.Sprintf("%s#%d [%#x] @%#x", u.Kind, u.StoreID, u.Addr, u.IP)
 	case STD:
-		return fmt.Sprintf("%d: %s#%d r%d @%#x", u.Seq, u.Kind, u.StoreID, u.Src1, u.IP)
+		return fmt.Sprintf("%s#%d r%d @%#x", u.Kind, u.StoreID, u.Src1, u.IP)
 	case Branch:
 		dir := "nt"
 		if u.Taken {
 			dir = "t"
 		}
-		return fmt.Sprintf("%d: %s %s @%#x", u.Seq, u.Kind, dir, u.IP)
+		return fmt.Sprintf("%s %s @%#x", u.Kind, dir, u.IP)
 	default:
-		return fmt.Sprintf("%d: %s r%d <- r%d,r%d @%#x", u.Seq, u.Kind, u.Dst, u.Src1, u.Src2, u.IP)
+		return fmt.Sprintf("%s r%d <- r%d,r%d @%#x", u.Kind, u.Dst, u.Src1, u.Src2, u.IP)
 	}
 }

@@ -3,6 +3,7 @@ package uop
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -62,12 +63,12 @@ func TestStringForms(t *testing.T) {
 		u    UOp
 		want string
 	}{
-		{UOp{Seq: 1, Kind: Load, Dst: 3, Addr: 0x10, IP: 0x400000}, "ld"},
-		{UOp{Seq: 2, Kind: STA, StoreID: 7, Addr: 0x20}, "sta#7"},
-		{UOp{Seq: 3, Kind: STD, StoreID: 7, Src1: 4}, "std#7"},
-		{UOp{Seq: 4, Kind: Branch, Taken: true}, "br t"},
-		{UOp{Seq: 5, Kind: Branch, Taken: false}, "br nt"},
-		{UOp{Seq: 6, Kind: IntALU, Dst: 1, Src1: 2, Src2: 3}, "alu"},
+		{UOp{Kind: Load, Dst: 3, Addr: 0x10, IP: 0x400000}, "ld"},
+		{UOp{Kind: STA, StoreID: 7, Addr: 0x20}, "sta#7"},
+		{UOp{Kind: STD, StoreID: 7, Src1: 4}, "std#7"},
+		{UOp{Kind: Branch, Taken: true}, "br t"},
+		{UOp{Kind: Branch, Taken: false}, "br nt"},
+		{UOp{Kind: IntALU, Dst: 1, Src1: 2, Src2: 3}, "alu"},
 	}
 	for _, c := range cases {
 		if got := c.u.String(); !strings.Contains(got, c.want) {
@@ -85,5 +86,17 @@ func TestConstants(t *testing.T) {
 	}
 	if MaxArchRegs < 64 {
 		t.Errorf("MaxArchRegs = %d too small for the synthetic ISA", MaxArchRegs)
+	}
+}
+
+// TestLayout pins the record sizes a recording is made of: every recorded
+// uop costs one UOp plus one Dep, so a field added to either grows every
+// recording in the process by that much per uop.
+func TestLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(UOp{}); sz != 32 {
+		t.Errorf("UOp is %d bytes, want 32", sz)
+	}
+	if sz := unsafe.Sizeof(Dep{}); sz != 6 {
+		t.Errorf("Dep is %d bytes, want 6", sz)
 	}
 }
