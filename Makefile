@@ -1,7 +1,7 @@
 # Development targets. `make verify` is the PR gate: build, gofmt, vet, the
-# full test suite under the race detector, and a determinism spot-check that
+# full test suite under the race detector, a determinism spot-check that
 # a parallel figure run (-j 8) renders byte-identically to a serial one
-# (-j 1) in both table and JSON formats.
+# (-j 1) in both table and JSON formats, and one run of every example.
 
 GO ?= go
 
@@ -26,7 +26,7 @@ BENCH_THRESHOLD ?= 20
 PROFILE_FIG ?= 8
 PROFILE_DIR ?= /tmp
 
-.PHONY: all build test vet fmt-check lint race verify bench bench-json bench-compare determinism serve-smoke fuzz-smoke perfbench-test cover profile clean
+.PHONY: all build test vet fmt-check lint race verify bench bench-json bench-compare determinism examples serve-smoke fuzz-smoke perfbench-test cover profile clean
 
 all: build
 
@@ -86,6 +86,15 @@ determinism: build
 	cmp /tmp/loadsched-j1.json /tmp/loadsched-j8.json
 	@echo "determinism: -j1 and -j8 outputs are byte-identical (table and json)"
 
+# examples: run every example main once (together ~2 s); an example that
+# exits non-zero fails the target. Their tables go to /dev/null, their
+# errors to the terminal.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$${d%/}"; \
+		$(GO) run "./$${d%/}" > /dev/null || exit 1; \
+	done
+
 # serve-smoke: end-to-end check of `loadsched serve` + the persistent
 # result store — remote output must be byte-identical to a local run, and a
 # server restarted on a warm store must answer the same sweep with zero
@@ -114,7 +123,7 @@ PERFBENCH_ENV = GOTOOLCHAIN=local GOFLAGS=-mod=mod GOPROXY=off GOWORK=off
 perfbench-test:
 	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./... && $(PERFBENCH_ENV) $(GO) test -race ./...
 
-verify: build fmt-check vet race determinism
+verify: build fmt-check vet race determinism examples
 	@echo "verify: OK"
 
 # profile: capture cpu and allocation pprof data for one figure run

@@ -7,8 +7,7 @@
 // binary-predictor kit. The package provides the paper's predictors A, B and
 // C (chooser combinations of local/gshare/gskew/bimodal components with
 // confidence policies), the address-predictor-based bank predictor
-// ([Beke99]), a per-bit scaler for more than two banks, and the evaluation
-// metric of §4.3.
+// ([Beke99]), and the evaluation metric of §4.3.
 package bankpred
 
 import (

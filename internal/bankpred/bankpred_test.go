@@ -10,11 +10,10 @@ import (
 
 func allBankPredictors() map[string]Predictor {
 	return map[string]Predictor{
-		"A":      NewPredictorA(),
-		"B":      NewPredictorB(),
-		"C":      NewPredictorC(),
-		"Addr":   NewAddrBank(cache.DefaultBanking()),
-		"perbit": NewPerBit(1),
+		"A":    NewPredictorA(),
+		"B":    NewPredictorB(),
+		"C":    NewPredictorC(),
+		"Addr": NewAddrBank(cache.DefaultBanking()),
 	}
 }
 
@@ -99,45 +98,6 @@ func TestAddrBankFollowsStride(t *testing.T) {
 	if correct != predicted {
 		t.Fatalf("addr predictor wrong on steady stride: %d/%d", correct, predicted)
 	}
-}
-
-func TestPerBitFourBanks(t *testing.T) {
-	p := NewPerBit(2)
-	ips := []uint64{0x400100, 0x400200, 0x400300, 0x400400}
-	for i := 0; i < 400; i++ {
-		for b, ip := range ips {
-			p.Update(ip, b)
-		}
-	}
-	// Predict each load in stream position (immediately before its update)
-	// so global history matches training.
-	correct, predicted := 0, 0
-	for i := 0; i < 50; i++ {
-		for b, ip := range ips {
-			if got, ok := p.Predict(ip); ok {
-				predicted++
-				if got == b {
-					correct++
-				}
-			}
-			p.Update(ip, b)
-		}
-	}
-	if predicted < 150 {
-		t.Fatalf("per-bit predictor abstained too much: %d/200", predicted)
-	}
-	if correct < predicted*95/100 {
-		t.Fatalf("per-bit accuracy %d/%d", correct, predicted)
-	}
-}
-
-func TestPerBitBadBitsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewPerBit(0)
 }
 
 func TestStatsAccounting(t *testing.T) {

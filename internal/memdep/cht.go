@@ -185,18 +185,11 @@ func (c *FullCHT) Describe() string {
 // ImplicitCHT is the Implicit-predictor CHT: tag-only and sticky. Presence
 // in the table *is* the colliding prediction, so the predictor costs zero
 // state bits beyond the tags. Once a load collides it stays predicted
-// colliding until its entry is replaced (or the table is cyclically cleared,
-// the [Chry98] remedy available through ClearInterval).
+// colliding until its entry is replaced.
 type ImplicitCHT struct {
 	table         *tagTable
 	entries, ways int
 	trackDistance bool
-
-	// ClearInterval, when positive, clears the whole table every that many
-	// Record calls, letting loads whose behavior changed become
-	// non-colliding again.
-	ClearInterval int
-	records       int
 }
 
 // NewImplicitCHT builds a tag-only sticky CHT.
@@ -220,10 +213,6 @@ func (c *ImplicitCHT) Lookup(ip uint64) Prediction {
 // Record implements Predictor: colliding loads allocate (sticky); retires of
 // non-colliding loads leave the table untouched.
 func (c *ImplicitCHT) Record(ip uint64, collided bool, distance int) {
-	c.records++
-	if c.ClearInterval > 0 && c.records%c.ClearInterval == 0 {
-		c.table.clear()
-	}
 	if !collided {
 		return
 	}
@@ -234,14 +223,14 @@ func (c *ImplicitCHT) Record(ip uint64, collided bool, distance int) {
 }
 
 // Reset implements Predictor.
-func (c *ImplicitCHT) Reset() { c.table.clear(); c.records = 0 }
+func (c *ImplicitCHT) Reset() { c.table.clear() }
 
 // Name implements Predictor.
 func (c *ImplicitCHT) Name() string { return fmt.Sprintf("tagged-%d", c.entries) }
 
 // Describe canonically identifies a freshly built table for memo keys.
 func (c *ImplicitCHT) Describe() string {
-	return fmt.Sprintf("tagged(%d,%d,%t,clear=%d)", c.entries, c.ways, c.trackDistance, c.ClearInterval)
+	return fmt.Sprintf("tagged(%d,%d,%t)", c.entries, c.ways, c.trackDistance)
 }
 
 // TaglessCHT is the tagless, direct-mapped CHT: an array of 1-bit counters

@@ -122,18 +122,6 @@ func TestImplicitCHTIsSticky(t *testing.T) {
 	}
 }
 
-func TestImplicitCHTCyclicClearing(t *testing.T) {
-	c := NewImplicitCHT(256, 4, false)
-	c.ClearInterval = 10
-	c.Record(0x400100, true, 1)
-	for i := 0; i < 10; i++ {
-		c.Record(0x400200, false, NoDistance)
-	}
-	if c.Lookup(0x400100).Colliding {
-		t.Fatal("cyclic clearing should have dropped the sticky entry")
-	}
-}
-
 func TestTaglessAliasing(t *testing.T) {
 	c := NewTaglessCHT(16, 1, false)
 	// Two IPs 16 entries apart share an index (ip>>2 mod 16).

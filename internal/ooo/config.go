@@ -43,23 +43,6 @@ type Config struct {
 	// current processors.
 	HMP hitmiss.Predictor
 
-	// DistanceForwarding enables the §2.1 extension of the Exclusive scheme:
-	// the predicted collision distance identifies the colliding store, so a
-	// predicted-colliding load takes the store's data directly from the
-	// store queue when the STD completes (ForwardLatency cycles) instead of
-	// re-reading the cache — "the minimal distance may also provide a simple
-	// way of performing load-store pairing, enabling data value forwarding."
-	// Only meaningful with Scheme == Exclusive.
-	DistanceForwarding bool
-	// ForwardLatency is the store-queue forwarding latency (cycles).
-	ForwardLatency int
-
-	// Barrier, when set, layers a [Hess95] Store Barrier Cache on top of the
-	// ordering scheme: loads may not pass an in-flight store whose barrier
-	// counter is set. Pair it with the Opportunistic scheme to model the
-	// original design, the prior art §1.1 compares the CHT against.
-	Barrier *memdep.StoreBarrier
-
 	// UseTimingHMP wraps the configured HMP with the outstanding-miss-queue
 	// timing enhancement of §2.2.
 	UseTimingHMP bool
@@ -112,14 +95,6 @@ type Config struct {
 	// Figure 9) tap this stream to evaluate many predictor configurations
 	// in a single machine pass.
 	OnLoadRetire func(LoadEvent)
-
-	// OnMemoryLoad, when set, is invoked when a load goes (or is predicted
-	// to go) all the way to memory: once at dispatch when the predictor
-	// anticipated the miss (predicted=true), or at miss-detection time when
-	// it did not (predicted=false). remaining is the load's outstanding
-	// latency at that point. The §2.2 multithreading study
-	// (internal/smt) uses this to gate thread switches.
-	OnMemoryLoad func(remaining int64, predicted bool)
 
 	// NewPolicy, when set, replaces the built-in speculation policy
 	// assembled from Scheme/CHT/HMP/BankPredictor/BankPolicy with a custom
@@ -184,7 +159,6 @@ func DefaultConfig() Config {
 		MissRecoveryBubble:      10,
 
 		BankDualSchedLatency: 2,
-		ForwardLatency:       3,
 
 		LatIntALU: 1, LatComplex: 4, LatFPU: 4, LatBranch: 1, LatSTA: 1, LatSTD: 1,
 
@@ -219,8 +193,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ooo: negative replay uop count")
 	case c.BankMispredictPenalty < 0 || c.BankDualSchedLatency < 0:
 		return fmt.Errorf("ooo: negative bank penalty")
-	case c.ForwardLatency < 0:
-		return fmt.Errorf("ooo: negative forward latency")
 	}
 	// L1I carries no timing (traces arrive pre-fetched) but an explicitly
 	// configured geometry must still be coherent; the zero value means "not

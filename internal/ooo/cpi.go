@@ -49,7 +49,7 @@ type CPIStack struct {
 	// replay debt).
 	PortContention int64
 	// OrderingWait counts cycles the oldest ready uop — a load — was held by
-	// the memory-ordering scheme (or a store barrier): the cost the paper's
+	// the memory-ordering scheme: the cost the paper's
 	// collision prediction attacks.
 	OrderingWait int64
 	// BankConflict counts cycles the oldest ready uop — a load — was held by

@@ -208,8 +208,8 @@ func (e *Engine) loadView(idx int32) LoadView {
 	}
 }
 
-// Per-store MOB flag bits (mobState.flags). Exactly eight, so a store's
-// whole status is one byte.
+// Per-store MOB flag bits (mobState.flags). A store's whole status is one
+// byte.
 const (
 	// renamed halves present in the window.
 	mStaSeen uint8 = 1 << iota
@@ -221,10 +221,6 @@ const (
 	// pruned once it reaches the MOB head).
 	mStaRetired
 	mStdRetired
-	// mBarrier marks a store the [Hess95] barrier cache flagged at rename;
-	// mViolated records whether a load was wrongly ordered against it.
-	mBarrier
-	mViolated
 )
 
 // mobState is the memory-order buffer as a ring of parallel arrays: the
@@ -236,7 +232,6 @@ const (
 // the instruction window) and doubles only in the degenerate case that
 // bound is exceeded, so steady-state MOB traffic allocates nothing.
 type mobState struct {
-	ip           []uint64
 	addr         []uint64
 	size         []int32
 	flags        []uint8
@@ -250,7 +245,6 @@ type mobState struct {
 // newMOB allocates the ring's parallel arrays.
 func newMOB(capacity int) mobState {
 	return mobState{
-		ip:           make([]uint64, capacity),
 		addr:         make([]uint64, capacity),
 		size:         make([]int32, capacity),
 		flags:        make([]uint8, capacity),
@@ -446,15 +440,6 @@ func (e *Engine) Hierarchy() *cache.Hierarchy { return e.hier }
 
 // Policy exposes the active speculation policy (read-only use).
 func (e *Engine) Policy() SpeculationPolicy { return e.policy }
-
-// StepCycle advances the machine by exactly one clock. External
-// coordinators (e.g. the coarse-grained multithreading model in
-// internal/smt) interleave several engines this way; Run remains the
-// single-machine driver.
-func (e *Engine) StepCycle() { e.cycle() }
-
-// Retired returns the number of uops retired so far (across warmup too).
-func (e *Engine) Retired() uint64 { return e.stats.Uops }
 
 // Now returns the engine-local cycle count.
 func (e *Engine) Now() int64 { return e.now }

@@ -150,17 +150,6 @@ func TestExclusiveBypassesNearStores(t *testing.T) {
 	}
 }
 
-func TestStoreSetsAsScheduler(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Scheme = memdep.Inclusive
-	cfg.CHT = memdep.NewStoreSets(4096)
-	us := collisionTrace(150)
-	st := NewEngine(cfg, newSliceSource(us)).Run(len(us))
-	if st.Collisions > 25 {
-		t.Fatalf("store-sets should learn to hold colliding loads: %d collisions", st.Collisions)
-	}
-}
-
 // ---- hit-miss penalties ----
 
 func TestAHPMDelaysDependents(t *testing.T) {

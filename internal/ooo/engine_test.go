@@ -373,7 +373,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MissReplayUops = -1 },
 		func(c *Config) { c.BankMispredictPenalty = -1 },
 		func(c *Config) { c.BankDualSchedLatency = -1 },
-		func(c *Config) { c.ForwardLatency = -1 },
 		func(c *Config) { c.Hier.L1D.LineBytes = 48 },
 		func(c *Config) { c.Hier.L1I.SizeBytes = 48 }, // non-zero L1I must cohere
 	}
@@ -462,12 +461,12 @@ func TestEngineAccessors(t *testing.T) {
 	if e.Hierarchy() == nil {
 		t.Fatal("nil hierarchy")
 	}
-	if e.Now() != 0 || e.Retired() != 0 {
+	if e.Now() != 0 || e.stats.Uops != 0 {
 		t.Fatal("fresh engine not at cycle 0")
 	}
-	e.StepCycle()
+	e.cycle()
 	if e.Now() != 1 {
-		t.Fatalf("StepCycle advanced to %d", e.Now())
+		t.Fatalf("one cycle advanced to %d", e.Now())
 	}
 }
 

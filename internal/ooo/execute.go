@@ -1,9 +1,6 @@
 package ooo
 
-import (
-	"loadsched/internal/cache"
-	"loadsched/internal/memdep"
-)
+import "loadsched/internal/cache"
 
 // Execute stage (loads): performs the cache access of a dispatching load,
 // applies the policy's latency speculation (hit-miss / level prediction),
@@ -97,20 +94,6 @@ func (e *Engine) executeLoad(idx int32) {
 		e.missq.RecordMiss(addr, e.now+int64(actualLat))
 	}
 
-	if e.cfg.OnMemoryLoad != nil && level == cache.Memory && !dynamicMiss {
-		if predLevel == cache.Memory {
-			// The predictor anticipated the full miss at dispatch.
-			e.cfg.OnMemoryLoad(cacheDone-e.now, true)
-		} else {
-			// Discovered only when the hit indication arrives.
-			rem := cacheDone - e.now - int64(e.cfg.Lat.HitIndication)
-			if rem < 0 {
-				rem = 0
-			}
-			e.cfg.OnMemoryLoad(rem, false)
-		}
-	}
-
 	// Collision detection: the youngest older overlapping store whose data
 	// is not complete at dispatch forces the paper's collision penalty.
 	matchID, matchPos := int64(-1), -1
@@ -132,10 +115,6 @@ func (e *Engine) executeLoad(idx int32) {
 		e.stats.Collisions++
 		r.waitStore[idx] = matchID
 		e.pendingColl = append(e.pendingColl, idx)
-		if e.cfg.Barrier != nil {
-			e.mob.flags[matchPos] |= mViolated
-			e.cfg.Barrier.RecordViolation(e.mob.ip[matchPos])
-		}
 		return
 	}
 	r.flags[idx] |= fDone
@@ -147,23 +126,7 @@ func (e *Engine) executeLoad(idx int32) {
 			done = fwd
 		}
 	}
-	if e.cfg.DistanceForwarding && e.cfg.Scheme == memdep.Exclusive &&
-		r.pred[idx].Colliding && r.pred[idx].Distance != memdep.NoDistance && matchPos >= 0 {
-		// Load-store pairing through the predicted distance: when the
-		// predicted distance names the matching store, the load's data comes
-		// from the store queue at ForwardLatency instead of the cache.
-		if d := int(r.olderStores[idx] - matchID + 1); d == r.pred[idx].Distance {
-			fwd := e.mob.stdExecCyc[matchPos] + int64(e.cfg.ForwardLatency)
-			if fwd < e.now+int64(e.cfg.ForwardLatency) {
-				fwd = e.now + int64(e.cfg.ForwardLatency)
-			}
-			if fwd < done {
-				done = fwd
-				e.stats.Forwards++
-			}
-		}
-	}
-	// doneCycle is final only after the forwarding adjustments above; the
+	// doneCycle is final only after the forwarding adjustment above; the
 	// collided path returns early and wakes from finishCollidedLoad instead.
 	r.doneCycle[idx] = done
 	e.wakeDependents(idx)

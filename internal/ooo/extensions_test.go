@@ -3,79 +3,10 @@ package ooo
 import (
 	"testing"
 
-	"loadsched/internal/cache"
 	"loadsched/internal/hitmiss"
 	"loadsched/internal/memdep"
 	"loadsched/internal/trace"
 )
-
-// ---- store barrier cache [Hess95] ----
-
-func TestBarrierLearnsToHoldLoads(t *testing.T) {
-	us := collisionTrace(200)
-	run := func(barrier *memdep.StoreBarrier) Stats {
-		cfg := DefaultConfig()
-		cfg.Scheme = memdep.Opportunistic
-		cfg.Barrier = barrier
-		return NewEngine(cfg, newSliceSource(us)).Run(len(us))
-	}
-	without := run(nil)
-	with := run(memdep.NewStoreBarrier(1024))
-	if with.Collisions >= without.Collisions {
-		t.Fatalf("barrier cache should cut collisions: %d vs %d", with.Collisions, without.Collisions)
-	}
-}
-
-func TestBarrierCoarserThanCHT(t *testing.T) {
-	// The paper's point about [Hess95]: the barrier keys on stores, so one
-	// bad store delays every following load. On a mixed trace the CHT
-	// (load-keyed) should win.
-	p, _ := trace.TraceByName(trace.GroupSysmarkNT, "cd")
-	run := func(mut func(*Config)) float64 {
-		cfg := DefaultConfig()
-		cfg.Scheme = memdep.Opportunistic
-		cfg.WarmupUops = 20000
-		mut(&cfg)
-		return NewEngine(cfg, trace.Replay(p)).Run(80000).IPC()
-	}
-	barrier := run(func(c *Config) { c.Barrier = memdep.NewStoreBarrier(1024) })
-	cht := run(func(c *Config) {
-		c.Scheme = memdep.Inclusive
-		c.CHT = memdep.NewFullCHT(2048, 4, 2, true)
-	})
-	if cht < barrier*0.98 {
-		t.Fatalf("CHT (%.3f) should not lose to the store barrier (%.3f)", cht, barrier)
-	}
-}
-
-func TestBarrierCountersDecay(t *testing.T) {
-	b := memdep.NewStoreBarrier(256)
-	ip := uint64(0x400100)
-	b.RecordViolation(ip)
-	b.RecordViolation(ip)
-	if !b.ShouldBarrier(ip) {
-		t.Fatal("two violations should set the barrier")
-	}
-	b.RecordClean(ip)
-	b.RecordClean(ip)
-	if b.ShouldBarrier(ip) {
-		t.Fatal("clean executions should clear the barrier")
-	}
-	b.RecordViolation(ip)
-	b.Reset()
-	if b.ShouldBarrier(ip) {
-		t.Fatal("Reset must clear counters")
-	}
-}
-
-func TestBarrierBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	memdep.NewStoreBarrier(100)
-}
 
 // ---- dual-scheduled banked pipe ----
 
@@ -179,61 +110,4 @@ func TestEngineRunsFromRecordedTrace(t *testing.T) {
 func cfg2(c Config) Config {
 	c.CHT = memdep.NewFullCHT(2048, 4, 2, true)
 	return c
-}
-
-var _ = cache.DefaultBanking
-
-// ---- distance-based value forwarding (§2.1 extension) ----
-
-func TestDistanceForwardingSpeedsUpPairs(t *testing.T) {
-	// The colliding parameter-pair trace: with forwarding, the load takes
-	// the store's value from the store queue instead of re-reading the
-	// cache, shaving latency on every predicted pair.
-	run := func(forward bool) Stats {
-		cfg := DefaultConfig()
-		cfg.Scheme = memdep.Exclusive
-		cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
-		cfg.DistanceForwarding = forward
-		us := collisionTrace(300)
-		return NewEngine(cfg, newSliceSource(us)).Run(2500)
-	}
-	plain := run(false)
-	fwd := run(true)
-	if fwd.Forwards == 0 {
-		t.Fatal("forwarding never triggered on a pair-heavy trace")
-	}
-	if fwd.IPC() < plain.IPC() {
-		t.Fatalf("forwarding (%.3f) should not lose to plain exclusive (%.3f)",
-			fwd.IPC(), plain.IPC())
-	}
-}
-
-func TestDistanceForwardingOffByDefault(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Scheme = memdep.Exclusive
-	cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
-	st := NewEngine(cfg, newSliceSource(collisionTrace(100))).Run(800)
-	if st.Forwards != 0 {
-		t.Fatalf("forwarding counted %d events while disabled", st.Forwards)
-	}
-}
-
-func TestDistanceForwardingOnRealTrace(t *testing.T) {
-	p, _ := trace.TraceByName(trace.GroupJava, "javac")
-	run := func(forward bool) Stats {
-		cfg := DefaultConfig()
-		cfg.Scheme = memdep.Exclusive
-		cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
-		cfg.DistanceForwarding = forward
-		cfg.WarmupUops = 15000
-		return NewEngine(cfg, trace.Replay(p)).Run(60000)
-	}
-	fwd := run(true)
-	plain := run(false)
-	if fwd.Forwards == 0 {
-		t.Fatal("no forwards on a call-heavy Java trace")
-	}
-	if fwd.IPC() < plain.IPC()*0.99 {
-		t.Fatalf("forwarding hurt IPC: %.3f vs %.3f", fwd.IPC(), plain.IPC())
-	}
 }

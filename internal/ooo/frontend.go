@@ -91,7 +91,6 @@ func (e *Engine) renameDep(u *uop.UOp, d *uop.Dep) {
 	switch u.Kind {
 	case uop.STA:
 		pos := e.mobEnsure(u.StoreID)
-		e.mob.ip[pos] = u.IP
 		e.mob.addr[pos] = u.Addr
 		e.mob.size[pos] = int32(u.Size)
 		e.mob.flags[pos] |= mStaSeen
@@ -104,9 +103,6 @@ func (e *Engine) renameDep(u *uop.UOp, d *uop.Dep) {
 		}
 		if u.StoreID < e.allDoneTo {
 			e.allDoneTo = u.StoreID
-		}
-		if e.cfg.Barrier != nil && e.cfg.Barrier.ShouldBarrier(u.IP) {
-			e.mob.flags[pos] |= mBarrier
 		}
 	case uop.STD:
 		pos := e.mobEnsure(u.StoreID)

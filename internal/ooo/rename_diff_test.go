@@ -59,9 +59,9 @@ func checkRename(t *testing.T, e *Engine, n uint64) {
 	r := &e.rob
 	linked := 0
 	var pos int64 // stream position of the next uop renamed
-	for e.Retired() < n {
+	for e.stats.Uops < n {
 		before := e.renameAge
-		e.StepCycle()
+		e.cycle()
 		renamed := int(e.renameAge - before)
 		for w := e.count - renamed; w < e.count; w++ {
 			idx := e.robIdx(w)

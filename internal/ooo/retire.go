@@ -35,11 +35,7 @@ func (e *Engine) retireEntry(idx int32) {
 		e.stats.Stores++
 		e.mob.flags[e.mobGet(e.rob.u[idx].StoreID)] |= mStaRetired
 	case uop.STD:
-		pos := e.mobGet(e.rob.u[idx].StoreID)
-		e.mob.flags[pos] |= mStdRetired
-		if e.cfg.Barrier != nil && e.mob.flags[pos]&mViolated == 0 {
-			e.cfg.Barrier.RecordClean(e.mob.ip[pos])
-		}
+		e.mob.flags[e.mobGet(e.rob.u[idx].StoreID)] |= mStdRetired
 		e.mobPrune()
 	case uop.Branch:
 		e.stats.Branches++

@@ -162,7 +162,7 @@ func (e *Engine) maybeDispatchLoad(idx int32) {
 		return
 	}
 	lv := &e.rob.lv[idx]
-	if !e.orderingAllows(idx, lv) {
+	if !e.orderingAllows(lv) {
 		e.noteSchedHold(stallOrdering)
 		return
 	}
@@ -190,15 +190,11 @@ func (e *Engine) maybeDispatchLoad(idx int32) {
 	e.executeLoad(idx)
 }
 
-// orderingAllows applies the optional [Hess95] store-barrier constraint (a
-// MOB property layered on every scheme) and then the policy's ordering
-// decision.
-// lv is the caller's already-built view of slot idx — maybeDispatchLoad
-// shares one construction between this check and AdmitBank.
-func (e *Engine) orderingAllows(idx int32, lv *LoadView) bool {
-	if e.cfg.Barrier != nil && e.barrierBlocked(e.rob.olderStores[idx]) {
-		return false
-	}
+// orderingAllows asks the policy whether the load may pass the older
+// stores in the MOB. lv is the caller's already-built view of the load —
+// maybeDispatchLoad shares one construction between this check and
+// AdmitBank.
+func (e *Engine) orderingAllows(lv *LoadView) bool {
 	if p := e.defPol; p != nil {
 		return p.AllowOrdering(lv, e.mobView())
 	}

@@ -39,10 +39,6 @@ type Stats struct {
 	// events when banking is enabled.
 	BankConflicts, BankMispredicts, BankDuplicates uint64
 
-	// Forwards counts loads that took their data from the store queue via
-	// distance-predicted load-store pairing (the §2.1 forwarding extension).
-	Forwards uint64
-
 	// CPI attributes every measured cycle to one stall cause;
 	// CPI.Total() == Cycles over the measured region (see cpi.go).
 	CPI CPIStack
@@ -93,6 +89,5 @@ func (s *Stats) Add(o Stats) {
 	s.BankConflicts += o.BankConflicts
 	s.BankMispredicts += o.BankMispredicts
 	s.BankDuplicates += o.BankDuplicates
-	s.Forwards += o.Forwards
 	s.CPI.Add(o.CPI)
 }

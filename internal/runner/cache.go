@@ -37,11 +37,11 @@ type Describer interface {
 // field.
 //
 // The description is the key text (see codec.go) of the configuration with
-// its predictor, barrier, callback and policy fields cleared, followed by
-// the CHT, HMP, barrier and bank-predictor descriptions, each quoted or "-"
-// when absent. New scalar knobs are picked up automatically.
+// its predictor, callback and policy fields cleared, followed by the CHT,
+// HMP and bank-predictor descriptions, each quoted or "-" when absent. New
+// scalar knobs are picked up automatically.
 func ConfigKey(cfg ooo.Config) (key string, ok bool) {
-	if cfg.OnLoadRetire != nil || cfg.OnMemoryLoad != nil {
+	if cfg.OnLoadRetire != nil {
 		return "", false
 	}
 	// A custom speculation policy participates in memoization only when the
@@ -60,16 +60,12 @@ func ConfigKey(cfg ooo.Config) (key string, ok bool) {
 	if !ok {
 		return "", false
 	}
-	bar, ok := describe(cfg.Barrier == nil, cfg.Barrier)
-	if !ok {
-		return "", false
-	}
 	bp, ok := describe(cfg.BankPredictor == nil, cfg.BankPredictor)
 	if !ok {
 		return "", false
 	}
 	flat := cfg
-	flat.CHT, flat.HMP, flat.Barrier, flat.BankPredictor = nil, nil, nil, nil
+	flat.CHT, flat.HMP, flat.BankPredictor = nil, nil, nil
 	if flat.NewPolicy == nil {
 		flat.PolicyKey = "" // names nothing without a custom policy
 	}
@@ -79,7 +75,7 @@ func ConfigKey(cfg ooo.Config) (key string, ok bool) {
 	if !ok {
 		return "", false
 	}
-	for _, d := range [...]string{cht, hmp, bar, bp} {
+	for _, d := range [...]string{cht, hmp, bp} {
 		if d == "" {
 			b = append(b, " -"...)
 		} else {

@@ -218,10 +218,10 @@ func fingerprint(types ...reflect.Type) string {
 
 // statsWords is the number of counters in ooo.Stats, each one 8-byte word
 // of the store payload.
-const statsWords = 34
+const statsWords = 33
 
 // encodeStats lays st out as the store payload: its counters in
-// declaration order as little-endian 8-byte words, 272 bytes in all. The
+// declaration order as little-endian 8-byte words, 264 bytes in all. The
 // layout is encoding/binary's for the struct, so stores written through
 // binary.Write read back unchanged.
 func encodeStats(st *ooo.Stats) []byte {
@@ -232,7 +232,7 @@ func encodeStats(st *ooo.Stats) []byte {
 		h.AHPH, h.AHPM, h.AMPH, h.AMPM,
 		st.Collisions, st.L1Hits, st.L1Misses, st.L2Misses,
 		st.BranchMispredicts, st.RenameStalls,
-		st.BankConflicts, st.BankMispredicts, st.BankDuplicates, st.Forwards,
+		st.BankConflicts, st.BankMispredicts, st.BankDuplicates,
 		uint64(cpi.Base), uint64(cpi.Frontend), uint64(cpi.WindowFull),
 		uint64(cpi.PortContention), uint64(cpi.OrderingWait), uint64(cpi.BankConflict),
 		uint64(cpi.CollisionRecovery), uint64(cpi.MissReplay), uint64(cpi.DataStall))
@@ -267,7 +267,7 @@ func decodeStats(b []byte, st *ooo.Stats) bool {
 		HM:         hitmiss.Outcomes{AHPH: u(), AHPM: u(), AMPH: u(), AMPM: u()},
 		Collisions: u(), L1Hits: u(), L1Misses: u(), L2Misses: u(),
 		BranchMispredicts: u(), RenameStalls: u(),
-		BankConflicts: u(), BankMispredicts: u(), BankDuplicates: u(), Forwards: u(),
+		BankConflicts: u(), BankMispredicts: u(), BankDuplicates: u(),
 		CPI: ooo.CPIStack{Base: i(), Frontend: i(), WindowFull: i(),
 			PortContention: i(), OrderingWait: i(), BankConflict: i(),
 			CollisionRecovery: i(), MissReplay: i(), DataStall: i()},

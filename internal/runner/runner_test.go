@@ -197,11 +197,6 @@ func TestConfigKeyCallbacksNotMemoizable(t *testing.T) {
 		t.Fatal("OnLoadRetire config must not be memoizable")
 	}
 	cb = cfg
-	cb.OnMemoryLoad = func(int64, bool) {}
-	if _, ok := ConfigKey(cb); ok {
-		t.Fatal("OnMemoryLoad config must not be memoizable")
-	}
-	cb = cfg
 	cb.NewPolicy = func(ooo.PolicyDeps) ooo.SpeculationPolicy { return nil }
 	if _, ok := ConfigKey(cb); ok {
 		t.Fatal("undescribed custom-policy config must not be memoizable")
