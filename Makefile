@@ -102,10 +102,13 @@ examples:
 serve-smoke:
 	sh scripts/serve-smoke.sh
 
-# fuzz-smoke: fuzz both trace-file readers for 30 s each, beyond the
-# checked-in seeds `go test` replays: FuzzReader (the batch and side-car
-# replay path) and FuzzStreamReader (accept/reject agreement with the
-# whole-file reference decode). `go test -fuzz` takes one target per run.
+# fuzz-smoke: fuzz both trace-file readers and the engine behind them for
+# 30 s each, beyond the checked-in seeds `go test` replays: FuzzReader (the
+# batch and side-car replay path), FuzzStreamReader (accept/reject
+# agreement with the whole-file reference decode) and FuzzEngineReplay
+# (every accepted file replayed past its end through an Inclusive machine,
+# which must not panic or livelock). `go test -fuzz` takes one target per
+# run.
 # Minimizing a new input may take 60 s, longer than the whole budget, and
 # stalls the run: with it a 30-s run made 10K-140K executions, without it
 # 700K+. So the smoke run does not minimize; a failing input is still
@@ -113,6 +116,7 @@ serve-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 30s -fuzzminimizetime 0 ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamReader$$' -fuzztime 30s -fuzzminimizetime 0 ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineReplay$$' -fuzztime 30s -fuzzminimizetime 0 ./internal/ooo
 
 # perfbench-test: vet and race-test the benchmark module. perfbench/ is its
 # own Go module (it replaces loadsched with ../), so the root `go test ./...`

@@ -74,16 +74,17 @@ func main() {
 		if u.Kind != uop.Load {
 			continue
 		}
-		actual := banking.BankOf(u.Addr)
+		ip, addr := uint64(u.IP), uint64(u.Addr)
+		actual := banking.BankOf(addr)
 		for j, pr := range preds {
-			bank, ok := pr.Predict(u.IP)
+			bank, ok := pr.Predict(ip)
 			if i >= warmup {
 				tally[j].Record(ok, ok && bank == actual)
 			}
 			if ab, isAddr := pr.(*bankpred.AddrBank); isAddr {
-				ab.UpdateAddr(u.IP, u.Addr)
+				ab.UpdateAddr(ip, addr)
 			} else {
-				pr.Update(u.IP, actual)
+				pr.Update(ip, actual)
 			}
 		}
 	}

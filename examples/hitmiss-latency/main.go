@@ -42,18 +42,19 @@ func main() {
 	h := cache.NewHierarchy(cache.DefaultHierarchyConfig())
 	for i := 0; i < warmup+uops; i++ {
 		u := g.Next()
+		ip, addr := uint64(u.IP), uint64(u.Addr)
 		if u.Kind == uop.STA {
-			h.Access(u.Addr)
+			h.Access(addr)
 		}
 		if u.Kind != uop.Load {
 			continue
 		}
-		hit := h.Access(u.Addr) == cache.L1
+		hit := h.Access(addr) == cache.L1
 		for name, pr := range preds {
 			if i >= warmup {
-				tallies[name].Record(hit, pr.PredictHit(u.IP, u.Addr, 0))
+				tallies[name].Record(hit, pr.PredictHit(ip, addr, 0))
 			}
-			pr.Update(u.IP, u.Addr, 0, hit)
+			pr.Update(ip, addr, 0, hit)
 		}
 	}
 	t := stats.Table{Columns: []string{"predictor", "AM-PM (caught)", "AM-PH (replays)", "AH-PM (delays)"}}

@@ -109,8 +109,8 @@ func TestIntegrationBankPredictorsOnAllGroups(t *testing.T) {
 			if u.Kind != uop.Load {
 				continue
 			}
-			actual := banking.BankOf(u.Addr)
-			bank, ok := bp.Predict(u.IP)
+			actual := banking.BankOf(uint64(u.Addr))
+			bank, ok := bp.Predict(uint64(u.IP))
 			tally.total++
 			if ok && i > 20_000 {
 				pred++
@@ -120,7 +120,7 @@ func TestIntegrationBankPredictorsOnAllGroups(t *testing.T) {
 					tally.wrong++
 				}
 			}
-			bp.Update(u.IP, actual)
+			bp.Update(uint64(u.IP), actual)
 		}
 		if pred == 0 {
 			t.Errorf("%s: predictor never predicted", gname)

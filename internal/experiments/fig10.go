@@ -91,10 +91,10 @@ func replayLoads(p trace.Profile, o Options, fn func(ip, addr uint64, hit, measu
 			u := &us[j]
 			switch u.Kind {
 			case uop.Load:
-				hit := h.Access(u.Addr) == cache.L1
-				fn(u.IP, u.Addr, hit, base+j >= warmup)
+				hit := h.Access(uint64(u.Addr)) == cache.L1
+				fn(uint64(u.IP), uint64(u.Addr), hit, base+j >= warmup)
 			case uop.STA:
-				h.Access(u.Addr)
+				h.Access(uint64(u.Addr))
 			}
 		}
 	})

@@ -79,16 +79,17 @@ func Fig12(o Options) []Fig12Row {
 				if up.Kind != uop.Load {
 					continue
 				}
-				actual := banking.BankOf(up.Addr)
+				ip, addr := uint64(up.IP), uint64(up.Addr)
+				actual := banking.BankOf(addr)
 				for i, pr := range preds {
-					bank, ok := pr.Predict(up.IP)
+					bank, ok := pr.Predict(ip)
 					if base+j >= warmup {
 						tallies[i].Record(ok, ok && bank == actual)
 					}
 					if ab, isAddr := pr.(*bankpred.AddrBank); isAddr {
-						ab.UpdateAddr(up.IP, up.Addr)
+						ab.UpdateAddr(ip, addr)
 					} else {
-						pr.Update(up.IP, actual)
+						pr.Update(ip, actual)
 					}
 				}
 			}

@@ -65,13 +65,13 @@ func BankPolicies(o Options) []BankPolicyRow {
 				if u.Kind != uop.Load {
 					continue
 				}
-				actual := banking.BankOf(u.Addr) == 1
+				actual := banking.BankOf(uint64(u.Addr)) == 1
 				for k, comb := range combs {
-					r := comb.PredictRated(u.IP)
+					r := comb.PredictRated(uint64(u.IP))
 					if base+j >= warmup {
 						tallies[k].Record(r.Predicted, r.Predicted && r.Taken == actual)
 					}
-					comb.Update(u.IP, actual)
+					comb.Update(uint64(u.IP), actual)
 				}
 			}
 		})

@@ -84,32 +84,3 @@ func (t *TwoStage) Reset() {
 
 // Name implements Predictor.
 func (t *TwoStage) Name() string { return "two-stage" }
-
-// PerfectLevel is the oracle level predictor.
-type PerfectLevel struct {
-	// Hierarchy is the simulated data hierarchy (wired by the engine when
-	// nil).
-	Hierarchy *cache.Hierarchy
-}
-
-// PredictLevel implements LevelPredictor.
-func (p *PerfectLevel) PredictLevel(_, addr uint64, _ int64) cache.Level {
-	return p.Hierarchy.Probe(addr)
-}
-
-// PredictHit implements Predictor.
-func (p *PerfectLevel) PredictHit(ip, addr uint64, now int64) bool {
-	return p.PredictLevel(ip, addr, now) == cache.L1
-}
-
-// UpdateLevel implements LevelPredictor.
-func (p *PerfectLevel) UpdateLevel(uint64, uint64, int64, cache.Level) {}
-
-// Update implements Predictor.
-func (p *PerfectLevel) Update(uint64, uint64, int64, bool) {}
-
-// Reset implements Predictor.
-func (p *PerfectLevel) Reset() {}
-
-// Name implements Predictor.
-func (p *PerfectLevel) Name() string { return "perfect-level" }

@@ -208,8 +208,10 @@ func (c Config) Validate() error {
 	return c.Hier.L2.Validate()
 }
 
-// latencyOf returns the fixed execution latency of a non-load uop kind.
-func (c Config) latencyOf(k uop.Kind) int {
+// latencyOf returns the fixed execution latency of a non-load uop kind. A
+// pointer receiver: dispatch calls it per uop, and a value receiver copies
+// the whole Config each time.
+func (c *Config) latencyOf(k uop.Kind) int {
 	switch k {
 	case uop.IntALU, uop.Nop:
 		return c.LatIntALU

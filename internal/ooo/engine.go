@@ -34,13 +34,13 @@ import (
 // side-car (see internal/trace deplink.go). NextBatchRef exposes the
 // source's next decoded run as direct slices — uops and side-car entries in
 // lockstep, valid until the next call on the source — plus the store base
-// the run's Dep.LastStore deltas are relative to (-1: invalid for this run,
-// the engine falls back to its own MOB watermark). Handing out references
-// instead of filling caller buffers keeps the fetch path copy-free; the
-// engine treats the slices as read-only (shared recording chunks back them
-// for every sweep engine at once). Sources are endless, and the side-car's
-// position deltas share an origin with the engine's rename count because
-// the engine observes the stream from its beginning. trace.Replay cursors
+// the run's Dep.LastStore deltas are relative to: the number of STAs
+// before the run. Handing out references instead of filling caller buffers
+// keeps the fetch path copy-free; the engine treats the slices as read-only
+// (shared recording chunks back them for every sweep engine at once).
+// Sources are endless, and the side-car's position deltas and store base
+// share an origin with the engine's rename and store counts because the
+// engine observes the stream from its beginning. trace.Replay cursors
 // and trace.StreamReader implement Source directly; trace.NewBatches
 // adapts any scalar trace.Source.
 type Source interface {
@@ -89,7 +89,7 @@ type robState struct {
 	u     []uop.UOp
 	flags []uint16
 	// kind mirrors u[i].Kind as a dense array, so the dispatch walk's
-	// switch reads a small column instead of striding across 32-byte uop
+	// switch reads a small column instead of striding across 16-byte uop
 	// records.
 	kind []uint8
 	// age is the slot's rename order, stamped from Engine.renameAge: it
@@ -118,8 +118,13 @@ type robState struct {
 	nwaiting []int8
 	readyAt  []int64
 
+	// lastStore is the id of the youngest store renamed up to and
+	// including this slot's uop, written at rename for loads and store
+	// halves: for a load, the youngest store older than it; for an STA or
+	// STD, its own store. A store's id is its rank among the stream's STAs.
+	lastStore []int64
+
 	// Load-only state.
-	olderStores []int64 // StoreID of the youngest store older than this load
 	// lv caches the slot's policy-visible LoadView, built once when the
 	// load is first offered (its fields are all fixed at rename): a load
 	// held for many cycles is re-offered with a pointer into this array
@@ -138,28 +143,28 @@ type robState struct {
 // newROB allocates every parallel slice at the rename-pool size.
 func newROB(pool int) robState {
 	return robState{
-		u:           make([]uop.UOp, pool),
-		flags:       make([]uint16, pool),
-		kind:        make([]uint8, pool),
-		age:         make([]int64, pool),
-		doneCycle:   make([]int64, pool),
-		src1Prod:    make([]int32, pool),
-		src2Prod:    make([]int32, pool),
-		src1Age:     make([]int64, pool),
-		src2Age:     make([]int64, pool),
-		waitHead:    make([]int32, pool),
-		waitNext:    make([]int32, 2*pool),
-		nwaiting:    make([]int8, pool),
-		readyAt:     make([]int64, pool),
-		olderStores: make([]int64, pool),
-		lv:          make([]LoadView, pool),
-		collDist:    make([]int32, pool),
-		pred:        make([]memdep.Prediction, pool),
-		level:       make([]cache.Level, pool),
-		waitStore:   make([]int64, pool),
-		cacheDone:   make([]int64, pool),
-		bankDelay:   make([]int64, pool),
-		dispCycle:   make([]int64, pool),
+		u:         make([]uop.UOp, pool),
+		flags:     make([]uint16, pool),
+		kind:      make([]uint8, pool),
+		age:       make([]int64, pool),
+		doneCycle: make([]int64, pool),
+		src1Prod:  make([]int32, pool),
+		src2Prod:  make([]int32, pool),
+		src1Age:   make([]int64, pool),
+		src2Age:   make([]int64, pool),
+		waitHead:  make([]int32, pool),
+		waitNext:  make([]int32, 2*pool),
+		nwaiting:  make([]int8, pool),
+		readyAt:   make([]int64, pool),
+		lastStore: make([]int64, pool),
+		lv:        make([]LoadView, pool),
+		collDist:  make([]int32, pool),
+		pred:      make([]memdep.Prediction, pool),
+		level:     make([]cache.Level, pool),
+		waitStore: make([]int64, pool),
+		cacheDone: make([]int64, pool),
+		bankDelay: make([]int64, pool),
+		dispCycle: make([]int64, pool),
 	}
 }
 
@@ -174,7 +179,7 @@ func (r *robState) size() int { return len(r.flags) }
 // dispatched, which requires nwaiting to have drained, and reset zeroes it
 // between runs); waitHead is -1 whenever a slot frees (wakeDependents
 // detaches the chain at completion, reset re-arms it); the load fields
-// (olderStores/pred at rename, collDist and the cached lv at
+// (lastStore/pred at rename, collDist and the cached lv at
 // classify, level/cacheDone/dispCycle/bankDelay at dispatch/execute,
 // waitStore on the collision path) are each written before their first
 // read, and read only for loads; doneCycle is read only under fDone, which complete() sets
@@ -203,19 +208,16 @@ func (r *robState) reset() {
 func (e *Engine) loadView(idx int32) LoadView {
 	u := &e.rob.u[idx]
 	return LoadView{
-		IP: u.IP, Addr: u.Addr, Size: int(u.Size),
-		OlderStores: e.rob.olderStores[idx], Pred: e.rob.pred[idx],
+		IP: uint64(u.IP), Addr: uint64(u.Addr), Size: int(u.Size),
+		OlderStores: e.rob.lastStore[idx], Pred: e.rob.pred[idx],
 	}
 }
 
 // Per-store MOB flag bits (mobState.flags). A store's whole status is one
-// byte.
+// byte; its record is born when its STA renames.
 const (
-	// renamed halves present in the window.
-	mStaSeen uint8 = 1 << iota
-	mStdSeen
 	// Execution status of each half.
-	mStaExec
+	mStaExec uint8 = 1 << iota
 	mStdExec
 	// Retirement status of each half (both retired → the record can be
 	// pruned once it reaches the MOB head).
@@ -224,19 +226,20 @@ const (
 )
 
 // mobState is the memory-order buffer as a ring of parallel arrays: the
-// record for StoreID id lives at ring offset id-first, and length records
-// are live starting at ring position start. Store ids are implicit in the
-// ring position (first + offset), and each record's status is a single flag
-// byte, so the classification walks in memory.go stream a dense byte array.
+// record for store id lives at ring offset id-first, and length records
+// are live starting at ring position start. An STA's rename appends its
+// store's record, so ids are the stores' ranks among the stream's STAs.
+// Store ids are implicit in the ring position (first + offset), and each
+// record's status is a single flag byte, so the classification walks in
+// memory.go stream a dense byte array.
 // The ring is sized once from Config.RenamePool (live stores are bounded by
 // the instruction window) and doubles only in the degenerate case that
 // bound is exceeded, so steady-state MOB traffic allocates nothing.
 type mobState struct {
-	addr         []uint64
-	size         []int32
-	flags        []uint8
-	staExecCycle []int64
-	stdExecCyc   []int64
+	addr       []uint64
+	size       []int32
+	flags      []uint8
+	stdExecCyc []int64
 
 	start, length int
 	first         int64
@@ -245,11 +248,10 @@ type mobState struct {
 // newMOB allocates the ring's parallel arrays.
 func newMOB(capacity int) mobState {
 	return mobState{
-		addr:         make([]uint64, capacity),
-		size:         make([]int32, capacity),
-		flags:        make([]uint8, capacity),
-		staExecCycle: make([]int64, capacity),
-		stdExecCyc:   make([]int64, capacity),
+		addr:       make([]uint64, capacity),
+		size:       make([]int32, capacity),
+		flags:      make([]uint8, capacity),
+		stdExecCyc: make([]int64, capacity),
 	}
 }
 
@@ -302,12 +304,11 @@ type Engine struct {
 	mob mobState
 
 	// Completed-store watermarks (memory.go): every in-window store with id
-	// below the watermark whose STA has renamed is known to have dispatched
-	// its STA (staDoneTo) or both halves (allDoneTo). They advance lazily at
-	// query time and roll back at the one place mStaSeen is set, so the
-	// per-cycle ordering checks and load classification walk only the
-	// suffix of the MOB that can still change instead of rescanning from
-	// the oldest store.
+	// below the watermark is known to have dispatched its STA (staDoneTo)
+	// or both halves (allDoneTo). They advance lazily at query time and
+	// never move back, so the per-cycle ordering checks and load
+	// classification walk only the suffix of the MOB that can still change
+	// instead of rescanning from the oldest store.
 	staDoneTo, allDoneTo int64
 
 	// pendingColl lists slots of dispatched loads awaiting a colliding
@@ -434,12 +435,6 @@ func (e *Engine) setSource(src Source) {
 	e.fetchRefU, e.fetchRefD = nil, nil
 	e.fetchPos = 0
 }
-
-// Hierarchy exposes the simulated data hierarchy (read-only use).
-func (e *Engine) Hierarchy() *cache.Hierarchy { return e.hier }
-
-// Policy exposes the active speculation policy (read-only use).
-func (e *Engine) Policy() SpeculationPolicy { return e.policy }
 
 // Now returns the engine-local cycle count.
 func (e *Engine) Now() int64 { return e.now }

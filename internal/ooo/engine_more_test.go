@@ -18,7 +18,7 @@ import (
 func bankHeavyTrace(n int) []uop.UOp {
 	var us []uop.UOp
 	for i := 0; i < n; i++ {
-		line := uint64(0x10000 + (i%64)*128) // even lines → all bank 0
+		line := uint32(0x10000 + (i%64)*128) // even lines → all bank 0
 		us = append(us,
 			uop.UOp{IP: 0x400000, Kind: uop.Load, Dst: 8, Addr: line, Size: 8},
 			uop.UOp{IP: 0x400004, Kind: uop.Load, Dst: 9, Addr: line + 8, Size: 8},
@@ -105,28 +105,25 @@ func TestBankPolicyString(t *testing.T) {
 // waiting for the near store.
 func distanceTrace(n int) []uop.UOp {
 	var us []uop.UOp
-	var id int64
 	for i := 0; i < n; i++ {
 		// Far store: collides with the load; its data arrives after a short
 		// Complex chain, so the instantly-ready load sees it incomplete.
 		us = append(us, uop.UOp{IP: 0x3ffff0, Kind: uop.Complex, Dst: 6})
-		id++
 		us = append(us,
-			uop.UOp{IP: 0x400000, Kind: uop.STA, Addr: 0x3000, Size: 8, StoreID: id},
-			uop.UOp{IP: 0x400004, Kind: uop.STD, StoreID: id, Src1: 6})
+			uop.UOp{IP: 0x400000, Kind: uop.STA, Addr: 0x3000, Size: 8},
+			uop.UOp{IP: 0x400004, Kind: uop.STD, Src1: 6})
 		// Near store: different address, much slower STA and STD.
 		us = append(us,
 			uop.UOp{IP: 0x400010, Kind: uop.Complex, Dst: 7},
 			uop.UOp{IP: 0x400014, Kind: uop.Complex, Dst: 7, Src1: 7},
 			uop.UOp{IP: 0x400016, Kind: uop.Complex, Dst: 7, Src1: 7})
-		id++
 		us = append(us,
-			uop.UOp{IP: 0x400018, Kind: uop.STA, Addr: 0x4000, Size: 8, StoreID: id, Src1: 7},
-			uop.UOp{IP: 0x40001c, Kind: uop.STD, StoreID: id, Src1: 7})
+			uop.UOp{IP: 0x400018, Kind: uop.STA, Addr: 0x4000, Size: 8, Src1: 7},
+			uop.UOp{IP: 0x40001c, Kind: uop.STD, Src1: 7})
 		// The load collides with the far store (distance 2).
 		us = append(us, uop.UOp{IP: 0x400020, Kind: uop.Load, Dst: 8, Addr: 0x3000, Size: 8})
 		for j := 0; j < 3; j++ {
-			us = append(us, uop.UOp{IP: 0x400030 + uint64(j)*4, Kind: uop.IntALU, Dst: 8, Src1: 8})
+			us = append(us, uop.UOp{IP: 0x400030 + uint32(j)*4, Kind: uop.IntALU, Dst: 8, Src1: 8})
 		}
 	}
 	return us
@@ -161,7 +158,7 @@ func TestAHPMDelaysDependents(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		us = append(us, uop.UOp{IP: 0x400000, Kind: uop.Load, Dst: 8, Src1: 8, Addr: 0x1000, Size: 8})
 		for j := 0; j < 4; j++ {
-			us = append(us, uop.UOp{IP: 0x400010 + uint64(j)*4, Kind: uop.IntALU, Dst: 8, Src1: 8})
+			us = append(us, uop.UOp{IP: 0x400010 + uint32(j)*4, Kind: uop.IntALU, Dst: 8, Src1: 8})
 		}
 	}
 	run := func(h hitmiss.Predictor) Stats {

@@ -30,7 +30,7 @@ func (s *sliceSource) Next() uop.UOp {
 	if pos < len(s.uops) {
 		return s.uops[pos]
 	}
-	return uop.UOp{IP: 0x700000 + uint64(pos%8)*4, Kind: uop.IntALU, Dst: 1}
+	return uop.UOp{IP: 0x700000 + uint32(pos%8)*4, Kind: uop.IntALU, Dst: 1}
 }
 
 func testConfig() Config {
@@ -40,10 +40,10 @@ func testConfig() Config {
 }
 
 // mkStore returns the STA/STD pair of a store.
-func mkStore(ip, addr uint64, id int64, dataSrc uop.Reg) []uop.UOp {
+func mkStore(ip, addr uint32, dataSrc uop.Reg) []uop.UOp {
 	return []uop.UOp{
-		{IP: ip, Kind: uop.STA, Addr: addr, Size: 8, StoreID: id},
-		{IP: ip + 4, Kind: uop.STD, StoreID: id, Src1: dataSrc},
+		{IP: ip, Kind: uop.STA, Addr: addr, Size: 8},
+		{IP: ip + 4, Kind: uop.STD, Src1: dataSrc},
 	}
 }
 
@@ -62,7 +62,7 @@ func TestDependencyChainSerializes(t *testing.T) {
 	// A chain of dependent ALU ops must run at IPC ≈ 1 regardless of width.
 	var us []uop.UOp
 	for i := 0; i < 500; i++ {
-		us = append(us, uop.UOp{IP: 0x400000 + uint64(i%4)*4, Kind: uop.IntALU, Dst: 5, Src1: 5})
+		us = append(us, uop.UOp{IP: 0x400000 + uint32(i%4)*4, Kind: uop.IntALU, Dst: 5, Src1: 5})
 	}
 	e := NewEngine(testConfig(), newSliceSource(us))
 	st := e.Run(500)
@@ -77,7 +77,7 @@ func TestLoadHitLatency(t *testing.T) {
 	var us []uop.UOp
 	us = append(us, uop.UOp{IP: 0x400000, Kind: uop.Load, Dst: 9, Addr: 0x1000, Size: 8})
 	for i := 0; i < 50; i++ {
-		us = append(us, uop.UOp{IP: 0x400100 + uint64(i)*4, Kind: uop.IntALU, Dst: 9, Src1: 9})
+		us = append(us, uop.UOp{IP: 0x400100 + uint32(i)*4, Kind: uop.IntALU, Dst: 9, Src1: 9})
 	}
 	cfg := testConfig()
 	e := NewEngine(cfg, newSliceSource(us))
@@ -95,7 +95,7 @@ func TestRetirementInOrder(t *testing.T) {
 	var us []uop.UOp
 	us = append(us, uop.UOp{IP: 0x400000, Kind: uop.Complex, Dst: 3})
 	for i := 0; i < 20; i++ {
-		us = append(us, uop.UOp{IP: 0x400100 + uint64(i)*4, Kind: uop.IntALU, Dst: 4})
+		us = append(us, uop.UOp{IP: 0x400100 + uint32(i)*4, Kind: uop.IntALU, Dst: 4})
 	}
 	cfg := testConfig()
 	e := NewEngine(cfg, newSliceSource(us))
@@ -111,22 +111,20 @@ func TestRetirementInOrder(t *testing.T) {
 // the load advances and collides.
 func collisionTrace(n int) []uop.UOp {
 	var us []uop.UOp
-	addr := uint64(0x2000)
-	var id int64
+	addr := uint32(0x2000)
 	for i := 0; i < n; i++ {
 		// Slow producer feeding the store's address and data registers.
 		us = append(us, uop.UOp{IP: 0x400000, Kind: uop.Complex, Dst: 7})
 		us = append(us, uop.UOp{IP: 0x400010, Kind: uop.Complex, Dst: 7, Src1: 7})
-		id++
 		us = append(us, []uop.UOp{
-			{IP: 0x400020, Kind: uop.STA, Addr: addr, Size: 8, StoreID: id, Src1: 7},
-			{IP: 0x400024, Kind: uop.STD, StoreID: id, Src1: 7},
+			{IP: 0x400020, Kind: uop.STA, Addr: addr, Size: 8, Src1: 7},
+			{IP: 0x400024, Kind: uop.STD, Src1: 7},
 		}...)
 		// The colliding load: address ready at once (no sources).
 		us = append(us, uop.UOp{IP: 0x400040, Kind: uop.Load, Dst: 8, Addr: addr, Size: 8})
 		// Dependents of the load, so collision latency matters.
 		for j := 0; j < 4; j++ {
-			us = append(us, uop.UOp{IP: 0x400050 + uint64(j)*4, Kind: uop.IntALU, Dst: 8, Src1: 8})
+			us = append(us, uop.UOp{IP: 0x400050 + uint32(j)*4, Kind: uop.IntALU, Dst: 8, Src1: 8})
 		}
 	}
 	return us
@@ -137,16 +135,14 @@ func collisionTrace(n int) []uop.UOp {
 // still pays the collision on the late STD.
 func stdLateTrace(n int) []uop.UOp {
 	var us []uop.UOp
-	addr := uint64(0x2000)
-	var id int64
+	addr := uint32(0x2000)
 	for i := 0; i < n; i++ {
 		us = append(us, uop.UOp{IP: 0x400000, Kind: uop.Complex, Dst: 7})
 		us = append(us, uop.UOp{IP: 0x400010, Kind: uop.Complex, Dst: 7, Src1: 7})
-		id++
-		us = append(us, mkStore(0x400020, addr, id, 7)...)
+		us = append(us, mkStore(0x400020, addr, 7)...)
 		us = append(us, uop.UOp{IP: 0x400040, Kind: uop.Load, Dst: 8, Addr: addr, Size: 8})
 		for j := 0; j < 4; j++ {
-			us = append(us, uop.UOp{IP: 0x400050 + uint64(j)*4, Kind: uop.IntALU, Dst: 8, Src1: 8})
+			us = append(us, uop.UOp{IP: 0x400050 + uint32(j)*4, Kind: uop.IntALU, Dst: 8, Src1: 8})
 		}
 	}
 	return us
@@ -246,8 +242,8 @@ func TestMispredictedBranchStallsFetch(t *testing.T) {
 	run := func(mispredict bool) int64 {
 		var us []uop.UOp
 		for i := 0; i < 200; i++ {
-			us = append(us, uop.UOp{IP: 0x400000 + uint64(i%16)*4, Kind: uop.IntALU, Dst: 1})
-			us = append(us, uop.UOp{IP: 0x401000 + uint64(i%16)*4, Kind: uop.Branch, Taken: true, Mispredicted: mispredict})
+			us = append(us, uop.UOp{IP: 0x400000 + uint32(i%16)*4, Kind: uop.IntALU, Dst: 1})
+			us = append(us, uop.UOp{IP: 0x401000 + uint32(i%16)*4, Kind: uop.Branch, Taken: true, Mispredicted: mispredict})
 		}
 		e := NewEngine(testConfig(), newSliceSource(us))
 		return e.Run(len(us)).Cycles
@@ -453,14 +449,12 @@ func TestLatencyOfPanicsOnLoad(t *testing.T) {
 			t.Fatal("latencyOf(Load) must panic: load latency is dynamic")
 		}
 	}()
-	DefaultConfig().latencyOf(uop.Load)
+	cfg := DefaultConfig()
+	cfg.latencyOf(uop.Load)
 }
 
 func TestEngineAccessors(t *testing.T) {
 	e := NewEngine(testConfig(), newSliceSource(nil))
-	if e.Hierarchy() == nil {
-		t.Fatal("nil hierarchy")
-	}
 	if e.Now() != 0 || e.stats.Uops != 0 {
 		t.Fatal("fresh engine not at cycle 0")
 	}
@@ -474,10 +468,8 @@ func TestSTDPortLimit(t *testing.T) {
 	// A burst of stores with ready data: STD throughput is bounded by
 	// STDPorts per cycle.
 	var us []uop.UOp
-	var id int64
 	for i := 0; i < 60; i++ {
-		id++
-		us = append(us, mkStore(0x400000+uint64(i)*8, uint64(0x3000+i*64), id, 0)...)
+		us = append(us, mkStore(0x400000+uint32(i)*8, uint32(0x3000+i*64), 0)...)
 	}
 	cfg := testConfig()
 	cfg.STDPorts = 1
@@ -504,7 +496,7 @@ func TestLivelockPanicNamesPhaseAndHead(t *testing.T) {
 				cfg.Scheme = scheme
 				cfg.WarmupUops = tc.warmup
 				src := newSliceSource([]uop.UOp{
-					{IP: 0x400000, Kind: uop.STA, Addr: 0x9000, Size: 8, StoreID: 1},
+					{IP: 0x400000, Kind: uop.STA, Addr: 0x9000, Size: 8},
 					{IP: 0x400004, Kind: uop.Load, Addr: 0x9000, Size: 8, Dst: 3},
 				})
 				var msg string

@@ -15,16 +15,16 @@ func (e *Engine) executeLoad(idx int32) {
 	r.flags[idx] = r.flags[idx]&^fInRS | fDispatched
 	e.rsCount--
 	r.dispCycle[idx] = e.now
-	addr, size := r.u[idx].Addr, int(r.u[idx].Size)
+	ip, addr, size := uint64(r.u[idx].IP), uint64(r.u[idx].Addr), int(r.u[idx].Size)
 
 	// Latency prediction must precede the access (the perfect predictor
 	// probes current cache state). Level-capable policies refine the binary
 	// hit/miss to the servicing level (§2.2 "for all levels").
 	var predLevel cache.Level
 	if p := e.defPol; p != nil {
-		predLevel = p.PredictLevel(r.u[idx].IP, addr, e.now)
+		predLevel = p.PredictLevel(ip, addr, e.now)
 	} else {
-		predLevel = e.policy.PredictLevel(r.u[idx].IP, addr, e.now)
+		predLevel = e.policy.PredictLevel(ip, addr, e.now)
 	}
 	predHit := predLevel == cache.L1
 	level := e.hier.Access(addr)
@@ -97,11 +97,8 @@ func (e *Engine) executeLoad(idx int32) {
 	// Collision detection: the youngest older overlapping store whose data
 	// is not complete at dispatch forces the paper's collision penalty.
 	matchID, matchPos := int64(-1), -1
-	for id := r.olderStores[idx]; id >= e.mob.first; id-- {
+	for id := r.lastStore[idx]; id >= e.mob.first; id-- {
 		pos := e.mobGet(id)
-		if pos < 0 || e.mob.flags[pos]&mStaSeen == 0 {
-			continue
-		}
 		if overlap(e.mob.addr[pos], int(e.mob.size[pos]), addr, size) {
 			matchID, matchPos = id, pos
 			break

@@ -33,26 +33,6 @@ func TestDualScheduledNoConflictsButSlower(t *testing.T) {
 
 // ---- multi-level hit-miss prediction ----
 
-func TestLevelPredictorBeatsBinaryOnMemoryMisses(t *testing.T) {
-	// TPC has a large irregular working set with many full misses: a level
-	// predictor schedules those for the memory latency, the binary one
-	// replays them at the L2 latency.
-	p, _ := trace.TraceByName(trace.GroupTPC, "tpcc")
-	run := func(h hitmiss.Predictor) Stats {
-		cfg := DefaultConfig()
-		cfg.Scheme = memdep.Perfect
-		cfg.HMP = h
-		cfg.WarmupUops = 20000
-		return NewEngine(cfg, trace.Replay(p)).Run(80000)
-	}
-	oracleBinary := run(&hitmiss.Perfect{})
-	oracleLevel := run(&hitmiss.PerfectLevel{})
-	if oracleLevel.IPC() < oracleBinary.IPC()*0.999 {
-		t.Fatalf("level oracle (%.3f) should not lose to binary oracle (%.3f)",
-			oracleLevel.IPC(), oracleBinary.IPC())
-	}
-}
-
 func TestTwoStageInEngine(t *testing.T) {
 	p, _ := trace.TraceByName(trace.GroupGames, "pod")
 	cfg := DefaultConfig()
@@ -65,18 +45,6 @@ func TestTwoStageInEngine(t *testing.T) {
 	}
 	if st.HM.AMPM == 0 {
 		t.Fatal("two-stage predictor caught no misses on a miss-heavy trace")
-	}
-}
-
-func TestPerfectLevelNoReplays(t *testing.T) {
-	p, _ := trace.TraceByName(trace.GroupTPC, "tpcd")
-	cfg := DefaultConfig()
-	cfg.Scheme = memdep.Perfect
-	cfg.HMP = &hitmiss.PerfectLevel{}
-	cfg.WarmupUops = 10000
-	st := NewEngine(cfg, trace.Replay(p)).Run(50000)
-	if st.HM.AMPH != 0 {
-		t.Fatalf("level oracle suffered %d replays", st.HM.AMPH)
 	}
 }
 

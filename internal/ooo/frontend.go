@@ -9,9 +9,9 @@ import (
 // in place, straight out of the source's decoded chunk, allocates
 // ROB/scheduling-window slots (clearing the slot's parallel-array fields in
 // place — no struct copy, no allocation), resolves register producers,
-// opens MOB records for store halves, and consults the speculation policy
-// for each load's collision prediction. A mispredicted branch stalls fetch
-// until the branch resolves plus the refill bubble.
+// numbers stores and opens their MOB records, and consults the speculation
+// policy for each load's collision prediction. A mispredicted branch stalls
+// fetch until the branch resolves plus the refill bubble.
 //
 // Producer resolution reads the static dependence side-car every Source
 // publishes: the trace layer has already answered "who produces this
@@ -21,6 +21,10 @@ import (
 // retire are both in order, so the last count stream positions occupy the
 // ROB densely. No alias tables are maintained at all; rename_diff_test.go
 // checks the result against a per-register alias-table reference.
+//
+// Stores are numbered here too: a store's id is its rank among the
+// stream's STAs, so an STA's rename appends the next MOB record, and its
+// STD, the next store half, takes the same id.
 
 func (e *Engine) fetchRename() {
 	if e.awaitingBranch || e.now < e.resumeAt {
@@ -90,30 +94,13 @@ func (e *Engine) renameDep(u *uop.UOp, d *uop.Dep) {
 
 	switch u.Kind {
 	case uop.STA:
-		pos := e.mobEnsure(u.StoreID)
-		e.mob.addr[pos] = u.Addr
-		e.mob.size[pos] = int32(u.Size)
-		e.mob.flags[pos] |= mStaSeen
-		// An STA arriving after younger stores were already scanned past
-		// (its record was gap-filled by mobEnsure) may make a previously
-		// ignorable id blocking: drag the completed-store watermarks back
-		// below it so the ordering queries re-examine it.
-		if u.StoreID < e.staDoneTo {
-			e.staDoneTo = u.StoreID
-		}
-		if u.StoreID < e.allDoneTo {
-			e.allDoneTo = u.StoreID
-		}
+		e.mobPush(uint64(u.Addr), int32(u.Size))
+		r.lastStore[idx] = e.lastStoreID()
 	case uop.STD:
-		pos := e.mobEnsure(u.StoreID)
-		e.mob.flags[pos] |= mStdSeen
+		r.lastStore[idx] = e.lastStoreID()
 	case uop.Load:
-		if e.fetchStoreBase >= 0 {
-			r.olderStores[idx] = e.fetchStoreBase + int64(d.LastStore)
-		} else {
-			r.olderStores[idx] = e.lastStoreID()
-		}
-		r.pred[idx] = e.predictCollision(u.IP)
+		r.lastStore[idx] = e.fetchStoreBase + int64(d.LastStore)
+		r.pred[idx] = e.predictCollision(uint64(u.IP))
 	}
 
 	e.linkDeps(int32(idx))

@@ -31,27 +31,22 @@ func (e *Engine) mobGrow() {
 		grown.addr[i] = old.addr[src]
 		grown.size[i] = old.size[src]
 		grown.flags[i] = old.flags[src]
-		grown.staExecCycle[i] = old.staExecCycle[src]
 		grown.stdExecCyc[i] = old.stdExecCyc[src]
 	}
 	grown.start, grown.length, grown.first = 0, old.length, old.first
 	e.mob = grown
 }
 
-// mobEnsure materializes ring records up through store id and returns id's
-// ring position.
-func (e *Engine) mobEnsure(id int64) int {
-	for e.mob.first+int64(e.mob.length) <= id {
-		if e.mob.length == e.mob.capacity() {
-			e.mobGrow()
-		}
-		pos := e.mobIdx(e.mob.length)
-		e.mob.addr[pos], e.mob.size[pos] = 0, 0
-		e.mob.flags[pos] = 0
-		e.mob.staExecCycle[pos], e.mob.stdExecCyc[pos] = 0, 0
-		e.mob.length++
+// mobPush appends the record of a freshly renamed STA's store, which
+// becomes the youngest store: id lastStoreID(). stdExecCyc is left stale,
+// since it is read only under mStdExec.
+func (e *Engine) mobPush(addr uint64, size int32) {
+	if e.mob.length == e.mob.capacity() {
+		e.mobGrow()
 	}
-	return e.mobIdx(int(id - e.mob.first))
+	pos := e.mobIdx(e.mob.length)
+	e.mob.addr[pos], e.mob.size[pos], e.mob.flags[pos] = addr, size, 0
+	e.mob.length++
 }
 
 // mobGet returns store id's ring position, or -1 when the record has been
@@ -64,19 +59,17 @@ func (e *Engine) mobGet(id int64) int {
 	return e.mobIdx(int(off))
 }
 
-// lastStoreID returns the id of the youngest store renamed so far.
+// lastStoreID returns the id of the youngest store renamed so far, which is
+// also how many STAs have renamed: records are appended only at STA rename
+// and pruned only from the head, and resetState starts first at 1.
 func (e *Engine) lastStoreID() int64 { return e.mob.first + int64(e.mob.length) - 1 }
 
 // storesDoneTo advances a completed-store watermark and returns it: the id
 // of the oldest in-window store that is not known complete for want (or one
-// past the youngest record when all are). A record counts as complete when
-// its STA has renamed and the want bits are all set; records whose STA has
-// not renamed yet (gap-filled by mobEnsure, or an STD arriving first) halt
-// the advance — they may become blocking later, and the rename STA case
-// rolls the watermarks back below any id whose mStaSeen arrives late, so
-// ids below the returned watermark never block an ordering query. MOB flag
-// bits are only ever set on a live record, which is what makes the cached
-// value monotone between rollbacks.
+// past the youngest record when all are). A record is born at its STA's
+// rename with no bits set, and its flag bits are only ever set afterwards,
+// so a store below the watermark stays complete and the cached value never
+// moves back.
 func (e *Engine) storesDoneTo(cached *int64, want uint8) int64 {
 	id := *cached
 	if id < e.mob.first {
@@ -84,8 +77,7 @@ func (e *Engine) storesDoneTo(cached *int64, want uint8) int64 {
 	}
 	end := e.mob.first + int64(e.mob.length)
 	for id < end {
-		f := e.mob.flags[e.mobIdx(int(id-e.mob.first))]
-		if f&mStaSeen == 0 || f&want != want {
+		if e.mob.flags[e.mobIdx(int(id-e.mob.first))]&want != want {
 			break
 		}
 		id++
@@ -160,9 +152,9 @@ func overlap(a uint64, asz int, b uint64, bsz int) bool {
 func (e *Engine) classifyLoad(idx int32) {
 	r := &e.rob
 	r.flags[idx] |= fClassified
-	addr, size := r.u[idx].Addr, int(r.u[idx].Size)
+	addr, size := uint64(r.u[idx].Addr), int(r.u[idx].Size)
 	conflicting, colliding, dist := false, false, int64(0)
-	older := r.olderStores[idx]
+	older := r.lastStore[idx]
 	const executed = mStaExec | mStdExec
 	flags, addrs, sizes := e.mob.flags, e.mob.addr, e.mob.size
 	// Stores below the both-halves watermark can satisfy neither the
@@ -176,7 +168,7 @@ func (e *Engine) classifyLoad(idx int32) {
 		// A store is ambiguous only while a half is undispatched: once
 		// both halves have at least dispatched, the scheduler knows the
 		// address and the data timing.
-		if f := flags[pos]; f&mStaSeen != 0 && f&executed != executed {
+		if flags[pos]&executed != executed {
 			conflicting = true
 			if overlap(addrs[pos], int(sizes[pos]), addr, size) {
 				colliding = true
@@ -189,7 +181,7 @@ func (e *Engine) classifyLoad(idx int32) {
 		id++
 	}
 	for pos := b0; pos < b1; pos++ {
-		if f := flags[pos]; f&mStaSeen != 0 && f&executed != executed {
+		if flags[pos]&executed != executed {
 			conflicting = true
 			if overlap(addrs[pos], int(sizes[pos]), addr, size) {
 				colliding = true
@@ -225,11 +217,11 @@ func (m engineMOB) FirstStore() int64 { return m.e.mob.first }
 // the watermarks a long MOB meant rescanning it from the oldest store each
 // time.
 func (m engineMOB) StoresComplete(maxID int64, withSTD bool) bool {
-	// Fast path: the cached watermark already clears maxID. Watermarks only
-	// regress at an STA rename rollback, so a clearing cache needs no
-	// re-examination — the advance loop (and its MOB flag loads) is skipped
-	// entirely in the steady state where the queried load trails the
-	// completed-store frontier.
+	// Fast path: the cached watermark already clears maxID. Watermarks
+	// never regress, so a clearing cache needs no re-examination — the
+	// advance loop (and its MOB flag loads) is skipped entirely in the
+	// steady state where the queried load trails the completed-store
+	// frontier.
 	if withSTD {
 		return m.e.allDoneTo > maxID ||
 			m.e.storesDoneTo(&m.e.allDoneTo, mStaExec|mStdExec) > maxID
@@ -244,8 +236,7 @@ func (m engineMOB) OverlapIncomplete(maxID int64, addr uint64, size int) bool {
 	a0, a1, b0, b1 := m.e.mobSegsFrom(m.e.storesDoneTo(&m.e.allDoneTo, executed), maxID)
 	for _, sg := range [2][2]int{{a0, a1}, {b0, b1}} {
 		for pos := sg[0]; pos < sg[1]; pos++ {
-			f := flags[pos]
-			if f&mStaSeen != 0 && f&executed != executed &&
+			if flags[pos]&executed != executed &&
 				overlap(addrs[pos], int(sizes[pos]), addr, size) {
 				return true
 			}

@@ -152,12 +152,6 @@ func DefaultPolicy(cfg Config, deps PolicyDeps) SpeculationPolicy {
 		}
 		p.oracle = true
 	}
-	if pp, ok := p.hmp.(*hitmiss.PerfectLevel); ok {
-		if pp.Hierarchy == nil {
-			pp.Hierarchy = deps.Hier
-		}
-		p.oracle = true
-	}
 	if cfg.UseTimingHMP {
 		p.hmp = hitmiss.NewTiming(p.hmp, deps.MissQ)
 	}

@@ -33,9 +33,9 @@ func (e *Engine) retireEntry(idx int32) {
 		e.retireLoad(idx)
 	case uop.STA:
 		e.stats.Stores++
-		e.mob.flags[e.mobGet(e.rob.u[idx].StoreID)] |= mStaRetired
+		e.mob.flags[e.mobGet(e.rob.lastStore[idx])] |= mStaRetired
 	case uop.STD:
-		e.mob.flags[e.mobGet(e.rob.u[idx].StoreID)] |= mStdRetired
+		e.mob.flags[e.mobGet(e.rob.lastStore[idx])] |= mStdRetired
 		e.mobPrune()
 	case uop.Branch:
 		e.stats.Branches++
@@ -79,8 +79,9 @@ func (e *Engine) retireLoad(idx int32) {
 	// predictors themselves learn through the policy seam.
 	actualHit := f&fActualHit != 0
 	e.stats.HM.Record(actualHit, f&fPredHit != 0)
+	ip, addr := uint64(r.u[idx].IP), uint64(r.u[idx].Addr)
 	ev := TrainEvent{
-		IP: r.u[idx].IP, Addr: r.u[idx].Addr, Now: e.now,
+		IP: ip, Addr: addr, Now: e.now,
 		Colliding: colliding, Distance: int(r.collDist[idx]),
 		Hit: actualHit, Level: r.level[idx],
 	}
@@ -91,7 +92,7 @@ func (e *Engine) retireLoad(idx int32) {
 	}
 	if e.cfg.OnLoadRetire != nil {
 		e.cfg.OnLoadRetire(LoadEvent{
-			IP: r.u[idx].IP, Addr: r.u[idx].Addr,
+			IP: ip, Addr: addr,
 			Colliding: colliding, Distance: int(r.collDist[idx]),
 			Hit: actualHit, Conflicting: conflicting,
 		})

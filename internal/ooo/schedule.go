@@ -240,18 +240,16 @@ func (e *Engine) complete(idx int32, lat int) {
 
 func (e *Engine) dispatchSTA(idx int32) {
 	e.complete(idx, e.cfg.LatSTA)
-	pos := e.mobGet(e.rob.u[idx].StoreID)
-	e.mob.flags[pos] |= mStaExec
-	e.mob.staExecCycle[pos] = e.rob.doneCycle[idx]
+	e.mob.flags[e.mobGet(e.rob.lastStore[idx])] |= mStaExec
 	// The store allocates its line (write-allocate) once its address is
 	// known; timing-wise the fill rides the store buffer, so no load-visible
 	// latency is modelled here.
-	e.hier.Access(e.rob.u[idx].Addr)
+	e.hier.Access(uint64(e.rob.u[idx].Addr))
 }
 
 func (e *Engine) dispatchSTD(idx int32) {
 	e.complete(idx, e.cfg.LatSTD)
-	pos := e.mobGet(e.rob.u[idx].StoreID)
+	pos := e.mobGet(e.rob.lastStore[idx])
 	e.mob.flags[pos] |= mStdExec
 	e.mob.stdExecCyc[pos] = e.rob.doneCycle[idx]
 }

@@ -18,7 +18,7 @@ func TestFrontEndBranchRefill(t *testing.T) {
 	const branches = 50
 	var us []uop.UOp
 	for i := 0; i < branches; i++ {
-		us = append(us, uop.UOp{IP: 0x400000 + uint64(i%16)*4, Kind: uop.Branch, Mispredicted: true})
+		us = append(us, uop.UOp{IP: 0x400000 + uint32(i%16)*4, Kind: uop.Branch, Mispredicted: true})
 	}
 	cfg := testConfig()
 	e := NewEngine(cfg, newSliceSource(us))
@@ -44,7 +44,7 @@ func TestSchedulerPortUsageResetsPerCycle(t *testing.T) {
 	const n = 400
 	var us []uop.UOp
 	for i := 0; i < n; i++ {
-		us = append(us, uop.UOp{IP: 0x400000 + uint64(i%8)*4, Kind: uop.FPU, Dst: uop.Reg(1 + i%4)})
+		us = append(us, uop.UOp{IP: 0x400000 + uint32(i%8)*4, Kind: uop.FPU, Dst: uop.Reg(1 + i%4)})
 	}
 	cfg := testConfig()
 	cfg.FPUnits = 1
@@ -90,17 +90,17 @@ func TestMOBPrunedAtRetire(t *testing.T) {
 // uops.
 type storeStream struct {
 	seq int64
-	id  int64
+	id  int64 // stores so far, which spreads their addresses
 }
 
 func (s *storeStream) Next() uop.UOp {
-	u := uop.UOp{IP: 0x500000 + uint64(s.seq%32)*4}
+	u := uop.UOp{IP: 0x500000 + uint32(s.seq%32)*4}
 	switch s.seq % 4 {
 	case 0:
 		s.id++
-		u.Kind, u.Addr, u.Size, u.StoreID = uop.STA, 0x8000+uint64(s.id%64)*8, 8, s.id
+		u.Kind, u.Addr, u.Size = uop.STA, 0x8000+uint32(s.id%64)*8, 8
 	case 1:
-		u.Kind, u.StoreID = uop.STD, s.id
+		u.Kind = uop.STD
 	default:
 		u.Kind, u.Dst = uop.IntALU, uop.Reg(2+s.seq%4)
 	}

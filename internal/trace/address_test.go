@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -16,7 +19,7 @@ func TestParamStoresMatchParamLoads(t *testing.T) {
 	us := Collect(p, 60000)
 	// For every STA, look ahead a short distance for a load to that address.
 	matched, stores := 0, 0
-	byAddr := map[uint64]int{} // addr → stream position of the last STA
+	byAddr := map[uint32]int{} // addr → stream position of the last STA
 	for i, u := range us {
 		switch u.Kind {
 		case uop.STA:
@@ -45,13 +48,13 @@ func TestStreamLoadsPeriodicPerIP(t *testing.T) {
 	p := Profile{Name: "st", Seed: 3, StreamFrac: 0.6, ChaseFrac: 0, GlobalFrac: 0.1}.withDefaults()
 	us := Collect(p, 80000)
 	// Find the stream load site with the most dynamic instances.
-	perIP := map[uint64][]uint64{}
+	perIP := map[uint32][]uint32{}
 	for _, u := range us {
-		if u.Kind == uop.Load && u.Addr >= streamBase && u.Addr < chaseBase {
+		if a := uint64(u.Addr); u.Kind == uop.Load && a >= streamBase && a < chaseBase {
 			perIP[u.IP] = append(perIP[u.IP], u.Addr)
 		}
 	}
-	var best uint64
+	var best uint32
 	for ip, addrs := range perIP {
 		if len(addrs) > len(perIP[best]) {
 			best = ip
@@ -86,14 +89,15 @@ func TestFrameAddressDiscipline(t *testing.T) {
 	minSP := stackBase
 	for i := 0; i < 60000; i++ {
 		u := g.Next()
-		if !u.HasMemAddr() || u.Addr > stackBase || u.Addr < stackBase-(1<<24) {
+		a := uint64(u.Addr)
+		if !u.HasMemAddr() || a > stackBase || a < stackBase-(1<<24) {
 			continue // non-stack access
 		}
-		if u.Addr > stackBase {
-			t.Fatalf("stack access above base: %v", u)
+		if a > stackBase {
+			t.Fatalf("stack access above base: %v", &u)
 		}
-		if u.Addr < minSP {
-			minSP = u.Addr
+		if a < minSP {
+			minSP = a
 		}
 	}
 	if stackBase-minSP > 1<<20 {
@@ -128,13 +132,13 @@ func TestAddressRegionsDisjoint(t *testing.T) {
 		}
 		in := false
 		for _, r := range regions {
-			if u.Addr >= r.lo && u.Addr < r.hi {
+			if a := uint64(u.Addr); a >= r.lo && a < r.hi {
 				in = true
 				break
 			}
 		}
 		if !in {
-			t.Fatalf("address %#x outside every region (%v)", u.Addr, u)
+			t.Fatalf("address %#x outside every region (%v)", u.Addr, &u)
 		}
 	}
 }
@@ -162,21 +166,80 @@ func TestPropertySeedsIndependent(t *testing.T) {
 	}
 }
 
-// TestStoreIDsDense: store ids are dense and strictly increasing in program
-// order — the engine's MOB indexes on that.
+// TestStoreIDsDense: the StoreIDs WriteTrace records are dense and rise in
+// program order — the k-th STA carries k and its STD the same — which is
+// the numbering the engine's MOB gives stores at rename.
 func TestStoreIDsDense(t *testing.T) {
-	us := Collect(testProfile(), 50000)
+	const n = 50000
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, New(testProfile()), n); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var last int64
-	for _, u := range us {
-		if u.Kind == uop.STA {
-			if u.StoreID != last+1 {
-				t.Fatalf("store id %d after %d", u.StoreID, last)
-			}
-			last = u.StoreID
+	for total := int64(0); total < n; {
+		m, err := sr.readChunk(total)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := 0; i < m; i++ {
+			switch sid := sr.view.sids[i]; sr.view.us[i].Kind {
+			case uop.STA:
+				if sid != last+1 {
+					t.Fatalf("record %d: STA id %d after %d", total+int64(i), sid, last)
+				}
+				last = sid
+			case uop.STD:
+				if sid != last {
+					t.Fatalf("record %d: STD id %d, its STA's is %d", total+int64(i), sid, last)
+				}
+			}
+		}
+		total += int64(m)
 	}
 	if last == 0 {
 		t.Fatal("no stores")
+	}
+}
+
+// TestBuiltinProfilesFitBelowStack: every built-in trace's global, stream
+// and chase regions end below the stack base, so the 32-bit check New
+// applies never refuses one and no region runs into the stack.
+func TestBuiltinProfilesFitBelowStack(t *testing.T) {
+	for _, g := range Groups() {
+		for _, p := range g.Traces {
+			if err := p.withDefaults().checkAddressSpace(stackBase); err != nil {
+				t.Errorf("%s/%s: %v", g.Name, p.Name, err)
+			}
+		}
+	}
+}
+
+// TestNewRefusesWideProfiles: a profile whose regions can pass 2^32 is a
+// programming error, and New panics on it naming the region.
+func TestNewRefusesWideProfiles(t *testing.T) {
+	for _, tc := range []struct {
+		p    Profile
+		want string
+	}{
+		{Profile{Name: "globals", NumGlobals: 1 << 30}, "globals"},
+		{Profile{Name: "streams", NumStreams: 241}, "streams"},
+		{Profile{Name: "stream-ws", StreamWorkingSet: 1 << 32}, "streams"},
+		{Profile{Name: "negative-ws", StreamWorkingSet: -8}, "streams"},
+		{Profile{Name: "chase", ChaseWorkingSet: 3<<30 + 64}, "chase"},
+		{Profile{Name: "negative-chase", ChaseWorkingSet: -64}, "chase"},
+	} {
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			New(tc.p)
+			return ""
+		}()
+		if !strings.Contains(msg, tc.want) || !strings.Contains(msg, tc.p.Name) {
+			t.Errorf("New(%s): panic %q, want one naming %q", tc.p.Name, msg, tc.want)
+		}
 	}
 }
 

@@ -12,21 +12,21 @@ import "loadsched/internal/uop"
 // engine replaying the chunk consumes by plain indexing (see internal/ooo
 // frontend.go for the consumer contract).
 //
-// All producer references are backward stream-position deltas, so they are
-// invariant under the StoreID renumbering that file replay applies when a
-// finite trace wraps, and under where in the stream the chunk sits.
-// Store references are deltas against a per-batch base so they fit a
-// uint16 even though absolute store IDs grow without bound.
+// Producer references are backward stream-position deltas, so they do
+// not depend on where in the stream the chunk sits, or on how often a file
+// replay has wrapped. Store references are deltas against a per-batch
+// store count, so they fit a uint16 even though the count grows without
+// bound.
 
 // depSize is the in-memory footprint of one side-car entry, used for the
 // bytes/uop accounting surfaced by `trace info` and Recording.SidecarBytes.
 const depSize = int64(6)
 
 // depAnalyzer derives the side-car in one forward pass. It carries across
-// chunk boundaries: lastWrite and pos persist for the whole stream (and, in
-// file replay, across wraps — producers can reach back through a wrap
-// exactly as they would in a register renamer), while storeMax is snapshot
-// per batch to form each batch's delta base.
+// chunk boundaries: lastWrite, pos and stores persist for the whole stream
+// (and, in file replay, across wraps — producers can reach back through a
+// wrap exactly as they would in a register renamer), while stores is
+// snapshot per batch to form each batch's delta base.
 type depAnalyzer struct {
 	// pos is the stream position of the next uop to observe.
 	pos int64
@@ -35,10 +35,10 @@ type depAnalyzer struct {
 	// and slot 0 (NoReg) is never written, so NoReg sources resolve to
 	// delta 0 with no special case.
 	lastWrite [uop.MaxArchRegs]int64
-	// storeMax is the largest StoreID observed so far. It is absolute for
-	// the whole stream: file replay renumbers each chunk in place before
-	// the analyzer observes it, so wraps never reset it.
-	storeMax int64
+	// stores counts the STAs observed so far: the id of the youngest store,
+	// since a store's id is its rank among the stream's STAs — the count
+	// the engine keeps at rename. Wraps never reset it.
+	stores int64
 }
 
 // observe advances the analyzer past u without emitting a Dep — used to
@@ -47,8 +47,8 @@ func (a *depAnalyzer) observe(u *uop.UOp) {
 	if u.Dst != uop.NoReg {
 		a.lastWrite[u.Dst] = a.pos + 1
 	}
-	if u.StoreID > a.storeMax {
-		a.storeMax = u.StoreID
+	if u.Kind == uop.STA {
+		a.stores++
 	}
 	a.pos++
 }
@@ -68,45 +68,27 @@ func (a *depAnalyzer) backRef(r uop.Reg) uint16 {
 }
 
 // buildInto fills dst[:len(us)] with the side-car for us, advancing the
-// analyzer past every uop, and returns the batch's store base: LastStore
-// deltas are relative to it, or -1 if any delta overflowed (the analyzer
-// still advances fully, so carry state stays correct for later batches).
+// analyzer past every uop, and returns the batch's store base: the number
+// of STAs before it, which LastStore deltas are relative to. A batch of at
+// most ChunkUops uops holds at most that many STAs, so a delta always fits.
 func (a *depAnalyzer) buildInto(dst []uop.Dep, us []uop.UOp) int64 {
-	base := a.storeMax
-	ok := true
+	base := a.stores
 	for i := range us {
 		u := &us[i]
 		d := &dst[i]
 		d.Src1Back = a.backRef(u.Src1)
 		d.Src2Back = a.backRef(u.Src2)
-		ls := a.storeMax - base
-		if ls > uop.DepSaturated {
-			ok = false
-			ls = 0
-		}
-		d.LastStore = uint16(ls)
+		d.LastStore = uint16(a.stores - base)
 		a.observe(u)
 	}
-	if !ok {
-		return -1
-	}
 	return base
-}
-
-// fill pulls len(us) uops from src into us and builds their side-car into
-// deps, returning the batch's store base (see buildInto): the one step in
-// which a recording produces a chunk and Batches a batch.
-func (a *depAnalyzer) fill(src Source, us []uop.UOp, deps []uop.Dep) int64 {
-	for i := range us {
-		us[i] = src.Next()
-	}
-	return a.buildInto(deps, us)
 }
 
 // Batches adapts a scalar Source to the engine's batch seam: each
 // NextBatchRef fills one recycled buffer with the next ChunkUops uops and
 // their side-car the way a shared recording produces a chunk, so a
-// generator or a hand-built stream renames exactly like a recording. The returned slices stay valid until the next call.
+// generator or a hand-built stream renames exactly like a recording. The
+// returned slices stay valid until the next call.
 // Not safe for concurrent use.
 type Batches struct {
 	src  Source
@@ -121,9 +103,10 @@ func NewBatches(src Source) *Batches {
 }
 
 // NextBatchRef returns the next ChunkUops uops with their side-car and the
-// store base the batch's Dep.LastStore deltas are relative to (-1 when
-// they overflowed).
+// store base the batch's Dep.LastStore deltas are relative to.
 func (b *Batches) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
-	base := b.an.fill(b.src, b.us, b.deps)
-	return b.us, b.deps, base
+	for i := range b.us {
+		b.us[i] = b.src.Next()
+	}
+	return b.us, b.deps, b.an.buildInto(b.deps, b.us)
 }

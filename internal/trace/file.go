@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -41,7 +42,16 @@ import (
 // rejects violations. The writer numbers uops by stream position, and no
 // decoded uop.UOp carries the value: a uop's place in the stream is its
 // position. The reader likewise rejects register numbers at or beyond
-// uop.MaxArchRegs, which the dependence side-car indexes by.
+// uop.MaxArchRegs, which the dependence side-car indexes by, and IPs or
+// addresses that need more than 32 bits.
+//
+// StoreIDs are in the format, but no decoded uop carries one either: the
+// engine numbers stores by rank at rename, and the open-time scan accepts a
+// file only if its ids say the same. The k-th STA must carry StoreID k, the
+// next store half after it must be its STD, carrying the same id, and every
+// other uop must carry 0. WriteTrace numbers them so. A file may end on an
+// STA whose STD it cut off; replay then treats that STA as the end of the
+// file, since a store without its data half would never complete.
 
 const (
 	fileMagic     = "LSUT"
@@ -67,7 +77,8 @@ func writeHeader(w io.Writer, version uint16, count uint64) error {
 }
 
 // WriteTrace serializes n uops from src to w in the current (v2, chunked)
-// format, numbering them 0..n-1 by stream position.
+// format, numbering them 0..n-1 by stream position and their stores by
+// rank (see storeID).
 func WriteTrace(w io.Writer, src Source, n int) error {
 	bw := bufio.NewWriter(w)
 	if err := writeHeader(bw, fileVersionV2, uint64(n)); err != nil {
@@ -77,6 +88,7 @@ func WriteTrace(w io.Writer, src Source, n int) error {
 	var payload []byte
 	var frame [frameSize]byte
 	var crc [4]byte
+	var stas int64
 	for done := 0; done < n; {
 		m := ChunkUops
 		if n-done < m {
@@ -84,7 +96,8 @@ func WriteTrace(w io.Writer, src Source, n int) error {
 		}
 		e.begin()
 		for i := 0; i < m; i++ {
-			e.add(src.Next(), int64(done+i))
+			u := src.Next()
+			e.add(&u, int64(done+i), storeID(&stas, u.Kind))
 		}
 		payload = e.seal().marshal(payload[:0])
 		binary.LittleEndian.PutUint32(frame[0:4], uint32(m))
@@ -102,6 +115,20 @@ func WriteTrace(w io.Writer, src Source, n int) error {
 		done += m
 	}
 	return bw.Flush()
+}
+
+// storeID returns the StoreID a file records for a uop of kind k: the k-th
+// STA of a stream and the STD after it carry k, every other uop 0. *stas
+// counts the STAs so far.
+func storeID(stas *int64, k uop.Kind) int64 {
+	switch k {
+	case uop.STA:
+		*stas++
+		return *stas
+	case uop.STD:
+		return *stas
+	}
+	return 0
 }
 
 // Source is the uop supplier interface (satisfied by *Generator,
@@ -139,21 +166,28 @@ func parseHeader(hdr [16]byte) (version uint16, count uint64, err error) {
 	return version, count, nil
 }
 
-// decodeV1Record decodes one v1 record into its uop and its Seq.
-func decodeV1Record(rec [recordSize]byte) (uop.UOp, int64) {
-	u := uop.UOp{
-		IP:      binary.LittleEndian.Uint64(rec[8:16]),
-		Addr:    binary.LittleEndian.Uint64(rec[16:24]),
-		StoreID: int64(binary.LittleEndian.Uint64(rec[24:32])),
-		Kind:    uop.Kind(rec[32]),
-		Dst:     uop.Reg(rec[33]),
-		Src1:    uop.Reg(rec[34]),
-		Src2:    uop.Reg(rec[35]),
-		Size:    rec[36],
+// decodeV1Record decodes one v1 record into slot i of v: the uop, and the
+// Seq and StoreID the view keeps beside it. It fails when the record's IP
+// or address needs more than 32 bits.
+func (v *ChunkView) decodeV1Record(i int, rec *[recordSize]byte) error {
+	ip, addr := binary.LittleEndian.Uint64(rec[8:16]), binary.LittleEndian.Uint64(rec[16:24])
+	if ip > math.MaxUint32 || addr > math.MaxUint32 {
+		return fmt.Errorf("ip %#x or address %#x beyond 32 bits", ip, addr)
 	}
-	u.Taken = rec[37]&1 != 0
-	u.Mispredicted = rec[37]&2 != 0
-	return u, int64(binary.LittleEndian.Uint64(rec[0:8]))
+	v.us[i] = uop.UOp{
+		IP:           uint32(ip),
+		Addr:         uint32(addr),
+		Kind:         uop.Kind(rec[32]),
+		Dst:          uop.Reg(rec[33]),
+		Src1:         uop.Reg(rec[34]),
+		Src2:         uop.Reg(rec[35]),
+		Size:         rec[36],
+		Taken:        rec[37]&1 != 0,
+		Mispredicted: rec[37]&2 != 0,
+	}
+	v.seqs[i] = int64(binary.LittleEndian.Uint64(rec[0:8]))
+	v.sids[i] = int64(binary.LittleEndian.Uint64(rec[24:32]))
+	return nil
 }
 
 // readChunkFrame reads and verifies one v2 chunk (frame, payload, CRC) from
@@ -203,11 +237,12 @@ func readChunkFrame(r io.Reader, payload *[]byte, c *packedChunk, v *ChunkView, 
 // chunk is resident at a time, recycled through a single payload buffer
 // and view, so replaying a billion-uop file costs the same RSS as a
 // thousand-uop one. Construction validates the whole file — structure,
-// CRCs, kinds, registers, Seq monotonicity — in one bounded-memory pass, so
-// Next (which has no error to return under the Source contract) can only
-// fail on an I/O fault, which panics. Next wraps around at the end with
-// StoreIDs renumbered past the previous pass, so the reader satisfies the
-// engine's unbounded Source contract. Not safe for concurrent use.
+// CRCs, kinds, registers, 32-bit IPs and addresses, Seq monotonicity and
+// store numbering — in one bounded-memory pass, so Next (which has no
+// error to return under the Source contract) can only fail on an I/O
+// fault, which panics. Next wraps around at the end of a pass, so the
+// reader satisfies the engine's unbounded Source contract. Not safe for
+// concurrent use.
 type StreamReader struct {
 	rs        io.ReadSeeker
 	br        *bufio.Reader // over rs; reset by rewind
@@ -215,6 +250,10 @@ type StreamReader struct {
 	version   uint16
 	count     int64
 	dataStart int64
+	// pass is how many uops one replay pass holds: count, or the position
+	// of a final STA whose STD the file cut off. Fixed by the open-time
+	// scan.
+	pass int64
 
 	// Recycled chunk ring: payload and pc back the current decoded view for
 	// v2; v1 records are read straight into view's owned columns.
@@ -227,22 +266,21 @@ type StreamReader struct {
 	// during the open-time scan, which must not advance the analyzer). The
 	// analyzer's state carries across wraps untouched: a producer can reach
 	// back through a wrap, as it would in a register renamer, and the store
-	// watermark stays absolute because chunks are renumbered before the
-	// analyzer observes them. deps is one recycled buffer, so side-car
-	// replay stays constant-RSS.
+	// count keeps rising as the engine's does. deps is one recycled buffer,
+	// so side-car replay stays constant-RSS.
 	an       depAnalyzer
 	deps     []uop.Dep
-	depBase  int64 // absolute store base for the current chunk's deltas
+	depBase  int64 // store base for the current chunk's deltas
 	depUops  int64 // uops whose side-car has been built (across wraps)
 	depNanos int64 // cumulative side-car build time
 
-	passUops  int64 // uops consumed from the file this pass
-	storeBase int64 // StoreID offset of the current pass
-	wrapStore int64 // per-pass StoreID step (the file's largest), fixed by the open-time scan
+	passUops int64 // uops consumed from the file this pass
 
-	// Metadata collected by the open-time scan (for trace info).
+	// Metadata collected by the open-time scan (for trace info), kinds
+	// counting the file's records by kind.
 	chunks       int64
 	payloadBytes int64
+	kinds        [uop.NumKinds]int64
 }
 
 // NewStreamReader opens a streaming replay over rs (either format
@@ -284,39 +322,64 @@ func StreamTraceFile(path string) (*StreamReader, error) {
 
 // scan is the open-time validation pass: it streams every chunk through
 // the recycled buffers exactly as replay will, verifying structure, CRCs,
-// kinds, registers and Seq monotonicity, and collects the wrap offset (the
-// largest StoreID) and the metadata trace info reports.
+// kinds, registers, Seq monotonicity and store numbering, and fixes the
+// replay pass and the metadata trace info reports.
 func (r *StreamReader) scan() error {
-	var prevSeq, maxStore int64
+	var prevSeq, stas int64
+	open := int64(-1) // position of an STA still awaiting its STD
 	for total := int64(0); total < r.count; {
 		n, err := r.readChunk(total)
 		if err != nil {
 			return err
 		}
 		for i := 0; i < n; i++ {
-			u := r.view.UOp(i)
+			u, rec := r.view.UOp(i), total+int64(i)
 			if int(u.Kind) >= uop.NumKinds {
-				return fmt.Errorf("trace: record %d has invalid kind %d", total+int64(i), u.Kind)
+				return fmt.Errorf("trace: record %d has invalid kind %d", rec, u.Kind)
 			}
 			if u.Dst >= uop.MaxArchRegs || u.Src1 >= uop.MaxArchRegs || u.Src2 >= uop.MaxArchRegs {
-				return fmt.Errorf("trace: record %d names a register beyond r%d", total+int64(i), uop.MaxArchRegs-1)
+				return fmt.Errorf("trace: record %d names a register beyond r%d", rec, uop.MaxArchRegs-1)
 			}
 			// The first record has no predecessor, so any Seq starts a
 			// file, math.MinInt64 included.
 			seq := r.view.seqs[i]
-			if (total > 0 || i > 0) && seq <= prevSeq {
-				return fmt.Errorf("trace: record %d breaks Seq monotonicity (%d after %d)",
-					total+int64(i), seq, prevSeq)
+			if rec > 0 && seq <= prevSeq {
+				return fmt.Errorf("trace: record %d breaks Seq monotonicity (%d after %d)", rec, seq, prevSeq)
 			}
 			prevSeq = seq
-			if u.StoreID > maxStore {
-				maxStore = u.StoreID
+			// The engine numbers stores by rank and links an STD to the
+			// STA before it; a file whose ids say otherwise is refused.
+			sid, want := r.view.sids[i], int64(0)
+			switch u.Kind {
+			case uop.STA:
+				if open >= 0 {
+					return fmt.Errorf("trace: record %d is an STA, but the STA at record %d has no STD yet", rec, open)
+				}
+				stas++
+				want, open = stas, rec
+			case uop.STD:
+				if open < 0 {
+					return fmt.Errorf("trace: record %d is an STD with no STA before it", rec)
+				}
+				want, open = stas, -1
 			}
+			if sid != want {
+				return fmt.Errorf("trace: record %d (%s) carries StoreID %d, want %d", rec, u.Kind, sid, want)
+			}
+			r.kinds[u.Kind]++
 		}
 		total += int64(n)
 		r.chunks++
 	}
-	r.wrapStore = maxStore
+	r.pass = r.count
+	if open >= 0 {
+		// The file cut the last store between its halves: each pass ends
+		// before that STA.
+		if open == 0 {
+			return fmt.Errorf("trace: record 0 is an STA whose STD the file cut off, which leaves nothing to replay")
+		}
+		r.pass = open
+	}
 	return nil
 }
 
@@ -334,7 +397,9 @@ func (r *StreamReader) readChunk(consumed int64) (int, error) {
 			if _, err := io.ReadFull(r.br, rec[:]); err != nil {
 				return 0, fmt.Errorf("trace: truncated at record %d: %w", consumed+int64(i), err)
 			}
-			us[i], r.view.seqs[i] = decodeV1Record(rec)
+			if err := r.view.decodeV1Record(i, &rec); err != nil {
+				return 0, fmt.Errorf("trace: record %d has an %w", consumed+int64(i), err)
+			}
 		}
 		r.payloadBytes += n * recordSize
 		return int(n), nil
@@ -355,10 +420,9 @@ func (r *StreamReader) rewind() error {
 	r.br.Reset(r.rs)
 	r.passUops, r.viewPos = 0, 0
 	r.view.us = nil
-	// The analyzer's state carries across the wrap untouched: nextChunk
-	// renumbers each decoded chunk in place before the analyzer observes
-	// it, so register reach-through and the absolute store watermark both
-	// continue seamlessly into the next pass.
+	// The analyzer's state carries across the wrap untouched, so register
+	// reach-through and the store count both continue seamlessly into the
+	// next pass.
 	return nil
 }
 
@@ -388,7 +452,7 @@ func (r *StreamReader) Close() error {
 	return nil
 }
 
-// Next implements Source, wrapping around with renumbered StoreIDs. The
+// Next implements Source, wrapping around at the end of each pass. The
 // file was fully validated at open; an I/O fault mid-replay panics.
 func (r *StreamReader) Next() uop.UOp {
 	if r.viewPos == len(r.view.us) {
@@ -400,11 +464,10 @@ func (r *StreamReader) Next() uop.UOp {
 }
 
 func (r *StreamReader) nextChunk() {
-	if r.passUops == r.count {
+	if r.passUops == r.pass {
 		if err := r.rewind(); err != nil {
 			panic(err.Error())
 		}
-		r.storeBase += r.wrapStore
 	}
 	n, err := r.readChunk(r.passUops)
 	if err != nil {
@@ -412,26 +475,17 @@ func (r *StreamReader) nextChunk() {
 		// environmental I/O failure lands here.
 		panic(err.Error())
 	}
+	if rest := r.pass - r.passUops; int64(n) > rest {
+		// The pass ends before a final STA whose STD the file cut off.
+		n = int(rest)
+		r.view.us = r.view.us[:n]
+	}
 	r.passUops += int64(n)
 	r.viewPos = 0
-	// Renumber the chunk's StoreIDs in place, once per decode: readChunk
-	// decodes fresh bytes into the reused view each pass, so folding the
-	// wrap base here lets every consumer path — including NextBatchRef's
-	// zero-copy views — read final uops with no per-batch fixup. The
-	// first pass (base zero) skips the loop.
-	if r.storeBase != 0 {
-		for j := 0; j < n; j++ {
-			if r.view.us[j].StoreID != 0 {
-				r.view.us[j].StoreID += r.storeBase
-			}
-		}
-	}
 	// Build the chunk's side-car unconditionally: the analyzer must observe
 	// every replayed uop to keep its carry correct whatever mix of Next and
 	// NextBatchRef the consumer uses, and emitting the links costs barely
-	// more than observing. The uops are already renumbered, so the
-	// analyzer's store watermark — and with it the returned base — is
-	// absolute across wraps.
+	// more than observing.
 	if cap(r.deps) < n {
 		r.deps = make([]uop.Dep, ChunkUops)
 	}
@@ -442,9 +496,9 @@ func (r *StreamReader) nextChunk() {
 }
 
 // NextBatchRef returns the remainder of the current decoded chunk as direct
-// views (see Cursor.NextBatchRef for the contract): the reader renumbers
-// and side-car-builds each chunk once at decode, so the views are final and
-// stay valid until the next call on this reader.
+// views (see Cursor.NextBatchRef for the contract): the reader builds each
+// chunk's side-car once at decode, so the views are final and stay valid
+// until the next call on this reader.
 func (r *StreamReader) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
 	if r.viewPos == len(r.view.us) {
 		r.nextChunk()
@@ -473,7 +527,7 @@ type FileInfo struct {
 	FileBytes    int64
 	KindCounts   [uop.NumKinds]int64
 	// SidecarBytes and SidecarBuildNanos describe the dependence side-car
-	// a full replay of the file builds (one chunk resident at a time).
+	// one replay pass of the file builds (one chunk resident at a time).
 	SidecarBytes      int64
 	SidecarBuildNanos int64
 }
@@ -514,9 +568,11 @@ func InspectTraceFile(path string) (*FileInfo, error) {
 		Chunks:       r.Chunks(),
 		PayloadBytes: r.PayloadBytes(),
 		FileBytes:    st.Size(),
+		KindCounts:   r.kinds,
 	}
-	for i := int64(0); i < fi.Uops; i++ {
-		fi.KindCounts[r.Next().Kind]++
+	for seen := int64(0); seen < r.pass; {
+		us, _, _ := r.NextBatchRef()
+		seen += int64(len(us))
 	}
 	fi.SidecarBytes = r.SidecarBytes()
 	fi.SidecarBuildNanos = r.SidecarBuildNanos()

@@ -9,7 +9,8 @@ import (
 
 // fuzzTraceSeeds builds the shared corpus: well-formed traces in both file
 // versions plus structural mutations (truncation, version relabeling, CRC
-// damage) that exercise every rejection path.
+// damage) that exercise every rejection path, and the three hostile store
+// numberings of hostileStoreFiles.
 func fuzzTraceSeeds(f *testing.F) {
 	f.Helper()
 	var v2, v1 bytes.Buffer
@@ -34,6 +35,9 @@ func fuzzTraceSeeds(f *testing.F) {
 	reg := append([]byte{}, v1.Bytes()...)
 	reg[16+33] = uop.MaxArchRegs // first record's Dst: past the side-car's register table
 	f.Add(reg)
+	for _, data := range hostileStoreFiles(f) {
+		f.Add(data)
+	}
 }
 
 // fuzzCheckUops drains a bounded number of uops from a reader, asserting
@@ -84,7 +88,9 @@ func FuzzReader(f *testing.F) {
 			if len(buf) == 0 || len(deps) != len(buf) {
 				t.Fatalf("NextBatchRef returned %d uops, %d deps", len(buf), len(deps))
 			}
-			wantBase, overflow := truth.storeMax, false
+			if base != truth.stores {
+				t.Fatalf("batch at uop %d: store base %d, want %d", consumed, base, truth.stores)
+			}
 			for i := range buf {
 				if w := want(); buf[i] != w {
 					t.Fatalf("uop %d: %+v, want %+v", consumed+i, buf[i], w)
@@ -94,14 +100,9 @@ func FuzzReader(f *testing.F) {
 				if d.Src1Back != s1 || d.Src2Back != s2 {
 					t.Fatalf("uop %d: side-car %+v, want producer deltas (%d,%d)", consumed+i, d, s1, s2)
 				}
-				if ls-wantBase > uop.DepSaturated {
-					overflow = true
-				} else if base >= 0 && base+int64(d.LastStore) != ls {
+				if base+int64(d.LastStore) != ls {
 					t.Fatalf("uop %d: last store %d, want %d", consumed+i, base+int64(d.LastStore), ls)
 				}
-			}
-			if overflow != (base < 0) || (base >= 0 && base != wantBase) {
-				t.Fatalf("batch at uop %d: store base %d, want %d (overflow %v)", consumed, base, wantBase, overflow)
 			}
 			consumed += len(buf)
 		}

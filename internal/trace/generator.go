@@ -15,8 +15,6 @@ type Generator struct {
 	prog *program
 	rng  *rand.Rand
 
-	storeSeq int64
-
 	streamPos []uint64
 	stack     []*frameState
 	topCum    []float64
@@ -49,9 +47,15 @@ type frameState struct {
 	callDone bool
 }
 
-// New builds a generator for the profile.
+// New builds a generator for the profile. It panics on a profile whose
+// address regions can pass 2^32: uops carry IA-32-width addresses, and such
+// a profile is a programming error, as a bad machine configuration is to
+// ooo.NewEngine.
 func New(p Profile) *Generator {
 	p = p.withDefaults()
+	if err := p.checkAddressSpace(1 << 32); err != nil {
+		panic(err)
+	}
 	prog := buildProgram(p)
 	g := &Generator{
 		prog:      prog,
@@ -77,14 +81,21 @@ func (g *Generator) Profile() Profile { return g.prog.prof }
 
 // Next emits the next dynamic uop. It never ends; callers bound the length.
 func (g *Generator) Next() uop.UOp {
+	var u uop.UOp
+	g.nextInto(&u)
+	return u
+}
+
+// nextInto writes the next dynamic uop into *u, overwriting every field. A
+// recording fills its chunk slots through it: returning the uop by value
+// through every generation step measured slower than writing it in place.
+func (g *Generator) nextInto(u *uop.UOp) {
 	for {
 		if len(g.stack) == 0 {
 			g.pushTopLevel()
 		}
-		f := g.stack[len(g.stack)-1]
-		u, ok := g.step(f)
-		if ok {
-			return u
+		if g.step(g.stack[len(g.stack)-1], u) {
+			return
 		}
 	}
 }
@@ -120,54 +131,55 @@ func (g *Generator) push(fn *function, callerSP uint64) {
 	})
 }
 
-// step advances one frame's program counter, possibly emitting a uop. It
-// returns ok=false when it performed a control action (push/pop) instead.
-func (g *Generator) step(f *frameState) (uop.UOp, bool) {
+// step advances one frame's program counter, possibly emitting a uop into
+// *u. It returns false when it performed a control action (push/pop)
+// instead.
+func (g *Generator) step(f *frameState, u *uop.UOp) bool {
 	switch f.stage {
 	case stPrologue:
 		if f.idx < len(f.fn.prologue) {
-			u := g.materialize(&f.fn.prologue[f.idx], f)
+			g.materialize(&f.fn.prologue[f.idx], f, u)
 			f.idx++
-			return u, true
+			return true
 		}
 		f.stage, f.idx = stBody, 0
 		if len(f.fn.body) == 0 {
 			f.stage = stEpilogue
 		}
-		return uop.UOp{}, false
+		return false
 
 	case stBody:
 		blk := &f.fn.body[f.blockIdx]
 		if f.idx < len(blk.uops) {
-			u := g.materialize(&blk.uops[f.idx], f)
+			g.materialize(&blk.uops[f.idx], f, u)
 			f.idx++
-			return u, true
+			return true
 		}
 		if blk.call != nil && !f.callDone {
 			callee := g.prog.funcs[blk.call.callee]
 			if len(g.stack) >= g.prog.prof.MaxCallDepth {
 				f.callDone = true // depth limit: elide the call entirely
-				return uop.UOp{}, false
+				return false
 			}
 			if f.callIdx < len(blk.call.paramStores) {
 				su := &blk.call.paramStores[f.callIdx]
-				u := g.materializeParamStore(su, f, callee)
+				g.materializeParamStore(su, f, callee, u)
 				f.callIdx++
-				return u, true
+				return true
 			}
 			if !f.inCall {
 				// Emit the transfer and enter the callee.
-				u := g.materialize(&blk.call.transfer, f)
+				g.materialize(&blk.call.transfer, f, u)
 				f.inCall = true
 				g.push(callee, f.sp)
-				return u, true
+				return true
 			}
 			// The callee returned (pop brought us back here).
 			f.inCall, f.callDone = false, true
-			return uop.UOp{}, false
+			return false
 		}
 		// Block branch, then advance the loop.
-		u := g.materializeBranch(&blk.branch, f)
+		g.materializeBranch(&blk.branch, f, u)
 		f.idx, f.callIdx, f.callDone = 0, 0, false
 		if f.blockIdx+1 < len(f.fn.body) {
 			f.blockIdx++
@@ -177,24 +189,25 @@ func (g *Generator) step(f *frameState) (uop.UOp, bool) {
 		} else {
 			f.stage, f.idx = stEpilogue, 0
 		}
-		return u, true
+		return true
 
 	default: // stEpilogue
 		if f.idx < len(f.fn.epilogue) {
-			u := g.materialize(&f.fn.epilogue[f.idx], f)
+			g.materialize(&f.fn.epilogue[f.idx], f, u)
 			f.idx++
-			return u, true
+			return true
 		}
 		g.stack = g.stack[:len(g.stack)-1]
-		return uop.UOp{}, false
+		return false
 	}
 }
 
-// materialize turns a static uop into a dynamic one, synthesizing addresses
-// and store ids.
-func (g *Generator) materialize(su *staticUOp, f *frameState) uop.UOp {
-	u := uop.UOp{
-		IP:   su.ip,
+// materialize turns a static uop into a dynamic one in *u, synthesizing
+// its address. Store halves carry no id: a store's id is its rank among
+// the stream's STAs.
+func (g *Generator) materialize(su *staticUOp, f *frameState, u *uop.UOp) {
+	*u = uop.UOp{
+		IP:   uint32(su.ip),
 		Kind: su.kind,
 		Dst:  su.dst,
 		Src1: su.src1,
@@ -203,35 +216,26 @@ func (g *Generator) materialize(su *staticUOp, f *frameState) uop.UOp {
 	}
 	switch su.kind {
 	case uop.Load, uop.STA:
-		u.Addr = g.address(su, f)
+		u.Addr = uint32(g.address(su, f))
 	case uop.Branch:
 		u.Taken = true // call/return transfers; conditionals use materializeBranch
 	}
-	if su.kind == uop.STA {
-		g.storeSeq++
-		u.StoreID = g.storeSeq
-	}
-	if su.kind == uop.STD {
-		u.StoreID = g.storeSeq // the STD immediately follows its STA
-	}
-	return u
 }
 
 // materializeParamStore emits an outgoing-parameter store half; its address
 // lies in the callee's (not yet pushed) frame.
-func (g *Generator) materializeParamStore(su *staticUOp, f *frameState, callee *function) uop.UOp {
-	u := g.materialize(su, f)
+func (g *Generator) materializeParamStore(su *staticUOp, f *frameState, callee *function, u *uop.UOp) {
+	g.materialize(su, f, u)
 	if su.kind == uop.STA {
 		calleeSP := f.sp - uint64(callee.frameSize)
-		u.Addr = calleeSP + uint64(su.off)
+		u.Addr = uint32(calleeSP + uint64(su.off))
 	}
-	return u
 }
 
 // materializeBranch resolves a conditional branch's direction and models the
 // front-end predictor to set the Mispredicted flag.
-func (g *Generator) materializeBranch(su *staticUOp, f *frameState) uop.UOp {
-	u := uop.UOp{IP: su.ip, Kind: uop.Branch, Src1: su.src1}
+func (g *Generator) materializeBranch(su *staticUOp, f *frameState, u *uop.UOp) {
+	*u = uop.UOp{IP: uint32(su.ip), Kind: uop.Branch, Src1: su.src1}
 	if su.loopBranch {
 		u.Taken = f.iter+1 < f.iters
 	} else {
@@ -240,7 +244,6 @@ func (g *Generator) materializeBranch(su *staticUOp, f *frameState) uop.UOp {
 	pred := g.bpred.Predict(su.ip)
 	u.Mispredicted = pred.Taken != u.Taken
 	g.bpred.Update(su.ip, u.Taken)
-	return u
 }
 
 // address synthesizes the effective address of a memory uop.
@@ -271,7 +274,7 @@ func Collect(p Profile, n int) []uop.UOp {
 	g := New(p)
 	out := make([]uop.UOp, n)
 	for i := range out {
-		out[i] = g.Next()
+		g.nextInto(&out[i])
 	}
 	return out
 }

@@ -15,11 +15,12 @@ import (
 // over it, so N configs per figure pay one generation instead of N.
 //
 // A recording holds each chunk of ChunkUops uops once, in the form every
-// replay reads: a flat []uop.UOp (32 bytes/uop) and its dependence
-// side-car in lockstep (6 bytes/uop, see deplink.go). A chunk is produced
-// in one step — the generator writes its uops straight into the chunk and
-// the recording's analyzer links them right after — and steady-state
-// replay is an index walk that touches no allocator.
+// replay reads: a flat []uop.UOp (16 bytes/uop) and its dependence
+// side-car in lockstep (6 bytes/uop, see deplink.go), 22 bytes a uop in
+// all. A chunk is produced in one step — the generator writes each uop in
+// place into its chunk slot and the recording's analyzer links them right
+// after — and steady-state replay is an index walk that touches no
+// allocator.
 //
 // Concurrency model, per chunk: chunks are produced in stream order under
 // Recording.mu and each is published once, immutable, into its own atomic
@@ -27,7 +28,7 @@ import (
 // a chunk that does not exist yet; a chunk, once observed, is permanent.
 
 // maxSharedUops bounds the per-profile recording (a variable so tests can
-// shrink it). At the default 1<<20 a recording tops out at 32 MiB of uops
+// shrink it). At the default 1<<20 a recording tops out at 16 MiB of uops
 // plus 6 MiB of side-car; a cursor that runs past the cap falls back to a
 // private generator feeding recycled private buffers — paying one
 // status-quo generation for that outlier run instead of growing the shared
@@ -57,7 +58,7 @@ type Recording struct {
 
 // recChunk is one published chunk: its uops, their side-car entry for
 // entry, and the store base the side-car's LastStore deltas are relative
-// to (-1: invalid, consumers fall back). Immutable once published.
+// to. Immutable once published.
 type recChunk struct {
 	us        []uop.UOp
 	deps      []uop.Dep
@@ -97,7 +98,10 @@ func (r *Recording) chunk(ci int) *recChunk {
 	defer r.mu.Unlock()
 	for ; r.made <= ci; r.made++ {
 		ch := &recChunk{us: make([]uop.UOp, ChunkUops), deps: make([]uop.Dep, ChunkUops)}
-		ch.storeBase = r.an.fill(r.gen, ch.us, ch.deps)
+		for i := range ch.us {
+			r.gen.nextInto(&ch.us[i])
+		}
+		ch.storeBase = r.an.buildInto(ch.deps, ch.us)
 		r.chunks[r.made].Store(ch)
 	}
 	return r.chunks[ci].Load()
@@ -135,9 +139,8 @@ type Cursor struct {
 	i    int // next index within us
 	// deps mirrors us entry for entry with the chunk's dependence
 	// side-car; depBase is the store base its LastStore deltas are
-	// relative to (-1: invalid, consumers fall back). Wired on every
-	// advance — shared chunks carry their own, the tail takes the
-	// adapter's recycled buffers.
+	// relative to. Wired on every advance — shared chunks carry their own,
+	// the tail takes the adapter's recycled buffers.
 	deps    []uop.Dep
 	depBase int64
 	// tail streams the portion beyond the sharing cap from a private
@@ -200,8 +203,9 @@ func (c *Cursor) advanceTail() {
 	if c.tail == nil {
 		g := New(c.rec.prof)
 		c.tail = NewBatches(g)
+		var u uop.UOp
 		for i := 0; i < c.base; i++ {
-			u := g.Next()
+			g.nextInto(&u)
 			c.tail.an.observe(&u)
 		}
 	}

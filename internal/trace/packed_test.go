@@ -9,16 +9,21 @@ import (
 )
 
 // packUops packs len(us) uops (≤ ChunkUops) into one sealed chunk, uop i
-// carrying Seq seqs[i], or its position i when seqs is nil.
-func packUops(us []uop.UOp, seqs []int64) *packedChunk {
+// carrying Seq seqs[i] and StoreID sids[i], or its position i and its
+// store's rank when the slice is nil.
+func packUops(us []uop.UOp, seqs, sids []int64) *packedChunk {
 	var e chunkEncoder
+	var stas int64
 	e.begin()
-	for i, u := range us {
-		seq := int64(i)
+	for i := range us {
+		seq, sid := int64(i), storeID(&stas, us[i].Kind)
 		if seqs != nil {
 			seq = seqs[i]
 		}
-		e.add(u, seq)
+		if sids != nil {
+			sid = sids[i]
+		}
+		e.add(&us[i], seq, sid)
 	}
 	return e.seal()
 }
@@ -35,7 +40,7 @@ func TestPackedChunkRoundTrip(t *testing.T) {
 			end = len(want)
 		}
 		us := want[off:end]
-		payload := packUops(us, nil).marshal(nil)
+		payload := packUops(us, nil, nil).marshal(nil)
 		var c packedChunk
 		if err := unmarshalChunk(payload, &c, ChunkUops); err != nil {
 			t.Fatalf("unmarshal chunk at %d: %v", off, err)
@@ -64,7 +69,7 @@ func TestPackedNonDenseSeq(t *testing.T) {
 	for i := range seqs {
 		seqs[i] = int64(i) * 7 // monotonic, non-dense
 	}
-	payload := packUops(us, seqs).marshal(nil)
+	payload := packUops(us, seqs, nil).marshal(nil)
 	var c packedChunk
 	if err := unmarshalChunk(payload, &c, ChunkUops); err != nil {
 		t.Fatal(err)
@@ -90,7 +95,7 @@ func TestPackedNonDenseSeq(t *testing.T) {
 // inputs; every one must error rather than panic or mis-decode.
 func TestUnmarshalChunkRejectsCorruption(t *testing.T) {
 	us := Collect(Profile{Name: "packed-bad", Seed: 9}, 256)
-	good := packUops(us, nil).marshal(nil)
+	good := packUops(us, nil, nil).marshal(nil)
 	check := func(name string, payload []byte) {
 		t.Helper()
 		var c packedChunk
@@ -126,7 +131,7 @@ func TestUnmarshalChunkRejectsCorruption(t *testing.T) {
 }
 
 // TestRecordingFootprint pins what a recording holds: each chunk once,
-// as flat uops plus side-car (38 bytes/uop), with no packed copy beside
+// as flat uops plus side-car (22 bytes/uop), with no packed copy beside
 // them. The accounted bytes must say so, and so must the live heap the
 // recording actually retains.
 func TestRecordingFootprint(t *testing.T) {
@@ -154,15 +159,15 @@ func TestRecordingFootprint(t *testing.T) {
 		t.Fatalf("recording holds %d packed bytes, want none", b)
 	}
 	perUop := float64(int64(r.Len())*int64(unsafe.Sizeof(uop.UOp{}))+r.SidecarBytes()) / float64(r.Len())
-	if perUop > 38 {
-		t.Fatalf("recording accounts %.2f bytes/uop, want <= 38 (flat uops + side-car)", perUop)
+	if perUop > 22 {
+		t.Fatalf("recording accounts %.2f bytes/uop, want <= 22 (flat uops + side-car)", perUop)
 	}
 	// The live heap adds the generator and the chunk slots to the chunks
 	// themselves; a second copy of the stream (a packed form at ~8
 	// bytes/uop), or a field grown back onto UOp or Dep, would not fit
 	// under this bound.
-	if live > 40 {
-		t.Fatalf("recording retains %.2f heap bytes/uop, want <= 40", live)
+	if live > 24 {
+		t.Fatalf("recording retains %.2f heap bytes/uop, want <= 24", live)
 	}
 	t.Logf("recording footprint: %.2f accounted, %.2f live heap bytes/uop over %d uops", perUop, live, n)
 }

@@ -14,6 +14,8 @@
 // when the simulator replays them.
 package trace
 
+import "fmt"
+
 // Profile parameterizes one synthetic workload. The preset profiles in
 // groups.go are calibrated so that the distributions the paper reports
 // (≈10% colliding loads, >95% L1 hits, FP most predictable, "Other" least)
@@ -129,4 +131,25 @@ func (p Profile) withDefaults() Profile {
 	deff(&p.BranchTakenBias, 0.6)
 	deff(&p.UopsPerInstr, 1.3)
 	return p
+}
+
+// checkAddressSpace reports a profile whose global, stream or chase region
+// can reach past limit, the end of the usable address space: 2^32 for the
+// IA-32-width addresses uops carry. Each size is compared with the room
+// left above its region's base, so no count or negative size can wrap the
+// arithmetic.
+func (p Profile) checkAddressSpace(limit uint64) error {
+	streams := uint64(p.NumStreams)
+	switch {
+	case uint64(p.NumGlobals) > (limit-globalBase)/wordSize:
+		return fmt.Errorf("trace: profile %q: %d globals can pass %#x", p.Name, p.NumGlobals, limit)
+	case streams == 0 || streams > (limit-streamBase)/streamSpan ||
+		uint64(p.StreamWorkingSet) > limit-streamBase-(streams-1)*streamSpan:
+		return fmt.Errorf("trace: profile %q: %d streams of %d bytes can pass %#x",
+			p.Name, p.NumStreams, p.StreamWorkingSet, limit)
+	case uint64(p.ChaseWorkingSet) > limit-chaseBase:
+		return fmt.Errorf("trace: profile %q: a %d-byte chase region can pass %#x",
+			p.Name, p.ChaseWorkingSet, limit)
+	}
+	return nil
 }

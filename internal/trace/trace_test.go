@@ -52,39 +52,29 @@ func TestSeqDense(t *testing.T) {
 	}
 }
 
+// TestSTAAlwaysPrecedesSTD: store halves alternate STA, STD, STA, ...
+// from the first, which is what lets a store's id be its rank among the
+// STAs and its STD take the id of the STA before it.
 func TestSTAAlwaysPrecedesSTD(t *testing.T) {
 	us := Collect(testProfile(), 20000)
-	staSeen := map[int64]bool{}
-	stdSeen := map[int64]bool{}
-	for _, u := range us {
-		switch u.Kind {
-		case uop.STA:
-			if staSeen[u.StoreID] || stdSeen[u.StoreID] {
-				t.Fatalf("duplicate or out-of-order STA for store %d", u.StoreID)
-			}
-			staSeen[u.StoreID] = true
-		case uop.STD:
-			if !staSeen[u.StoreID] {
-				t.Fatalf("STD for store %d before its STA", u.StoreID)
-			}
-			if stdSeen[u.StoreID] {
-				t.Fatalf("duplicate STD for store %d", u.StoreID)
-			}
-			stdSeen[u.StoreID] = true
+	stores := 0
+	want := uop.STA
+	for i, u := range us {
+		if !u.Kind.IsStorePart() {
+			continue
+		}
+		if u.Kind != want {
+			t.Fatalf("uop %d: %s where the next store half must be an %s", i, u.Kind, want)
+		}
+		if want == uop.STA {
+			stores++
+			want = uop.STD
+		} else {
+			want = uop.STA
 		}
 	}
-	if len(staSeen) == 0 {
+	if stores == 0 {
 		t.Fatal("trace contains no stores")
-	}
-	// Every STA in the middle of the trace should have a matching STD.
-	missing := 0
-	for id := range staSeen {
-		if !stdSeen[id] {
-			missing++
-		}
-	}
-	if missing > 2 { // the trace may end between an STA and its STD
-		t.Fatalf("%d STAs lack a matching STD", missing)
 	}
 }
 
@@ -135,7 +125,7 @@ func TestLoadsRecur(t *testing.T) {
 	// History-based prediction requires static loads to recur: the number of
 	// distinct load IPs must be far smaller than the number of dynamic loads.
 	us := Collect(testProfile(), 100000)
-	ips := map[uint64]int{}
+	ips := map[uint32]int{}
 	loads := 0
 	for _, u := range us {
 		if u.Kind == uop.Load {
@@ -156,7 +146,7 @@ func TestStoreLoadPairsExist(t *testing.T) {
 	// Parameter passing and local-variable traffic must create store→load
 	// pairs at short dynamic distances — the raw material for collisions.
 	us := Collect(testProfile(), 50000)
-	lastStore := map[uint64]int{} // addr → stream position of the last STA
+	lastStore := map[uint32]int{} // addr → stream position of the last STA
 	pairs := 0
 	for i, u := range us {
 		switch u.Kind {
@@ -193,7 +183,7 @@ func TestBranchMispredictRatePlausible(t *testing.T) {
 func TestStackAddressesBelowBase(t *testing.T) {
 	us := Collect(testProfile(), 20000)
 	for _, u := range us {
-		if u.HasMemAddr() && u.Addr > stackBase {
+		if u.HasMemAddr() && uint64(u.Addr) > stackBase {
 			t.Fatalf("address above stack base: %v", u)
 		}
 	}

@@ -1,7 +1,9 @@
 // Package uop defines the micro-operation (uop) model used throughout the
 // simulator. It mirrors the P6-style decomposition described in the paper:
 // most IA-32 instructions decode into one uop, while a store decodes into a
-// STA (store address) uop and a STD (store data) uop, linked by a StoreID.
+// STA (store address) uop and a STD (store data) uop. The two halves are
+// linked by the store's place in the stream: the k-th STA is store k, and
+// the next store half, its STD, belongs to the same store.
 package uop
 
 import "fmt"
@@ -75,22 +77,20 @@ const NoReg Reg = 0
 const MaxArchRegs = 64
 
 // UOp is one dynamic micro-operation in a trace. Fields that do not apply to
-// a kind are zero (e.g. Addr for IntALU). The wide fields lead and the byte
-// fields trail so the struct packs to 32 bytes — uops are copied on every
-// fetch, trace replay and recording step, so the layout is hot. A uop
-// carries no sequence number: its place in the stream is its position,
-// which every consumer already counts (the engine's rename counter, a
-// trace file's record index).
+// a kind are zero (e.g. Addr for IntALU). The traces model IA-32, so an IP
+// and a linear address are 32 bits wide, and the struct packs to 16 bytes
+// — uops are copied on every fetch, trace replay and recording step, so
+// the layout is hot. A uop carries no sequence number and no store id: its
+// place in the stream is its position, which every consumer already counts
+// (the engine's rename counter, a trace file's record index), and a store's
+// id is its rank among the stream's STAs, which the engine counts at rename.
 type UOp struct {
 	// IP is the static instruction pointer of the uop. All history-based
 	// predictors in the paper index on the load's IP, so recurrence of IPs
 	// is what makes prediction possible.
-	IP uint64
+	IP uint32
 	// Addr is the effective memory address for Load and STA uops.
-	Addr uint64
-	// StoreID links the STA and STD halves of one store. Zero for non-store
-	// uops; IDs are dense from 1 within a trace.
-	StoreID int64
+	Addr uint32
 	// Kind is the execution class.
 	Kind Kind
 	// Dst is the destination register (NoReg if none).
@@ -112,11 +112,12 @@ type UOp struct {
 // stream, precomputed once per trace chunk and shared by every machine
 // configuration replaying it (the same observation that makes Moshovos-style
 // dependence prediction work — dependences are stable stream properties).
-// All references are stream-position deltas, which are invariant under the
-// StoreID renumbering replay sources apply when a finite trace wraps.
+// All references are deltas — producers as stream-position deltas, stores
+// as a delta over a per-batch store count — so they do not depend on where
+// in the stream a batch sits, or on how often a finite trace has wrapped.
 //
-// The struct packs to 6 bytes; the side-car rides next to the 32-byte uop
-// itself, so a chunk's side-car costs under a fifth of its flat uops.
+// The struct packs to 6 bytes; the side-car rides next to the 16-byte uop
+// itself, so a recorded uop costs 22 bytes.
 type Dep struct {
 	// Src1Back and Src2Back give each source register's producer as a
 	// backward stream-position delta: the producer of SrcN is the uop
@@ -128,9 +129,9 @@ type Dep struct {
 	Src1Back, Src2Back uint16
 	// LastStore gives, for loads, the youngest store preceding this uop as
 	// a delta over the side-car batch's store base: the absolute id is
-	// base + LastStore, where the base is reported alongside the batch. A
-	// batch whose ids would overflow the delta reports an invalid base and
-	// consumers fall back to their own store tracking.
+	// base + LastStore, where the base — the number of STAs before the
+	// batch — is reported alongside it. A batch holds at most ChunkUops
+	// uops, so the delta always fits.
 	LastStore uint16
 }
 
@@ -141,7 +142,7 @@ const DepSaturated = 1<<16 - 1
 func (u *UOp) HasMemAddr() bool { return u.Kind == Load || u.Kind == STA }
 
 // CacheLine returns the 64-byte cache line address of the uop's access.
-func (u *UOp) CacheLine() uint64 { return u.Addr &^ 63 }
+func (u *UOp) CacheLine() uint64 { return uint64(u.Addr &^ 63) }
 
 // String renders a compact single-line description, for debugging and logs.
 func (u *UOp) String() string {
@@ -149,9 +150,9 @@ func (u *UOp) String() string {
 	case Load:
 		return fmt.Sprintf("%s r%d <- [%#x] @%#x", u.Kind, u.Dst, u.Addr, u.IP)
 	case STA:
-		return fmt.Sprintf("%s#%d [%#x] @%#x", u.Kind, u.StoreID, u.Addr, u.IP)
+		return fmt.Sprintf("%s [%#x] @%#x", u.Kind, u.Addr, u.IP)
 	case STD:
-		return fmt.Sprintf("%s#%d r%d @%#x", u.Kind, u.StoreID, u.Src1, u.IP)
+		return fmt.Sprintf("%s r%d @%#x", u.Kind, u.Src1, u.IP)
 	case Branch:
 		dir := "nt"
 		if u.Taken {

@@ -64,8 +64,8 @@ func TestStringForms(t *testing.T) {
 		want string
 	}{
 		{UOp{Kind: Load, Dst: 3, Addr: 0x10, IP: 0x400000}, "ld"},
-		{UOp{Kind: STA, StoreID: 7, Addr: 0x20}, "sta#7"},
-		{UOp{Kind: STD, StoreID: 7, Src1: 4}, "std#7"},
+		{UOp{Kind: STA, Addr: 0x20}, "sta [0x20]"},
+		{UOp{Kind: STD, Src1: 4}, "std r4"},
 		{UOp{Kind: Branch, Taken: true}, "br t"},
 		{UOp{Kind: Branch, Taken: false}, "br nt"},
 		{UOp{Kind: IntALU, Dst: 1, Src1: 2, Src2: 3}, "alu"},
@@ -93,8 +93,8 @@ func TestConstants(t *testing.T) {
 // uop costs one UOp plus one Dep, so a field added to either grows every
 // recording in the process by that much per uop.
 func TestLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(UOp{}); sz != 32 {
-		t.Errorf("UOp is %d bytes, want 32", sz)
+	if sz := unsafe.Sizeof(UOp{}); sz != 16 {
+		t.Errorf("UOp is %d bytes, want 16", sz)
 	}
 	if sz := unsafe.Sizeof(Dep{}); sz != 6 {
 		t.Errorf("Dep is %d bytes, want 6", sz)
