@@ -26,7 +26,7 @@ BENCH_THRESHOLD ?= 20
 PROFILE_FIG ?= 8
 PROFILE_DIR ?= /tmp
 
-.PHONY: all build test vet fmt-check lint race verify bench bench-json bench-compare determinism examples serve-smoke fuzz-smoke perfbench-test cover profile clean
+.PHONY: all build test vet fmt-check lint race verify bench bench-json bench-compare bench-ab determinism examples serve-smoke fuzz-smoke perfbench-test cover profile clean
 
 all: build
 
@@ -73,6 +73,15 @@ bench-compare:
 	$(GO) build -o /tmp/loadsched-benchdiff ./cmd/benchdiff
 	$(MAKE) bench-json BENCH_OUT=/tmp/loadsched-bench-new.json
 	/tmp/loadsched-benchdiff -threshold $(BENCH_THRESHOLD) BENCH_results.json /tmp/loadsched-bench-new.json
+
+# bench-ab: paired runs of the end-to-end benchmark (perfbench/run.sh), the
+# commit REF against the working tree, alternating which runs first:
+# `make bench-ab REF=<commit> [WORKLOAD=figures] [SEED=1] [PAIRS=10]`.
+# It prints each end-to-end metric's medians, quartiles, wins and verdict
+# (see scripts/bench-ab.sh); command-line variables reach the script
+# through the environment.
+bench-ab:
+	bash scripts/bench-ab.sh
 
 # determinism: neither the CLI's figure tables nor its JSON records may
 # depend on the worker count.

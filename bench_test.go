@@ -413,7 +413,7 @@ func BenchmarkWarmStoreHit(b *testing.B) {
 		cfg.CHT = memdep.NewFullCHT(2048, 4, 2, true)
 		return cfg
 	}, 3_000)
-	job := runner.Job{Machine: m, Profile: p, Uops: 15_000}
+	job := runner.Job{Machine: m, Profile: &p, Uops: 15_000}
 	cold := runner.NewCache()
 	cold.SetStore(st)
 	runner.NewIsolated(1, cold).Do(job) // simulate once and write through

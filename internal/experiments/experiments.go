@@ -79,21 +79,24 @@ func (o Options) pool() *runner.Pool {
 	return runner.New(o.Workers)
 }
 
-// traces returns the group's traces under the cap.
-func (o Options) traces(g trace.Group) []trace.Profile {
-	if o.TracesPerGroup > 0 && o.TracesPerGroup < len(g.Traces) {
-		return g.Traces[:o.TracesPerGroup]
+// traces returns the named group's traces under the cap, or false for an
+// unknown group. The slice is the trace package's shared one: read-only,
+// so jobs may point into it.
+func (o Options) traces(name string) ([]trace.Profile, bool) {
+	ps, ok := trace.GroupProfiles(name)
+	if o.TracesPerGroup > 0 && o.TracesPerGroup < len(ps) {
+		ps = ps[:o.TracesPerGroup:o.TracesPerGroup]
 	}
-	return g.Traces
+	return ps, ok
 }
 
 // groupTraces resolves a group by name and applies the cap.
 func (o Options) groupTraces(name string) []trace.Profile {
-	g, ok := trace.GroupByName(name)
+	ps, ok := o.traces(name)
 	if !ok {
 		panic("experiments: unknown group " + name)
 	}
-	return o.traces(g)
+	return ps
 }
 
 // machine wraps one machine point for the runner: its keys are derived
@@ -110,10 +113,11 @@ func (o Options) schemeMachine(s memdep.Scheme) *runner.Machine {
 	return o.machine(func() ooo.Config { return baseConfig(s) })
 }
 
-// addJobs appends one job per trace on machine m.
+// addJobs appends one job per trace on machine m. Each job points at its
+// element of traces, which must stay unmodified until the jobs have run.
 func (o Options) addJobs(jobs []runner.Job, m *runner.Machine, traces []trace.Profile) []runner.Job {
-	for _, p := range traces {
-		jobs = append(jobs, runner.Job{Machine: m, Profile: p, Uops: o.Uops})
+	for i := range traces {
+		jobs = append(jobs, runner.Job{Machine: m, Profile: &traces[i], Uops: o.Uops})
 	}
 	return jobs
 }

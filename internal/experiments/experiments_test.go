@@ -289,11 +289,11 @@ func TestOptionsHelpers(t *testing.T) {
 		t.Fatal("Quick should be smaller than default")
 	}
 	g, _ := trace.GroupByName(trace.GroupSpecInt95)
-	if n := len(Options{TracesPerGroup: 3}.traces(g)); n != 3 {
-		t.Fatalf("traces cap = %d", n)
+	if ps, _ := (Options{TracesPerGroup: 3}).traces(g.Name); len(ps) != 3 {
+		t.Fatalf("traces cap = %d", len(ps))
 	}
-	if n := len(Options{}.traces(g)); n != len(g.Traces) {
-		t.Fatalf("uncapped traces = %d", n)
+	if ps, _ := (Options{}).traces(g.Name); len(ps) != len(g.Traces) {
+		t.Fatalf("uncapped traces = %d", len(ps))
 	}
 }
 

@@ -24,6 +24,11 @@ type Fig9Row struct {
 	Class memdep.Classification
 }
 
+// fig9Block is how many events one block of a captured collision stream
+// holds (64 KiB). Blocks of a fixed size allocate each event once, where
+// one slice grown by append would copy the stream several times over.
+const fig9Block = 4096
+
 // fig9Sweep defines the paper's size sweeps per organization.
 type fig9Sweep struct {
 	kind    string
@@ -77,32 +82,42 @@ func Fig9(o Options) []Fig9Row {
 	}
 
 	traces := o.groupTraces(trace.GroupSysmarkNT)
-	streams := runner.Map(o.pool(), len(traces), func(ti int) []ooo.LoadEvent {
-		var evs []ooo.LoadEvent
+	streams := runner.Map(o.pool(), len(traces), func(ti int) [][]ooo.LoadEvent {
+		var blocks [][]ooo.LoadEvent
 		cfg := baseConfig(memdep.Traditional)
 		cfg.WarmupUops = o.EffectiveWarmup()
-		cfg.OnLoadRetire = func(ev ooo.LoadEvent) { evs = append(evs, ev) }
+		cfg.OnLoadRetire = func(ev ooo.LoadEvent) {
+			n := len(blocks)
+			if n == 0 || len(blocks[n-1]) == fig9Block {
+				blocks = append(blocks, make([]ooo.LoadEvent, 0, fig9Block))
+				n++
+			}
+			blocks[n-1] = append(blocks[n-1], ev)
+		}
 		ooo.NewEngine(cfg, trace.Replay(traces[ti])).Run(o.Uops)
-		return evs
+		return blocks
 	})
-	for _, evs := range streams {
-		for _, ev := range evs {
-			for _, s := range slots {
-				pred := s.pred.Lookup(ev.IP).Colliding
-				s.row.Class.Loads++
-				switch {
-				case !ev.Conflicting:
-					s.row.Class.NotConflicting++
-				case ev.Colliding && pred:
-					s.row.Class.ACPC++
-				case ev.Colliding && !pred:
-					s.row.Class.ACPNC++
-				case !ev.Colliding && pred:
-					s.row.Class.ANCPC++
-				default:
-					s.row.Class.ANCPNC++
+	for _, blocks := range streams {
+		for _, evs := range blocks {
+			for _, ev := range evs {
+				ip := uint64(ev.IP)
+				for _, s := range slots {
+					pred := s.pred.Lookup(ip).Colliding
+					s.row.Class.Loads++
+					switch {
+					case !ev.Conflicting:
+						s.row.Class.NotConflicting++
+					case ev.Colliding && pred:
+						s.row.Class.ACPC++
+					case ev.Colliding && !pred:
+						s.row.Class.ACPNC++
+					case !ev.Colliding && pred:
+						s.row.Class.ANCPC++
+					default:
+						s.row.Class.ANCPNC++
+					}
+					s.pred.Record(ip, ev.Colliding, int(ev.Distance))
 				}
-				s.pred.Record(ev.IP, ev.Colliding, ev.Distance)
 			}
 		}
 	}

@@ -67,7 +67,7 @@ func TestDriverJobKeysMatchStoreKey(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %d (%s): machine has no key", i, j.Profile.Name)
 		}
-		k := runner.StoreKey(runner.Key{Machine: desc, Profile: j.Profile, Uops: j.Uops, Warmup: capture.EffectiveWarmup()})
+		k := runner.StoreKey(runner.Key{Machine: desc, Profile: *j.Profile, Uops: j.Uops, Warmup: capture.EffectiveWarmup()})
 		if !keys[k] {
 			keys[k] = true
 			if err := st.Put(k, payload.Bytes()); err != nil {

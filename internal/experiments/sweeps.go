@@ -9,7 +9,6 @@ import (
 	"loadsched/internal/results"
 	"loadsched/internal/runner"
 	"loadsched/internal/stats"
-	"loadsched/internal/trace"
 )
 
 // SweepKinds lists the sensitivity sweeps; Run accepts each as
@@ -25,11 +24,10 @@ func sweepTable(kind, group string, o Options) (stats.Table, error) {
 	if kind == "bankpolicies" {
 		return BankPoliciesTable(BankPolicies(o)), nil
 	}
-	g, ok := trace.GroupByName(group)
+	traces, ok := o.traces(group)
 	if !ok {
 		return stats.Table{}, fmt.Errorf("experiments: unknown group %q", group)
 	}
-	traces := o.traces(g)
 
 	// The sweep is built in two passes so the whole design space executes as
 	// ONE Pool.Run: registration walks the axis and appends every point's

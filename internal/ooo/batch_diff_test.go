@@ -21,7 +21,7 @@ import (
 func soloStats(jobs []runner.Job) []ooo.Stats {
 	out := make([]ooo.Stats, len(jobs))
 	for i, j := range jobs {
-		out[i] = ooo.NewEngine(j.Machine.Config(), trace.Replay(j.Profile)).Run(j.Uops)
+		out[i] = ooo.NewEngine(j.Machine.Config(), trace.Replay(*j.Profile)).Run(j.Uops)
 	}
 	return out
 }
@@ -45,7 +45,7 @@ func TestPoolRunMatchesSoloDiff(t *testing.T) {
 		}
 		jobs = append(jobs, runner.Job{
 			Machine: runner.NewMachine(ooo.DiffConfigForBatch(rng), warmup),
-			Profile: prof,
+			Profile: &prof,
 			Uops:    uops,
 		})
 	}
@@ -71,7 +71,7 @@ func TestPoolRunMatchesSoloDiff(t *testing.T) {
 // and still return per-job results identical to solo execution.
 func TestPoolRunDedupsInUnit(t *testing.T) {
 	prof := ooo.CoincidentProfileForBatch()
-	job := runner.Job{Machine: runner.NewMachine(ooo.DefaultConfig, 500), Profile: prof, Uops: 3000}
+	job := runner.Job{Machine: runner.NewMachine(ooo.DefaultConfig, 500), Profile: &prof, Uops: 3000}
 	jobs := []runner.Job{job, job, job, job}
 	solo := soloStats(jobs[:1])
 	p := runner.NewIsolated(1, runner.NewCache()) // one unit of 4, memoized

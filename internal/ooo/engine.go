@@ -47,13 +47,14 @@ type Source interface {
 	NextBatchRef() (us []uop.UOp, deps []uop.Dep, storeBase int64)
 }
 
-// LoadEvent describes one retired load for statistical consumers.
+// LoadEvent describes one retired load for statistical consumers, in 16
+// bytes: Fig 9 keeps every event of its collision streams.
 type LoadEvent struct {
-	// IP and Addr identify the access.
-	IP, Addr uint64
-	// Colliding and Distance are the load's actual collision behavior.
+	// IP and Addr identify the access (IA-32 width, as in uop.UOp).
+	IP, Addr uint32
+	// Distance and Colliding are the load's actual collision behavior.
+	Distance  int32
 	Colliding bool
-	Distance  int
 	// Hit reports an L1 hit.
 	Hit bool
 	// Conflicting reports an older incomplete store at schedule time.

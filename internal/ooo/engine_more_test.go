@@ -2,6 +2,7 @@ package ooo
 
 import (
 	"testing"
+	"unsafe"
 
 	"loadsched/internal/bankpred"
 	"loadsched/internal/cache"
@@ -264,6 +265,10 @@ func TestNonCHTSchemesNeverPredictColliding(t *testing.T) {
 }
 
 func TestLoadEventStreamConsistent(t *testing.T) {
+	// Fig 9 keeps every event of its collision streams.
+	if sz := unsafe.Sizeof(LoadEvent{}); sz != 16 {
+		t.Errorf("LoadEvent is %d bytes, want 16", sz)
+	}
 	p, _ := trace.TraceByName(trace.GroupGames, "quake")
 	cfg := DefaultConfig()
 	cfg.Scheme = memdep.Traditional

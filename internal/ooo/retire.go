@@ -92,8 +92,8 @@ func (e *Engine) retireLoad(idx int32) {
 	}
 	if e.cfg.OnLoadRetire != nil {
 		e.cfg.OnLoadRetire(LoadEvent{
-			IP: ip, Addr: addr,
-			Colliding: colliding, Distance: int(r.collDist[idx]),
+			IP: r.u[idx].IP, Addr: r.u[idx].Addr,
+			Distance: r.collDist[idx], Colliding: colliding,
 			Hit: actualHit, Conflicting: conflicting,
 		})
 	}

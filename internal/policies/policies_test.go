@@ -169,7 +169,7 @@ func TestZooPooledCountersProveReuse(t *testing.T) {
 			}
 			return cfg
 		}, 500)
-		for _, prof := range []trace.Profile{a, b} {
+		for _, prof := range []*trace.Profile{&a, &b} {
 			jobs = append(jobs, runner.Job{Machine: m, Profile: prof, Uops: 3_000})
 		}
 	}

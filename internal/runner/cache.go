@@ -99,6 +99,22 @@ func describe(isNil bool, x any) (string, bool) {
 	return s, s != ""
 }
 
+// memoKey names one simulation in the memo cache by the pieces of its
+// store key: the machine's key head, the workload's profile text and the
+// two lengths. A Machine renders its head once and Pool.Run the profile
+// text once per unit, so a job's lookup, and the entry it adds on a miss,
+// allocate no key; the store key is rendered on the stack to read the
+// store, and copied only to write it.
+type memoKey struct {
+	head, prof   string
+	uops, warmup int
+}
+
+// appendStoreKey appends the store key k names.
+func (k *memoKey) appendStoreKey(b []byte) []byte {
+	return appendKeyTail(append(append(b, k.head...), k.prof...), k.uops, k.warmup)
+}
+
 // Cache memoizes simulation results by store key (see StoreKey) with
 // single-flight semantics: concurrent requests for the same key block until
 // the first computes it. It is safe for concurrent use and only ever grows;
@@ -110,10 +126,11 @@ func describe(isNil bool, x any) (string, bool) {
 // preserved across all three — concurrent requests for one key perform at
 // most one disk read or one simulation between them, and a computed result
 // is written through so later processes start warm. Both levels use the
-// same key string.
+// same key: the memory level by its pieces (memoKey), the store by its
+// text.
 type Cache struct {
 	mu   sync.Mutex
-	m    map[string]*cacheEntry
+	m    map[memoKey]*cacheEntry
 	disk *store.Store
 }
 
@@ -129,7 +146,7 @@ type cacheEntry struct {
 }
 
 // NewCache returns an empty cache.
-func NewCache() *Cache { return &Cache{m: map[string]*cacheEntry{}} }
+func NewCache() *Cache { return &Cache{m: map[memoKey]*cacheEntry{}} }
 
 // SetStore attaches a persistent second-level store (nil detaches). Results
 // already memoized in memory are not flushed; new computations write
@@ -179,7 +196,7 @@ const (
 // from the map BEFORE closing done, waiters observe an invalid entry and
 // retry (the first of them re-runs compute) while this caller's panic
 // propagates.
-func (c *Cache) do(key string, compute func() ooo.Stats) (ooo.Stats, outcome) {
+func (c *Cache) do(key memoKey, compute func() ooo.Stats) (ooo.Stats, outcome) {
 	var (
 		e    *cacheEntry
 		disk *store.Store
@@ -215,17 +232,22 @@ func (c *Cache) do(key string, compute func() ooo.Stats) (ooo.Stats, outcome) {
 		}
 		close(e.done)
 	}()
-	if disk != nil && diskGet(disk, key, &e.stats) {
+	if disk == nil {
+		e.stats = compute()
+		e.valid = true
+		return e.stats, computed
+	}
+	var scratch [keyScratch]byte
+	sk := key.appendStoreKey(scratch[:0])
+	if diskGet(disk, sk, &e.stats) {
 		e.valid = true
 		return e.stats, diskHit
 	}
 	e.stats = compute()
 	e.valid = true
-	if disk != nil {
-		// Best effort: a failed write-through degrades persistence, not
-		// correctness, and the store's WriteErrors counter surfaces it.
-		diskPut(disk, key, &e.stats)
-	}
+	// Best effort: a failed write-through degrades persistence, not
+	// correctness, and the store's WriteErrors counter surfaces it.
+	diskPut(disk, string(sk), &e.stats)
 	return e.stats, computed
 }
 
@@ -242,19 +264,21 @@ var storeKeyPrefix = storeKeyVersion + "|" + schemaFingerprint + "|"
 // storeKeyPrefix plus the key text of k. Key.Machine is already the
 // canonical machine description and trace.Profile is a pure value struct,
 // so the text is deterministic across processes. It renders from the same
-// pieces as a Machine's job keys (see appendKeyHead), byte for byte.
+// pieces as the runner's job keys (see memoKey), byte for byte.
 func StoreKey(k Key) string {
 	var scratch [keyScratch]byte
 	b := appendProfileText(appendKeyHead(scratch[:0], k.Machine), &k.Profile)
 	return string(appendKeyTail(b, k.Uops, k.Warmup))
 }
 
-// diskGet reads one persisted result straight into st. A payload that is
-// not exactly one word per Stats counter is a miss and leaves st
-// untouched: the frame was intact, so only a payload layout that slipped
-// past the key prefix gets here — recompute, then overwrite.
-func diskGet(s *store.Store, key string, st *ooo.Stats) bool {
-	payload, ok := s.Get(key)
+// diskGet reads one persisted result straight into st, through a stack
+// buffer that fits a well-formed payload. A payload that is not exactly
+// one word per Stats counter is a miss and leaves st untouched: the frame
+// was intact, so only a payload layout that slipped past the key prefix
+// gets here — recompute, then overwrite.
+func diskGet(s *store.Store, key []byte, st *ooo.Stats) bool {
+	var buf [8 * statsWords]byte
+	payload, ok := s.AppendGet(buf[:0], key)
 	return ok && decodeStats(payload, st)
 }
 

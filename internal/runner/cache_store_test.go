@@ -11,6 +11,13 @@ import (
 	"loadsched/internal/store"
 )
 
+// keyOf splits k into the memo key of the same store key.
+func keyOf(k Key) memoKey {
+	var scratch [keyScratch]byte
+	head := string(appendKeyHead(scratch[:0], k.Machine))
+	return memoKey{head: head, prof: profileText(&k.Profile), uops: k.Uops, warmup: k.Warmup}
+}
+
 // TestCachePanicDoesNotPoison is the regression test for the memo-cache
 // poisoning bug: a panic inside compute used to close the entry's done
 // channel with zero-value stats still in it and leave the entry in the map
@@ -21,7 +28,7 @@ import (
 // calling compute.)
 func TestCachePanicDoesNotPoison(t *testing.T) {
 	c := NewCache()
-	const k = "m"
+	k := memoKey{head: "m"}
 	panicked := func() {
 		defer func() {
 			if recover() == nil {
@@ -51,7 +58,7 @@ func TestCachePanicDoesNotPoison(t *testing.T) {
 // stats from the dead entry.
 func TestCachePanicWakesCoalescedWaiters(t *testing.T) {
 	c := NewCache()
-	const k = "m"
+	k := memoKey{head: "m"}
 	inCompute := make(chan struct{})
 	release := make(chan struct{})
 	ownerDone := make(chan struct{})
@@ -108,10 +115,10 @@ func TestCacheDiskLayerWarmReopen(t *testing.T) {
 	}
 	c1 := NewCache()
 	c1.SetStore(st1)
-	keys := []string{
-		StoreKey(Key{Machine: "a", Uops: 100}),
-		StoreKey(Key{Machine: "b", Uops: 100}),
-		StoreKey(Key{Machine: "a", Uops: 200, Warmup: 10}),
+	keys := []memoKey{
+		keyOf(Key{Machine: "a", Uops: 100}),
+		keyOf(Key{Machine: "b", Uops: 100}),
+		keyOf(Key{Machine: "a", Uops: 200, Warmup: 10}),
 	}
 	for i, k := range keys {
 		want := ooo.Stats{Cycles: int64(100 + i), Uops: uint64(i)}
@@ -159,7 +166,7 @@ func TestCacheDiskSingleFlight(t *testing.T) {
 	}
 	c := NewCache()
 	c.SetStore(st)
-	const k = "m"
+	k := memoKey{head: "m"}
 	want := ooo.Stats{Cycles: 42}
 	var calls atomic.Int32
 	var wg sync.WaitGroup
@@ -188,7 +195,7 @@ func TestCacheDiskCorruptEntryRecomputes(t *testing.T) {
 	st, _ := store.Open(dir)
 	c := NewCache()
 	c.SetStore(st)
-	const k = "m"
+	k := memoKey{head: "m"}
 	want := ooo.Stats{Cycles: 42}
 	c.do(k, func() ooo.Stats { return want })
 

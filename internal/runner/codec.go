@@ -29,16 +29,16 @@ import (
 // prefixes every store key, so a build whose structs differ in shape never
 // reads another's entries.
 //
-// A key is built in an array on its caller's stack and copied once into the
-// key string, so rendering one costs a single allocation of exactly the
-// key's size.
+// A key is built in an array on its caller's stack, and copied into a
+// string only where one must outlive the call.
 //
 // A store key is Key's text: storeKeyPrefix, then '{', the quoted machine
 // description, the profile's key text, the measured and warmup lengths,
 // and '}'. It is assembled from three pieces — appendKeyHead,
 // appendProfileText and appendKeyTail — so the runner renders each piece
 // as rarely as it changes: a Machine's head once, a workload's profile
-// text once per unit, and only the tail per job.
+// text once per unit, and only the tail per job, on the stack (see
+// memoKey).
 
 // leaf says how the walker renders one struct field.
 type leaf uint8

@@ -102,6 +102,10 @@ func TestConfigKeyCoversEveryLeaf(t *testing.T) {
 func TestStoreKeyCoversEveryLeaf(t *testing.T) {
 	base := testKey(t, keyedConfig())
 	baseStore := StoreKey(base)
+	// The memo cache renders the same key from its pieces.
+	if mk := keyOf(base); string(mk.appendStoreKey(nil)) != baseStore {
+		t.Errorf("memo key renders %q, StoreKey %q", mk.appendStoreKey(nil), baseStore)
+	}
 	leaves := 0
 	k := base
 	eachLeaf(reflect.ValueOf(&k).Elem(), "", func(name string, f reflect.Value) {
@@ -260,7 +264,8 @@ func TestStatsPayloadRoundTrip(t *testing.T) {
 // restart does not recompute the key again.
 func TestDiskPayloadWrongLengthRecomputes(t *testing.T) {
 	want, _ := distinctStats()
-	k := StoreKey(testKey(t, keyedConfig()))
+	key := testKey(t, keyedConfig())
+	k := StoreKey(key)
 	n := len(encodeStats(&want))
 	for _, size := range []int{0, n - 1, n + 1, n + 8} {
 		dir := t.TempDir()
@@ -269,7 +274,7 @@ func TestDiskPayloadWrongLengthRecomputes(t *testing.T) {
 		c := NewCache()
 		c.SetStore(st)
 		var calls atomic.Int32
-		got, how := c.do(k, func() ooo.Stats { calls.Add(1); return want })
+		got, how := c.do(keyOf(key), func() ooo.Stats { calls.Add(1); return want })
 		if got != want || how != computed || calls.Load() != 1 {
 			t.Fatalf("payload of %d bytes: outcome %d after %d computes", size, how, calls.Load())
 		}
@@ -280,7 +285,7 @@ func TestDiskPayloadWrongLengthRecomputes(t *testing.T) {
 			st, _ = store.Open(dir)
 			c = NewCache()
 			c.SetStore(st)
-			if got, how := c.do(k, func() ooo.Stats { t.Error("recomputed a rewritten entry"); return want }); got != want || how != diskHit {
+			if got, how := c.do(keyOf(key), func() ooo.Stats { t.Error("recomputed a rewritten entry"); return want }); got != want || how != diskHit {
 				t.Fatalf("payload of %d bytes: restart %d gave outcome %d", size, restart, how)
 			}
 		}
@@ -288,10 +293,10 @@ func TestDiskPayloadWrongLengthRecomputes(t *testing.T) {
 }
 
 // TestConfigKeyDiskGetAllocs pins the allocation count of a warm-store
-// lookup for one job of a machine whose keys NewMachine derived once: the
-// profile's key text, the job key and the read. The machine's CHT
-// describes itself without fmt, whose pooled printers make counts vary
-// under the race detector.
+// lookup for one job of a machine whose keys NewMachine derived once and
+// whose profile text its Run unit rendered: the job's store key and the
+// read. The machine's CHT describes itself without fmt, whose pooled
+// printers make counts vary under the race detector.
 func TestConfigKeyDiskGetAllocs(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -304,26 +309,28 @@ func TestConfigKeyDiskGetAllocs(t *testing.T) {
 		cfg.CHT = memdep.AlwaysColliding{}
 		return cfg
 	}, 3_000)
-	j := Job{Machine: m, Profile: trace.Groups()[0].Traces[0], Uops: 15_000}
+	j := Job{Machine: m, Profile: &trace.Groups()[0].Traces[0], Uops: 15_000}
 	want, _ := distinctStats()
-	diskPut(st, StoreKey(Key{Machine: m.desc, Profile: j.Profile, Uops: j.Uops, Warmup: 3_000}), &want)
+	diskPut(st, StoreKey(Key{Machine: m.desc, Profile: *j.Profile, Uops: j.Uops, Warmup: 3_000}), &want)
 	if st, err = store.Open(dir); err != nil {
 		t.Fatal(err)
 	}
 	var got ooo.Stats
+	prof := profileText(j.Profile)
 	allocs := testing.AllocsPerRun(100, func() {
 		var scratch [keyScratch]byte
-		if !diskGet(st, m.key(appendProfileText(scratch[:0], &j.Profile), j.Uops), &got) {
+		k := memoKey{head: m.head, prof: prof, uops: j.Uops, warmup: m.warmup}
+		if !diskGet(st, k.appendStoreKey(scratch[:0]), &got) {
 			t.Fatal("warm entry missed")
 		}
 	})
 	if got != want {
 		t.Fatalf("disk hit gave %+v", got)
 	}
-	// 1 for the job key and 1 in store.Get (the payload copy); the profile
-	// text renders on the stack and the payload decodes in place.
-	if allocs > 2 {
-		t.Fatalf("job key + diskGet made %.0f allocations, want at most 2", allocs)
+	// None: the store key renders on the stack, and the payload is copied
+	// into a stack buffer and decoded there.
+	if allocs > 0 {
+		t.Fatalf("job key + diskGet made %.0f allocations, want none", allocs)
 	}
 }
 
@@ -333,7 +340,8 @@ func TestConfigKeyDiskGetAllocs(t *testing.T) {
 // computes once and appends one frame, which a fresh Open reads back as a
 // hit; panics and store write errors fail.
 func FuzzStoreEntry(f *testing.F) {
-	k := StoreKey(Key{Machine: "fuzz", Profile: trace.Profile{Name: "fuzz", Seed: 1}, Uops: 100, Warmup: 10})
+	key := Key{Machine: "fuzz", Profile: trace.Profile{Name: "fuzz", Seed: 1}, Uops: 100, Warmup: 10}
+	k := StoreKey(key)
 	want, _ := distinctStats()
 	valid := storeEntry(f, k, encodeStats(&want))
 	f.Add(valid)
@@ -359,7 +367,7 @@ func FuzzStoreEntry(f *testing.F) {
 		c := NewCache()
 		c.SetStore(st)
 		calls := 0
-		got, how := c.do(k, func() ooo.Stats { calls++; return want })
+		got, how := c.do(keyOf(key), func() ooo.Stats { calls++; return want })
 		switch how {
 		case diskHit:
 			if calls != 0 {
@@ -380,7 +388,7 @@ func FuzzStoreEntry(f *testing.F) {
 				t.Fatal(err)
 			}
 			var back ooo.Stats
-			if !diskGet(fresh, k, &back) || back != want {
+			if !diskGet(fresh, []byte(k), &back) || back != want {
 				t.Fatal("appended frame does not read back after a fresh Open")
 			}
 		default:

@@ -42,7 +42,7 @@ type Machine struct {
 	desc string
 	ok   bool
 	// head opens the store key of every job on the machine: everything up
-	// to the profile's key text (see appendKeyHead).
+	// to the profile's key text (see appendKeyHead and memoKey).
 	head string
 }
 
@@ -70,22 +70,14 @@ func (m *Machine) Config() ooo.Config {
 	return cfg
 }
 
-// key renders the store key of the machine's job of uops measured uops on
-// the workload whose profile key text is prof: no reflection, and one
-// allocation of exactly the key's size.
-func (m *Machine) key(prof []byte, uops int) string {
-	var scratch [keyScratch]byte
-	b := append(append(scratch[:0], m.head...), prof...)
-	return string(appendKeyTail(b, uops, m.warmup))
-}
-
 // Job is one simulation request: a machine point, a synthetic workload and
 // the measured length (the warmup length is the machine's).
 type Job struct {
 	// Machine is the machine point, shared by the point's jobs; required.
 	Machine *Machine
-	// Profile is the synthetic workload to simulate.
-	Profile trace.Profile
+	// Profile is the synthetic workload to simulate; required. Jobs only
+	// read it, so every job of a trace may point at one profile.
+	Profile *trace.Profile
 	// Uops is the measured length.
 	Uops int
 }
@@ -248,15 +240,20 @@ func (p *Pool) Workers() int {
 // describable (see ConfigKey). It renders the job's profile key text and
 // takes the same path as each job of Run.
 func (p *Pool) Do(j Job) ooo.Stats {
+	return p.do(&j, profileText(j.Profile))
+}
+
+// profileText renders the key text of *prof.
+func profileText(prof *trace.Profile) string {
 	var scratch [keyScratch]byte
-	return p.do(&j, appendProfileText(scratch[:0], &j.Profile))
+	return string(appendProfileText(scratch[:0], prof))
 }
 
 // do executes one job whose profile key text is prof. Describable jobs
 // run on pooled engines — the machine description doubles as the reuse
 // key — so the steady-state cost of one more simulation is CPU, not
-// allocation; a hit costs the job key, the lookup and no Build.
-func (p *Pool) do(j *Job, prof []byte) ooo.Stats {
+// allocation; a hit costs the lookup and no Build.
+func (p *Pool) do(j *Job, prof string) ooo.Stats {
 	p.m.jobs.Add(1)
 	m := j.Machine
 	run := func() ooo.Stats {
@@ -265,7 +262,7 @@ func (p *Pool) do(j *Job, prof []byte) ooo.Stats {
 		if m.ok {
 			st = p.runPooled(m, j)
 		} else {
-			st = ooo.NewEngine(m.Config(), trace.Replay(j.Profile)).Run(j.Uops)
+			st = ooo.NewEngine(m.Config(), trace.Replay(*j.Profile)).Run(j.Uops)
 		}
 		p.m.simNanos.Add(time.Since(start).Nanoseconds())
 		p.m.simulated.Add(1)
@@ -275,7 +272,7 @@ func (p *Pool) do(j *Job, prof []byte) ooo.Stats {
 		p.m.uncached.Add(1)
 		return run()
 	}
-	st, how := p.cache.do(m.key(prof, j.Uops), run)
+	st, how := p.cache.do(memoKey{head: m.head, prof: prof, uops: j.Uops, warmup: m.warmup}, run)
 	switch how {
 	case memoHit:
 		p.m.memoHits.Add(1)
@@ -295,8 +292,8 @@ func (p *Pool) do(j *Job, prof []byte) ooo.Stats {
 // visible as EngineBuilds with zero EngineReuses for that configuration.
 func (p *Pool) runPooled(m *Machine, j *Job) ooo.Stats {
 	e := p.engines.take(m.desc)
-	if e == nil || !e.Reset(trace.Replay(j.Profile)) {
-		e = ooo.NewEngine(m.Config(), trace.Replay(j.Profile))
+	if e == nil || !e.Reset(trace.Replay(*j.Profile)) {
+		e = ooo.NewEngine(m.Config(), trace.Replay(*j.Profile))
 		p.m.engineBuilds.Add(1)
 	} else {
 		p.m.engineReuses.Add(1)
@@ -318,8 +315,7 @@ func (p *Pool) Run(jobs []Job) []ooo.Stats {
 	out := make([]ooo.Stats, len(jobs))
 	units := batchUnits(jobs, p.Workers())
 	Map(p, len(units), func(u int) struct{} {
-		var scratch [keyScratch]byte
-		prof := appendProfileText(scratch[:0], &jobs[units[u][0]].Profile)
+		prof := profileText(jobs[units[u][0]].Profile)
 		for _, i := range units[u] {
 			out[i] = p.do(&jobs[i], prof)
 		}
@@ -333,8 +329,8 @@ func (p *Pool) Run(jobs []Job) []ooo.Stats {
 // are Map's scheduling grain: a unit keeps one worker on one recording,
 // where consecutive same-shape jobs recycle a single pooled engine, and
 // hands off to Map once per unit rather than once per job. Groups are
-// found by Seed and confirmed by comparing profiles, so no profile is
-// hashed.
+// found by Seed and confirmed by comparing profiles (jobs sharing a
+// profile pointer need no comparison), so no profile is hashed.
 func batchUnits(jobs []Job, workers int) [][]int {
 	size := (len(jobs) + workers - 1) / workers
 	if size > 16 {
@@ -346,10 +342,10 @@ func batchUnits(jobs []Job, workers int) [][]int {
 	var groups [][]int          // job indexes per distinct profile
 	bySeed := map[int64][]int{} // Seed -> indexes into groups
 	for i := range jobs {
-		prof := &jobs[i].Profile
+		prof := jobs[i].Profile
 		g := -1
 		for _, c := range bySeed[prof.Seed] {
-			if jobs[groups[c][0]].Profile == *prof {
+			if q := jobs[groups[c][0]].Profile; q == prof || *q == *prof {
 				g = c
 				break
 			}

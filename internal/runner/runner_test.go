@@ -35,7 +35,8 @@ func schemeBuild(scheme memdep.Scheme) func() ooo.Config {
 }
 
 func testJob(t *testing.T, scheme memdep.Scheme) Job {
-	return Job{Machine: NewMachine(schemeBuild(scheme), 1_000), Profile: testProfile(t), Uops: 5_000}
+	p := testProfile(t)
+	return Job{Machine: NewMachine(schemeBuild(scheme), 1_000), Profile: &p, Uops: 5_000}
 }
 
 func TestMapOrderPreserving(t *testing.T) {
@@ -84,7 +85,7 @@ func TestMapPanicReachesCaller(t *testing.T) {
 // result. Run under -race this also proves the cache is race-free.
 func TestCacheSingleFlight(t *testing.T) {
 	c := NewCache()
-	const k = "m"
+	k := memoKey{head: "m"}
 	var calls atomic.Int32
 	want := ooo.Stats{Cycles: 42, Uops: 99}
 	var wg sync.WaitGroup
@@ -121,13 +122,13 @@ func TestCacheDistinctKeys(t *testing.T) {
 		{Machine: "a", Uops: 1, Warmup: 7},
 	}
 	for i, k := range keys {
-		c.do(StoreKey(k), func() ooo.Stats { return ooo.Stats{Cycles: int64(i)} })
+		c.do(keyOf(k), func() ooo.Stats { return ooo.Stats{Cycles: int64(i)} })
 	}
 	if c.Len() != len(keys) {
 		t.Fatalf("cache holds %d entries, want %d", c.Len(), len(keys))
 	}
 	for i, k := range keys {
-		got, _ := c.do(StoreKey(k), func() ooo.Stats { t.Error("recompute"); return ooo.Stats{} })
+		got, _ := c.do(keyOf(k), func() ooo.Stats { t.Error("recompute"); return ooo.Stats{} })
 		if got.Cycles != int64(i) {
 			t.Fatalf("key %d returned cycles %d", i, got.Cycles)
 		}
@@ -390,7 +391,7 @@ func customJob(t *testing.T, p trace.Profile, key string, resettable bool) Job {
 		}
 		return cfg
 	}
-	return Job{Machine: NewMachine(build, 1_000), Profile: p, Uops: 5_000}
+	return Job{Machine: NewMachine(build, 1_000), Profile: &p, Uops: 5_000}
 }
 
 // TestPoolCustomPolicyMemoized: the ISSUE 6 regression — submitting the same
@@ -478,8 +479,8 @@ func TestSharedMachineConcurrentJobs(t *testing.T) {
 	g, _ := trace.GroupByName(trace.GroupSysmarkNT)
 	profs := g.Traces[:4]
 	want := make([]ooo.Stats, len(profs))
-	for i, p := range profs {
-		want[i] = NewIsolated(1, nil).Do(Job{Machine: m, Profile: p, Uops: 2_000})
+	for i := range profs {
+		want[i] = NewIsolated(1, nil).Do(Job{Machine: m, Profile: &profs[i], Uops: 2_000})
 	}
 	for _, cache := range []*Cache{NewCache(), nil} {
 		pool := NewIsolated(4, cache)
@@ -490,7 +491,7 @@ func TestSharedMachineConcurrentJobs(t *testing.T) {
 				defer wg.Done()
 				for k := range profs {
 					i := (w + k) % len(profs)
-					if got := pool.Do(Job{Machine: m, Profile: profs[i], Uops: 2_000}); got != want[i] {
+					if got := pool.Do(Job{Machine: m, Profile: &profs[i], Uops: 2_000}); got != want[i] {
 						t.Errorf("cache %v: %s diverged from its solo run", cache != nil, profs[i].Name)
 					}
 				}
@@ -498,7 +499,7 @@ func TestSharedMachineConcurrentJobs(t *testing.T) {
 		}
 		jobs := make([]Job, 3*len(profs))
 		for i := range jobs {
-			jobs[i] = Job{Machine: m, Profile: profs[i%len(profs)], Uops: 2_000}
+			jobs[i] = Job{Machine: m, Profile: &profs[i%len(profs)], Uops: 2_000}
 		}
 		for i, got := range pool.Run(jobs) {
 			if got != want[i%len(profs)] {

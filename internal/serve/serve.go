@@ -314,7 +314,7 @@ func Validate(j Job) error {
 		if !slices.Contains(experiments.SweepKinds, j.Sweep) {
 			return fmt.Errorf("unknown sweep %q (want one of %v)", j.Sweep, experiments.SweepKinds)
 		}
-		if _, known := trace.GroupByName(j.Group); !known && j.Group != "" {
+		if _, known := trace.GroupProfiles(j.Group); !known && j.Group != "" {
 			return fmt.Errorf("unknown group %q (want one of %v)", j.Group, trace.GroupNames())
 		}
 	default:

@@ -31,7 +31,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -173,18 +172,31 @@ func (s *Store) Counters() Counters {
 // written, lost to damage, or written since Open by another Store is a
 // miss, as is a key whose hash slot holds a different key's frame.
 func (s *Store) Get(key string) (payload []byte, ok bool) {
-	h := maphash.String(s.seed, key)
+	return appendGet(s, nil, maphash.String(s.seed, key), key)
+}
+
+// AppendGet is Get that takes the key as bytes, appends the payload to dst
+// and returns the extended slice, so a caller that renders the key and
+// holds the payload in buffers of its own reads a hit without allocating.
+// On a miss it returns dst unchanged and false. It keeps neither slice.
+func (s *Store) AppendGet(dst, key []byte) ([]byte, bool) {
+	return appendGet(s, dst, maphash.Bytes(s.seed, key), key)
+}
+
+// appendGet looks up the frame for key, whose hash is h, and appends its
+// payload to dst.
+func appendGet[K string | []byte](s *Store, dst []byte, h uint64, key K) ([]byte, bool) {
 	s.mu.RLock()
 	frame := s.index[h]
 	s.mu.RUnlock()
 	if frame != nil {
-		if k, p := splitFrame(frame); string(k) == key {
+		if k, p := splitFrame(frame); string(k) == string(key) {
 			s.hits.Add(1)
-			return bytes.Clone(p), true
+			return append(dst, p...), true
 		}
 	}
 	s.misses.Add(1)
-	return nil, false
+	return dst, false
 }
 
 // Put appends one frame for key to this Store's segment and indexes it, so

@@ -38,6 +38,18 @@ func TestRoundTrip(t *testing.T) {
 	if again, _ := s.Get(key); !bytes.Equal(again, payload) {
 		t.Fatalf("Get after mutating a returned payload = %q", again)
 	}
+	// So does AppendGet, into the caller's buffer after what it holds.
+	buf, ok := s.AppendGet(make([]byte, 2, 64), []byte(key))
+	if !ok || !bytes.Equal(buf[2:], payload) {
+		t.Fatalf("AppendGet = %q, %v; want %q after 2 bytes, true", buf, ok, payload)
+	}
+	buf[2] = 'X'
+	if again, _ := s.Get(key); !bytes.Equal(again, payload) {
+		t.Fatalf("Get after mutating an AppendGet buffer = %q", again)
+	}
+	if miss, ok := s.AppendGet(buf[:1], []byte("no such key")); ok || len(miss) != 1 {
+		t.Fatalf("AppendGet miss = %q, %v; want the 1-byte buffer back, false", miss, ok)
+	}
 }
 
 func TestEmptyPayloadAndReopen(t *testing.T) {

@@ -132,8 +132,9 @@ func GroupNames() []string {
 	}
 }
 
-// groups holds the seven groups, built once; every accessor hands out
-// copies of their trace slices, so no caller can alter another's view.
+// groups holds the seven groups, built once. Groups and GroupByName hand
+// out copies of their trace slices; GroupProfiles hands out the shared
+// slices themselves, which no caller may modify.
 var groups = buildGroups()
 
 func buildGroups() map[string]Group {
@@ -173,6 +174,15 @@ func GroupByName(name string) (Group, bool) {
 	}
 	g.Traces = append([]Profile(nil), g.Traces...)
 	return g, true
+}
+
+// GroupProfiles returns the named group's traces without copying them:
+// the slice is shared by every caller and must be treated as read-only.
+// It suits callers that look a group up per job; GroupByName hands out a
+// copy instead.
+func GroupProfiles(name string) ([]Profile, bool) {
+	g, ok := groups[name]
+	return g.Traces[:len(g.Traces):len(g.Traces)], ok
 }
 
 // TraceByName returns a single trace profile as "Group/name".

@@ -22,6 +22,12 @@ import (
 // after — and steady-state replay is an index walk that touches no
 // allocator.
 //
+// Chunk memory is mapped outside the Go heap where the platform allows it
+// (chunkmem_mmap.go): the collector sets its goal at twice the live heap,
+// so recorded bytes on the heap would cost their size twice in peak RSS.
+// Registered recordings live as long as the process; an unregistered one
+// (newRecording) is released explicitly once nothing reads it.
+//
 // Concurrency model, per chunk: chunks are produced in stream order under
 // Recording.mu and each is published once, immutable, into its own atomic
 // slot. Readers load the slot lock-free and take the lock only to produce
@@ -58,11 +64,18 @@ type Recording struct {
 
 // recChunk is one published chunk: its uops, their side-car entry for
 // entry, and the store base the side-car's LastStore deltas are relative
-// to. Immutable once published.
+// to. Immutable once published. mem is the mapping us and deps live in,
+// nil for a chunk on the Go heap.
 type recChunk struct {
 	us        []uop.UOp
 	deps      []uop.Dep
 	storeBase int64
+	mem       []byte
+}
+
+// heapChunk returns a zeroed chunk on the Go heap.
+func heapChunk() *recChunk {
+	return &recChunk{us: make([]uop.UOp, ChunkUops), deps: make([]uop.Dep, ChunkUops)}
 }
 
 // Materialize returns the process-wide recording for p, creating it (empty)
@@ -81,7 +94,7 @@ func Materialize(p Profile) *Recording {
 }
 
 // newRecording builds an empty recording of p without registering it
-// process-wide.
+// process-wide. Its owner calls release once no cursor reads it.
 func newRecording(p Profile) *Recording {
 	mc := max(maxSharedUops/ChunkUops, 1)
 	return &Recording{prof: p, maxChunks: mc, gen: New(p), chunks: make([]atomic.Pointer[recChunk], mc)}
@@ -97,7 +110,7 @@ func (r *Recording) chunk(ci int) *recChunk {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for ; r.made <= ci; r.made++ {
-		ch := &recChunk{us: make([]uop.UOp, ChunkUops), deps: make([]uop.Dep, ChunkUops)}
+		ch := allocChunk()
 		for i := range ch.us {
 			r.gen.nextInto(&ch.us[i])
 		}
@@ -105,6 +118,16 @@ func (r *Recording) chunk(ci int) *recChunk {
 		r.chunks[r.made].Store(ch)
 	}
 	return r.chunks[ci].Load()
+}
+
+// release frees the chunks of an unregistered recording. No cursor may
+// read the recording afterwards.
+func (r *Recording) release() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.made {
+		r.chunks[i].Swap(nil).free()
+	}
 }
 
 // Len reports how many uops have been recorded so far. Chunks are always

@@ -145,9 +145,10 @@ func TestReplayConcurrent(t *testing.T) {
 
 // BenchmarkRecording measures first-touch recording, what the first replay
 // of a profile in a process pays: each op builds a fresh recording of gcc
-// (unregistered, so every op is cold) and produces its first
-// benchRecordChunks chunks, uops and side-car. It reports ns and allocated
-// bytes per recorded uop, generator construction included.
+// (unregistered, so every op is cold), produces its first
+// benchRecordChunks chunks, uops and side-car, and releases it. It reports
+// ns and heap-allocated bytes per recorded uop, generator construction
+// included; mapped chunks are not heap bytes.
 func BenchmarkRecording(b *testing.B) {
 	const benchRecordChunks = 16
 	p, _ := TraceByName(GroupSpecInt95, "gcc")
@@ -155,7 +156,9 @@ func BenchmarkRecording(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		newRecording(p).chunk(benchRecordChunks - 1)
+		r := newRecording(p)
+		r.chunk(benchRecordChunks - 1)
+		r.release()
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)

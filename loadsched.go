@@ -119,7 +119,7 @@ func Run(w Workload, m Machine) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	st := runner.New(1).Do(runner.Job{Machine: h, Profile: p, Uops: w.Uops})
+	st := runner.New(1).Do(runner.Job{Machine: h, Profile: &p, Uops: w.Uops})
 	return Result{Stats: st, Workload: w, Machine: m}, nil
 }
 
@@ -143,7 +143,7 @@ func Compare(w Workload, m Machine) (map[Scheme]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		jobs[i] = runner.Job{Machine: h, Profile: p, Uops: wd.Uops}
+		jobs[i] = runner.Job{Machine: h, Profile: &p, Uops: wd.Uops}
 	}
 	sts := runner.New(0).Run(jobs)
 	out := make(map[Scheme]float64, len(schemes))
