@@ -10,7 +10,7 @@
 # in .git if the run is interrupted. Each pair runs
 # `bash perfbench/run.sh --workload W --seed S --seconds N --trace 0` once
 # in each tree, and the side that runs first alternates from pair to pair.
-# N is BENCHMARK.json's run_seconds unless RUN_SECONDS is set.
+# N is BENCHMARK.json's run_seconds.
 #
 # For each end-to-end metric in BENCHMARK.json the report gives each
 # side's median and quartiles, the change's wins out of the pairs (ties
@@ -23,7 +23,7 @@
 # .bench_build/ab/.
 set -euo pipefail
 
-ref="${REF:-${1:-}}"
+ref="${REF:-}"
 if [ -z "$ref" ]; then
 	echo "usage: make bench-ab REF=<commit> [WORKLOAD=figures] [SEED=1] [PAIRS=10]" >&2
 	exit 2
@@ -33,7 +33,8 @@ seed="${SEED:-1}"
 pairs="${PAIRS:-10}"
 root="$(pwd)"
 [ -f "$root/BENCHMARK.json" ] || { echo "bench-ab: run from the repository root" >&2; exit 2; }
-secs="${RUN_SECONDS:-$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$root/BENCHMARK.json")}"
+secs="$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$root/BENCHMARK.json")"
+[ -n "$secs" ] || { echo "bench-ab: no run_seconds in BENCHMARK.json" >&2; exit 2; }
 sha="$(git rev-parse --verify "$ref^{commit}")"
 
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/bench-ab.XXXXXX")"
