@@ -246,8 +246,8 @@ func BenchmarkTraceGeneration(b *testing.B) {
 }
 
 // BenchmarkEngineCycle measures the event-driven scheduling core on the
-// baseline machine. Every op replays one fixed window: untimed, it resets
-// the engine onto a fresh cursor and retires the first engineCyclePrime
+// baseline machine. Every op replays one fixed window: untimed, it builds
+// an engine on a fresh cursor and retires the first engineCyclePrime
 // uops (filling the pipeline, caches and predictors, like the quick
 // preset's warmup); timed, it retires the next engineCycleWindow. The
 // recording covers the whole window before the timer starts, so no op pays
@@ -263,19 +263,12 @@ func BenchmarkEngineCycle(b *testing.B) {
 		us, _, _ := c.NextBatchRef() // record the window and the fetch run-ahead past it
 		seen += len(us)
 	}
-	cursors := make([]*trace.Cursor, b.N)
-	for i := range cursors {
-		cursors[i] = trace.Replay(p)
-	}
-	e := ooo.NewEngine(ooo.DefaultConfig(), cursors[0])
 	var cycles int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if !e.Reset(cursors[i]) {
-			b.Fatal("the baseline engine cannot be reset")
-		}
+		e := ooo.NewEngine(ooo.DefaultConfig(), trace.Replay(p))
 		e.Run(engineCyclePrime)
 		start := e.Now()
 		b.StartTimer()

@@ -142,14 +142,3 @@ func (p *Predictor) Update(ip, addr uint64) {
 	}
 	p.lastAddr[i] = addr
 }
-
-// Reset clears the table in place, LRU clock included.
-func (p *Predictor) Reset() {
-	clear(p.tag)
-	clear(p.valid)
-	clear(p.lastAddr)
-	clear(p.stride)
-	clear(p.conf)
-	clear(p.lru)
-	p.tick = 0
-}

@@ -100,15 +100,6 @@ func TestEvictionLRU(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	p := New(256, 4)
-	p.Update(0x400100, 0x1000)
-	p.Reset()
-	if p.Predict(0x400100).Hit {
-		t.Fatal("Reset must clear")
-	}
-}
-
 func TestBadGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -25,8 +25,6 @@ type Predictor interface {
 	Predict(ip uint64) (bank int, ok bool)
 	// Update trains with the actual bank.
 	Update(ip uint64, bank int)
-	// Reset clears state.
-	Reset()
 	// Name identifies the configuration.
 	Name() string
 }
@@ -76,13 +74,6 @@ func (b *binaryBank) Predict(ip uint64) (int, bool) {
 func (b *binaryBank) Update(ip uint64, bank int) {
 	for _, c := range b.comps {
 		c.Update(ip, bank == 1)
-	}
-}
-
-// Reset implements Predictor.
-func (b *binaryBank) Reset() {
-	for _, c := range b.comps {
-		c.Reset()
 	}
 }
 
@@ -175,9 +166,6 @@ func (a *AddrBank) UpdateAddr(ip, addr uint64) { a.ap.Update(ip, addr) }
 func (a *AddrBank) Update(ip uint64, bank int) {
 	a.ap.Update(ip, uint64(bank*a.banking.LineBytes))
 }
-
-// Reset implements Predictor.
-func (a *AddrBank) Reset() { a.ap.Reset() }
 
 // Name implements Predictor.
 func (a *AddrBank) Name() string { return "Addr" }

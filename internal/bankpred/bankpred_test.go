@@ -175,18 +175,6 @@ func TestStatsMetricConsistency(t *testing.T) {
 	}
 }
 
-func TestResetAll(t *testing.T) {
-	for name, p := range allBankPredictors() {
-		for i := 0; i < 200; i++ {
-			p.Update(0x400100, 1)
-		}
-		p.Reset()
-		if b, ok := p.Predict(0x400100); ok && b == 1 {
-			t.Errorf("%s: still predicts after Reset", name)
-		}
-	}
-}
-
 func TestNames(t *testing.T) {
 	for _, p := range allBankPredictors() {
 		if p.Name() == "" {

@@ -69,10 +69,3 @@ func (t *ConflictTracker) Dispatch(addr uint64) bool {
 
 // BankFree reports whether the given bank is still unused this cycle.
 func (t *ConflictTracker) BankFree(bank int) bool { return !t.used[bank] }
-
-// Reset restores construction state in place: per-cycle claims and the
-// conflict/access tallies.
-func (t *ConflictTracker) Reset() {
-	t.Begin()
-	t.Conflicts, t.Accesses = 0, 0
-}

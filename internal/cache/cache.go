@@ -163,15 +163,6 @@ func (c *Cache) Flush() {
 // ResetStats zeroes the hit/miss counters.
 func (c *Cache) ResetStats() { c.Hits, c.Misses = 0, 0 }
 
-// Reset restores construction state in place — contents, LRU clock and
-// statistics — without reallocating the line array, so one cache can back
-// many simulation runs.
-func (c *Cache) Reset() {
-	c.Flush()
-	c.tick = 0
-	c.ResetStats()
-}
-
 // MissRate returns Misses/(Hits+Misses), or 0 with no accesses.
 func (c *Cache) MissRate() float64 {
 	total := c.Hits + c.Misses

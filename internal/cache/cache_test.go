@@ -344,17 +344,6 @@ func TestMissQueueCapacityEviction(t *testing.T) {
 	}
 }
 
-func TestMissQueueReset(t *testing.T) {
-	q := NewMissQueue(2)
-	q.RecordMiss(0x1000, 100)
-	q.Advance(200)
-	q.RecordMiss(0x2000, 300)
-	q.Reset()
-	if q.Len() != 0 || q.Outstanding(0x2000, 10) || q.RecentlyServiced(0x1000, 210) {
-		t.Fatal("Reset must clear all state")
-	}
-}
-
 func TestFourBankTracker(t *testing.T) {
 	b := Banking{Banks: 4, LineBytes: 64}
 	tr := NewConflictTracker(b)

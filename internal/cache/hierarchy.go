@@ -120,11 +120,3 @@ func (h *Hierarchy) Flush() {
 	h.l1d.Flush()
 	h.l2.Flush()
 }
-
-// Reset restores both levels to construction state in place. The Hierarchy
-// value itself survives, so policies holding a pointer to it (the perfect
-// predictors) stay valid across engine reuse.
-func (h *Hierarchy) Reset() {
-	h.l1d.Reset()
-	h.l2.Reset()
-}

@@ -133,15 +133,3 @@ func (q *MissQueue) RecentlyServiced(addr uint64, now int64) bool {
 
 // Len returns the number of in-flight misses.
 func (q *MissQueue) Len() int { return len(q.order) }
-
-// Reset clears all state in place — the entry map, FIFO and serviced ring
-// keep their storage, so a reset queue is reusable without regrowing the
-// heap.
-func (q *MissQueue) Reset() {
-	clear(q.entries)
-	q.order = q.order[:0]
-	for i := range q.serviced {
-		q.serviced[i] = servicedLine{}
-	}
-	q.servicedPos = 0
-}

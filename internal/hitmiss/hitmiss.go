@@ -25,8 +25,6 @@ type Predictor interface {
 	PredictHit(ip, addr uint64, now int64) bool
 	// Update trains the predictor with the actual outcome.
 	Update(ip, addr uint64, now int64, hit bool)
-	// Reset clears all state.
-	Reset()
 	// Name identifies the configuration.
 	Name() string
 }
@@ -41,9 +39,6 @@ func (AlwaysHit) PredictHit(uint64, uint64, int64) bool { return true }
 
 // Update implements Predictor.
 func (AlwaysHit) Update(uint64, uint64, int64, bool) {}
-
-// Reset implements Predictor.
-func (AlwaysHit) Reset() {}
 
 // Name implements Predictor.
 func (AlwaysHit) Name() string { return "always-hit" }
@@ -71,9 +66,6 @@ func (a *binaryAdapter) PredictHit(ip, _ uint64, _ int64) bool {
 func (a *binaryAdapter) Update(ip, _ uint64, _ int64, hit bool) {
 	a.bin.Update(ip, !hit)
 }
-
-// Reset implements Predictor.
-func (a *binaryAdapter) Reset() { a.bin.Reset() }
 
 // Name implements Predictor.
 func (a *binaryAdapter) Name() string { return a.name }
@@ -140,13 +132,6 @@ func (c *chooser) Update(ip, _ uint64, _ int64, hit bool) {
 	c.gskew.Update(ip, !hit)
 }
 
-// Reset implements Predictor.
-func (c *chooser) Reset() {
-	c.local.Reset()
-	c.gshare.Reset()
-	c.gskew.Reset()
-}
-
 // Name implements Predictor.
 func (c *chooser) Name() string { return "chooser" }
 
@@ -168,9 +153,6 @@ func (p *Perfect) PredictHit(_, addr uint64, _ int64) bool {
 
 // Update implements Predictor.
 func (p *Perfect) Update(uint64, uint64, int64, bool) {}
-
-// Reset implements Predictor.
-func (p *Perfect) Reset() {}
 
 // Name implements Predictor.
 func (p *Perfect) Name() string { return "perfect" }

@@ -152,16 +152,10 @@ func TestTimingOverridesHistory(t *testing.T) {
 	}
 }
 
-func TestTimingResetAndName(t *testing.T) {
-	q := cache.NewMissQueue(8)
-	tp := NewTiming(NewLocal(), q)
+func TestTimingName(t *testing.T) {
+	tp := NewTiming(NewLocal(), cache.NewMissQueue(8))
 	if tp.Name() != "local+timing" {
 		t.Fatalf("name = %q", tp.Name())
-	}
-	q.RecordMiss(0x8000, 100)
-	tp.Reset()
-	if q.Outstanding(0x8000, 50) {
-		t.Fatal("Reset must clear the queue")
 	}
 }
 
@@ -193,18 +187,20 @@ func TestOutcomesAccounting(t *testing.T) {
 	}
 }
 
-func TestResetClearsLearning(t *testing.T) {
-	for _, p := range []Predictor{NewLocal(), NewChooser()} {
+// TestLearnsMissFromHitDefault: a fresh predictor predicts a hit, and
+// learns a load that always misses.
+func TestLearnsMissFromHitDefault(t *testing.T) {
+	for _, mk := range []func() Predictor{NewLocal, NewChooser} {
+		p := mk()
 		ip := uint64(0x400100)
+		if !p.PredictHit(ip, 0, 0) {
+			t.Fatalf("%s: fresh predictor does not predict a hit", p.Name())
+		}
 		for i := 0; i < 50; i++ {
 			p.Update(ip, 0, 0, false)
 		}
 		if p.PredictHit(ip, 0, 0) {
 			t.Fatalf("%s: did not learn", p.Name())
-		}
-		p.Reset()
-		if !p.PredictHit(ip, 0, 0) {
-			t.Fatalf("%s: Reset did not restore hit default", p.Name())
 		}
 	}
 }

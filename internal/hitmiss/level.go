@@ -76,11 +76,5 @@ func (t *TwoStage) Update(ip, addr uint64, now int64, hit bool) {
 	}
 }
 
-// Reset implements Predictor.
-func (t *TwoStage) Reset() {
-	t.l1.Reset()
-	t.l2.Reset()
-}
-
 // Name implements Predictor.
 func (t *TwoStage) Name() string { return "two-stage" }

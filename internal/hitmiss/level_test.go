@@ -44,10 +44,6 @@ func TestTwoStageBinaryUpdateCompatible(t *testing.T) {
 	if p.PredictLevel(ip, 0, 0) != cache.L2 {
 		t.Fatalf("binary-trained miss should predict L2, got %v", p.PredictLevel(ip, 0, 0))
 	}
-	p.Reset()
-	if p.PredictLevel(ip, 0, 0) != cache.L1 {
-		t.Fatal("Reset must restore L1 default")
-	}
 }
 
 func TestTwoStageSecondStageIsolated(t *testing.T) {

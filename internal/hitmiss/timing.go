@@ -45,11 +45,5 @@ func (t *Timing) Update(ip, addr uint64, now int64, hit bool) {
 	t.Base.Update(ip, addr, now, hit)
 }
 
-// Reset implements Predictor.
-func (t *Timing) Reset() {
-	t.Base.Reset()
-	t.Queue.Reset()
-}
-
 // Name implements Predictor.
 func (t *Timing) Name() string { return t.Base.Name() + "+timing" }

@@ -100,12 +100,6 @@ func (t *tagTable) allocate(ip uint64) *chtEntry {
 	return &ways[victim]
 }
 
-// clear restores construction state in place, LRU clock included.
-func (t *tagTable) clear() {
-	clear(t.entries)
-	t.tick = 0
-}
-
 // mergeDistance folds a newly observed collision distance into an entry,
 // converging on the minimal safe distance as §2.1 describes.
 func mergeDistance(cur, observed int) int {
@@ -170,9 +164,6 @@ func (c *FullCHT) Record(ip uint64, collided bool, distance int) {
 	}
 }
 
-// Reset implements Predictor.
-func (c *FullCHT) Reset() { c.table.clear() }
-
 // Name implements Predictor.
 func (c *FullCHT) Name() string { return fmt.Sprintf("full-%d", c.entries) }
 
@@ -221,9 +212,6 @@ func (c *ImplicitCHT) Record(ip uint64, collided bool, distance int) {
 		e.distance = mergeDistance(e.distance, distance)
 	}
 }
-
-// Reset implements Predictor.
-func (c *ImplicitCHT) Reset() { c.table.clear() }
 
 // Name implements Predictor.
 func (c *ImplicitCHT) Name() string { return fmt.Sprintf("tagged-%d", c.entries) }
@@ -291,20 +279,6 @@ func (c *TaglessCHT) Record(ip uint64, collided bool, distance int) {
 	}
 }
 
-// Reset implements Predictor. The arrays, once materialized, are
-// reinitialized in place, so a reset table is reusable without regrowing
-// the heap; an untouched table stays unmaterialized.
-func (c *TaglessCHT) Reset() {
-	if c.counters == nil {
-		return
-	}
-	init := predict.NewSatCounter(c.counterBits)
-	for i := range c.counters {
-		c.counters[i] = init
-	}
-	clear(c.distances)
-}
-
 // Name implements Predictor.
 func (c *TaglessCHT) Name() string { return fmt.Sprintf("tagless-%d", c.entries) }
 
@@ -346,9 +320,6 @@ func (c *CombinedCHT) Record(ip uint64, collided bool, distance int) {
 	c.tagless.Record(ip, collided, distance)
 }
 
-// Reset implements Predictor.
-func (c *CombinedCHT) Reset() { c.tagged.Reset(); c.tagless.Reset() }
-
 // Name implements Predictor.
 func (c *CombinedCHT) Name() string { return fmt.Sprintf("combined-%d", c.tagged.entries) }
 
@@ -367,9 +338,6 @@ func (AlwaysColliding) Lookup(uint64) Prediction { return Prediction{Colliding: 
 // Record implements Predictor.
 func (AlwaysColliding) Record(uint64, bool, int) {}
 
-// Reset implements Predictor.
-func (AlwaysColliding) Reset() {}
-
 // Name implements Predictor.
 func (AlwaysColliding) Name() string { return "always-colliding" }
 
@@ -385,9 +353,6 @@ func (NeverColliding) Lookup(uint64) Prediction { return Prediction{} }
 
 // Record implements Predictor.
 func (NeverColliding) Record(uint64, bool, int) {}
-
-// Reset implements Predictor.
-func (NeverColliding) Reset() {}
 
 // Name implements Predictor.
 func (NeverColliding) Name() string { return "never-colliding" }

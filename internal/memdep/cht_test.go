@@ -207,16 +207,6 @@ func TestStaticPredictors(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	for name, p := range allPredictors() {
-		p.Record(0x400100, true, 1)
-		p.Reset()
-		if p.Lookup(0x400100).Colliding {
-			t.Errorf("%s: Reset did not clear the table", name)
-		}
-	}
-}
-
 func TestClassificationAccounting(t *testing.T) {
 	c := Classification{Loads: 100, NotConflicting: 30, ANCPNC: 50, ANCPC: 8, ACPC: 9, ACPNC: 3}
 	if c.AC() != 12 || c.ANC() != 58 || c.Conflicting() != 70 {

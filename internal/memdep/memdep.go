@@ -93,8 +93,6 @@ type Predictor interface {
 	// Record trains the table: collided is the load's actual status, and
 	// distance the observed store-distance (NoDistance when not colliding).
 	Record(ip uint64, collided bool, distance int)
-	// Reset clears the table.
-	Reset()
 	// Name identifies the configuration for reports.
 	Name() string
 }

@@ -91,15 +91,6 @@ func (b *bankState) begin() {
 	}
 }
 
-// reset restores construction state: the steering predictor's tables and the
-// per-cycle claims.
-func (b *bankState) reset() {
-	if b.pred != nil {
-		b.pred.Reset()
-	}
-	b.begin()
-}
-
 // admit decides whether a ready load may dispatch this cycle under the bank
 // policy; conflict/mispredict events and extra latency ride in the decision.
 func (b *bankState) admit(ld *LoadView) BankDecision {

@@ -11,10 +11,10 @@ import (
 )
 
 // Differential tests for batched execution: running a job under Pool.Run —
-// whatever unit its grouping lands it in, on a fresh or a recycled engine —
-// must be observably absent, producing Stats byte-identical to the same
-// machine running alone. Any divergence here is state leaking between jobs
-// that share a unit's worker or a pooled engine.
+// whatever unit its grouping lands it in — must be observably absent,
+// producing Stats byte-identical to the same machine running alone. Any
+// divergence here is state leaking between jobs that share a unit's
+// worker.
 
 // soloStats runs each job alone on a fresh engine, the reference the
 // batched runs must reproduce exactly.

@@ -105,16 +105,12 @@ type Config struct {
 	NewPolicy func(PolicyDeps) SpeculationPolicy
 
 	// PolicyKey canonically describes NewPolicy's product for the
-	// simulation runner's memo cache and engine pool. Setting it is a
-	// promise that the constructed policy is deterministic and fully
-	// determined by this description plus the rest of the configuration
-	// (no hidden state, no ambient inputs); the runner then memoizes and
-	// pools such configurations exactly like built-in ones. A config with
-	// NewPolicy set and PolicyKey empty runs unmemoized; PolicyKey without
-	// NewPolicy is rejected by Validate. Policies that additionally
-	// implement PolicyResetter get engine reuse on top of memoization;
-	// non-resettable ones fall back to fresh engine builds (visible in the
-	// runner's EngineBuilds counter).
+	// simulation runner's memo cache. Setting it is a promise that the
+	// constructed policy is deterministic and fully determined by this
+	// description plus the rest of the configuration (no hidden state, no
+	// ambient inputs); the runner then memoizes such configurations exactly
+	// like built-in ones. A config with NewPolicy set and PolicyKey empty
+	// runs unmemoized; PolicyKey without NewPolicy is rejected by Validate.
 	PolicyKey string
 
 	// Banking configures the multi-banked L1 extension; BankPolicy selects

@@ -141,9 +141,10 @@ type robState struct {
 	dispCycle []int64 // cycle the load dispatched (for replay accounting)
 }
 
-// newROB allocates every parallel slice at the rename-pool size.
+// newROB allocates every parallel slice at the rename-pool size, with no
+// slot holding a wait chain.
 func newROB(pool int) robState {
-	return robState{
+	r := robState{
 		u:         make([]uop.UOp, pool),
 		flags:     make([]uint16, pool),
 		kind:      make([]uint8, pool),
@@ -167,6 +168,10 @@ func newROB(pool int) robState {
 		bankDelay: make([]int64, pool),
 		dispCycle: make([]int64, pool),
 	}
+	for i := range r.waitHead {
+		r.waitHead[i] = -1
+	}
+	return r
 }
 
 // size returns the rename-pool capacity.
@@ -177,9 +182,9 @@ func (r *robState) size() int { return len(r.flags) }
 // on purpose — each is proven write-before-read along its lifecycle: rename
 // writes both producer pairs explicitly; linkDeps writes readyAt and only
 // increments nwaiting (0 at slot entry: a slot is reused only after it
-// dispatched, which requires nwaiting to have drained, and reset zeroes it
-// between runs); waitHead is -1 whenever a slot frees (wakeDependents
-// detaches the chain at completion, reset re-arms it); the load fields
+// dispatched, which requires nwaiting to have drained); waitHead is -1
+// whenever a slot frees (newROB arms it, wakeDependents detaches the chain
+// at completion); the load fields
 // (lastStore/pred at rename, collDist and the cached lv at
 // classify, level/cacheDone/dispCycle/bankDelay at dispatch/execute,
 // waitStore on the collision path) are each written before their first
@@ -191,18 +196,6 @@ func (r *robState) clearSlot(idx int, u uop.UOp, age int64) {
 	r.flags[idx] = fValid | fInRS
 	r.kind[idx] = uint8(u.Kind)
 	r.age[idx] = age
-}
-
-// reset rewinds every slot (Reset/engine-pool path); allocations are kept.
-// nwaiting must be zeroed here: a run can end with uops still in flight
-// whose wakeup counts never drained, and clearSlot relies on reused slots
-// starting at 0.
-func (r *robState) reset() {
-	for i := range r.flags {
-		r.flags[i] = 0
-		r.waitHead[i] = -1
-		r.nwaiting[i] = 0
-	}
 }
 
 // loadView projects the policy-visible slice of a load slot.
@@ -253,6 +246,7 @@ func newMOB(capacity int) mobState {
 		size:       make([]int32, capacity),
 		flags:      make([]uint8, capacity),
 		stdExecCyc: make([]int64, capacity),
+		first:      1,
 	}
 }
 
@@ -370,8 +364,10 @@ func NewEngine(cfg Config, src Source) *Engine {
 		mob:            newMOB(mobCap),
 		pendingColl:    make([]int32, 0, 16),
 		missDetections: make([]int64, 0, 16),
+		src:            src,
+		staDoneTo:      1,
+		allDoneTo:      1,
 	}
-	e.setSource(src)
 	deps := PolicyDeps{Hier: e.hier, MissQ: e.missq}
 	if cfg.NewPolicy != nil {
 		e.policy = cfg.NewPolicy(deps)
@@ -380,61 +376,7 @@ func NewEngine(cfg Config, src Source) *Engine {
 	}
 	e.defPol, _ = e.policy.(*defaultPolicy)
 	e.oracle = e.policy.Oracle()
-	e.resetState()
 	return e
-}
-
-// resetState restores the construction-time machine state in place, keeping
-// every allocated structure (the ROB's parallel slices, ready list, wake
-// heap, MOB ring, buffers).
-func (e *Engine) resetState() {
-	e.rob.reset()
-	e.head, e.count, e.rsCount = 0, 0, 0
-	e.readyList = e.readyList[:0]
-	e.wakeQ = e.wakeQ[:0]
-	e.renameAge = 0
-	e.now = 0
-	e.mob.start, e.mob.length = 0, 0
-	e.mob.first = 1
-	e.staDoneTo, e.allDoneTo = 1, 1
-	e.pendingColl = e.pendingColl[:0]
-	e.awaitingBranch, e.resumeAt = false, 0
-	e.intUsed, e.memUsed, e.fpUsed, e.cplxUsed, e.stdUsed = 0, 0, 0, 0, 0
-	e.replayMemDebt, e.replayIntDebt = 0, 0
-	e.recoveryStallUntil, e.recoveryCause = 0, stallNone
-	e.missDetections = e.missDetections[:0]
-	e.cycleRetired, e.cycleRenameStalled, e.schedHold = 0, false, stallNone
-	e.stats = Stats{}
-}
-
-// Reset restores the engine to the state NewEngine left it in — same
-// configuration, fresh machine — reusing every allocation: the caches and
-// miss queue reset in place (so policies holding the Hierarchy pointer stay
-// wired), the speculation policy resets its predictor tables, and the
-// engine-side structures rewind via resetState. src supplies the next run's
-// uop stream. It returns false, leaving the engine untouched, when the
-// policy does not implement PolicyResetter — such engines cannot be reused
-// and callers must build a fresh one. A Reset engine produces bit-identical
-// statistics to a newly constructed engine with the same configuration.
-func (e *Engine) Reset(src Source) bool {
-	rp, ok := e.policy.(PolicyResetter)
-	if !ok {
-		return false
-	}
-	rp.Reset()
-	e.hier.Reset()
-	e.missq.Reset()
-	e.setSource(src)
-	e.resetState()
-	return true
-}
-
-// setSource wires the uop supplier and drops any unconsumed run of the
-// previous one.
-func (e *Engine) setSource(src Source) {
-	e.src = src
-	e.fetchRefU, e.fetchRefD = nil, nil
-	e.fetchPos = 0
 }
 
 // Now returns the engine-local cycle count.

@@ -188,7 +188,6 @@ type alwaysMiss struct{}
 
 func (alwaysMiss) PredictHit(uint64, uint64, int64) bool { return false }
 func (alwaysMiss) Update(uint64, uint64, int64, bool)    {}
-func (alwaysMiss) Reset()                                {}
 func (alwaysMiss) Name() string                          { return "always-miss" }
 
 func TestMissRecoveryBubbleCosts(t *testing.T) {

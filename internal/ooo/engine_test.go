@@ -514,17 +514,3 @@ func TestLivelockPanicNamesPhaseAndHead(t *testing.T) {
 		}
 	}
 }
-
-// TestResetClearsFetchBuffer pins Reset semantics with buffered fetch: a
-// reset engine re-fed from a fresh cursor must reproduce its first run.
-func TestResetClearsFetchBuffer(t *testing.T) {
-	p := trace.Profile{Name: "bulk-reset", Seed: 78}
-	cfg := DefaultConfig()
-	e := NewEngine(cfg, trace.Replay(p))
-	first := e.Run(30000)
-	e.Reset(trace.Replay(p))
-	second := e.Run(30000)
-	if first != second {
-		t.Fatalf("reset run diverges:\nfirst:  %+v\nsecond: %+v", first, second)
-	}
-}

@@ -61,7 +61,7 @@ func (e *Engine) mobGet(id int64) int {
 
 // lastStoreID returns the id of the youngest store renamed so far, which is
 // also how many STAs have renamed: records are appended only at STA rename
-// and pruned only from the head, and resetState starts first at 1.
+// and pruned only from the head, and newMOB starts first at 1.
 func (e *Engine) lastStoreID() int64 { return e.mob.first + int64(e.mob.length) - 1 }
 
 // storesDoneTo advances a completed-store watermark and returns it: the id

@@ -114,16 +114,6 @@ type TrainEvent struct {
 	Level cache.Level
 }
 
-// PolicyResetter is the optional interface a SpeculationPolicy implements to
-// support engine reuse: Reset must restore the policy's construction state
-// (predictor tables, histories, per-cycle claims) without invalidating the
-// PolicyDeps it was built with. Engine.Reset refuses to recycle an engine
-// whose policy lacks it. The built-in DefaultPolicy implements it; custom
-// policies that carry no state can embed a no-op Reset to opt in.
-type PolicyResetter interface {
-	Reset()
-}
-
 // PolicyDeps are the engine-owned components a policy may consult: the
 // simulated hierarchy (for perfect predictors probing cache state) and the
 // outstanding-miss queue (for the §2.2 timing enhancement).
@@ -234,18 +224,6 @@ func (p *defaultPolicy) PredictLevel(ip, addr uint64, now int64) cache.Level {
 }
 
 func (p *defaultPolicy) Oracle() bool { return p.oracle }
-
-// Reset implements PolicyResetter: every predictor table returns to
-// construction state in place. The Timing wrapper's queue is the
-// engine-owned miss queue, which Engine.Reset also resets — the double
-// reset is idempotent.
-func (p *defaultPolicy) Reset() {
-	if p.cht != nil {
-		p.cht.Reset()
-	}
-	p.hmp.Reset()
-	p.bank.reset()
-}
 
 func (p *defaultPolicy) TrainRetire(ev TrainEvent) {
 	if p.scheme.UsesCHT() {

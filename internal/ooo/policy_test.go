@@ -2,6 +2,7 @@ package ooo
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"loadsched/internal/memdep"
@@ -42,7 +43,6 @@ func (c extremeCHT) Lookup(uint64) memdep.Prediction {
 	return memdep.Prediction{Colliding: true, Distance: c.dist}
 }
 func (extremeCHT) Record(uint64, bool, int) {}
-func (extremeCHT) Reset()                   {}
 func (extremeCHT) Name() string             { return "stub" }
 
 // TestExclusiveExtremeDistances: regression for the maxID underflow in the
@@ -75,7 +75,12 @@ func TestExclusiveExtremeDistances(t *testing.T) {
 	oppCfg := DefaultConfig()
 	oppCfg.Scheme = memdep.Opportunistic
 	opp := NewEngine(oppCfg, trace.Replay(p)).Run(10_000)
-	for _, d := range []int{1 << 40, math.MaxInt} {
+	far := []int{math.MaxInt}
+	if strconv.IntSize == 64 {
+		var d uint64 = 1 << 40 // converted at run time: a 32-bit int cannot hold it
+		far = append(far, int(d))
+	}
+	for _, d := range far {
 		got := run(d)
 		if got.Uops != conservative.Uops {
 			t.Fatalf("distance %d: simulated %d uops, want %d", d, got.Uops, conservative.Uops)

@@ -6,16 +6,13 @@ import (
 	"sort"
 	"testing"
 
-	"loadsched/internal/bankpred"
-	"loadsched/internal/cache"
 	"loadsched/internal/memdep"
 	"loadsched/internal/trace"
 )
 
 // Edge-case coverage for the event-driven scheduling core (ready.go): the
-// wake heap under duplicate wake times, idle fast-forward over spans bounded
-// by several coincident events, and engine reuse (Reset) with schemes that
-// hold ready loads in the window.
+// wake heap under duplicate wake times and idle fast-forward over spans
+// bounded by several coincident events.
 
 // TestWakeHeapDuplicateWakeTimes pushes a shuffled stream with heavy time
 // duplication and checks the heap drains in non-decreasing time order with
@@ -146,70 +143,6 @@ func TestFastForwardCoincidentEventsDiff(t *testing.T) {
 			}
 			if event.CPI.Total() != event.Cycles {
 				t.Errorf("CPI stack sums to %d, want Cycles=%d", event.CPI.Total(), event.Cycles)
-			}
-		})
-	}
-}
-
-// TestEngineResetReuseDiff is the reuse property behind the runner's engine
-// pool: running a job on a Reset engine that already simulated a different
-// workload must produce bit-identical Stats to a freshly built engine. The
-// configurations deliberately hold ready loads in the window (Traditional
-// ordering, bank-predictive steering), so the test covers held loads
-// re-entering the ready set on the reused engine.
-func TestEngineResetReuseDiff(t *testing.T) {
-	builds := map[string]func() Config{
-		"traditional": func() Config {
-			cfg := DefaultConfig()
-			cfg.Scheme = memdep.Traditional
-			return cfg
-		},
-		"cht-inclusive": func() Config {
-			cfg := DefaultConfig()
-			cfg.Scheme = memdep.Inclusive
-			cfg.CHT = memdep.NewFullCHT(256, 2, 2, true)
-			return cfg
-		},
-		"bank-predictive": func() Config {
-			cfg := DefaultConfig()
-			cfg.Banking = cache.DefaultBanking()
-			cfg.BankPolicy = BankPredictive
-			cfg.BankPredictor = bankpred.NewPredictorC()
-			return cfg
-		},
-	}
-	warmupOther := trace.Profile{
-		Name: "warm-other", Seed: 7, SlowStoreFrac: 0.5, SlowAddrFrac: 0.3,
-		LoadFrac: 0.3, StoreFrac: 0.1, ChaseFrac: 0.2,
-		ChaseWorkingSet: 32 << 10, StreamWorkingSet: 32 << 10, BranchTakenBias: 0.5,
-	}
-	for name, build := range builds {
-		t.Run(name, func(t *testing.T) {
-			const warmup, uops = 500, 3000
-			mk := func() Config {
-				cfg := build()
-				cfg.WarmupUops = warmup
-				return cfg
-			}
-			fresh := NewEngine(mk(), trace.Replay(coincidentProfile)).Run(uops)
-
-			// Dirty an engine on a different workload, then Reset and rerun.
-			e := NewEngine(mk(), trace.Replay(warmupOther))
-			e.Run(uops)
-			if !e.Reset(trace.Replay(coincidentProfile)) {
-				t.Fatal("Reset refused for the built-in policy")
-			}
-			reused := e.Run(uops)
-			if reused != fresh {
-				t.Errorf("reused engine diverged from fresh engine\nfresh:  %+v\nreused: %+v", fresh, reused)
-			}
-
-			// A second reset must be just as clean as the first.
-			if !e.Reset(trace.Replay(coincidentProfile)) {
-				t.Fatal("second Reset refused")
-			}
-			if again := e.Run(uops); again != fresh {
-				t.Errorf("second reuse diverged from fresh engine\nfresh: %+v\nagain: %+v", fresh, again)
 			}
 		})
 	}

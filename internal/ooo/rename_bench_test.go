@@ -53,7 +53,8 @@ func BenchmarkFetchRename(b *testing.B) {
 		// would swamp rename with generator cost.
 		resetStream := func() {
 			drain()
-			e.setSource(trace.Replay(prof))
+			e.src = trace.Replay(prof)
+			e.fetchRefU, e.fetchRefD, e.fetchPos = nil, nil, 0
 			e.mob.first, e.mob.length, e.mob.start = 1, 0, 0
 			e.staDoneTo, e.allDoneTo = 1, 1
 		}

@@ -13,8 +13,8 @@ import (
 // Differential checks for side-car rename: the producer links rename
 // derives from the trace layer's dependence side-car must match, slot for
 // slot, what per-register alias tables — the original renamer — resolve on
-// the same stream, across randomized machines, mixed trace groups, reused
-// pooled engines and wrapping file replay.
+// the same stream, across randomized machines, mixed trace groups and
+// wrapping file replay.
 
 // aliasRef is the reference renamer: for each architectural register, the
 // slot and rename age of its youngest renamed writer.
@@ -45,7 +45,7 @@ func (a *aliasRef) resolve(e *Engine, r uop.Reg) (int32, int64) {
 	return p, a.age[r]
 }
 
-// checkRename steps e, fresh or just Reset, one cycle at a time until n
+// checkRename steps a fresh engine e one cycle at a time until n
 // uops have retired. After each cycle it resolves every slot renamed in
 // that cycle, oldest first, through the alias tables and requires the
 // engine's producer slots and age guards to match, and each slot's age to
@@ -113,24 +113,6 @@ func TestRenameSidecarDiff(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			checkRename(t, NewEngine(tc.build(), trace.Replay(tc.prof)), 5000)
 		})
-	}
-}
-
-// TestRenameSidecarDiffPooledReuse drives one engine through Reset across a
-// mixed sequence of trace groups — the engine-pool reuse pattern — and
-// checks rename on every run. This is what catches stale per-slot state the
-// trimmed clearSlot no longer rewrites.
-func TestRenameSidecarDiffPooledReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x9001ed))
-	profiles := diffProfiles(rng, 4)
-	e := NewEngine(DefaultConfig(), trace.Replay(profiles[0]))
-	// Revisit groups so reuse happens both across and back onto a profile.
-	order := []int{0, 1, 2, 1, 3, 0, 2}
-	for i, pi := range order {
-		if i > 0 && !e.Reset(trace.Replay(profiles[pi])) {
-			t.Fatal("default policy should be pool-reusable")
-		}
-		checkRename(t, e, 3500)
 	}
 }
 

@@ -66,8 +66,7 @@ func (e *Engine) processMissDetections() {
 		kept = append(kept, d)
 	}
 	// The backing array is deliberately retained (capacity is bounded by the
-	// loads in flight): detections recur throughout a run, and pooled engines
-	// reuse the buffer across runs.
+	// loads in flight): detections recur throughout a run.
 	e.missDetections = kept
 }
 

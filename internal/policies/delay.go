@@ -79,11 +79,3 @@ func (p *loadDelayPolicy) TrainRetire(ev ooo.TrainEvent) {
 		*slot = (3**slot + obs) >> 2
 	}
 }
-
-// Reset implements ooo.PolicyResetter.
-func (p *loadDelayPolicy) Reset() {
-	resetBase(p.SpeculationPolicy)
-	for i := range p.delay {
-		p.delay[i] = delayUntrained
-	}
-}

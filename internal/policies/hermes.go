@@ -110,15 +110,6 @@ func (p *hermesPolicy) TrainRetire(ev ooo.TrainEvent) {
 	}
 }
 
-// Reset implements ooo.PolicyResetter: base predictors and every weight
-// table return to construction state.
-func (p *hermesPolicy) Reset() {
-	resetBase(p.SpeculationPolicy)
-	for t := range p.weights {
-		p.weights[t] = [1 << hermesIndexBits]int8{}
-	}
-}
-
 func abs(v int) int {
 	if v < 0 {
 		return -v

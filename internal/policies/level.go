@@ -44,9 +44,3 @@ func (p *cacheLevelPolicy) TrainRetire(ev ooo.TrainEvent) {
 	p.SpeculationPolicy.TrainRetire(ev)
 	p.levels.UpdateLevel(ev.IP, ev.Addr, ev.Now, ev.Level)
 }
-
-// Reset implements ooo.PolicyResetter.
-func (p *cacheLevelPolicy) Reset() {
-	resetBase(p.SpeculationPolicy)
-	p.levels.Reset()
-}

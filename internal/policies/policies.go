@@ -15,10 +15,9 @@
 //     — an EWMA of each load's observed latency, quantized back to the
 //     nearest hierarchy level.
 //
-// Every policy is deterministic, fully determined by its Entry.Key plus the
-// base configuration, and implements ooo.PolicyResetter — so installed
-// configs are memoizable by runner.ConfigKey and reusable by the engine
-// pool, the contract DESIGN.md §12 documents.
+// Every policy is deterministic and fully determined by its Entry.Key plus
+// the base configuration, so installed configs are memoizable by
+// runner.ConfigKey, the contract DESIGN.md §12 documents.
 package policies
 
 import (
@@ -83,7 +82,7 @@ func Names() []string {
 // Install rewrites cfg to run the named zoo policy: it snapshots the
 // current configuration as the base machine, then sets NewPolicy to the
 // entry's constructor and PolicyKey to its canonical description, making
-// the result memoizable and poolable by internal/runner. The constructed
+// the result memoizable by internal/runner. The constructed
 // policy reads the base snapshot, not the installed config, so later
 // mutations (e.g. the runner pinning WarmupUops) do not reach it — no zoo
 // policy consults WarmupUops. Installing over a config that already
@@ -105,8 +104,3 @@ func Install(cfg *ooo.Config, name string) error {
 	}
 	return fmt.Errorf("policies: unknown policy %q (have %v)", name, Names())
 }
-
-// resetBase resets the embedded default policy; every zoo policy's Reset
-// starts here. Interface embedding does not promote the concrete Reset, so
-// the forwarding is explicit.
-func resetBase(p ooo.SpeculationPolicy) { p.(ooo.PolicyResetter).Reset() }

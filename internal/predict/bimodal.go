@@ -14,7 +14,7 @@ type Bimodal struct {
 // counterBits each.
 func NewBimodal(indexBits, counterBits uint) *Bimodal {
 	b := &Bimodal{indexBits: indexBits, counterBits: counterBits}
-	b.table = newCtrTable(1<<indexBits, counterBits, satInit(counterBits))
+	b.table = newCtrTable(1<<indexBits, counterBits)
 	return b
 }
 
@@ -28,12 +28,6 @@ func (b *Bimodal) Predict(key uint64) Prediction {
 // Update implements Binary.
 func (b *Bimodal) Update(key uint64, outcome bool) {
 	b.table.train(b.index(key), outcome)
-}
-
-// Reset implements Binary. The table is allocated once and reinitialized in
-// place, so a reset predictor is reusable without regrowing the heap.
-func (b *Bimodal) Reset() {
-	b.table.reset()
 }
 
 // Size returns the number of table entries.

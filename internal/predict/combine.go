@@ -129,10 +129,3 @@ func (c *Combined) Update(key uint64, outcome bool) {
 		comp.Update(key, outcome)
 	}
 }
-
-// Reset implements Binary.
-func (c *Combined) Reset() {
-	for _, comp := range c.Components {
-		comp.Reset()
-	}
-}

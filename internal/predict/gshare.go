@@ -18,7 +18,7 @@ type GShare struct {
 // not required; the history is folded to the index width).
 func NewGShare(indexBits, historyLen, counterBits uint) *GShare {
 	g := &GShare{indexBits: indexBits, historyLen: historyLen, counterBits: counterBits}
-	g.table = newCtrTable(1<<indexBits, counterBits, satInit(counterBits))
+	g.table = newCtrTable(1<<indexBits, counterBits)
 	return g
 }
 
@@ -45,20 +45,12 @@ func (g *GShare) Update(key uint64, outcome bool) {
 	}
 }
 
-// WithInit sets the initial counter value and re-initializes; rare-event
-// adapters (hit-miss prediction) use 0 so shared entries default strongly to
-// the common outcome.
+// WithInit sets every counter of a freshly built predictor to v;
+// rare-event adapters (hit-miss prediction) use 0 so shared entries default
+// strongly to the common outcome.
 func (g *GShare) WithInit(v uint8) *GShare {
-	g.table.init = v
-	g.Reset()
+	g.table.fill(v)
 	return g
-}
-
-// Reset implements Binary. The table is allocated once and reinitialized in
-// place, so a reset predictor is reusable without regrowing the heap.
-func (g *GShare) Reset() {
-	g.table.reset()
-	g.history = 0
 }
 
 // History returns the current global history value (low historyLen bits).

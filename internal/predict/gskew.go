@@ -21,7 +21,7 @@ type GSkew struct {
 // historyLen-outcome global history.
 func NewGSkew(indexBits, historyLen, counterBits uint) *GSkew {
 	g := &GSkew{indexBits: indexBits, historyLen: historyLen, counterBits: counterBits}
-	g.banks = newCtrTable(3<<indexBits, counterBits, satInit(counterBits))
+	g.banks = newCtrTable(3<<indexBits, counterBits)
 	return g
 }
 
@@ -80,18 +80,9 @@ func (g *GSkew) Update(key uint64, outcome bool) {
 	}
 }
 
-// WithInit sets the initial counter value and re-initializes; see
+// WithInit sets every counter of a freshly built predictor to v; see
 // GShare.WithInit.
 func (g *GSkew) WithInit(v uint8) *GSkew {
-	g.banks.init = v
-	g.Reset()
+	g.banks.fill(v)
 	return g
-}
-
-// Reset implements Binary. The flat bank table is allocated once and
-// reinitialized in place, so a reset predictor is reusable without regrowing
-// the heap.
-func (g *GSkew) Reset() {
-	g.banks.reset()
-	g.history = 0
 }

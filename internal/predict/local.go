@@ -25,7 +25,7 @@ func NewLocal(indexBits, historyLen, counterBits uint) *Local {
 	}
 	l := &Local{indexBits: indexBits, historyLen: historyLen, counterBits: counterBits}
 	l.histories = make([]uint32, 1<<indexBits)
-	l.pattern = newCtrTable(1<<historyLen, counterBits, satInit(counterBits))
+	l.pattern = newCtrTable(1<<historyLen, counterBits)
 	return l
 }
 
@@ -48,22 +48,14 @@ func (l *Local) Update(key uint64, outcome bool) {
 	l.histories[i] = h
 }
 
-// WithInit sets the initial pattern-counter value and re-initializes the
-// predictor. Rare-event adapters (e.g. hit-miss prediction, where a "taken"
-// outcome is a cache miss) initialize at 0 (strongly not-taken) so that a
-// single stray outcome in a shared pattern entry does not flip predictions
-// for every load whose history maps there.
+// WithInit sets every pattern counter of a freshly built predictor to v.
+// Rare-event adapters (e.g. hit-miss prediction, where a "taken" outcome
+// is a cache miss) initialize at 0 (strongly not-taken) so that a single
+// stray outcome in a shared pattern entry does not flip predictions for
+// every load whose history maps there.
 func (l *Local) WithInit(v uint8) *Local {
-	l.pattern.init = v
-	l.Reset()
+	l.pattern.fill(v)
 	return l
-}
-
-// Reset implements Binary. Both levels are allocated once and reinitialized
-// in place, so a reset predictor is reusable without regrowing the heap.
-func (l *Local) Reset() {
-	clear(l.histories)
-	l.pattern.reset()
 }
 
 // Size returns the number of level-one entries.

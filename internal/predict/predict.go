@@ -29,8 +29,6 @@ type Binary interface {
 	Predict(key uint64) Prediction
 	// Update records the true outcome for key and advances internal history.
 	Update(key uint64, outcome bool)
-	// Reset clears all tables and history.
-	Reset()
 }
 
 // SatCounter is an n-bit saturating counter. The zero value is a 2-bit
@@ -105,36 +103,30 @@ func boundaryBias(max uint8) int {
 
 // ctrTable is a flat table of n-bit saturating counters in
 // structure-of-arrays form: one raw byte per counter plus a single
-// table-wide saturation value and init value, instead of a []SatCounter
-// whose every entry carries its own max. Half the footprint, and reset is a
-// dense byte fill. Semantics (Taken boundary, Train clamping, Confidence
-// scale) are identical to SatCounter's, per entry.
+// table-wide saturation value, instead of a []SatCounter whose every entry
+// carries its own max. Half the footprint, and a fill is a dense byte
+// write. Semantics (Taken boundary, Train clamping, Confidence scale) are
+// identical to SatCounter's, per entry.
 type ctrTable struct {
-	v    []uint8
-	max  uint8
-	init uint8
+	v   []uint8
+	max uint8
 }
 
-// newCtrTable builds a size-entry table of counterBits-bit counters
-// initialized to init (pass satInit(counterBits) for the canonical
-// weakly-not-taken start).
-func newCtrTable(size int, counterBits uint, init uint8) ctrTable {
+// newCtrTable builds a size-entry table of counterBits-bit counters at the
+// weakly-not-taken value NewSatCounter starts at.
+func newCtrTable(size int, counterBits uint) ctrTable {
 	if counterBits < 1 || counterBits > 7 {
 		panic(fmt.Sprintf("predict: invalid counter width %d", counterBits))
 	}
-	t := ctrTable{v: make([]uint8, size), max: uint8(1)<<counterBits - 1, init: init}
-	t.reset()
+	t := ctrTable{v: make([]uint8, size), max: uint8(1)<<counterBits - 1}
+	t.fill(t.max / 2)
 	return t
 }
 
-// satInit is the weakly-not-taken initial value of a counterBits-bit
-// counter — what NewSatCounter starts at.
-func satInit(counterBits uint) uint8 { return (uint8(1)<<counterBits - 1) / 2 }
-
-// reset refills every counter with the init value, in place.
-func (t *ctrTable) reset() {
+// fill sets every counter to v.
+func (t *ctrTable) fill(v uint8) {
 	for i := range t.v {
-		t.v[i] = t.init
+		t.v[i] = v
 	}
 }
 

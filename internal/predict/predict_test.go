@@ -229,7 +229,7 @@ func TestCombinedPolicies(t *testing.T) {
 	})
 }
 
-func TestCombinedUpdateAndReset(t *testing.T) {
+func TestCombinedUpdate(t *testing.T) {
 	b1, b2 := NewBimodal(4, 2), NewBimodal(4, 2)
 	c := NewMajority(b1, b2)
 	for i := 0; i < 10; i++ {
@@ -237,10 +237,6 @@ func TestCombinedUpdateAndReset(t *testing.T) {
 	}
 	if !b1.Predict(5).Taken || !b2.Predict(5).Taken {
 		t.Fatal("Update must train all components")
-	}
-	c.Reset()
-	if b1.Predict(5).Taken || b2.Predict(5).Taken {
-		t.Fatal("Reset must clear all components")
 	}
 }
 
@@ -272,27 +268,6 @@ func TestGShareHistoryFolding(t *testing.T) {
 	testLearnsFixedBehavior(t, g, "gshare-folded")
 }
 
-func TestResetClearsLearning(t *testing.T) {
-	for name, p := range map[string]Binary{
-		"bimodal": NewBimodal(8, 2),
-		"local":   NewLocal(8, 8, 2),
-		"gshare":  NewGShare(8, 8, 2),
-		"gskew":   NewGSkew(8, 8, 2),
-	} {
-		for i := 0; i < 50; i++ {
-			p.Update(99, true)
-		}
-		if !p.Predict(99).Taken {
-			t.Errorf("%s: did not learn before reset", name)
-			continue
-		}
-		p.Reset()
-		if p.Predict(99).Taken {
-			t.Errorf("%s: still predicts taken after Reset", name)
-		}
-	}
-}
-
 // constPred is a test stub with a fixed prediction.
 type constPred struct {
 	taken bool
@@ -301,7 +276,6 @@ type constPred struct {
 
 func (c *constPred) Predict(uint64) Prediction { return Prediction{Taken: c.taken, Confidence: c.conf} }
 func (c *constPred) Update(uint64, bool)       {}
-func (c *constPred) Reset()                    {}
 
 func TestPolicyString(t *testing.T) {
 	for p, want := range map[Policy]string{

@@ -17,7 +17,7 @@ type Tournament struct {
 func NewTournament(a, b Binary, indexBits uint) *Tournament {
 	return &Tournament{
 		a: a, b: b, indexBits: indexBits,
-		chooser: newCtrTable(1<<indexBits, 2, satInit(2)),
+		chooser: newCtrTable(1<<indexBits, 2),
 	}
 }
 
@@ -41,11 +41,4 @@ func (t *Tournament) Update(key uint64, outcome bool) {
 	}
 	t.a.Update(key, outcome)
 	t.b.Update(key, outcome)
-}
-
-// Reset implements Binary.
-func (t *Tournament) Reset() {
-	t.a.Reset()
-	t.b.Reset()
-	t.chooser.reset()
 }

@@ -65,17 +65,3 @@ func TestTournamentChooserOnlyTrainsOnDisagreement(t *testing.T) {
 		}
 	}
 }
-
-func TestTournamentReset(t *testing.T) {
-	tr := NewTournament(NewBimodal(8, 2), NewGShare(8, 8, 2), 8)
-	for i := 0; i < 100; i++ {
-		tr.Update(7, true)
-	}
-	if !tr.Predict(7).Taken {
-		t.Fatal("did not learn")
-	}
-	tr.Reset()
-	if tr.Predict(7).Taken {
-		t.Fatal("Reset did not clear")
-	}
-}

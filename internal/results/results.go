@@ -108,9 +108,9 @@ type RunnerCounters struct {
 	// MapTasks counts fan-out units dispatched through runner.Map,
 	// including the Do calls Pool.Run routes through it.
 	MapTasks int64 `json:"map_tasks"`
-	// EngineBuilds and EngineReuses split the executed describable
-	// simulations by whether a fresh engine was constructed or a pooled one
-	// was reset and reused.
+	// EngineBuilds counts the engines constructed, one per simulation.
+	// EngineReuses is always 0; it remains only because benchmark reports
+	// still read it.
 	EngineBuilds int64 `json:"engine_builds"`
 	EngineReuses int64 `json:"engine_reuses"`
 	// SimMillis is wall time spent inside simulations, summed over jobs
@@ -124,9 +124,9 @@ type RunnerCounters struct {
 // clause appears only when a persistent store saw any traffic.
 func (c RunnerCounters) String() string {
 	s := fmt.Sprintf(
-		"runner: %d jobs (%d simulated, %d memo hits, %d coalesced, %d uncached), %d map tasks, %d engines built, %d reused, %s sim time, %d cache entries",
+		"runner: %d jobs (%d simulated, %d memo hits, %d coalesced, %d uncached), %d map tasks, %d engines built, %s sim time, %d cache entries",
 		c.Jobs, c.Simulated, c.MemoHits, c.Coalesced, c.Uncached,
-		c.MapTasks, c.EngineBuilds, c.EngineReuses,
+		c.MapTasks, c.EngineBuilds,
 		time.Duration(c.SimMillis*float64(time.Millisecond)).Round(time.Millisecond),
 		c.CacheEntries)
 	if c.DiskHits != 0 || c.StoreWrites != 0 || c.StoreCorrupt != 0 || c.StoreHits != 0 {

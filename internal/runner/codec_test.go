@@ -311,7 +311,8 @@ func TestConfigKeyDiskGetAllocs(t *testing.T) {
 	}, 3_000)
 	j := Job{Machine: m, Profile: &trace.Groups()[0].Traces[0], Uops: 15_000}
 	want, _ := distinctStats()
-	diskPut(st, StoreKey(Key{Machine: m.desc, Profile: *j.Profile, Uops: j.Uops, Warmup: 3_000}), &want)
+	desc, _ := ConfigKey(m.Config())
+	diskPut(st, StoreKey(Key{Machine: desc, Profile: *j.Profile, Uops: j.Uops, Warmup: 3_000}), &want)
 	if st, err = store.Open(dir); err != nil {
 		t.Fatal(err)
 	}

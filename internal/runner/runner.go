@@ -36,29 +36,26 @@ import (
 type Machine struct {
 	build  func() ooo.Config
 	warmup int
-	// desc is the canonical machine description (ConfigKey) of the built
-	// configuration; ok is false when it has none, and the machine's jobs
-	// then run uncached on fresh engines.
-	desc string
-	ok   bool
+	// ok is false when the built configuration has no canonical
+	// description (ConfigKey), and the machine's jobs then run uncached.
+	ok bool
 	// head opens the store key of every job on the machine: everything up
 	// to the profile's key text (see appendKeyHead and memoKey).
 	head string
 }
 
 // NewMachine derives the machine's keys from one call of build. build is
-// called again for every simulation that needs a fresh engine and MUST
-// return an equal, freshly built Config each time: predictors (CHT, HMP,
-// bank predictor) are stateful and trained during the run, and the engine
-// itself patches oracle predictors in place, so a Config may never be
-// shared between executions. The runner owns Config.WarmupUops: every
+// called again for every simulation and MUST return an equal, freshly
+// built Config each time: predictors (CHT, HMP, bank predictor) are
+// stateful and trained during the run, and the engine itself patches
+// oracle predictors in place, so a Config may never be shared between
+// executions. The runner owns Config.WarmupUops: every
 // build's value is overwritten with warmup.
 func NewMachine(build func() ooo.Config, warmup int) *Machine {
 	m := &Machine{build: build, warmup: warmup}
-	m.desc, m.ok = ConfigKey(m.Config())
-	if m.ok {
+	if desc, ok := ConfigKey(m.Config()); ok {
 		var scratch [keyScratch]byte
-		m.head = string(appendKeyHead(scratch[:0], m.desc))
+		m.head, m.ok = string(appendKeyHead(scratch[:0], desc)), true
 	}
 	return m
 }
@@ -87,48 +84,7 @@ type Job struct {
 type Pool struct {
 	workers int
 	cache   *Cache
-	engines enginePool
 	m       metrics
-}
-
-// enginePool recycles built engines across a pool's jobs, keyed by the
-// canonical machine description (the one every memo key of the machine
-// quotes, so a free engine is guaranteed to match the requesting
-// configuration exactly — including the warmup length, which the
-// description's WarmupUops field pins). Only describable configurations are pooled: describability rules
-// out observation callbacks whose closures an engine could go stale
-// against, and covers custom policies only when a PolicyKey names them.
-// Reuse additionally requires the policy to implement PolicyResetter (the
-// built-in one does; described custom policies opt in); a parked engine
-// whose policy refuses Reset is discarded and the job builds fresh, which
-// the EngineBuilds counter surfaces. Free lists are bounded by worker
-// concurrency — an engine is either running a job or parked here.
-type enginePool struct {
-	mu   sync.Mutex
-	free map[string][]*ooo.Engine
-}
-
-// take pops a parked engine for the machine description, or returns nil.
-func (ep *enginePool) take(desc string) *ooo.Engine {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	l := ep.free[desc]
-	if len(l) == 0 {
-		return nil
-	}
-	e := l[len(l)-1]
-	ep.free[desc] = l[:len(l)-1]
-	return e
-}
-
-// put parks a finished engine for reuse.
-func (ep *enginePool) put(desc string, e *ooo.Engine) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.free == nil {
-		ep.free = map[string][]*ooo.Engine{}
-	}
-	ep.free[desc] = append(ep.free[desc], e)
 }
 
 // Counters is a point-in-time snapshot of a pool's observability counters:
@@ -159,9 +115,9 @@ type Counters struct {
 	// task per unit (a group of same-workload jobs run back to back), so
 	// for Run job lists this counts units, not jobs.
 	MapTasks int64
-	// EngineBuilds and EngineReuses split the executed describable
-	// simulations by whether a fresh engine was constructed or a pooled one
-	// was Reset and reused.
+	// EngineBuilds counts the engines constructed: every simulation builds
+	// its own, so it equals Simulated. EngineReuses is always 0; it remains
+	// only because benchmark reports still read it.
 	EngineBuilds, EngineReuses int64
 	// SimTime is wall time spent inside simulations, summed over the jobs
 	// that ran an engine (cache hits add nothing); it exceeds elapsed time
@@ -172,7 +128,6 @@ type Counters struct {
 // metrics is the pool-internal atomic counter block behind Counters.
 type metrics struct {
 	jobs, simulated, memoHits, diskHits, coalesced, uncached, mapTasks, simNanos atomic.Int64
-	engineBuilds, engineReuses                                                   atomic.Int64
 }
 
 // Counters snapshots the pool's observability counters.
@@ -185,8 +140,7 @@ func (p *Pool) Counters() Counters {
 		Coalesced:    p.m.coalesced.Load(),
 		Uncached:     p.m.uncached.Load(),
 		MapTasks:     p.m.mapTasks.Load(),
-		EngineBuilds: p.m.engineBuilds.Load(),
-		EngineReuses: p.m.engineReuses.Load(),
+		EngineBuilds: p.m.simulated.Load(),
 		SimTime:      time.Duration(p.m.simNanos.Load()),
 	}
 }
@@ -249,21 +203,15 @@ func profileText(prof *trace.Profile) string {
 	return string(appendProfileText(scratch[:0], prof))
 }
 
-// do executes one job whose profile key text is prof. Describable jobs
-// run on pooled engines — the machine description doubles as the reuse
-// key — so the steady-state cost of one more simulation is CPU, not
-// allocation; a hit costs the lookup and no Build.
+// do executes one job whose profile key text is prof. Every simulation
+// builds its own engine, so a pool holds no engine once a job returns; a
+// hit costs the lookup and no build.
 func (p *Pool) do(j *Job, prof string) ooo.Stats {
 	p.m.jobs.Add(1)
 	m := j.Machine
 	run := func() ooo.Stats {
 		start := time.Now()
-		var st ooo.Stats
-		if m.ok {
-			st = p.runPooled(m, j)
-		} else {
-			st = ooo.NewEngine(m.Config(), trace.Replay(*j.Profile)).Run(j.Uops)
-		}
+		st := ooo.NewEngine(m.Config(), trace.Replay(*j.Profile)).Run(j.Uops)
 		p.m.simNanos.Add(time.Since(start).Nanoseconds())
 		p.m.simulated.Add(1)
 		return st
@@ -281,25 +229,6 @@ func (p *Pool) do(j *Job, prof string) ooo.Stats {
 	case coalesced:
 		p.m.coalesced.Add(1)
 	}
-	return st
-}
-
-// runPooled executes one describable simulation on a recycled engine when
-// one is parked for the machine description, building (and afterwards
-// parking) a fresh one otherwise; only a fresh engine calls Build. The
-// Reset-refused fallback is real for described custom policies that do
-// not implement PolicyResetter: every such job builds a fresh engine,
-// visible as EngineBuilds with zero EngineReuses for that configuration.
-func (p *Pool) runPooled(m *Machine, j *Job) ooo.Stats {
-	e := p.engines.take(m.desc)
-	if e == nil || !e.Reset(trace.Replay(*j.Profile)) {
-		e = ooo.NewEngine(m.Config(), trace.Replay(*j.Profile))
-		p.m.engineBuilds.Add(1)
-	} else {
-		p.m.engineReuses.Add(1)
-	}
-	st := e.Run(j.Uops)
-	p.engines.put(m.desc, e)
 	return st
 }
 
@@ -326,11 +255,12 @@ func (p *Pool) Run(jobs []Job) []ooo.Stats {
 
 // batchUnits groups job indexes by Profile in first-seen order and chunks
 // each group into units of ceil(total/workers), clamped to [1, 16]. Units
-// are Map's scheduling grain: a unit keeps one worker on one recording,
-// where consecutive same-shape jobs recycle a single pooled engine, and
-// hands off to Map once per unit rather than once per job. Groups are
-// found by Seed and confirmed by comparing profiles (jobs sharing a
-// profile pointer need no comparison), so no profile is hashed.
+// are Map's scheduling grain: a unit renders its profile's key text once
+// and keeps one worker on one recording, so consecutive jobs replay chunks
+// that are already resident, and it hands off to Map once per unit rather
+// than once per job. Groups are found by Seed and confirmed by comparing
+// profiles (jobs sharing a profile pointer need no comparison), so no
+// profile is hashed.
 func batchUnits(jobs []Job, workers int) [][]int {
 	size := (len(jobs) + workers - 1) / workers
 	if size > 16 {

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -341,6 +342,10 @@ func TestPoolCounters(t *testing.T) {
 	if c.SimTime <= 0 {
 		t.Fatalf("SimTime = %v, want > 0", c.SimTime)
 	}
+	if c.EngineBuilds != c.Simulated || c.EngineReuses != 0 {
+		t.Fatalf("EngineBuilds = %d, EngineReuses = %d, want %d and 0",
+			c.EngineBuilds, c.EngineReuses, c.Simulated)
+	}
 	if p.CacheLen() != 1 {
 		t.Fatalf("CacheLen = %d, want 1", p.CacheLen())
 	}
@@ -357,37 +362,26 @@ func TestPoolCounters(t *testing.T) {
 	if c.Uncached != 1 {
 		t.Fatalf("Uncached = %d after callback job, want 1", c.Uncached)
 	}
-	if c.Jobs != n+1 || c.Simulated != 2 {
-		t.Fatalf("after callback job: Jobs = %d, Simulated = %d, want %d and 2",
-			c.Jobs, c.Simulated, n+1)
+	if c.Jobs != n+1 || c.Simulated != 2 || c.EngineBuilds != 2 {
+		t.Fatalf("after callback job: Jobs = %d, Simulated = %d, EngineBuilds = %d, want %d, 2 and 2",
+			c.Jobs, c.Simulated, c.EngineBuilds, n+1)
 	}
 }
 
-// resettablePolicy is a described custom policy that opts into engine
-// reuse. Interface embedding does not promote the concrete Reset, so the
-// wrapper forwards it explicitly.
-type resettablePolicy struct{ ooo.SpeculationPolicy }
-
-func (p resettablePolicy) Reset() { p.SpeculationPolicy.(ooo.PolicyResetter).Reset() }
-
-// opaquePolicy is a described custom policy without Reset: memoizable, but
-// every execution must build a fresh engine.
-type opaquePolicy struct{ ooo.SpeculationPolicy }
+// wrappedPolicy is a described custom policy that adds no behavior to the
+// built-in one it wraps.
+type wrappedPolicy struct{ ooo.SpeculationPolicy }
 
 // customJob builds a Job whose config installs a wrapped DefaultPolicy under
 // the given PolicyKey.
-func customJob(t *testing.T, p trace.Profile, key string, resettable bool) Job {
+func customJob(t *testing.T, p trace.Profile, key string) Job {
 	t.Helper()
 	build := func() ooo.Config {
 		cfg := ooo.DefaultConfig()
 		base := cfg
 		cfg.PolicyKey = key
 		cfg.NewPolicy = func(d ooo.PolicyDeps) ooo.SpeculationPolicy {
-			inner := ooo.DefaultPolicy(base, d)
-			if resettable {
-				return resettablePolicy{inner}
-			}
-			return opaquePolicy{inner}
+			return wrappedPolicy{ooo.DefaultPolicy(base, d)}
 		}
 		return cfg
 	}
@@ -399,7 +393,7 @@ func customJob(t *testing.T, p trace.Profile, key string, resettable bool) Job {
 // second in MemoHits, and its result matches the equivalent built-in config.
 func TestPoolCustomPolicyMemoized(t *testing.T) {
 	p := NewIsolated(1, NewCache())
-	job := customJob(t, testProfile(t), "wrap/default", true)
+	job := customJob(t, testProfile(t), "wrap/default")
 	first := p.Do(job)
 	second := p.Do(job)
 	if first != second {
@@ -422,11 +416,10 @@ func TestPoolCustomPolicyMemoized(t *testing.T) {
 	}
 }
 
-// TestPoolCustomPolicyEngineReuse: distinct traces on one described
-// resettable custom policy share pooled engines (reuse count > 0), while a
-// non-resettable policy is surfaced via EngineBuilds instead of silently
-// degrading.
-func TestPoolCustomPolicyEngineReuse(t *testing.T) {
+// TestPoolCustomPolicyBuildsPerJob: distinct traces on one described custom
+// policy each build their own engine, and the pool keeps none once the
+// jobs return.
+func TestPoolCustomPolicyBuildsPerJob(t *testing.T) {
 	var a, b trace.Profile
 	for _, g := range trace.Groups() {
 		if len(g.Traces) >= 2 {
@@ -439,22 +432,57 @@ func TestPoolCustomPolicyEngineReuse(t *testing.T) {
 	}
 
 	p := NewIsolated(1, NewCache())
-	p.Do(customJob(t, a, "wrap/default", true))
-	p.Do(customJob(t, b, "wrap/default", true))
+	p.Do(customJob(t, a, "wrap/default"))
+	p.Do(customJob(t, b, "wrap/default"))
 	c := p.Counters()
-	if c.EngineBuilds != 1 || c.EngineReuses != 1 {
-		t.Fatalf("resettable policy: EngineBuilds = %d, EngineReuses = %d, want 1 and 1",
-			c.EngineBuilds, c.EngineReuses)
+	if c.Simulated != 2 || c.EngineBuilds != 2 || c.EngineReuses != 0 {
+		t.Fatalf("Simulated = %d, EngineBuilds = %d, EngineReuses = %d, want 2, 2 and 0",
+			c.Simulated, c.EngineBuilds, c.EngineReuses)
 	}
+}
 
-	p = NewIsolated(1, NewCache())
-	p.Do(customJob(t, a, "wrap/opaque", false))
-	p.Do(customJob(t, b, "wrap/opaque", false))
-	c = p.Counters()
-	if c.EngineBuilds != 2 || c.EngineReuses != 0 {
-		t.Fatalf("opaque policy: EngineBuilds = %d, EngineReuses = %d, want 2 and 0",
-			c.EngineBuilds, c.EngineReuses)
+// TestPoolHoldsNoEngines runs one job on each of a dozen distinct
+// describable machine points and requires the live heap, with the pool
+// still referenced, to grow by well under one engine (~138 KB) per point:
+// a pool that parked an engine per machine point would hold ~1.6 MB here.
+func TestPoolHoldsNoEngines(t *testing.T) {
+	prof := testProfile(t)
+	var machines []*Machine
+	for _, s := range []memdep.Scheme{memdep.Traditional, memdep.Opportunistic, memdep.Inclusive, memdep.Exclusive} {
+		for _, width := range []int{2, 4, 8} {
+			build := func() ooo.Config {
+				cfg := schemeBuild(s)()
+				cfg.FetchWidth, cfg.RetireWidth = width, width
+				return cfg
+			}
+			machines = append(machines, NewMachine(build, 200))
+		}
 	}
+	for _, m := range machines {
+		if !m.ok {
+			t.Fatal("test machine is not describable")
+		}
+	}
+	p := NewIsolated(1, NewCache())
+	// One warm-up job, so lazily built process state (the recording's first
+	// chunk, the shared key tables) is not charged to the pool.
+	p.Do(Job{Machine: machines[0], Profile: &prof, Uops: 500})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, m := range machines[1:] {
+		p.Do(Job{Machine: m, Profile: &prof, Uops: 500})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if c := p.Counters(); c.Simulated != int64(len(machines)) || c.EngineBuilds != c.Simulated {
+		t.Fatalf("Simulated = %d, EngineBuilds = %d, want %d each", c.Simulated, c.EngineBuilds, len(machines))
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Fatalf("live heap grew %d bytes over %d machine points with the pool live, want < 1 MiB",
+			grew, len(machines)-1)
+	}
+	runtime.KeepAlive(p)
 }
 
 // TestPoolCountersNilCache: a cacheless pool counts every job as uncached.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -221,17 +222,25 @@ func TestBuiltinProfilesFitBelowStack(t *testing.T) {
 // TestNewRefusesWideProfiles: a profile whose regions can pass 2^32 is a
 // programming error, and New panics on it naming the region.
 func TestNewRefusesWideProfiles(t *testing.T) {
+	// No 32-bit int holds these two sizes, so they are converted at run
+	// time (the file then compiles for 32-bit targets) and their cases are
+	// skipped where int is 32 bits.
+	var streamWS, chaseWS uint64 = 1 << 32, 3<<30 + 64
 	for _, tc := range []struct {
 		p    Profile
 		want string
+		wide bool
 	}{
-		{Profile{Name: "globals", NumGlobals: 1 << 30}, "globals"},
-		{Profile{Name: "streams", NumStreams: 241}, "streams"},
-		{Profile{Name: "stream-ws", StreamWorkingSet: 1 << 32}, "streams"},
-		{Profile{Name: "negative-ws", StreamWorkingSet: -8}, "streams"},
-		{Profile{Name: "chase", ChaseWorkingSet: 3<<30 + 64}, "chase"},
-		{Profile{Name: "negative-chase", ChaseWorkingSet: -64}, "chase"},
+		{Profile{Name: "globals", NumGlobals: 1 << 30}, "globals", false},
+		{Profile{Name: "streams", NumStreams: 241}, "streams", false},
+		{Profile{Name: "stream-ws", StreamWorkingSet: int(streamWS)}, "streams", true},
+		{Profile{Name: "negative-ws", StreamWorkingSet: -8}, "streams", false},
+		{Profile{Name: "chase", ChaseWorkingSet: int(chaseWS)}, "chase", true},
+		{Profile{Name: "negative-chase", ChaseWorkingSet: -64}, "chase", false},
 	} {
+		if tc.wide && strconv.IntSize == 32 {
+			continue
+		}
 		msg := func() (msg string) {
 			defer func() { msg = fmt.Sprint(recover()) }()
 			New(tc.p)

@@ -207,7 +207,7 @@ func (g *Generator) step(f *frameState, u *uop.UOp) bool {
 // the stream's STAs.
 func (g *Generator) materialize(su *staticUOp, f *frameState, u *uop.UOp) {
 	*u = uop.UOp{
-		IP:   uint32(su.ip),
+		IP:   su.ip,
 		Kind: su.kind,
 		Dst:  su.dst,
 		Src1: su.src1,
@@ -235,15 +235,15 @@ func (g *Generator) materializeParamStore(su *staticUOp, f *frameState, callee *
 // materializeBranch resolves a conditional branch's direction and models the
 // front-end predictor to set the Mispredicted flag.
 func (g *Generator) materializeBranch(su *staticUOp, f *frameState, u *uop.UOp) {
-	*u = uop.UOp{IP: uint32(su.ip), Kind: uop.Branch, Src1: su.src1}
+	*u = uop.UOp{IP: su.ip, Kind: uop.Branch, Src1: su.src1}
 	if su.loopBranch {
 		u.Taken = f.iter+1 < f.iters
 	} else {
 		u.Taken = g.rng.Float64() < su.takenBias
 	}
-	pred := g.bpred.Predict(su.ip)
+	pred := g.bpred.Predict(uint64(su.ip))
 	u.Mispredicted = pred.Taken != u.Taken
-	g.bpred.Update(su.ip, u.Taken)
+	g.bpred.Update(uint64(su.ip), u.Taken)
 }
 
 // address synthesizes the effective address of a memory uop.

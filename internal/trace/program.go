@@ -32,26 +32,29 @@ const (
 )
 
 // staticUOp is one uop of the static program. Dynamic fields (address,
-// sequence number) are synthesized at emission time.
+// sequence number) are synthesized at emission time. Every registered
+// recording keeps its generator's program live for the whole process, so
+// the fields are ordered and sized to pack the struct into 32 bytes
+// (TestStaticUOpLayout pins it): an IP fits 32 bits, as uop.UOp.IP does.
 type staticUOp struct {
-	ip         uint64
+	ip         uint32
 	kind       uop.Kind
 	dst        uop.Reg
 	src1, src2 uop.Reg
 	mem        memClass
-	// off is the frame offset (mcFrame/mcParam) or global index (mcGlobal).
-	off int
-	// stream is the array id for mcStream.
-	stream int
-	// cursor is this static uop's private stream cursor: each stream access
-	// site walks its own strided sequence, so its miss pattern (one miss per
-	// cache line) is periodic per IP — the behavior local hit-miss history
-	// predictors learn.
-	cursor int
 	// loopBranch marks the body's back-edge branch.
 	loopBranch bool
 	// callBranch marks an always-taken call transfer.
 	callBranch bool
+	// off is the frame offset (mcFrame/mcParam) or global index (mcGlobal).
+	off int32
+	// stream is the array id for mcStream.
+	stream int32
+	// cursor is this static uop's private stream cursor: each stream access
+	// site walks its own strided sequence, so its miss pattern (one miss per
+	// cache line) is periodic per IP — the behavior local hit-miss history
+	// predictors learn.
+	cursor int32
 	// takenBias is this static branch's probability of being taken. Most
 	// static branches are strongly biased (as in real code); a minority are
 	// hard data-dependent branches.
@@ -100,10 +103,10 @@ type program struct {
 
 // ipAllocator hands out unique static instruction pointers per function.
 type ipAllocator struct {
-	next uint64
+	next uint32
 }
 
-func (a *ipAllocator) take() uint64 {
+func (a *ipAllocator) take() uint32 {
 	ip := a.next
 	a.next += 4
 	return ip
@@ -179,7 +182,7 @@ func buildProgram(p Profile) *program {
 	// Functions are packed back to back in the code segment (as a linker
 	// would lay them out); 0x1000-aligned spans would make every function's
 	// k-th uop alias into the same predictor set regardless of table size.
-	ips := &ipAllocator{next: codeBase}
+	ips := &ipAllocator{next: uint32(codeBase)}
 	cursors := 0
 	for fid := p.NumFuncs - 1; fid >= 0; fid-- {
 		prog.funcs[fid] = buildFunction(p, rng, fid, prog.funcs, &cursors, ips)
@@ -243,9 +246,9 @@ func buildFunction(p Profile, rng *rand.Rand, fid int, funcs []*function, cursor
 	}
 
 	// Body blocks.
-	localSlots := make([]int, 0, numLocals)
+	localSlots := make([]int32, 0, numLocals)
 	for l := 0; l < numLocals; l++ {
-		localSlots = append(localSlots, (f.numSaves+l)*wordSize)
+		localSlots = append(localSlots, int32((f.numSaves+l)*wordSize))
 	}
 	for b := 0; b < nBlocks; b++ {
 		f.body = append(f.body, buildBlock(p, rng, f, ips, regs, localSlots, b == nBlocks-1, leafness, funcs, cursors))
@@ -265,16 +268,18 @@ func buildFunction(p Profile, rng *rand.Rand, fid int, funcs []*function, cursor
 }
 
 // saveOffset is the frame offset of save/restore slot s.
-func (f *function) saveOffset(s int) int { return s * wordSize }
+func (f *function) saveOffset(s int) int32 { return int32(s * wordSize) }
 
 // padOffset is a frame slot no store ever writes (the frame's "+2" pad
 // words): loads of it can conflict with unresolved stores but never collide.
-func (f *function) padOffset(k int) int { return f.frameSize - (f.numParams+1+k+1)*wordSize }
+func (f *function) padOffset(k int) int32 {
+	return int32(f.frameSize - (f.numParams+1+k+1)*wordSize)
+}
 
 // paramOffset is the frame offset of incoming parameter j (top of frame).
-func (f *function) paramOffset(j int) int { return f.frameSize - (j+1)*wordSize }
+func (f *function) paramOffset(j int) int32 { return int32(f.frameSize - (j+1)*wordSize) }
 
-func buildBlock(p Profile, rng *rand.Rand, f *function, ips *ipAllocator, regs *regAllocator, localSlots []int, last bool, leafness float64, funcs []*function, cursors *int) block {
+func buildBlock(p Profile, rng *rand.Rand, f *function, ips *ipAllocator, regs *regAllocator, localSlots []int32, last bool, leafness float64, funcs []*function, cursors *int) block {
 	var blk block
 	n := meanDraw(rng, p.MeanBlockLen)
 	// Recent local-variable stores this block can pair a reload with.
@@ -285,17 +290,17 @@ func buildBlock(p Profile, rng *rand.Rand, f *function, ips *ipAllocator, regs *
 			blk.uops = append(blk.uops, buildLoad(p, rng, f, ips, regs, localSlots, cursors))
 		case r < p.LoadFrac+p.StoreFrac:
 			off := localSlots[rng.Intn(len(localSlots))]
-			mem, st := memClass(mcFrame), 0
+			mem, st := memClass(mcFrame), int32(0)
 			cr := rng.Float64()
 			switch {
 			case cr < 0.15:
-				mem, off = mcGlobal, rng.Intn(p.NumGlobals)
+				mem, off = mcGlobal, int32(rng.Intn(p.NumGlobals))
 			case cr < 0.3:
-				mem, st = mcStream, rng.Intn(p.NumStreams)
+				mem, st = mcStream, int32(rng.Intn(p.NumStreams))
 			}
-			cursor := 0
+			cursor := int32(0)
 			if mem == mcStream {
-				cursor = *cursors
+				cursor = int32(*cursors)
 				*cursors++
 			}
 			var staSrc, stdSrc uop.Reg
@@ -371,20 +376,20 @@ func drawBranchBias(p Profile, rng *rand.Rand) float64 {
 	return 0.015
 }
 
-func buildLoad(p Profile, rng *rand.Rand, f *function, ips *ipAllocator, regs *regAllocator, localSlots []int, cursors *int) staticUOp {
+func buildLoad(p Profile, rng *rand.Rand, f *function, ips *ipAllocator, regs *regAllocator, localSlots []int32, cursors *int) staticUOp {
 	d := regs.dest()
 	regs.noteSlow(d)
 	u := staticUOp{ip: ips.take(), kind: uop.Load, dst: d, src1: regs.source()}
 	r := rng.Float64()
 	switch {
 	case r < p.StreamFrac:
-		u.mem, u.stream = mcStream, rng.Intn(p.NumStreams)
-		u.cursor = *cursors
+		u.mem, u.stream = mcStream, int32(rng.Intn(p.NumStreams))
+		u.cursor = int32(*cursors)
 		*cursors++
 	case r < p.StreamFrac+p.ChaseFrac:
 		u.mem = mcChase
 	case r < p.StreamFrac+p.ChaseFrac+p.GlobalFrac:
-		u.mem, u.off = mcGlobal, rng.Intn(p.NumGlobals)
+		u.mem, u.off = mcGlobal, int32(rng.Intn(p.NumGlobals))
 	default:
 		// Frame load: with probability LocalVarFrac it reloads a
 		// local-variable slot nearby stores write (a potential collision);

@@ -3,12 +3,22 @@ package trace
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"loadsched/internal/uop"
 )
 
 func testProfile() Profile {
 	return Profile{Name: "test", Seed: 1}.withDefaults()
+}
+
+// TestStaticUOpLayout pins the static program's uop at 32 bytes: every
+// registered recording keeps its generator's program live for the whole
+// process.
+func TestStaticUOpLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(staticUOp{}); sz != 32 {
+		t.Errorf("staticUOp is %d bytes, want 32", sz)
+	}
 }
 
 func TestDeterminism(t *testing.T) {
