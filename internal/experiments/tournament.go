@@ -22,9 +22,8 @@ import (
 // shows where the cycles moved (a good predictor converts data-stall and
 // miss-replay cycles into base cycles).
 //
-// All participants are describable (the zoo via PolicyKey) and resettable,
-// so the sweep runs fully memoized and engine-pooled — the capability the
-// ISSUE 6 bugfix restored. The "default" entry reuses the exact Inclusive
+// All participants are describable (the zoo via PolicyKey), so the sweep
+// runs fully memoized. The "default" entry reuses the exact Inclusive
 // baseline config of Figures 7/8, sharing its memo entries.
 
 // tournamentScheme is the host machine's ordering scheme.

@@ -19,12 +19,12 @@ type chtEntry struct {
 // tagged CHT variants. It is indexed by load instruction-pointer bits, as
 // the paper's tables are. The ways of all sets live in one flat backing
 // slice (set s occupies entries[s*ways : (s+1)*ways]) so building a table is
-// a single allocation and clearing it never regrows the heap. The backing
-// slice is allocated lazily, on the first entry insertion: figure sweeps
-// construct a predictor per job just to derive the machine description, and
-// when the runner's memo cache or engine pool answers the job no machine is
-// ever built from it — deferring the table (the dominant per-job
-// allocation) makes such discarded predictors cost a few words.
+// a single allocation. The backing slice is allocated lazily, on the first
+// entry insertion: figure sweeps construct a predictor per machine point
+// just to derive the machine description, and when the runner's memo cache
+// answers a job no machine is ever built from its config — deferring the
+// table (the dominant per-config allocation) makes such discarded
+// predictors cost a few words.
 type tagTable struct {
 	entries []chtEntry
 	numSets int

@@ -417,8 +417,7 @@ func TestPoolCustomPolicyMemoized(t *testing.T) {
 }
 
 // TestPoolCustomPolicyBuildsPerJob: distinct traces on one described custom
-// policy each build their own engine, and the pool keeps none once the
-// jobs return.
+// policy each build their own engine.
 func TestPoolCustomPolicyBuildsPerJob(t *testing.T) {
 	var a, b trace.Profile
 	for _, g := range trace.Groups() {
