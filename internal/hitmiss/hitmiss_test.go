@@ -152,10 +152,21 @@ func TestTimingOverridesHistory(t *testing.T) {
 	}
 }
 
-func TestTimingName(t *testing.T) {
-	tp := NewTiming(NewLocal(), cache.NewMissQueue(8))
+// TestTimingResetAndName: Timing has no Reset; an engine builds a fresh one
+// over a fresh queue, whose reset state has nothing outstanding or recently
+// serviced, so the base predictor decides.
+func TestTimingResetAndName(t *testing.T) {
+	base := NewLocal()
+	ip := uint64(0x400100)
+	for i := 0; i < 20; i++ {
+		base.Update(ip, 0, 0, false) // history says miss
+	}
+	tp := NewTiming(base, cache.NewMissQueue(8))
 	if tp.Name() != "local+timing" {
 		t.Fatalf("name = %q", tp.Name())
+	}
+	if tp.PredictHit(ip, 0x8000, 50) {
+		t.Fatal("a fresh queue must leave the miss history in charge")
 	}
 }
 
@@ -187,9 +198,10 @@ func TestOutcomesAccounting(t *testing.T) {
 	}
 }
 
-// TestLearnsMissFromHitDefault: a fresh predictor predicts a hit, and
-// learns a load that always misses.
-func TestLearnsMissFromHitDefault(t *testing.T) {
+// TestResetClearsLearning: the predictors have no Reset; each engine builds
+// its own, so a fresh build must start in the reset state (predict a hit,
+// the WithInit(0) fill) and share no learning with one built before it.
+func TestResetClearsLearning(t *testing.T) {
 	for _, mk := range []func() Predictor{NewLocal, NewChooser} {
 		p := mk()
 		ip := uint64(0x400100)
@@ -201,6 +213,9 @@ func TestLearnsMissFromHitDefault(t *testing.T) {
 		}
 		if p.PredictHit(ip, 0, 0) {
 			t.Fatalf("%s: did not learn", p.Name())
+		}
+		if !mk().PredictHit(ip, 0, 0) {
+			t.Fatalf("%s: a fresh build inherited the trained predictor's learning", p.Name())
 		}
 	}
 }

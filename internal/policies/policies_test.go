@@ -112,10 +112,11 @@ func TestZooOverridesReachEngine(t *testing.T) {
 	}
 }
 
-// TestZooPooledCountersMemoize: a sweep containing described zoo policies
-// is served from the memo cache on its rerun, and its first run builds one
-// engine per simulation.
-func TestZooPooledCountersMemoize(t *testing.T) {
+// TestZooPooledCountersProveReuse: the runner counters prove that a sweep
+// containing described zoo policies reuses memoized results: its rerun is
+// served from the memo cache. Engines are not reused: its first run builds
+// one per simulation.
+func TestZooPooledCountersProveReuse(t *testing.T) {
 	a, b := twoProfiles(t)
 	pool := runner.NewIsolated(1, runner.NewCache())
 	var jobs []runner.Job

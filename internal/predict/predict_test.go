@@ -229,9 +229,15 @@ func TestCombinedPolicies(t *testing.T) {
 	})
 }
 
-func TestCombinedUpdate(t *testing.T) {
+// TestCombinedUpdateAndReset: Update trains every component. Combined has
+// no Reset: a fresh one over fresh components starts in the reset state,
+// predicting not-taken.
+func TestCombinedUpdateAndReset(t *testing.T) {
 	b1, b2 := NewBimodal(4, 2), NewBimodal(4, 2)
 	c := NewMajority(b1, b2)
+	if c.Predict(5).Taken || b1.Predict(5).Taken || b2.Predict(5).Taken {
+		t.Fatal("a fresh Combined must start predicting not-taken")
+	}
 	for i := 0; i < 10; i++ {
 		c.Update(5, true)
 	}

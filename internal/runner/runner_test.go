@@ -416,9 +416,10 @@ func TestPoolCustomPolicyMemoized(t *testing.T) {
 	}
 }
 
-// TestPoolCustomPolicyBuildsPerJob: distinct traces on one described custom
-// policy each build their own engine.
-func TestPoolCustomPolicyBuildsPerJob(t *testing.T) {
+// TestPoolCustomPolicyEngineReuse: a described custom policy gets no engine
+// reuse, like every other policy: distinct traces on it each build their
+// own engine.
+func TestPoolCustomPolicyEngineReuse(t *testing.T) {
 	var a, b trace.Profile
 	for _, g := range trace.Groups() {
 		if len(g.Traces) >= 2 {
