@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"loadsched/internal/experiments"
@@ -119,7 +120,29 @@ func runJob(job serve.Job, args []string) {
 	}
 	if op.verbose {
 		fmt.Fprintln(os.Stderr, counters)
+		if op.remote == "" {
+			if kb, ok := peakRSSKiB(); ok {
+				fmt.Fprintf(os.Stderr, "peak RSS: %.1f MiB (VmHWM)\n", float64(kb)/1024)
+			}
+		}
 	}
+}
+
+// peakRSSKiB returns the process's peak resident set in KiB, the VmHWM line
+// of /proc/self/status, and false where that file cannot be read or holds
+// no such line (any system but Linux).
+func peakRSSKiB() (int64, bool) {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(v), " kB"), 10, 64)
+			return kb, err == nil
+		}
+	}
+	return 0, false
 }
 
 // emitReport writes a validated report to stdout, or one file per record

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -106,6 +108,36 @@ func TestRemoteMatchesLocal(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestVerbosePrintsPeakRSS: with -v a local job prints the process's peak
+// resident set, read from Linux's /proc/self/status, on its own line right
+// after the runner line; a -remote job, whose simulating process is the
+// server, prints the runner line alone.
+func TestVerbosePrintsPeakRSS(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("VmHWM is read from Linux's /proc/self/status")
+	}
+	peak := regexp.MustCompile(`^peak RSS: [0-9]+\.[0-9] MiB \(VmHWM\)$`)
+	_, stderr, code := runCLI(t, withTiny("figure", "5", "-v")...)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
+	if n := len(lines); n < 2 || !strings.HasPrefix(lines[n-2], "runner: ") || !peak.MatchString(lines[n-1]) {
+		t.Fatalf("stderr does not end with the runner line and a peak RSS line:\n%s", stderr)
+	}
+
+	srv := serve.New(serve.Config{Workers: 1, Cache: runner.NewCache()})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	_, stderr, code = runCLI(t, withTiny("figure", "5", "-v", "-format", "json", "-remote", hs.URL)...)
+	if code != 0 {
+		t.Fatalf("remote: exit %d\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "runner: ") || strings.Contains(stderr, "peak RSS") {
+		t.Fatalf("remote stderr wants the runner line and no peak RSS line:\n%s", stderr)
 	}
 }
 

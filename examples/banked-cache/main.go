@@ -71,7 +71,7 @@ func main() {
 	g := trace.New(p)
 	for i := 0; i < warmup+uops; i++ {
 		u := g.Next()
-		if u.Kind != uop.Load {
+		if u.Kind() != uop.Load {
 			continue
 		}
 		ip, addr := uint64(u.IP), uint64(u.Addr)

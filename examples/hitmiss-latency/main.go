@@ -43,10 +43,10 @@ func main() {
 	for i := 0; i < warmup+uops; i++ {
 		u := g.Next()
 		ip, addr := uint64(u.IP), uint64(u.Addr)
-		if u.Kind == uop.STA {
+		if u.Kind() == uop.STA {
 			h.Access(addr)
 		}
-		if u.Kind != uop.Load {
+		if u.Kind() != uop.Load {
 			continue
 		}
 		hit := h.Access(addr) == cache.L1

@@ -106,7 +106,7 @@ func TestIntegrationBankPredictorsOnAllGroups(t *testing.T) {
 		bp := fig12Predictor(banking)
 		for i := 0; i < 80_000; i++ {
 			u := pr.Next()
-			if u.Kind != uop.Load {
+			if u.Kind() != uop.Load {
 				continue
 			}
 			actual := banking.BankOf(uint64(u.Addr))
@@ -170,7 +170,7 @@ func TestIntegrationTraceDistributions(t *testing.T) {
 		for i := 0; i < 60_000; i++ {
 			u := gen.Next()
 			st.uops++
-			switch u.Kind {
+			switch u.Kind() {
 			case uop.Load:
 				st.loads++
 			case uop.STA:

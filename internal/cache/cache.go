@@ -155,11 +155,6 @@ func (c *Cache) Invalidate(addr uint64) {
 	}
 }
 
-// Flush invalidates every line.
-func (c *Cache) Flush() {
-	clear(c.lines)
-}
-
 // ResetStats zeroes the hit/miss counters.
 func (c *Cache) ResetStats() { c.Hits, c.Misses = 0, 0 }
 

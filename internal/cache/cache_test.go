@@ -113,10 +113,6 @@ func TestInvalidateAndFlush(t *testing.T) {
 	if !c.Contains(0x80) {
 		t.Fatal("other line lost on Invalidate")
 	}
-	c.Flush()
-	if c.Contains(0x80) {
-		t.Fatal("line present after Flush")
-	}
 }
 
 func TestMissRate(t *testing.T) {
@@ -260,33 +256,6 @@ func TestBanking(t *testing.T) {
 	}
 }
 
-func TestConflictTracker(t *testing.T) {
-	tr := NewConflictTracker(DefaultBanking())
-	tr.Begin()
-	if tr.Dispatch(0) {
-		t.Fatal("first access to bank 0 should not conflict")
-	}
-	if tr.Dispatch(64) {
-		t.Fatal("access to bank 1 should not conflict")
-	}
-	if !tr.Dispatch(128) {
-		t.Fatal("second access to bank 0 must conflict")
-	}
-	if tr.Conflicts != 1 || tr.Accesses != 3 {
-		t.Fatalf("stats %d/%d want 1/3", tr.Conflicts, tr.Accesses)
-	}
-	tr.Begin()
-	if tr.Dispatch(0) {
-		t.Fatal("new cycle must clear bank usage")
-	}
-	if tr.BankFree(0) {
-		t.Fatal("bank 0 was just used")
-	}
-	if !tr.BankFree(1) {
-		t.Fatal("bank 1 is free")
-	}
-}
-
 func TestMissQueueOutstanding(t *testing.T) {
 	q := NewMissQueue(4)
 	q.RecordMiss(0x1000, 50)
@@ -341,30 +310,6 @@ func TestMissQueueCapacityEviction(t *testing.T) {
 	}
 	if !q.Outstanding(0x3000, 10) {
 		t.Fatal("newest entry must be outstanding")
-	}
-}
-
-func TestFourBankTracker(t *testing.T) {
-	b := Banking{Banks: 4, LineBytes: 64}
-	tr := NewConflictTracker(b)
-	tr.Begin()
-	for i := 0; i < 4; i++ {
-		if tr.Dispatch(uint64(i * 64)) {
-			t.Fatalf("bank %d first access conflicted", i)
-		}
-	}
-	if !tr.Dispatch(0) {
-		t.Fatal("fifth access must conflict somewhere")
-	}
-}
-
-func TestHierarchyFlush(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchyConfig())
-	h.Access(0x1000)
-	h.Access(0x1000)
-	h.Flush()
-	if h.Probe(0x1000) != Memory {
-		t.Fatal("Flush must empty both levels")
 	}
 }
 

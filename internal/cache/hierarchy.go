@@ -114,9 +114,3 @@ func (h *Hierarchy) Probe(addr uint64) Level {
 	}
 	return Memory
 }
-
-// Flush empties both levels.
-func (h *Hierarchy) Flush() {
-	h.l1d.Flush()
-	h.l2.Flush()
-}

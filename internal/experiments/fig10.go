@@ -89,7 +89,7 @@ func replayLoads(p trace.Profile, o Options, fn func(ip, addr uint64, hit, measu
 	replayUops(p, warmup+o.Uops, func(us []uop.UOp, base int) {
 		for j := range us {
 			u := &us[j]
-			switch u.Kind {
+			switch u.Kind() {
 			case uop.Load:
 				hit := h.Access(uint64(u.Addr)) == cache.L1
 				fn(uint64(u.IP), uint64(u.Addr), hit, base+j >= warmup)

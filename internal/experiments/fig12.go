@@ -76,7 +76,7 @@ func Fig12(o Options) []Fig12Row {
 		replayUops(profiles[ti], warmup+o.Uops, func(us []uop.UOp, base int) {
 			for j := range us {
 				up := &us[j]
-				if up.Kind != uop.Load {
+				if up.Kind() != uop.Load {
 					continue
 				}
 				ip, addr := uint64(up.IP), uint64(up.Addr)

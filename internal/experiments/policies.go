@@ -62,7 +62,7 @@ func BankPolicies(o Options) []BankPolicyRow {
 		replayUops(profiles[ti], warmup+o.Uops, func(us []uop.UOp, base int) {
 			for j := range us {
 				u := &us[j]
-				if u.Kind != uop.Load {
+				if u.Kind() != uop.Load {
 					continue
 				}
 				actual := banking.BankOf(uint64(u.Addr)) == 1

@@ -33,18 +33,18 @@ import (
 // Source supplies the dynamic uop stream with its static dependence
 // side-car (see internal/trace deplink.go). NextBatchRef exposes the
 // source's next decoded run as direct slices — uops and side-car entries in
-// lockstep, valid until the next call on the source — plus the store base
-// the run's Dep.LastStore deltas are relative to: the number of STAs
-// before the run. Handing out references instead of filling caller buffers
-// keeps the fetch path copy-free; the engine treats the slices as read-only
-// (shared recording chunks back them for every sweep engine at once).
-// Sources are endless, and the side-car's position deltas and store base
-// share an origin with the engine's rename and store counts because the
-// engine observes the stream from its beginning. trace.Replay cursors
-// and trace.StreamReader implement Source directly; trace.NewBatches
-// adapts any scalar trace.Source.
+// lockstep, valid until the next call on the source — plus the number of
+// STAs before the run, which the engine does not read: it counts stores
+// itself at rename. Handing out references instead of filling caller
+// buffers keeps the fetch path copy-free; the engine treats the slices as
+// read-only (shared recording chunks back them for every sweep engine at
+// once). Sources are endless, and the side-car's position deltas share an
+// origin with the engine's rename count because the engine observes the
+// stream from its beginning. trace.Replay cursors and trace.StreamReader
+// implement Source directly; trace.NewBatches adapts any scalar
+// trace.Source.
 type Source interface {
-	NextBatchRef() (us []uop.UOp, deps []uop.Dep, storeBase int64)
+	NextBatchRef() (us []uop.UOp, deps []uop.Dep, stasBefore int64)
 }
 
 // LoadEvent describes one retired load for statistical consumers, in 16
@@ -87,10 +87,12 @@ const (
 // striding across fat records, and clearing a slot at rename writes a few
 // words instead of copying a struct.
 type robState struct {
+	// u holds each slot's uop, copied at rename: 12 bytes, its kind, access
+	// size and branch outcome packed into the op byte.
 	u     []uop.UOp
 	flags []uint16
-	// kind mirrors u[i].Kind as a dense array, so the dispatch walk's
-	// switch reads a small column instead of striding across 16-byte uop
+	// kind mirrors u[i].Kind() as a dense array, so the dispatch walk's
+	// switch reads a small column instead of striding across 12-byte uop
 	// records.
 	kind []uint8
 	// age is the slot's rename order, stamped from Engine.renameAge: it
@@ -194,7 +196,7 @@ func (r *robState) size() int { return len(r.flags) }
 func (r *robState) clearSlot(idx int, u uop.UOp, age int64) {
 	r.u[idx] = u
 	r.flags[idx] = fValid | fInRS
-	r.kind[idx] = uint8(u.Kind)
+	r.kind[idx] = uint8(u.Kind())
 	r.age[idx] = age
 }
 
@@ -202,7 +204,7 @@ func (r *robState) clearSlot(idx int, u uop.UOp, age int64) {
 func (e *Engine) loadView(idx int32) LoadView {
 	u := &e.rob.u[idx]
 	return LoadView{
-		IP: uint64(u.IP), Addr: uint64(u.Addr), Size: int(u.Size),
+		IP: uint64(u.IP), Addr: uint64(u.Addr), Size: int(u.Size()),
 		OlderStores: e.rob.lastStore[idx], Pred: e.rob.pred[idx],
 	}
 }
@@ -258,15 +260,13 @@ type Engine struct {
 	cfg Config
 	// src supplies the uop stream. Rename reads fetchRefU/fetchRefD —
 	// zero-copy views into the source's decoded chunk, uops and side-car
-	// entries in lockstep — from fetchPos on, and fetchStoreBase anchors
-	// the current run's Dep.LastStore deltas.
-	src            Source
-	fetchRefU      []uop.UOp
-	fetchRefD      []uop.Dep
-	fetchStoreBase int64
-	fetchPos       int
-	hier           *cache.Hierarchy
-	missq          *cache.MissQueue
+	// entries in lockstep — from fetchPos on.
+	src       Source
+	fetchRefU []uop.UOp
+	fetchRefD []uop.Dep
+	fetchPos  int
+	hier      *cache.Hierarchy
+	missq     *cache.MissQueue
 	// policy is the speculation seam every prediction decision goes
 	// through; oracle caches policy.Oracle(). defPol is non-nil when the
 	// seam is the built-in adapter — the per-load call sites dispatch to

@@ -21,9 +21,9 @@ func bankHeavyTrace(n int) []uop.UOp {
 	for i := 0; i < n; i++ {
 		line := uint32(0x10000 + (i%64)*128) // even lines → all bank 0
 		us = append(us,
-			uop.UOp{IP: 0x400000, Kind: uop.Load, Dst: 8, Addr: line, Size: 8},
-			uop.UOp{IP: 0x400004, Kind: uop.Load, Dst: 9, Addr: line + 8, Size: 8},
-			uop.UOp{IP: 0x400008, Kind: uop.IntALU, Dst: 10, Src1: 8, Src2: 9},
+			uop.UOp{IP: 0x400000, Op: uop.NewOp(uop.Load, 8), Dst: 8, Addr: line},
+			uop.UOp{IP: 0x400004, Op: uop.NewOp(uop.Load, 8), Dst: 9, Addr: line + 8},
+			uop.UOp{IP: 0x400008, Op: uop.NewOp(uop.IntALU, 0), Dst: 10, Src1: 8, Src2: 9},
 		)
 	}
 	return us
@@ -109,22 +109,22 @@ func distanceTrace(n int) []uop.UOp {
 	for i := 0; i < n; i++ {
 		// Far store: collides with the load; its data arrives after a short
 		// Complex chain, so the instantly-ready load sees it incomplete.
-		us = append(us, uop.UOp{IP: 0x3ffff0, Kind: uop.Complex, Dst: 6})
+		us = append(us, uop.UOp{IP: 0x3ffff0, Op: uop.NewOp(uop.Complex, 0), Dst: 6})
 		us = append(us,
-			uop.UOp{IP: 0x400000, Kind: uop.STA, Addr: 0x3000, Size: 8},
-			uop.UOp{IP: 0x400004, Kind: uop.STD, Src1: 6})
+			uop.UOp{IP: 0x400000, Op: uop.NewOp(uop.STA, 8), Addr: 0x3000},
+			uop.UOp{IP: 0x400004, Op: uop.NewOp(uop.STD, 0), Src1: 6})
 		// Near store: different address, much slower STA and STD.
 		us = append(us,
-			uop.UOp{IP: 0x400010, Kind: uop.Complex, Dst: 7},
-			uop.UOp{IP: 0x400014, Kind: uop.Complex, Dst: 7, Src1: 7},
-			uop.UOp{IP: 0x400016, Kind: uop.Complex, Dst: 7, Src1: 7})
+			uop.UOp{IP: 0x400010, Op: uop.NewOp(uop.Complex, 0), Dst: 7},
+			uop.UOp{IP: 0x400014, Op: uop.NewOp(uop.Complex, 0), Dst: 7, Src1: 7},
+			uop.UOp{IP: 0x400016, Op: uop.NewOp(uop.Complex, 0), Dst: 7, Src1: 7})
 		us = append(us,
-			uop.UOp{IP: 0x400018, Kind: uop.STA, Addr: 0x4000, Size: 8, Src1: 7},
-			uop.UOp{IP: 0x40001c, Kind: uop.STD, Src1: 7})
+			uop.UOp{IP: 0x400018, Op: uop.NewOp(uop.STA, 8), Addr: 0x4000, Src1: 7},
+			uop.UOp{IP: 0x40001c, Op: uop.NewOp(uop.STD, 0), Src1: 7})
 		// The load collides with the far store (distance 2).
-		us = append(us, uop.UOp{IP: 0x400020, Kind: uop.Load, Dst: 8, Addr: 0x3000, Size: 8})
+		us = append(us, uop.UOp{IP: 0x400020, Op: uop.NewOp(uop.Load, 8), Dst: 8, Addr: 0x3000})
 		for j := 0; j < 3; j++ {
-			us = append(us, uop.UOp{IP: 0x400030 + uint32(j)*4, Kind: uop.IntALU, Dst: 8, Src1: 8})
+			us = append(us, uop.UOp{IP: 0x400030 + uint32(j)*4, Op: uop.NewOp(uop.IntALU, 0), Dst: 8, Src1: 8})
 		}
 	}
 	return us
@@ -157,9 +157,9 @@ func TestAHPMDelaysDependents(t *testing.T) {
 	// AH-PM hit-indication delay) lands on the critical path.
 	var us []uop.UOp
 	for i := 0; i < 50; i++ {
-		us = append(us, uop.UOp{IP: 0x400000, Kind: uop.Load, Dst: 8, Src1: 8, Addr: 0x1000, Size: 8})
+		us = append(us, uop.UOp{IP: 0x400000, Op: uop.NewOp(uop.Load, 8), Dst: 8, Src1: 8, Addr: 0x1000})
 		for j := 0; j < 4; j++ {
-			us = append(us, uop.UOp{IP: 0x400010 + uint32(j)*4, Kind: uop.IntALU, Dst: 8, Src1: 8})
+			us = append(us, uop.UOp{IP: 0x400010 + uint32(j)*4, Op: uop.NewOp(uop.IntALU, 0), Dst: 8, Src1: 8})
 		}
 	}
 	run := func(h hitmiss.Predictor) Stats {
@@ -209,8 +209,8 @@ func TestDynamicMissesDetected(t *testing.T) {
 	// dynamic miss (fill in flight), so a perfect HMP must classify both as
 	// misses and nothing as AM-PH.
 	us := []uop.UOp{
-		{IP: 0x400000, Kind: uop.Load, Dst: 8, Addr: 0x9000, Size: 8},
-		{IP: 0x400004, Kind: uop.Load, Dst: 9, Addr: 0x9008, Size: 8},
+		{IP: 0x400000, Op: uop.NewOp(uop.Load, 8), Dst: 8, Addr: 0x9000},
+		{IP: 0x400004, Op: uop.NewOp(uop.Load, 8), Dst: 9, Addr: 0x9008},
 	}
 	cfg := DefaultConfig()
 	cfg.Scheme = memdep.Opportunistic

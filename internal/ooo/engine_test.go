@@ -30,7 +30,7 @@ func (s *sliceSource) Next() uop.UOp {
 	if pos < len(s.uops) {
 		return s.uops[pos]
 	}
-	return uop.UOp{IP: 0x700000 + uint32(pos%8)*4, Kind: uop.IntALU, Dst: 1}
+	return uop.UOp{IP: 0x700000 + uint32(pos%8)*4, Op: uop.NewOp(uop.IntALU, 0), Dst: 1}
 }
 
 func testConfig() Config {
@@ -42,8 +42,8 @@ func testConfig() Config {
 // mkStore returns the STA/STD pair of a store.
 func mkStore(ip, addr uint32, dataSrc uop.Reg) []uop.UOp {
 	return []uop.UOp{
-		{IP: ip, Kind: uop.STA, Addr: addr, Size: 8},
-		{IP: ip + 4, Kind: uop.STD, Src1: dataSrc},
+		{IP: ip, Op: uop.NewOp(uop.STA, 8), Addr: addr},
+		{IP: ip + 4, Op: uop.NewOp(uop.STD, 0), Src1: dataSrc},
 	}
 }
 
@@ -62,7 +62,7 @@ func TestDependencyChainSerializes(t *testing.T) {
 	// A chain of dependent ALU ops must run at IPC ≈ 1 regardless of width.
 	var us []uop.UOp
 	for i := 0; i < 500; i++ {
-		us = append(us, uop.UOp{IP: 0x400000 + uint32(i%4)*4, Kind: uop.IntALU, Dst: 5, Src1: 5})
+		us = append(us, uop.UOp{IP: 0x400000 + uint32(i%4)*4, Op: uop.NewOp(uop.IntALU, 0), Dst: 5, Src1: 5})
 	}
 	e := NewEngine(testConfig(), newSliceSource(us))
 	st := e.Run(500)
@@ -75,9 +75,9 @@ func TestLoadHitLatency(t *testing.T) {
 	// One load; a dependent chain follows. The dependent chain can only start
 	// after the L1 latency, so cycles >= lat.L1 + chain length.
 	var us []uop.UOp
-	us = append(us, uop.UOp{IP: 0x400000, Kind: uop.Load, Dst: 9, Addr: 0x1000, Size: 8})
+	us = append(us, uop.UOp{IP: 0x400000, Op: uop.NewOp(uop.Load, 8), Dst: 9, Addr: 0x1000})
 	for i := 0; i < 50; i++ {
-		us = append(us, uop.UOp{IP: 0x400100 + uint32(i)*4, Kind: uop.IntALU, Dst: 9, Src1: 9})
+		us = append(us, uop.UOp{IP: 0x400100 + uint32(i)*4, Op: uop.NewOp(uop.IntALU, 0), Dst: 9, Src1: 9})
 	}
 	cfg := testConfig()
 	e := NewEngine(cfg, newSliceSource(us))
@@ -93,9 +93,9 @@ func TestRetirementInOrder(t *testing.T) {
 	// been counted unless it truly finished — indirectly checked by the fact
 	// total cycles must exceed its latency even though later uops are ready.
 	var us []uop.UOp
-	us = append(us, uop.UOp{IP: 0x400000, Kind: uop.Complex, Dst: 3})
+	us = append(us, uop.UOp{IP: 0x400000, Op: uop.NewOp(uop.Complex, 0), Dst: 3})
 	for i := 0; i < 20; i++ {
-		us = append(us, uop.UOp{IP: 0x400100 + uint32(i)*4, Kind: uop.IntALU, Dst: 4})
+		us = append(us, uop.UOp{IP: 0x400100 + uint32(i)*4, Op: uop.NewOp(uop.IntALU, 0), Dst: 4})
 	}
 	cfg := testConfig()
 	e := NewEngine(cfg, newSliceSource(us))
@@ -114,17 +114,17 @@ func collisionTrace(n int) []uop.UOp {
 	addr := uint32(0x2000)
 	for i := 0; i < n; i++ {
 		// Slow producer feeding the store's address and data registers.
-		us = append(us, uop.UOp{IP: 0x400000, Kind: uop.Complex, Dst: 7})
-		us = append(us, uop.UOp{IP: 0x400010, Kind: uop.Complex, Dst: 7, Src1: 7})
+		us = append(us, uop.UOp{IP: 0x400000, Op: uop.NewOp(uop.Complex, 0), Dst: 7})
+		us = append(us, uop.UOp{IP: 0x400010, Op: uop.NewOp(uop.Complex, 0), Dst: 7, Src1: 7})
 		us = append(us, []uop.UOp{
-			{IP: 0x400020, Kind: uop.STA, Addr: addr, Size: 8, Src1: 7},
-			{IP: 0x400024, Kind: uop.STD, Src1: 7},
+			{IP: 0x400020, Op: uop.NewOp(uop.STA, 8), Addr: addr, Src1: 7},
+			{IP: 0x400024, Op: uop.NewOp(uop.STD, 0), Src1: 7},
 		}...)
 		// The colliding load: address ready at once (no sources).
-		us = append(us, uop.UOp{IP: 0x400040, Kind: uop.Load, Dst: 8, Addr: addr, Size: 8})
+		us = append(us, uop.UOp{IP: 0x400040, Op: uop.NewOp(uop.Load, 8), Dst: 8, Addr: addr})
 		// Dependents of the load, so collision latency matters.
 		for j := 0; j < 4; j++ {
-			us = append(us, uop.UOp{IP: 0x400050 + uint32(j)*4, Kind: uop.IntALU, Dst: 8, Src1: 8})
+			us = append(us, uop.UOp{IP: 0x400050 + uint32(j)*4, Op: uop.NewOp(uop.IntALU, 0), Dst: 8, Src1: 8})
 		}
 	}
 	return us
@@ -137,12 +137,12 @@ func stdLateTrace(n int) []uop.UOp {
 	var us []uop.UOp
 	addr := uint32(0x2000)
 	for i := 0; i < n; i++ {
-		us = append(us, uop.UOp{IP: 0x400000, Kind: uop.Complex, Dst: 7})
-		us = append(us, uop.UOp{IP: 0x400010, Kind: uop.Complex, Dst: 7, Src1: 7})
+		us = append(us, uop.UOp{IP: 0x400000, Op: uop.NewOp(uop.Complex, 0), Dst: 7})
+		us = append(us, uop.UOp{IP: 0x400010, Op: uop.NewOp(uop.Complex, 0), Dst: 7, Src1: 7})
 		us = append(us, mkStore(0x400020, addr, 7)...)
-		us = append(us, uop.UOp{IP: 0x400040, Kind: uop.Load, Dst: 8, Addr: addr, Size: 8})
+		us = append(us, uop.UOp{IP: 0x400040, Op: uop.NewOp(uop.Load, 8), Dst: 8, Addr: addr})
 		for j := 0; j < 4; j++ {
-			us = append(us, uop.UOp{IP: 0x400050 + uint32(j)*4, Kind: uop.IntALU, Dst: 8, Src1: 8})
+			us = append(us, uop.UOp{IP: 0x400050 + uint32(j)*4, Op: uop.NewOp(uop.IntALU, 0), Dst: 8, Src1: 8})
 		}
 	}
 	return us
@@ -242,8 +242,8 @@ func TestMispredictedBranchStallsFetch(t *testing.T) {
 	run := func(mispredict bool) int64 {
 		var us []uop.UOp
 		for i := 0; i < 200; i++ {
-			us = append(us, uop.UOp{IP: 0x400000 + uint32(i%16)*4, Kind: uop.IntALU, Dst: 1})
-			us = append(us, uop.UOp{IP: 0x401000 + uint32(i%16)*4, Kind: uop.Branch, Taken: true, Mispredicted: mispredict})
+			us = append(us, uop.UOp{IP: 0x400000 + uint32(i%16)*4, Op: uop.NewOp(uop.IntALU, 0), Dst: 1})
+			us = append(us, uop.UOp{IP: 0x401000 + uint32(i%16)*4, Op: uop.NewOp(uop.Branch, 0).WithBranch(true, mispredict)})
 		}
 		e := NewEngine(testConfig(), newSliceSource(us))
 		return e.Run(len(us)).Cycles
@@ -496,8 +496,8 @@ func TestLivelockPanicNamesPhaseAndHead(t *testing.T) {
 				cfg.Scheme = scheme
 				cfg.WarmupUops = tc.warmup
 				src := newSliceSource([]uop.UOp{
-					{IP: 0x400000, Kind: uop.STA, Addr: 0x9000, Size: 8},
-					{IP: 0x400004, Kind: uop.Load, Addr: 0x9000, Size: 8, Dst: 3},
+					{IP: 0x400000, Op: uop.NewOp(uop.STA, 8), Addr: 0x9000},
+					{IP: 0x400004, Op: uop.NewOp(uop.Load, 8), Addr: 0x9000, Dst: 3},
 				})
 				var msg string
 				func() {

@@ -15,7 +15,7 @@ func (e *Engine) executeLoad(idx int32) {
 	r.flags[idx] = r.flags[idx]&^fInRS | fDispatched
 	e.rsCount--
 	r.dispCycle[idx] = e.now
-	ip, addr, size := uint64(r.u[idx].IP), uint64(r.u[idx].Addr), int(r.u[idx].Size)
+	ip, addr, size := uint64(r.u[idx].IP), uint64(r.u[idx].Addr), int(r.u[idx].Size())
 
 	// Latency prediction must precede the access (the perfect predictor
 	// probes current cache state). Level-capable policies refine the binary

@@ -24,7 +24,9 @@ import (
 //
 // Stores are numbered here too: a store's id is its rank among the
 // stream's STAs, so an STA's rename appends the next MOB record, and its
-// STD, the next store half, takes the same id.
+// STD, the next store half, takes the same id. A load's youngest older
+// store is the youngest store renamed before it, so rename stamps loads
+// from the same count.
 
 func (e *Engine) fetchRename() {
 	if e.awaitingBranch || e.now < e.resumeAt {
@@ -37,20 +39,19 @@ func (e *Engine) fetchRename() {
 			return
 		}
 		if e.fetchPos == len(e.fetchRefU) {
-			us, ds, base := e.src.NextBatchRef()
+			us, ds, _ := e.src.NextBatchRef()
 			if len(us) == 0 {
 				// Sources are endless by contract; running dry would desync
 				// the side-car from the rename count.
 				panic("ooo: source ran dry")
 			}
-			e.fetchRefU, e.fetchRefD = us, ds
-			e.fetchPos, e.fetchStoreBase = 0, base
+			e.fetchRefU, e.fetchRefD, e.fetchPos = us, ds, 0
 		}
 		j := e.fetchPos
 		e.fetchPos++
 		u := &e.fetchRefU[j]
 		e.renameDep(u, &e.fetchRefD[j])
-		if u.Kind == uop.Branch && u.Mispredicted {
+		if u.Kind() == uop.Branch && u.Mispredicted() {
 			// Fetch goes down the wrong path; stall until this branch
 			// resolves plus the refill bubble.
 			e.stats.BranchMispredicts++
@@ -88,18 +89,18 @@ func (e *Engine) renameDep(u *uop.UOp, d *uop.Dep) {
 	} else {
 		r.src2Prod[idx], r.src2Age[idx] = -1, 0
 	}
-	if u.Kind == uop.Branch && u.Mispredicted {
+	if u.Kind() == uop.Branch && u.Mispredicted() {
 		r.flags[idx] |= fBlockingBranch
 	}
 
-	switch u.Kind {
+	switch u.Kind() {
 	case uop.STA:
-		e.mobPush(uint64(u.Addr), int32(u.Size))
+		e.mobPush(uint64(u.Addr), int32(u.Size()))
 		r.lastStore[idx] = e.lastStoreID()
 	case uop.STD:
 		r.lastStore[idx] = e.lastStoreID()
 	case uop.Load:
-		r.lastStore[idx] = e.fetchStoreBase + int64(d.LastStore)
+		r.lastStore[idx] = e.lastStoreID()
 		r.pred[idx] = e.predictCollision(uint64(u.IP))
 	}
 

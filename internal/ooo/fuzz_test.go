@@ -28,8 +28,8 @@ func chtConfig(s memdep.Scheme) Config {
 func TestReplayPastCutStore(t *testing.T) {
 	p, _ := trace.TraceByName(trace.GroupSysmarkNT, "ex")
 	const n = 20009
-	if us := trace.Collect(p, n); us[n-1].Kind != uop.STA {
-		t.Fatalf("uop %d is %s; the file must end on an STA", n-1, us[n-1].Kind)
+	if us := trace.Collect(p, n); us[n-1].Kind() != uop.STA {
+		t.Fatalf("uop %d is %s; the file must end on an STA", n-1, us[n-1].Kind())
 	}
 	path := filepath.Join(t.TempDir(), "ex.lsut")
 	if err := trace.WriteTraceFile(path, p, n); err != nil {
@@ -59,7 +59,7 @@ func v1File(us []uop.UOp, sids []int64) []byte {
 		b = binary.LittleEndian.AppendUint64(b, uint64(u.IP))
 		b = binary.LittleEndian.AppendUint64(b, uint64(u.Addr))
 		b = binary.LittleEndian.AppendUint64(b, uint64(sids[i]))
-		b = append(b, byte(u.Kind), byte(u.Dst), byte(u.Src1), byte(u.Src2), u.Size, 0)
+		b = append(b, byte(u.Kind()), byte(u.Dst), byte(u.Src1), byte(u.Src2), u.Size(), 0)
 	}
 	return b
 }
@@ -77,7 +77,7 @@ func FuzzEngineReplay(f *testing.F) {
 	p, _ := trace.TraceByName(trace.GroupSysmarkNT, "ex")
 	cut := 0
 	for i, u := range trace.Collect(p, 400) {
-		if u.Kind == uop.STA {
+		if u.Kind() == uop.STA {
 			cut = i + 1
 		}
 	}
@@ -89,15 +89,15 @@ func FuzzEngineReplay(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	cycle := []uop.UOp{
-		{IP: 0x400000, Kind: uop.STD, Src1: 1},
-		{IP: 0x400004, Kind: uop.Load, Dst: 2, Addr: 0x8000, Size: 8},
-		{IP: 0x400008, Kind: uop.IntALU, Dst: 1, Src1: 2},
-		{IP: 0x40000c, Kind: uop.STA, Addr: 0x8000, Size: 8},
+		{IP: 0x400000, Op: uop.NewOp(uop.STD, 0), Src1: 1},
+		{IP: 0x400004, Op: uop.NewOp(uop.Load, 8), Dst: 2, Addr: 0x8000},
+		{IP: 0x400008, Op: uop.NewOp(uop.IntALU, 0), Dst: 1, Src1: 2},
+		{IP: 0x40000c, Op: uop.NewOp(uop.STA, 8), Addr: 0x8000},
 	}
 	for _, id := range []int64{-5, 7, 1 << 40} {
 		us, sids := make([]uop.UOp, trace.ChunkUops), make([]int64, trace.ChunkUops)
 		for i := range us {
-			if us[i] = cycle[i%len(cycle)]; us[i].Kind.IsStorePart() {
+			if us[i] = cycle[i%len(cycle)]; us[i].Kind().IsStorePart() {
 				sids[i] = id
 			}
 		}
@@ -108,7 +108,7 @@ func FuzzEngineReplay(f *testing.F) {
 	us, sids := trace.Collect(p, 300), make([]int64, 300)
 	var stas int64
 	for i, u := range us {
-		switch u.Kind {
+		switch u.Kind() {
 		case uop.STA:
 			stas++
 			sids[i] = stas

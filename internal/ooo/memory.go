@@ -152,7 +152,7 @@ func overlap(a uint64, asz int, b uint64, bsz int) bool {
 func (e *Engine) classifyLoad(idx int32) {
 	r := &e.rob
 	r.flags[idx] |= fClassified
-	addr, size := uint64(r.u[idx].Addr), int(r.u[idx].Size)
+	addr, size := uint64(r.u[idx].Addr), int(r.u[idx].Size())
 	conflicting, colliding, dist := false, false, int64(0)
 	older := r.lastStore[idx]
 	const executed = mStaExec | mStdExec

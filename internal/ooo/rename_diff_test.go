@@ -14,7 +14,9 @@ import (
 // derives from the trace layer's dependence side-car must match, slot for
 // slot, what per-register alias tables — the original renamer — resolve on
 // the same stream, across randomized machines, mixed trace groups and
-// wrapping file replay.
+// wrapping file replay. The reference also counts the stream's STAs, which
+// number the stores, so it checks the youngest store rename stamps on each
+// load and store half.
 
 // aliasRef is the reference renamer: for each architectural register, the
 // slot and rename age of its youngest renamed writer.
@@ -48,8 +50,9 @@ func (a *aliasRef) resolve(e *Engine, r uop.Reg) (int32, int64) {
 // checkRename steps a fresh engine e one cycle at a time until n
 // uops have retired. After each cycle it resolves every slot renamed in
 // that cycle, oldest first, through the alias tables and requires the
-// engine's producer slots and age guards to match, and each slot's age to
-// be its uop's stream position. Nothing retires between
+// engine's producer slots and age guards to match, each slot's age to be
+// its uop's stream position, and each load's and store half's youngest
+// store to be the number of STAs up to it in the stream. Nothing retires between
 // rename and the end of a cycle, so the post-cycle window is the one rename
 // saw, except for slots renamed later in the same cycle, which the age
 // guard tells apart.
@@ -57,8 +60,9 @@ func checkRename(t *testing.T, e *Engine, n uint64) {
 	t.Helper()
 	ref := newAliasRef()
 	r := &e.rob
-	linked := 0
-	var pos int64 // stream position of the next uop renamed
+	linked, loads := 0, 0
+	var pos int64  // stream position of the next uop renamed
+	var stas int64 // STAs renamed so far: the youngest store's id
 	for e.stats.Uops < n {
 		before := e.renameAge
 		e.cycle()
@@ -81,6 +85,16 @@ func checkRename(t *testing.T, e *Engine, n uint64) {
 			if p2 >= 0 {
 				linked++
 			}
+			switch u.Kind() {
+			case uop.STA:
+				stas++
+			case uop.Load:
+				loads++
+			}
+			if k := u.Kind(); (k == uop.Load || k.IsStorePart()) && r.lastStore[idx] != stas {
+				t.Fatalf("cycle %d, uop %d (%s): youngest store %d, the stream has %d STAs up to it",
+					e.Now(), pos, k, r.lastStore[idx], stas)
+			}
 			if u.Dst != uop.NoReg {
 				ref.slot[u.Dst], ref.age[u.Dst] = int32(idx), pos
 			}
@@ -89,6 +103,9 @@ func checkRename(t *testing.T, e *Engine, n uint64) {
 	}
 	if linked == 0 {
 		t.Fatal("no operand resolved to an in-flight producer; the check saw no dependences")
+	}
+	if loads == 0 || stas == 0 {
+		t.Fatalf("%d loads and %d stores renamed; the check saw no store ordering", loads, stas)
 	}
 }
 
@@ -118,7 +135,7 @@ func TestRenameSidecarDiff(t *testing.T) {
 
 // TestRenameSidecarDiffStreamWrap replays a recorded trace file through
 // StreamReader past its end, so the side-car's renumbering-invariant deltas
-// and per-pass store bases are checked across wrap-around.
+// and the engine's store count are checked across wrap-around.
 func TestRenameSidecarDiffStreamWrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x77a9))
 	prof := diffProfiles(rng, 1)[0]

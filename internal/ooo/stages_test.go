@@ -18,7 +18,7 @@ func TestFrontEndBranchRefill(t *testing.T) {
 	const branches = 50
 	var us []uop.UOp
 	for i := 0; i < branches; i++ {
-		us = append(us, uop.UOp{IP: 0x400000 + uint32(i%16)*4, Kind: uop.Branch, Mispredicted: true})
+		us = append(us, uop.UOp{IP: 0x400000 + uint32(i%16)*4, Op: uop.NewOp(uop.Branch, 0).WithBranch(false, true)})
 	}
 	cfg := testConfig()
 	e := NewEngine(cfg, newSliceSource(us))
@@ -44,7 +44,7 @@ func TestSchedulerPortUsageResetsPerCycle(t *testing.T) {
 	const n = 400
 	var us []uop.UOp
 	for i := 0; i < n; i++ {
-		us = append(us, uop.UOp{IP: 0x400000 + uint32(i%8)*4, Kind: uop.FPU, Dst: uop.Reg(1 + i%4)})
+		us = append(us, uop.UOp{IP: 0x400000 + uint32(i%8)*4, Op: uop.NewOp(uop.FPU, 0), Dst: uop.Reg(1 + i%4)})
 	}
 	cfg := testConfig()
 	cfg.FPUnits = 1
@@ -98,11 +98,11 @@ func (s *storeStream) Next() uop.UOp {
 	switch s.seq % 4 {
 	case 0:
 		s.id++
-		u.Kind, u.Addr, u.Size = uop.STA, 0x8000+uint32(s.id%64)*8, 8
+		u.Op, u.Addr = uop.NewOp(uop.STA, 8), 0x8000+uint32(s.id%64)*8
 	case 1:
-		u.Kind = uop.STD
+		u.Op = uop.NewOp(uop.STD, 0)
 	default:
-		u.Kind, u.Dst = uop.IntALU, uop.Reg(2+s.seq%4)
+		u.Op, u.Dst = uop.NewOp(uop.IntALU, 0), uop.Reg(2+s.seq%4)
 	}
 	s.seq++
 	return u

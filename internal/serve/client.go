@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"loadsched/internal/results"
@@ -24,6 +27,10 @@ const (
 	clientMaxRetryWait  = 2 * time.Second
 )
 
+// clientMaxLine bounds one stream line: a record line can carry a whole
+// figure's rows, so lines may grow to 16 MB.
+const clientMaxLine = 16 * 1024 * 1024
+
 // Client submits jobs to a loadsched serve endpoint and decodes the NDJSON
 // stream. The zero value is not usable; construct with NewClient.
 type Client struct {
@@ -33,6 +40,68 @@ type Client struct {
 	// count attempts without wall-clock sleeps.
 	retries int
 	sleep   func(time.Duration)
+
+	// lines is the stream reader a finished job leaves for the next, so
+	// a client running job after job reuses one read buffer and one line
+	// buffer grown to its longest line; a job that finds it taken by a
+	// concurrent one makes its own.
+	linesMu sync.Mutex
+	lines   *lineReader
+}
+
+// lineReader splits a job's stream into lines, assembling each in one
+// buffer that keeps its capacity from line to line and job to job.
+type lineReader struct {
+	br   *bufio.Reader
+	line []byte
+}
+
+// errLineTooLong reports a stream line beyond clientMaxLine.
+var errLineTooLong = errors.New("stream line longer than 16 MB")
+
+// next returns the next line without its newline, valid until the next
+// call, and io.EOF once the stream ends; a last line with no newline is
+// still returned.
+func (lr *lineReader) next() ([]byte, error) {
+	lr.line = lr.line[:0]
+	for {
+		frag, err := lr.br.ReadSlice('\n')
+		if len(lr.line)+len(frag) > clientMaxLine {
+			return nil, errLineTooLong
+		}
+		lr.line = append(lr.line, frag...)
+		switch {
+		case err == bufio.ErrBufferFull:
+			continue
+		case err == io.EOF && len(lr.line) > 0:
+			return lr.line, nil
+		case err != nil:
+			return nil, err
+		}
+		return lr.line[:len(lr.line)-1], nil
+	}
+}
+
+// takeLines returns a line reader over body: the one the client's last job
+// left, or a fresh one.
+func (c *Client) takeLines(body io.Reader) *lineReader {
+	c.linesMu.Lock()
+	lr := c.lines
+	c.lines = nil
+	c.linesMu.Unlock()
+	if lr == nil {
+		return &lineReader{br: bufio.NewReader(body)}
+	}
+	lr.br.Reset(body)
+	return lr
+}
+
+// putLines leaves lr for the client's next job.
+func (c *Client) putLines(lr *lineReader) {
+	lr.br.Reset(nil)
+	c.linesMu.Lock()
+	c.lines = lr
+	c.linesMu.Unlock()
 }
 
 // NewClient returns a client for the server's base URL ("host:port" is
@@ -103,13 +172,19 @@ func (c *Client) Do(job Job, onRecord func(results.Record) error) (*results.Runn
 		return nil, fmt.Errorf("serve client: %s", e.Error)
 	}
 
-	// The stream is line-framed JSON. A record line can carry a whole
-	// figure's rows, so lines may grow to 16 MB; the buffer starts at the
-	// scanner's default size and grows only for such a line.
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(nil, 16*1024*1024)
-	for sc.Scan() {
-		raw := bytes.TrimSpace(sc.Bytes())
+	// The stream is line-framed JSON, read through the client's reused
+	// line buffer.
+	lines := c.takeLines(resp.Body)
+	defer c.putLines(lines)
+	for {
+		b, err := lines.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("serve client: reading stream: %w", err)
+		}
+		raw := bytes.TrimSpace(b)
 		if len(raw) == 0 {
 			continue
 		}
@@ -134,9 +209,6 @@ func (c *Client) Do(job Job, onRecord func(results.Record) error) (*results.Runn
 				}
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("serve client: reading stream: %w", err)
 	}
 	return nil, fmt.Errorf("serve client: stream ended without a done line (server died mid-job?)")
 }

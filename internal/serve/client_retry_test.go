@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,11 +106,10 @@ func TestRetryWait(t *testing.T) {
 	}
 }
 
-// TestClientReadsLongRecordLine: the stream scanner starts small and grows,
-// so a record line far beyond its initial buffer (and beyond bufio's
-// default 64 KB token limit) still arrives whole.
-func TestClientReadsLongRecordLine(t *testing.T) {
-	cell := strings.Repeat("x", 200<<10)
+// longLineServer streams one table record whose single cell is cell, then
+// a done line, for every job.
+func longLineServer(t *testing.T, cell string) *httptest.Server {
+	t.Helper()
 	rec := results.Record{Schema: results.SchemaVersion, ID: "long", Kind: results.KindTable,
 		Title: "long line", Columns: []string{"cell"}, Rows: [][]string{{cell}}}
 	raw, err := json.Marshal(rec)
@@ -122,6 +123,15 @@ func TestClientReadsLongRecordLine(t *testing.T) {
 		_ = enc.Encode(Line{Done: &Done{Runner: results.RunnerCounters{Jobs: 1}}})
 	}))
 	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestClientReadsLongRecordLine: the stream's line buffer starts small and
+// grows, so a record line far beyond the read buffer (and beyond bufio's
+// default 64 KB token limit) still arrives whole.
+func TestClientReadsLongRecordLine(t *testing.T) {
+	cell := strings.Repeat("x", 200<<10)
+	srv := longLineServer(t, cell)
 	var got []results.Record
 	rc, err := NewClient(srv.URL).Do(Job{Command: "figure", Figures: []string{"5"}}, func(r results.Record) error {
 		got = append(got, r)
@@ -140,4 +150,50 @@ func TestClientReadsLongRecordLine(t *testing.T) {
 	if !ok || len(rows) != 1 || len(rows[0]) != 1 || rows[0][0] != cell {
 		t.Fatalf("long record arrived damaged (%d rows)", len(rows))
 	}
+}
+
+// TestClientRepeatJobsReuseLineBuffer: a client's first job grows its line
+// buffer to the stream's longest line and leaves it to the next job, so
+// each repeat job allocates less than the first by more than that line.
+// Jobs that share the client concurrently must each still read their own
+// stream whole.
+func TestClientRepeatJobsReuseLineBuffer(t *testing.T) {
+	// The line is long enough that growing a buffer to it outweighs what
+	// else a job allocates on either side of the connection.
+	cell := strings.Repeat("x", 2<<20)
+	c := NewClient(longLineServer(t, cell).URL)
+	job := Job{Command: "figure", Figures: []string{"5"}}
+	check := func(r results.Record) error {
+		if rows, ok := r.Rows.([][]string); !ok || len(rows) != 1 || len(rows[0]) != 1 || rows[0][0] != cell {
+			t.Error("long record arrived damaged")
+		}
+		return nil
+	}
+	allocated := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := c.Do(job, check); err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := allocated()
+	for i := 0; i < 3; i++ {
+		if again := allocated(); again+uint64(len(cell)) > first {
+			t.Fatalf("repeat job %d allocated %d bytes against the first job's %d; want at least the %d-byte line fewer",
+				i+1, again, first, len(cell))
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Do(job, check); err != nil {
+				t.Errorf("concurrent Do: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -22,7 +22,7 @@ func TestParamStoresMatchParamLoads(t *testing.T) {
 	matched, stores := 0, 0
 	byAddr := map[uint32]int{} // addr → stream position of the last STA
 	for i, u := range us {
-		switch u.Kind {
+		switch u.Kind() {
 		case uop.STA:
 			stores++
 			byAddr[u.Addr] = i
@@ -51,7 +51,7 @@ func TestStreamLoadsPeriodicPerIP(t *testing.T) {
 	// Find the stream load site with the most dynamic instances.
 	perIP := map[uint32][]uint32{}
 	for _, u := range us {
-		if a := uint64(u.Addr); u.Kind == uop.Load && a >= streamBase && a < chaseBase {
+		if a := uint64(u.Addr); u.Kind() == uop.Load && a >= streamBase && a < chaseBase {
 			perIP[u.IP] = append(perIP[u.IP], u.Addr)
 		}
 	}
@@ -187,7 +187,7 @@ func TestStoreIDsDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < m; i++ {
-			switch sid := sr.view.sids[i]; sr.view.us[i].Kind {
+			switch sid := sr.view.sids[i]; sr.view.us[i].Kind() {
 			case uop.STA:
 				if sid != last+1 {
 					t.Fatalf("record %d: STA id %d after %d", total+int64(i), sid, last)

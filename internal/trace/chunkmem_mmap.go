@@ -13,7 +13,7 @@ import (
 const offHeap = true
 
 // chunkUopBytes and chunkBytes size one chunk's mapping: its uops, then
-// its side-car entries (90,112 bytes, 22 pages of 4 KiB).
+// its side-car entries (65,536 bytes, 16 pages of 4 KiB).
 const (
 	chunkUopBytes = ChunkUops * int(unsafe.Sizeof(uop.UOp{}))
 	chunkBytes    = chunkUopBytes + ChunkUops*int(unsafe.Sizeof(uop.Dep{}))

@@ -2,31 +2,29 @@ package trace
 
 import "loadsched/internal/uop"
 
-// Static dependence side-car. Which uop produces a source register, and
-// which store is the youngest one older than a load, are properties of the
-// uop stream alone — no machine configuration changes them. Yet every
-// engine in a sweep would re-derive them per uop through private alias
-// tables and MOB bookkeeping. The side-car hoists that analysis to the
-// trace layer: one depAnalyzer pass per chunk — as a recording produces
-// the chunk, or as a file reader decodes it — yields a []uop.Dep that every
-// engine replaying the chunk consumes by plain indexing (see internal/ooo
-// frontend.go for the consumer contract).
+// Static dependence side-car. Which uop produces a source register is a
+// property of the uop stream alone — no machine configuration changes it.
+// Yet every engine in a sweep would re-derive it per uop through private
+// alias tables. The side-car hoists that analysis to the trace layer: one
+// depAnalyzer pass per chunk — as a recording produces the chunk, or as a
+// file reader decodes it — yields a []uop.Dep that every engine replaying
+// the chunk consumes by plain indexing (see internal/ooo frontend.go for
+// the consumer contract).
 //
 // Producer references are backward stream-position deltas, so they do
 // not depend on where in the stream the chunk sits, or on how often a file
-// replay has wrapped. Store references are deltas against a per-batch
-// store count, so they fit a uint16 even though the count grows without
-// bound.
+// replay has wrapped. A load's youngest older store has no entry: the
+// engine counts the STAs it renames, which gives the same id.
 
 // depSize is the in-memory footprint of one side-car entry, used for the
 // bytes/uop accounting surfaced by `trace info` and Recording.SidecarBytes.
-const depSize = int64(6)
+const depSize = int64(4)
 
 // depAnalyzer derives the side-car in one forward pass. It carries across
 // chunk boundaries: lastWrite, pos and stores persist for the whole stream
 // (and, in file replay, across wraps — producers can reach back through a
-// wrap exactly as they would in a register renamer), while stores is
-// snapshot per batch to form each batch's delta base.
+// wrap exactly as they would in a register renamer); stores is reported
+// per batch as the STAs before it.
 type depAnalyzer struct {
 	// pos is the stream position of the next uop to observe.
 	pos int64
@@ -47,7 +45,7 @@ func (a *depAnalyzer) observe(u *uop.UOp) {
 	if u.Dst != uop.NoReg {
 		a.lastWrite[u.Dst] = a.pos + 1
 	}
-	if u.Kind == uop.STA {
+	if u.Kind() == uop.STA {
 		a.stores++
 	}
 	a.pos++
@@ -68,17 +66,13 @@ func (a *depAnalyzer) backRef(r uop.Reg) uint16 {
 }
 
 // buildInto fills dst[:len(us)] with the side-car for us, advancing the
-// analyzer past every uop, and returns the batch's store base: the number
-// of STAs before it, which LastStore deltas are relative to. A batch of at
-// most ChunkUops uops holds at most that many STAs, so a delta always fits.
+// analyzer past every uop, and returns the number of STAs before the
+// batch, the third result of every NextBatchRef.
 func (a *depAnalyzer) buildInto(dst []uop.Dep, us []uop.UOp) int64 {
 	base := a.stores
 	for i := range us {
 		u := &us[i]
-		d := &dst[i]
-		d.Src1Back = a.backRef(u.Src1)
-		d.Src2Back = a.backRef(u.Src2)
-		d.LastStore = uint16(a.stores - base)
+		dst[i] = uop.Dep{Src1Back: a.backRef(u.Src1), Src2Back: a.backRef(u.Src2)}
 		a.observe(u)
 	}
 	return base
@@ -103,7 +97,7 @@ func NewBatches(src Source) *Batches {
 }
 
 // NextBatchRef returns the next ChunkUops uops with their side-car and the
-// store base the batch's Dep.LastStore deltas are relative to.
+// number of STAs before them.
 func (b *Batches) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
 	for i := range b.us {
 		b.us[i] = b.src.Next()

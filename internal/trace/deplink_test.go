@@ -16,7 +16,7 @@ type refDeps struct {
 	stores    int64                  // STAs so far: the youngest store's id
 }
 
-func (r *refDeps) expect(u *uop.UOp) (src1, src2 uint16, lastStore int64) {
+func (r *refDeps) expect(u *uop.UOp) (src1, src2 uint16) {
 	back := func(reg uop.Reg) uint16 {
 		if lw := r.lastWrite[reg]; lw != 0 {
 			if d := r.pos - lw + 1; d < uop.DepSaturated {
@@ -26,11 +26,11 @@ func (r *refDeps) expect(u *uop.UOp) (src1, src2 uint16, lastStore int64) {
 		}
 		return 0
 	}
-	src1, src2, lastStore = back(u.Src1), back(u.Src2), r.stores
+	src1, src2 = back(u.Src1), back(u.Src2)
 	if u.Dst != uop.NoReg {
 		r.lastWrite[u.Dst] = r.pos + 1
 	}
-	if u.Kind == uop.STA {
+	if u.Kind() == uop.STA {
 		r.stores++
 	}
 	r.pos++
@@ -38,7 +38,7 @@ func (r *refDeps) expect(u *uop.UOp) (src1, src2 uint16, lastStore int64) {
 }
 
 // TestCursorDepsMatchGroundTruth pins NextBatchRef — producer deltas and
-// absolute last-store ids — to a brute-force recomputation over
+// each batch's count of earlier STAs — to a brute-force recomputation over
 // the whole stream, across chunk boundaries and past the sharing cap into
 // the recycled private tail view.
 func TestCursorDepsMatchGroundTruth(t *testing.T) {
@@ -55,16 +55,15 @@ func TestCursorDepsMatchGroundTruth(t *testing.T) {
 		if n <= 0 || len(deps) != n {
 			t.Fatalf("NextBatchRef returned %d uops, %d deps", n, len(deps))
 		}
+		if base != ref.stores {
+			t.Fatalf("batch at uop %d: %d STAs before it, want %d", consumed, base, ref.stores)
+		}
 		for i := 0; i < n; i++ {
 			u, d := &buf[i], &deps[i]
-			s1, s2, ls := ref.expect(u)
+			s1, s2 := ref.expect(u)
 			if d.Src1Back != s1 || d.Src2Back != s2 {
 				t.Fatalf("uop %d: producer deltas (%d,%d), want (%d,%d)",
 					consumed+i, d.Src1Back, d.Src2Back, s1, s2)
-			}
-			if got := base + int64(d.LastStore); got != ls {
-				t.Fatalf("uop %d: last store %d (base %d + %d), want %d",
-					consumed+i, got, base, d.LastStore, ls)
 			}
 		}
 		consumed += n
@@ -151,14 +150,14 @@ func TestStreamReaderDepsMatchGroundTruth(t *testing.T) {
 		if n <= 0 || len(deps) != n {
 			t.Fatalf("NextBatchRef returned %d uops, %d deps", n, len(deps))
 		}
+		if base != ref.stores {
+			t.Fatalf("batch at uop %d: %d STAs before it, want %d", consumed, base, ref.stores)
+		}
 		for i := 0; i < n; i++ {
-			s1, s2, ls := ref.expect(&buf[i])
+			s1, s2 := ref.expect(&buf[i])
 			if deps[i].Src1Back != s1 || deps[i].Src2Back != s2 {
 				t.Fatalf("uop %d: producer deltas (%d,%d), want (%d,%d)",
 					consumed+i, deps[i].Src1Back, deps[i].Src2Back, s1, s2)
-			}
-			if got := base + int64(deps[i].LastStore); got != ls {
-				t.Fatalf("uop %d: last store %d, want %d", consumed+i, got, ls)
 			}
 		}
 		consumed += n
@@ -169,12 +168,12 @@ func TestStreamReaderDepsMatchGroundTruth(t *testing.T) {
 }
 
 // TestRecordingSidecarDensity pins the side-car's memory cost (the whole
-// recording's is TestRecordingFootprint): exactly 6 bytes per uop of
-// recorded chunk, and the Dep struct itself must stay at the 6 bytes the
+// recording's is TestRecordingFootprint): exactly 4 bytes per uop of
+// recorded chunk, and the Dep struct itself must stay at the 4 bytes the
 // accounting assumes.
 func TestRecordingSidecarDensity(t *testing.T) {
-	if sz := unsafe.Sizeof(uop.Dep{}); int64(sz) != depSize || depSize != 6 {
-		t.Fatalf("uop.Dep is %d bytes, accounting assumes %d, want 6", sz, depSize)
+	if sz := unsafe.Sizeof(uop.Dep{}); int64(sz) != depSize || depSize != 4 {
+		t.Fatalf("uop.Dep is %d bytes, accounting assumes %d, want 4", sz, depSize)
 	}
 	p := Profile{Name: "sidecar-density", Seed: 94}
 	c := Replay(p)
@@ -189,8 +188,8 @@ func TestRecordingSidecarDensity(t *testing.T) {
 		t.Fatalf("side-car bytes %d, want at least %d", built, int64(n)*depSize)
 	}
 	perUop := float64(built) / float64(r.Len())
-	if perUop > 6 {
-		t.Fatalf("side-car costs %.2f bytes/uop, want <= 6", perUop)
+	if perUop > 4 {
+		t.Fatalf("side-car costs %.2f bytes/uop, want <= 4", perUop)
 	}
 	t.Logf("side-car density: %.2f bytes/uop over %d uops", perUop, r.Len())
 }

@@ -42,8 +42,9 @@ import (
 // rejects violations. The writer numbers uops by stream position, and no
 // decoded uop.UOp carries the value: a uop's place in the stream is its
 // position. The reader likewise rejects register numbers at or beyond
-// uop.MaxArchRegs, which the dependence side-car indexes by, and IPs or
-// addresses that need more than 32 bits.
+// uop.MaxArchRegs, which the dependence side-car indexes by, IPs or
+// addresses that need more than 32 bits, and access sizes other than 0, 1,
+// 2, 4 and 8, which a uop's op byte has no code for.
 //
 // StoreIDs are in the format, but no decoded uop carries one either: the
 // engine numbers stores by rank at rename, and the open-time scan accepts a
@@ -97,7 +98,7 @@ func WriteTrace(w io.Writer, src Source, n int) error {
 		e.begin()
 		for i := 0; i < m; i++ {
 			u := src.Next()
-			e.add(&u, int64(done+i), storeID(&stas, u.Kind))
+			e.add(&u, int64(done+i), storeID(&stas, u.Kind()))
 		}
 		payload = e.seal().marshal(payload[:0])
 		binary.LittleEndian.PutUint32(frame[0:4], uint32(m))
@@ -166,24 +167,29 @@ func parseHeader(hdr [16]byte) (version uint16, count uint64, err error) {
 	return version, count, nil
 }
 
-// decodeV1Record decodes one v1 record into slot i of v: the uop, and the
-// Seq and StoreID the view keeps beside it. It fails when the record's IP
-// or address needs more than 32 bits.
-func (v *ChunkView) decodeV1Record(i int, rec *[recordSize]byte) error {
+// decodeV1Record decodes rec, the file's record number n, into slot i of v:
+// the uop, and the Seq and StoreID the view keeps beside it. It fails,
+// naming the record, when the kind is unknown, the access size has no code
+// in the uop's op byte, or the IP or address needs more than 32 bits.
+func (v *ChunkView) decodeV1Record(i int, n int64, rec *[recordSize]byte) error {
+	kind, size := uop.Kind(rec[32]), rec[36]
+	if int(kind) >= uop.NumKinds {
+		return fmt.Errorf("trace: record %d has invalid kind %d", n, kind)
+	}
+	if !uop.SizeCoded(size) {
+		return fmt.Errorf("trace: record %d has access size %d, which has no code", n, size)
+	}
 	ip, addr := binary.LittleEndian.Uint64(rec[8:16]), binary.LittleEndian.Uint64(rec[16:24])
 	if ip > math.MaxUint32 || addr > math.MaxUint32 {
-		return fmt.Errorf("ip %#x or address %#x beyond 32 bits", ip, addr)
+		return fmt.Errorf("trace: record %d has an ip %#x or address %#x beyond 32 bits", n, ip, addr)
 	}
 	v.us[i] = uop.UOp{
-		IP:           uint32(ip),
-		Addr:         uint32(addr),
-		Kind:         uop.Kind(rec[32]),
-		Dst:          uop.Reg(rec[33]),
-		Src1:         uop.Reg(rec[34]),
-		Src2:         uop.Reg(rec[35]),
-		Size:         rec[36],
-		Taken:        rec[37]&1 != 0,
-		Mispredicted: rec[37]&2 != 0,
+		IP:   uint32(ip),
+		Addr: uint32(addr),
+		Op:   uop.NewOp(kind, size).WithBranch(rec[37]&1 != 0, rec[37]&2 != 0),
+		Dst:  uop.Reg(rec[33]),
+		Src1: uop.Reg(rec[34]),
+		Src2: uop.Reg(rec[35]),
 	}
 	v.seqs[i] = int64(binary.LittleEndian.Uint64(rec[0:8]))
 	v.sids[i] = int64(binary.LittleEndian.Uint64(rec[24:32]))
@@ -192,9 +198,10 @@ func (v *ChunkView) decodeV1Record(i int, rec *[recordSize]byte) error {
 
 // readChunkFrame reads and verifies one v2 chunk (frame, payload, CRC) from
 // r into the caller's recycled payload buffer, then unmarshals and decodes
-// it through c into v. remaining caps the accepted population; the returned
-// n is the chunk's uop count.
-func readChunkFrame(r io.Reader, payload *[]byte, c *packedChunk, v *ChunkView, remaining uint64) (int, error) {
+// it through c into v. first is the file record number of the chunk's first
+// uop and remaining caps the accepted population; the returned n is the
+// chunk's uop count.
+func readChunkFrame(r io.Reader, payload *[]byte, c *packedChunk, v *ChunkView, first int64, remaining uint64) (int, error) {
 	var frame [frameSize]byte
 	if _, err := io.ReadFull(r, frame[:]); err != nil {
 		return 0, fmt.Errorf("truncated frame: %w", err)
@@ -227,7 +234,7 @@ func readChunkFrame(r io.Reader, payload *[]byte, c *packedChunk, v *ChunkView, 
 	if c.n != int(n) {
 		return 0, fmt.Errorf("frame population %d disagrees with payload population %d", n, c.n)
 	}
-	if err := c.decode(v); err != nil {
+	if err := c.decode(v, first); err != nil {
 		return 0, err
 	}
 	return int(n), nil
@@ -237,10 +244,10 @@ func readChunkFrame(r io.Reader, payload *[]byte, c *packedChunk, v *ChunkView, 
 // chunk is resident at a time, recycled through a single payload buffer
 // and view, so replaying a billion-uop file costs the same RSS as a
 // thousand-uop one. Construction validates the whole file — structure,
-// CRCs, kinds, registers, 32-bit IPs and addresses, Seq monotonicity and
-// store numbering — in one bounded-memory pass, so Next (which has no
-// error to return under the Source contract) can only fail on an I/O
-// fault, which panics. Next wraps around at the end of a pass, so the
+// CRCs, kinds, access sizes, registers, 32-bit IPs and addresses, Seq
+// monotonicity and store numbering — in one bounded-memory pass, so Next
+// (which has no error to return under the Source contract) can only fail
+// on an I/O fault, which panics. Next wraps around at the end of a pass, so the
 // reader satisfies the engine's unbounded Source contract. Not safe for
 // concurrent use.
 type StreamReader struct {
@@ -270,7 +277,7 @@ type StreamReader struct {
 	// so side-car replay stays constant-RSS.
 	an       depAnalyzer
 	deps     []uop.Dep
-	depBase  int64 // store base for the current chunk's deltas
+	depBase  int64 // STAs before the current chunk
 	depUops  int64 // uops whose side-car has been built (across wraps)
 	depNanos int64 // cumulative side-car build time
 
@@ -322,8 +329,10 @@ func StreamTraceFile(path string) (*StreamReader, error) {
 
 // scan is the open-time validation pass: it streams every chunk through
 // the recycled buffers exactly as replay will, verifying structure, CRCs,
-// kinds, registers, Seq monotonicity and store numbering, and fixes the
-// replay pass and the metadata trace info reports.
+// kinds, access sizes, registers, Seq monotonicity and store numbering, and
+// fixes the replay pass and the metadata trace info reports. Decoding a
+// chunk checks kinds, access sizes, IPs and addresses, since the op byte
+// has no room for a kind or size it cannot name.
 func (r *StreamReader) scan() error {
 	var prevSeq, stas int64
 	open := int64(-1) // position of an STA still awaiting its STD
@@ -334,9 +343,6 @@ func (r *StreamReader) scan() error {
 		}
 		for i := 0; i < n; i++ {
 			u, rec := r.view.UOp(i), total+int64(i)
-			if int(u.Kind) >= uop.NumKinds {
-				return fmt.Errorf("trace: record %d has invalid kind %d", rec, u.Kind)
-			}
 			if u.Dst >= uop.MaxArchRegs || u.Src1 >= uop.MaxArchRegs || u.Src2 >= uop.MaxArchRegs {
 				return fmt.Errorf("trace: record %d names a register beyond r%d", rec, uop.MaxArchRegs-1)
 			}
@@ -350,7 +356,7 @@ func (r *StreamReader) scan() error {
 			// The engine numbers stores by rank and links an STD to the
 			// STA before it; a file whose ids say otherwise is refused.
 			sid, want := r.view.sids[i], int64(0)
-			switch u.Kind {
+			switch u.Kind() {
 			case uop.STA:
 				if open >= 0 {
 					return fmt.Errorf("trace: record %d is an STA, but the STA at record %d has no STD yet", rec, open)
@@ -364,9 +370,9 @@ func (r *StreamReader) scan() error {
 				want, open = stas, -1
 			}
 			if sid != want {
-				return fmt.Errorf("trace: record %d (%s) carries StoreID %d, want %d", rec, u.Kind, sid, want)
+				return fmt.Errorf("trace: record %d (%s) carries StoreID %d, want %d", rec, u.Kind(), sid, want)
 			}
-			r.kinds[u.Kind]++
+			r.kinds[u.Kind()]++
 		}
 		total += int64(n)
 		r.chunks++
@@ -397,14 +403,14 @@ func (r *StreamReader) readChunk(consumed int64) (int, error) {
 			if _, err := io.ReadFull(r.br, rec[:]); err != nil {
 				return 0, fmt.Errorf("trace: truncated at record %d: %w", consumed+int64(i), err)
 			}
-			if err := r.view.decodeV1Record(i, &rec); err != nil {
-				return 0, fmt.Errorf("trace: record %d has an %w", consumed+int64(i), err)
+			if err := r.view.decodeV1Record(i, consumed+int64(i), &rec); err != nil {
+				return 0, err
 			}
 		}
 		r.payloadBytes += n * recordSize
 		return int(n), nil
 	}
-	n, err := readChunkFrame(r.br, &r.payload, &r.pc, &r.view, uint64(r.count-consumed))
+	n, err := readChunkFrame(r.br, &r.payload, &r.pc, &r.view, consumed, uint64(r.count-consumed))
 	if err != nil {
 		return 0, fmt.Errorf("trace: chunk at uop %d: %w", consumed, err)
 	}
@@ -510,7 +516,7 @@ func (r *StreamReader) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
 }
 
 // SidecarBytes reports the cumulative side-car footprint built during
-// replay so far (6 bytes per replayed uop; the resident buffer is one
+// replay so far (4 bytes per replayed uop; the resident buffer is one
 // recycled chunk's worth).
 func (r *StreamReader) SidecarBytes() int64 { return r.depUops * depSize }
 

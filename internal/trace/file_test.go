@@ -46,7 +46,7 @@ func TestReaderWrapsAround(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Collect(p, n)
-	if want[n-1].Kind == uop.STA {
+	if want[n-1].Kind() == uop.STA {
 		want = want[:n-1] // the pass ends before a cut store
 	}
 	rd, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
@@ -69,7 +69,7 @@ func TestReaderEndsPassBeforeCutStore(t *testing.T) {
 	p := testProfile()
 	us := Collect(p, 3*ChunkUops)
 	n := len(us)
-	for us[n-1].Kind != uop.STA {
+	for us[n-1].Kind() != uop.STA {
 		n--
 	}
 	if n%ChunkUops == 0 {
@@ -115,10 +115,10 @@ func TestReaderEndsPassBeforeCutStore(t *testing.T) {
 // its MOB by the ids a file carried.
 func storeCycle(n int, id int64, staFirst bool) ([]uop.UOp, []int64) {
 	cycle := []uop.UOp{
-		{IP: 0x400000, Kind: uop.STD, Src1: 1},
-		{IP: 0x400004, Kind: uop.Load, Dst: 2, Addr: 0x8000, Size: 8},
-		{IP: 0x400008, Kind: uop.IntALU, Dst: 1, Src1: 2},
-		{IP: 0x40000c, Kind: uop.STA, Addr: 0x8000, Size: 8},
+		{IP: 0x400000, Op: uop.NewOp(uop.STD, 0), Src1: 1},
+		{IP: 0x400004, Op: uop.NewOp(uop.Load, 8), Dst: 2, Addr: 0x8000},
+		{IP: 0x400008, Op: uop.NewOp(uop.IntALU, 0), Dst: 1, Src1: 2},
+		{IP: 0x40000c, Op: uop.NewOp(uop.STA, 8), Addr: 0x8000},
 	}
 	if staFirst {
 		cycle = append(cycle[3:], cycle[:3]...)
@@ -126,7 +126,7 @@ func storeCycle(n int, id int64, staFirst bool) ([]uop.UOp, []int64) {
 	us, sids := make([]uop.UOp, n), make([]int64, n)
 	for i := range us {
 		us[i] = cycle[i%len(cycle)]
-		if us[i].Kind.IsStorePart() {
+		if us[i].Kind().IsStorePart() {
 			sids[i] = id
 		}
 	}
@@ -150,9 +150,10 @@ func hostileStoreFiles(tb testing.TB) [][]byte {
 
 // TestReaderRefusesHostileStoreIDs: the engine numbers stores by rank at
 // rename, so a file's StoreIDs must say the same — the k-th STA carries k,
-// the next store half is its STD with the same id, every other uop 0 — and
-// its IPs and addresses must fit 32 bits. Each file breaking a rule is
-// refused at open, and the error names the record.
+// the next store half is its STD with the same id, every other uop 0 — its
+// IPs and addresses must fit 32 bits, and its access sizes must be ones a
+// uop's op byte can hold. Each file breaking a rule is refused at open, and
+// the error names the record.
 func TestReaderRefusesHostileStoreIDs(t *testing.T) {
 	hostile := hostileStoreFiles(t)
 	v2 := func(us []uop.UOp, sids []int64) []byte {
@@ -167,7 +168,7 @@ func TestReaderRefusesHostileStoreIDs(t *testing.T) {
 		sids := make([]int64, len(us))
 		var stas int64
 		for i := range us {
-			sids[i] = storeID(&stas, us[i].Kind)
+			sids[i] = storeID(&stas, us[i].Kind())
 		}
 		mutate(us, sids)
 		return v2(us, sids)
@@ -180,6 +181,11 @@ func TestReaderRefusesHostileStoreIDs(t *testing.T) {
 	v1Wide := func(off int) []byte {
 		data := append([]byte{}, v1.Bytes()...)
 		binary.LittleEndian.PutUint64(data[16+5*recordSize+off:], 1<<32)
+		return data
+	}
+	v1Size := func(rec int, size byte) []byte {
+		data := append([]byte{}, v1.Bytes()...)
+		data[16+rec*recordSize+36] = size
 		return data
 	}
 	wideChunk := func(mutate func(c *packedChunk)) []byte {
@@ -208,12 +214,15 @@ func TestReaderRefusesHostileStoreIDs(t *testing.T) {
 			"record 1 (std) carries StoreID 2, want 1"},
 		{"load carries an id", ranked(func(_ []uop.UOp, sids []int64) { sids[2] = 1 }),
 			"record 2 (ld) carries StoreID 1, want 0"},
-		{"two STAs in a row", ranked(func(us []uop.UOp, sids []int64) { us[1].Kind, sids[1] = uop.STA, 2 }),
+		{"two STAs in a row", ranked(func(us []uop.UOp, sids []int64) { us[1].Op, sids[1] = uop.NewOp(uop.STA, 0), 2 }),
 			"record 1 is an STA, but the STA at record 0 has no STD yet"},
 		{"v1 ip beyond 32 bits", v1Wide(8), "record 5 has an ip 0x100000000"},
 		{"v1 address beyond 32 bits", v1Wide(16), "record 5 has an ip"},
 		{"v2 ip beyond 32 bits", wideChunk(func(c *packedChunk) { c.baseIP += 1 << 32 }), "uop 0 has ip 0x1"},
 		{"v2 address beyond 32 bits", wideChunk(func(c *packedChunk) { c.baseAddr += 1 << 32 }), "address 0x1"},
+		{"v1 access size without a code", v1Size(5, 3), "record 5 has access size 3, which has no code"},
+		{"v2 access size without a code", wideChunk(func(c *packedChunk) { c.sizes[5] = 16 }),
+			"record 5 has access size 16, which has no code"},
 	} {
 		_, err := NewStreamReader(bytes.NewReader(tc.data))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

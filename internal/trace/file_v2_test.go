@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"loadsched/internal/uop"
 )
 
 // TestV1V2CrossDecode pins cross-version equivalence: the same stream
@@ -41,6 +43,43 @@ func TestV1V2CrossDecode(t *testing.T) {
 		a, b := r1.Next(), r2.Next()
 		if a != b {
 			t.Fatalf("uop %d: v1 %+v, v2 %+v", i, a, b)
+		}
+	}
+}
+
+// TestBuiltinFirstChunkRoundTrip carries every field of each built-in
+// profile's first chunk through the op byte and through a v2 file: each
+// uop's kind, access size and branch flags rebuild its op byte, its access
+// size is one the generator emits (0 or 8), and the file replays every uop
+// field for field. The file holds one uop more than the chunk, so a chunk
+// that ends on an STA is not cut off before its STD.
+func TestBuiltinFirstChunkRoundTrip(t *testing.T) {
+	for _, g := range Groups() {
+		for _, p := range g.Traces {
+			us := Collect(p, ChunkUops)
+			for i := range us {
+				u := &us[i]
+				if s := u.Size(); s != 0 && s != wordSize {
+					t.Fatalf("%s/%s uop %d: access size %d, the generator emits 0 or %d", g.Name, p.Name, i, s, wordSize)
+				}
+				if op := uop.NewOp(u.Kind(), u.Size()).WithBranch(u.Taken(), u.Mispredicted()); op != u.Op {
+					t.Fatalf("%s/%s uop %d: fields %s size %d taken %v mispredicted %v rebuild op %#x, want %#x",
+						g.Name, p.Name, i, u.Kind(), u.Size(), u.Taken(), u.Mispredicted(), op, u.Op)
+				}
+			}
+			var buf bytes.Buffer
+			if err := WriteTrace(&buf, New(p), ChunkUops+1); err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", g.Name, p.Name, err)
+			}
+			for i := range us {
+				if got := r.Next(); got != us[i] {
+					t.Fatalf("%s/%s uop %d: file replays %+v, want %+v", g.Name, p.Name, i, got, us[i])
+				}
+			}
 		}
 	}
 }

@@ -208,17 +208,16 @@ func (g *Generator) step(f *frameState, u *uop.UOp) bool {
 func (g *Generator) materialize(su *staticUOp, f *frameState, u *uop.UOp) {
 	*u = uop.UOp{
 		IP:   su.ip,
-		Kind: su.kind,
+		Op:   uop.NewOp(su.kind, wordSize),
 		Dst:  su.dst,
 		Src1: su.src1,
 		Src2: su.src2,
-		Size: wordSize,
 	}
 	switch su.kind {
 	case uop.Load, uop.STA:
 		u.Addr = uint32(g.address(su, f))
 	case uop.Branch:
-		u.Taken = true // call/return transfers; conditionals use materializeBranch
+		u.Op = u.Op.WithBranch(true, false) // call/return transfers; conditionals use materializeBranch
 	}
 }
 
@@ -235,15 +234,15 @@ func (g *Generator) materializeParamStore(su *staticUOp, f *frameState, callee *
 // materializeBranch resolves a conditional branch's direction and models the
 // front-end predictor to set the Mispredicted flag.
 func (g *Generator) materializeBranch(su *staticUOp, f *frameState, u *uop.UOp) {
-	*u = uop.UOp{IP: su.ip, Kind: uop.Branch, Src1: su.src1}
+	var taken bool
 	if su.loopBranch {
-		u.Taken = f.iter+1 < f.iters
+		taken = f.iter+1 < f.iters
 	} else {
-		u.Taken = g.rng.Float64() < su.takenBias
+		taken = g.rng.Float64() < su.takenBias
 	}
 	pred := g.bpred.Predict(uint64(su.ip))
-	u.Mispredicted = pred.Taken != u.Taken
-	g.bpred.Update(uint64(su.ip), u.Taken)
+	*u = uop.UOp{IP: su.ip, Op: uop.NewOp(uop.Branch, 0).WithBranch(taken, pred.Taken != taken), Src1: su.src1}
+	g.bpred.Update(uint64(su.ip), taken)
 }
 
 // address synthesizes the effective address of a memory uop.

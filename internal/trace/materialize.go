@@ -15,8 +15,8 @@ import (
 // over it, so N configs per figure pay one generation instead of N.
 //
 // A recording holds each chunk of ChunkUops uops once, in the form every
-// replay reads: a flat []uop.UOp (16 bytes/uop) and its dependence
-// side-car in lockstep (6 bytes/uop, see deplink.go), 22 bytes a uop in
+// replay reads: a flat []uop.UOp (12 bytes/uop) and its dependence
+// side-car in lockstep (4 bytes/uop, see deplink.go), 16 bytes a uop in
 // all. A chunk is produced in one step — the generator writes each uop in
 // place into its chunk slot and the recording's analyzer links them right
 // after — and steady-state replay is an index walk that touches no
@@ -34,8 +34,8 @@ import (
 // a chunk that does not exist yet; a chunk, once observed, is permanent.
 
 // maxSharedUops bounds the per-profile recording (a variable so tests can
-// shrink it). At the default 1<<20 a recording tops out at 16 MiB of uops
-// plus 6 MiB of side-car; a cursor that runs past the cap falls back to a
+// shrink it). At the default 1<<20 a recording tops out at 12 MiB of uops
+// plus 4 MiB of side-car; a cursor that runs past the cap falls back to a
 // private generator feeding recycled private buffers — paying one
 // status-quo generation for that outlier run instead of growing the shared
 // recording without bound.
@@ -63,9 +63,8 @@ type Recording struct {
 }
 
 // recChunk is one published chunk: its uops, their side-car entry for
-// entry, and the store base the side-car's LastStore deltas are relative
-// to. Immutable once published. mem is the mapping us and deps live in,
-// nil for a chunk on the Go heap.
+// entry, and the number of STAs before it. Immutable once published. mem
+// is the mapping us and deps live in, nil for a chunk on the Go heap.
 type recChunk struct {
 	us        []uop.UOp
 	deps      []uop.Dep
@@ -143,7 +142,7 @@ func (r *Recording) Len() int {
 // holds each chunk once, flat.
 func (r *Recording) PackedBytes() int64 { return 0 }
 
-// SidecarBytes reports the footprint of the recorded side-car: 6 bytes
+// SidecarBytes reports the footprint of the recorded side-car: 4 bytes
 // per recorded uop.
 func (r *Recording) SidecarBytes() int64 { return int64(r.Len()) * depSize }
 
@@ -161,9 +160,9 @@ type Cursor struct {
 	base int // stream position of us[0]
 	i    int // next index within us
 	// deps mirrors us entry for entry with the chunk's dependence
-	// side-car; depBase is the store base its LastStore deltas are
-	// relative to. Wired on every advance — shared chunks carry their own,
-	// the tail takes the adapter's recycled buffers.
+	// side-car; depBase is the number of STAs before the chunk. Wired on
+	// every advance — shared chunks carry their own, the tail takes the
+	// adapter's recycled buffers.
 	deps    []uop.Dep
 	depBase int64
 	// tail streams the portion beyond the sharing cap from a private
@@ -188,11 +187,11 @@ func (c *Cursor) Next() uop.UOp {
 }
 
 // NextBatchRef returns the remainder of the current chunk as direct views
-// — the uops, their side-car entries in lockstep, and the store base the
-// batch's Dep.LastStore deltas are relative to — consuming it all. The
-// slices stay valid until the next call on this cursor and must be treated
-// as read-only: shared recording chunks back them for every consumer at
-// once. This is the engine fetch path's refill seam (ooo.Source).
+// — the uops, their side-car entries in lockstep, and the number of STAs
+// before the chunk — consuming it all. The slices stay valid until the
+// next call on this cursor and must be treated as read-only: shared
+// recording chunks back them for every consumer at once. This is the
+// engine fetch path's refill seam (ooo.Source).
 func (c *Cursor) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
 	if c.i == len(c.us) {
 		c.advance()

@@ -29,7 +29,8 @@ import (
 // open-time scan in side columns, and the scan checks that Seq strictly
 // increases and that the StoreIDs number the stores as the engine does at
 // rename. IPs and addresses are 64-bit in the format and must fit 32 bits
-// to decode. Synthetic traces pack to ~8 bytes/uop on disk, against 16
+// to decode, and a size byte must be one the uop's op byte can hold (0,
+// 1, 2, 4 or 8). Synthetic traces pack to ~8 bytes/uop on disk, against 12
 // for a flat uop.UOp. Each chunk also carries the absolute base values of
 // its first uop, so chunks decode independently of one another; that
 // independence is what lets the stream reader replay a file one recycled
@@ -108,10 +109,10 @@ func (e *chunkEncoder) add(u *uop.UOp, seq, sid int64) {
 	c := e.c
 	ip, addr := uint64(u.IP), uint64(u.Addr)
 	var f byte
-	if u.Taken {
+	if u.Taken() {
 		f |= pfTaken
 	}
-	if u.Mispredicted {
+	if u.Mispredicted() {
 		f |= pfMispredicted
 	}
 	if addr != 0 {
@@ -120,11 +121,11 @@ func (e *chunkEncoder) add(u *uop.UOp, seq, sid int64) {
 	if sid != 0 {
 		f |= pfHasStore
 	}
-	c.kinds = append(c.kinds, byte(u.Kind))
+	c.kinds = append(c.kinds, byte(u.Kind()))
 	c.dsts = append(c.dsts, byte(u.Dst))
 	c.src1s = append(c.src1s, byte(u.Src1))
 	c.src2s = append(c.src2s, byte(u.Src2))
-	c.sizes = append(c.sizes, u.Size)
+	c.sizes = append(c.sizes, u.Size())
 	c.flags = append(c.flags, f)
 	if c.n == 0 {
 		c.baseSeq, c.baseIP = seq, ip
@@ -199,9 +200,11 @@ func (v *ChunkView) grow(n int) []uop.UOp {
 }
 
 // decode expands c into v, reusing v's backing storage when it is large
-// enough. Nothing in the decoded view aliases c or the payload it was
-// unmarshaled from, so callers may recycle payload buffers immediately.
-func (c *packedChunk) decode(v *ChunkView) error {
+// enough. rec0 is the file record number of the chunk's first uop, which
+// a refused access size names. Nothing in the decoded view aliases c or the
+// payload it was unmarshaled from, so callers may recycle payload buffers
+// immediately. Kinds and flag bits were checked at unmarshal.
+func (c *packedChunk) decode(v *ChunkView, rec0 int64) error {
 	n := c.n
 	us := v.grow(n)
 	kinds := c.kinds[:n]
@@ -211,15 +214,15 @@ func (c *packedChunk) decode(v *ChunkView) error {
 	sizes := c.sizes[:n]
 	flags := c.flags[:n]
 	for i := range us {
+		if !uop.SizeCoded(sizes[i]) {
+			return fmt.Errorf("trace: record %d has access size %d, which has no code", rec0+int64(i), sizes[i])
+		}
 		f := flags[i]
 		us[i] = uop.UOp{
-			Kind:         uop.Kind(kinds[i]),
-			Dst:          uop.Reg(dsts[i]),
-			Src1:         uop.Reg(src1s[i]),
-			Src2:         uop.Reg(src2s[i]),
-			Size:         sizes[i],
-			Taken:        f&pfTaken != 0,
-			Mispredicted: f&pfMispredicted != 0,
+			Op:   uop.NewOp(uop.Kind(kinds[i]), sizes[i]).WithBranch(f&pfTaken != 0, f&pfMispredicted != 0),
+			Dst:  uop.Reg(dsts[i]),
+			Src1: uop.Reg(src1s[i]),
+			Src2: uop.Reg(src2s[i]),
 		}
 	}
 

@@ -16,7 +16,7 @@ func packUops(us []uop.UOp, seqs, sids []int64) *packedChunk {
 	var stas int64
 	e.begin()
 	for i := range us {
-		seq, sid := int64(i), storeID(&stas, us[i].Kind)
+		seq, sid := int64(i), storeID(&stas, us[i].Kind())
 		if seqs != nil {
 			seq = seqs[i]
 		}
@@ -46,7 +46,7 @@ func TestPackedChunkRoundTrip(t *testing.T) {
 			t.Fatalf("unmarshal chunk at %d: %v", off, err)
 		}
 		var v ChunkView
-		if err := c.decode(&v); err != nil {
+		if err := c.decode(&v, 0); err != nil {
 			t.Fatalf("decode chunk at %d: %v", off, err)
 		}
 		if v.Len() != len(us) {
@@ -78,7 +78,7 @@ func TestPackedNonDenseSeq(t *testing.T) {
 		t.Fatal("gapped Seq chunk marked dense")
 	}
 	var v ChunkView
-	if err := c.decode(&v); err != nil {
+	if err := c.decode(&v, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range us {
@@ -102,7 +102,7 @@ func TestUnmarshalChunkRejectsCorruption(t *testing.T) {
 		err := unmarshalChunk(payload, &c, ChunkUops)
 		if err == nil {
 			var v ChunkView
-			err = c.decode(&v)
+			err = c.decode(&v, 0)
 		}
 		if err == nil {
 			t.Errorf("%s: corrupt payload accepted", name)
@@ -124,14 +124,14 @@ func TestUnmarshalChunkRejectsCorruption(t *testing.T) {
 		var c packedChunk
 		if err := unmarshalChunk(mangled, &c, ChunkUops); err == nil {
 			var v ChunkView
-			_ = c.decode(&v)
+			_ = c.decode(&v, 0)
 		}
 		mangled[i] = save
 	}
 }
 
 // TestRecordingFootprint pins what a recording holds: each chunk once,
-// as flat uops plus side-car (22 bytes/uop), with no packed copy beside
+// as flat uops plus side-car (16 bytes/uop), with no packed copy beside
 // them. The accounted bytes must say so, and the live heap must hold no
 // chunk where chunks are mapped outside it.
 func TestRecordingFootprint(t *testing.T) {
@@ -160,8 +160,8 @@ func TestRecordingFootprint(t *testing.T) {
 		t.Fatalf("recording holds %d packed bytes, want none", b)
 	}
 	perUop := float64(int64(r.Len())*int64(unsafe.Sizeof(uop.UOp{}))+r.SidecarBytes()) / float64(r.Len())
-	if perUop > 22 {
-		t.Fatalf("recording accounts %.2f bytes/uop, want <= 22 (flat uops + side-car)", perUop)
+	if perUop > 16 {
+		t.Fatalf("recording accounts %.2f bytes/uop, want <= 16 (flat uops + side-car)", perUop)
 	}
 	// The live heap holds the generator, the chunk slots and, where
 	// chunks stay on the heap, the chunks themselves; a chunk mapped back
@@ -170,7 +170,7 @@ func TestRecordingFootprint(t *testing.T) {
 	// under this bound.
 	bound := 2.0
 	if !offHeap {
-		bound += 22
+		bound += 16
 	}
 	if live > bound {
 		t.Fatalf("recording retains %.2f heap bytes/uop, want <= %.0f", live, bound)

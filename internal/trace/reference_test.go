@@ -34,9 +34,6 @@ func decodeTraceFile(data []byte) ([]uop.UOp, error) {
 	var prevSeq int64
 	add := func(v *ChunkView, i int) error {
 		u, seq := v.UOp(i), v.seqs[i]
-		if int(u.Kind) >= uop.NumKinds {
-			return fmt.Errorf("record %d has invalid kind %d", len(us), u.Kind)
-		}
 		if u.Dst >= uop.MaxArchRegs || u.Src1 >= uop.MaxArchRegs || u.Src2 >= uop.MaxArchRegs {
 			return fmt.Errorf("record %d names a register beyond r%d", len(us), uop.MaxArchRegs-1)
 		}
@@ -56,7 +53,7 @@ func decodeTraceFile(data []byte) ([]uop.UOp, error) {
 			if _, err := io.ReadFull(r, rec[:]); err != nil {
 				return nil, fmt.Errorf("truncated at record %d: %w", len(us), err)
 			}
-			if err := v.decodeV1Record(0, &rec); err != nil {
+			if err := v.decodeV1Record(0, int64(len(us)), &rec); err != nil {
 				return nil, err
 			}
 			if err := add(&v, 0); err != nil {
@@ -69,7 +66,7 @@ func decodeTraceFile(data []byte) ([]uop.UOp, error) {
 	var c packedChunk
 	var v ChunkView
 	for uint64(len(us)) < count {
-		n, err := readChunkFrame(r, &payload, &c, &v, count-uint64(len(us)))
+		n, err := readChunkFrame(r, &payload, &c, &v, int64(len(us)), count-uint64(len(us)))
 		if err != nil {
 			return nil, fmt.Errorf("chunk at uop %d: %w", len(us), err)
 		}
@@ -90,7 +87,7 @@ func decodeTraceFile(data []byte) ([]uop.UOp, error) {
 func checkStoreIDs(us []uop.UOp, sids []int64) ([]uop.UOp, error) {
 	var halves []int
 	for i, u := range us {
-		if u.Kind.IsStorePart() {
+		if u.Kind().IsStorePart() {
 			halves = append(halves, i)
 		} else if sids[i] != 0 {
 			return nil, fmt.Errorf("record %d is no store half but carries StoreID %d", i, sids[i])
@@ -101,8 +98,8 @@ func checkStoreIDs(us []uop.UOp, sids []int64) ([]uop.UOp, error) {
 		if j%2 == 1 {
 			want = uop.STD
 		}
-		if us[i].Kind != want || sids[i] != int64(j/2+1) {
-			return nil, fmt.Errorf("record %d is %s #%d, want %s #%d", i, us[i].Kind, sids[i], want, j/2+1)
+		if us[i].Kind() != want || sids[i] != int64(j/2+1) {
+			return nil, fmt.Errorf("record %d is %s #%d, want %s #%d", i, us[i].Kind(), sids[i], want, j/2+1)
 		}
 	}
 	if len(halves)%2 == 1 {
@@ -140,17 +137,17 @@ func writeTraceV1(w io.Writer, src Source, n int) error {
 		binary.LittleEndian.PutUint64(rec[0:8], uint64(i))
 		binary.LittleEndian.PutUint64(rec[8:16], uint64(u.IP))
 		binary.LittleEndian.PutUint64(rec[16:24], uint64(u.Addr))
-		binary.LittleEndian.PutUint64(rec[24:32], uint64(storeID(&stas, u.Kind)))
-		rec[32] = byte(u.Kind)
+		binary.LittleEndian.PutUint64(rec[24:32], uint64(storeID(&stas, u.Kind())))
+		rec[32] = byte(u.Kind())
 		rec[33] = byte(u.Dst)
 		rec[34] = byte(u.Src1)
 		rec[35] = byte(u.Src2)
-		rec[36] = u.Size
+		rec[36] = u.Size()
 		var flags byte
-		if u.Taken {
+		if u.Taken() {
 			flags |= 1
 		}
-		if u.Mispredicted {
+		if u.Mispredicted() {
 			flags |= 2
 		}
 		rec[37] = flags

@@ -46,7 +46,7 @@ func TestSeqDense(t *testing.T) {
 	var c packedChunk
 	var v ChunkView
 	for total := 0; total < n; {
-		m, err := readChunkFrame(r, &payload, &c, &v, uint64(n-total))
+		m, err := readChunkFrame(r, &payload, &c, &v, int64(total), uint64(n-total))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +70,11 @@ func TestSTAAlwaysPrecedesSTD(t *testing.T) {
 	stores := 0
 	want := uop.STA
 	for i, u := range us {
-		if !u.Kind.IsStorePart() {
+		if !u.Kind().IsStorePart() {
 			continue
 		}
-		if u.Kind != want {
-			t.Fatalf("uop %d: %s where the next store half must be an %s", i, u.Kind, want)
+		if u.Kind() != want {
+			t.Fatalf("uop %d: %s where the next store half must be an %s", i, u.Kind(), want)
 		}
 		if want == uop.STA {
 			stores++
@@ -104,7 +104,7 @@ func TestInstructionMixPlausible(t *testing.T) {
 	us := Collect(testProfile(), 100000)
 	counts := map[uop.Kind]int{}
 	for _, u := range us {
-		counts[u.Kind]++
+		counts[u.Kind()]++
 	}
 	n := float64(len(us))
 	loadFrac := float64(counts[uop.Load]) / n
@@ -138,7 +138,7 @@ func TestLoadsRecur(t *testing.T) {
 	ips := map[uint32]int{}
 	loads := 0
 	for _, u := range us {
-		if u.Kind == uop.Load {
+		if u.Kind() == uop.Load {
 			ips[u.IP]++
 			loads++
 		}
@@ -159,7 +159,7 @@ func TestStoreLoadPairsExist(t *testing.T) {
 	lastStore := map[uint32]int{} // addr → stream position of the last STA
 	pairs := 0
 	for i, u := range us {
-		switch u.Kind {
+		switch u.Kind() {
 		case uop.STA:
 			lastStore[u.Addr] = i
 		case uop.Load:
@@ -177,9 +177,9 @@ func TestBranchMispredictRatePlausible(t *testing.T) {
 	us := Collect(testProfile(), 100000)
 	branches, mispredicts := 0, 0
 	for _, u := range us {
-		if u.Kind == uop.Branch {
+		if u.Kind() == uop.Branch {
 			branches++
-			if u.Mispredicted {
+			if u.Mispredicted() {
 				mispredicts++
 			}
 		}
@@ -286,7 +286,7 @@ func TestGroupTracesDiffer(t *testing.T) {
 	b := Collect(g.Traces[1], 2000)
 	same := 0
 	for i := range a {
-		if a[i].IP == b[i].IP && a[i].Kind == b[i].Kind {
+		if a[i].IP == b[i].IP && a[i].Kind() == b[i].Kind() {
 			same++
 		}
 	}

@@ -6,7 +6,10 @@
 // the next store half, its STD, belongs to the same store.
 package uop
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Kind identifies the execution class of a uop. The class determines which
 // execution port can service it and its base latency.
@@ -57,10 +60,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// IsMem reports whether the uop accesses the memory pipeline (Load or STA).
-// STD uses a store-data port internally but does not address memory.
-func (k Kind) IsMem() bool { return k == Load || k == STA }
-
 // IsStorePart reports whether the uop is one half of a store.
 func (k Kind) IsStorePart() bool { return k == STA || k == STD }
 
@@ -78,12 +77,14 @@ const MaxArchRegs = 64
 
 // UOp is one dynamic micro-operation in a trace. Fields that do not apply to
 // a kind are zero (e.g. Addr for IntALU). The traces model IA-32, so an IP
-// and a linear address are 32 bits wide, and the struct packs to 16 bytes
-// — uops are copied on every fetch, trace replay and recording step, so
-// the layout is hot. A uop carries no sequence number and no store id: its
-// place in the stream is its position, which every consumer already counts
-// (the engine's rename counter, a trace file's record index), and a store's
-// id is its rank among the stream's STAs, which the engine counts at rename.
+// and a linear address are 32 bits wide, and the kind, access size and
+// branch outcome share one op byte, so the struct packs to 12 bytes — uops
+// are copied on every fetch, trace replay and recording step, and every
+// recorded uop is one UOp, so the layout is hot. A uop carries no sequence
+// number and no store id: its place in the stream is its position, which
+// every consumer already counts (the engine's rename counter, a trace
+// file's record index), and a store's id is its rank among the stream's
+// STAs, which the engine counts at rename.
 type UOp struct {
 	// IP is the static instruction pointer of the uop. All history-based
 	// predictors in the paper index on the load's IP, so recurrence of IPs
@@ -91,33 +92,89 @@ type UOp struct {
 	IP uint32
 	// Addr is the effective memory address for Load and STA uops.
 	Addr uint32
-	// Kind is the execution class.
-	Kind Kind
+	// Op packs the kind, the access size and the branch outcome (build it
+	// with NewOp and WithBranch); read them through Kind, Size, Taken and
+	// Mispredicted.
+	Op Op
 	// Dst is the destination register (NoReg if none).
 	Dst Reg
 	// Src1 and Src2 are source registers (NoReg if unused).
 	Src1, Src2 Reg
-	// Size is the access size in bytes for memory uops (default 4 or 8).
-	Size uint8
-	// Taken is the resolved direction for Branch uops.
-	Taken bool
-	// Mispredicted marks branches the front-end predictor got wrong; the
-	// generator resolves this against the modelled front-end predictor so
-	// the timing model can charge a refill bubble.
-	Mispredicted bool
 }
 
+// Op is a uop's operation byte: the Kind in bits 0–2, the access-size code
+// in bits 3–5 and the branch outcome in bits 6 (taken) and 7
+// (mispredicted). Kinds fill their three bits exactly, and the size code
+// names one of the sizes an access can have: 0, 1, 2, 4 or 8 bytes
+// (SizeCoded), code c standing for 1<<(c-1) bytes and 0 for none.
+type Op uint8
+
+const (
+	opKindMask     Op = 7 // the eight kinds; TestOpRoundTrip fails on a ninth
+	opSizeShift       = 3
+	opSizeMask     Op = 7 << opSizeShift
+	opTaken        Op = 1 << 6
+	opMispredicted Op = 1 << 7
+)
+
+// NewOp returns the op of a kind-k uop that accesses size bytes, with
+// neither branch flag set. It panics if k is not a kind or size has no
+// code; a reader of untrusted input checks both first (NumKinds,
+// SizeCoded).
+func NewOp(k Kind, size uint8) Op {
+	if k >= numKinds || !SizeCoded(size) {
+		panic("uop: NewOp of an unknown kind or an uncoded access size")
+	}
+	return Op(k) | Op(bits.Len8(size))<<opSizeShift
+}
+
+// SizeCoded reports whether an access of size bytes has a code in the op
+// byte: 0, 1, 2, 4 or 8.
+func SizeCoded(size uint8) bool { return size <= 8 && size&(size-1) == 0 }
+
+// WithBranch returns o with its Taken and Mispredicted flags set to taken
+// and mispredicted.
+func (o Op) WithBranch(taken, mispredicted bool) Op {
+	o &^= opTaken | opMispredicted
+	if taken {
+		o |= opTaken
+	}
+	if mispredicted {
+		o |= opMispredicted
+	}
+	return o
+}
+
+// Kind returns the uop's execution class.
+func (u *UOp) Kind() Kind { return Kind(u.Op & opKindMask) }
+
+// Size returns the uop's access size in bytes: 0, 1, 2, 4 or 8.
+func (u *UOp) Size() uint8 {
+	if c := (u.Op & opSizeMask) >> opSizeShift; c != 0 {
+		return 1 << (c - 1)
+	}
+	return 0
+}
+
+// Taken returns the resolved direction of a Branch uop.
+func (u *UOp) Taken() bool { return u.Op&opTaken != 0 }
+
+// Mispredicted reports a Branch uop the front-end predictor got wrong; the
+// generator resolves this against the modelled front-end predictor so the
+// timing model can charge a refill bubble.
+func (u *UOp) Mispredicted() bool { return u.Op&opMispredicted != 0 }
+
 // Dep is one uop's entry in the static dependence side-car: the part of
-// register renaming and store ordering that is a pure function of the uop
-// stream, precomputed once per trace chunk and shared by every machine
-// configuration replaying it (the same observation that makes Moshovos-style
-// dependence prediction work — dependences are stable stream properties).
-// All references are deltas — producers as stream-position deltas, stores
-// as a delta over a per-batch store count — so they do not depend on where
-// in the stream a batch sits, or on how often a finite trace has wrapped.
+// register renaming that is a pure function of the uop stream, precomputed
+// once per trace chunk and shared by every machine configuration replaying
+// it (the same observation that makes Moshovos-style dependence prediction
+// work — dependences are stable stream properties). Producers are
+// stream-position deltas, so they do not depend on where in the stream a
+// batch sits, or on how often a finite trace has wrapped. A load's
+// youngest older store needs no entry: the engine counts STAs at rename.
 //
-// The struct packs to 6 bytes; the side-car rides next to the 16-byte uop
-// itself, so a recorded uop costs 22 bytes.
+// The struct packs to 4 bytes; the side-car rides next to the 12-byte uop
+// itself, so a recorded uop costs 16 bytes.
 type Dep struct {
 	// Src1Back and Src2Back give each source register's producer as a
 	// backward stream-position delta: the producer of SrcN is the uop
@@ -127,39 +184,30 @@ type Dep struct {
 	// at or beyond their in-flight window as already-retired, which is
 	// exact as long as the window holds fewer than DepSaturated uops.
 	Src1Back, Src2Back uint16
-	// LastStore gives, for loads, the youngest store preceding this uop as
-	// a delta over the side-car batch's store base: the absolute id is
-	// base + LastStore, where the base — the number of STAs before the
-	// batch — is reported alongside it. A batch holds at most ChunkUops
-	// uops, so the delta always fits.
-	LastStore uint16
 }
 
 // DepSaturated is the saturation value of the Src1Back/Src2Back deltas.
 const DepSaturated = 1<<16 - 1
 
 // HasMemAddr reports whether Addr is meaningful for this uop.
-func (u *UOp) HasMemAddr() bool { return u.Kind == Load || u.Kind == STA }
-
-// CacheLine returns the 64-byte cache line address of the uop's access.
-func (u *UOp) CacheLine() uint64 { return uint64(u.Addr &^ 63) }
+func (u *UOp) HasMemAddr() bool { k := u.Kind(); return k == Load || k == STA }
 
 // String renders a compact single-line description, for debugging and logs.
 func (u *UOp) String() string {
-	switch u.Kind {
+	switch k := u.Kind(); k {
 	case Load:
-		return fmt.Sprintf("%s r%d <- [%#x] @%#x", u.Kind, u.Dst, u.Addr, u.IP)
+		return fmt.Sprintf("%s r%d <- [%#x] @%#x", k, u.Dst, u.Addr, u.IP)
 	case STA:
-		return fmt.Sprintf("%s [%#x] @%#x", u.Kind, u.Addr, u.IP)
+		return fmt.Sprintf("%s [%#x] @%#x", k, u.Addr, u.IP)
 	case STD:
-		return fmt.Sprintf("%s r%d @%#x", u.Kind, u.Src1, u.IP)
+		return fmt.Sprintf("%s r%d @%#x", k, u.Src1, u.IP)
 	case Branch:
 		dir := "nt"
-		if u.Taken {
+		if u.Taken() {
 			dir = "t"
 		}
-		return fmt.Sprintf("%s %s @%#x", u.Kind, dir, u.IP)
+		return fmt.Sprintf("%s %s @%#x", k, dir, u.IP)
 	default:
-		return fmt.Sprintf("%s r%d <- r%d,r%d @%#x", u.Kind, u.Dst, u.Src1, u.Src2, u.IP)
+		return fmt.Sprintf("%s r%d <- r%d,r%d @%#x", k, u.Dst, u.Src1, u.Src2, u.IP)
 	}
 }

@@ -22,12 +22,6 @@ func TestKindString(t *testing.T) {
 }
 
 func TestKindClasses(t *testing.T) {
-	if !Load.IsMem() || !STA.IsMem() {
-		t.Error("Load and STA address memory")
-	}
-	if STD.IsMem() || IntALU.IsMem() {
-		t.Error("STD and ALU do not address memory")
-	}
 	if !STA.IsStorePart() || !STD.IsStorePart() {
 		t.Error("STA/STD are store parts")
 	}
@@ -37,24 +31,63 @@ func TestKindClasses(t *testing.T) {
 }
 
 func TestHasMemAddr(t *testing.T) {
-	ld := UOp{Kind: Load, Addr: 0x1000}
+	ld := UOp{Op: NewOp(Load, 8), Addr: 0x1000}
 	if !ld.HasMemAddr() {
 		t.Error("load has a memory address")
 	}
-	std := UOp{Kind: STD}
+	std := UOp{Op: NewOp(STD, 8)}
 	if std.HasMemAddr() {
 		t.Error("STD has no address")
 	}
 }
 
-func TestCacheLine(t *testing.T) {
-	u := UOp{Kind: Load, Addr: 0x1234}
-	if u.CacheLine() != 0x1200 {
-		t.Fatalf("line = %#x", u.CacheLine())
+// TestOpRoundTrip carries every kind, coded access size and branch outcome
+// through the op byte and back.
+func TestOpRoundTrip(t *testing.T) {
+	seen := map[Op]bool{}
+	for k := Kind(0); k < numKinds; k++ {
+		for _, size := range []uint8{0, 1, 2, 4, 8} {
+			for _, taken := range []bool{false, true} {
+				for _, mis := range []bool{false, true} {
+					u := UOp{Op: NewOp(k, size).WithBranch(taken, mis)}
+					if u.Kind() != k || u.Size() != size || u.Taken() != taken || u.Mispredicted() != mis {
+						t.Fatalf("op %#x reads kind %s size %d taken %v mispredicted %v, want %s %d %v %v",
+							u.Op, u.Kind(), u.Size(), u.Taken(), u.Mispredicted(), k, size, taken, mis)
+					}
+					if seen[u.Op] {
+						t.Fatalf("op %#x stands for two uop shapes", u.Op)
+					}
+					seen[u.Op] = true
+				}
+			}
+		}
 	}
-	u.Addr = 0x1240
-	if u.CacheLine() != 0x1240 {
-		t.Fatalf("aligned line = %#x", u.CacheLine())
+	if o := NewOp(Branch, 0).WithBranch(true, true).WithBranch(false, false); o != NewOp(Branch, 0) {
+		t.Errorf("WithBranch(false, false) leaves %#x, want the flags cleared", o)
+	}
+}
+
+// TestSizeCoded pins the access sizes the op byte can hold, and NewOp's
+// refusal of any other size and of an unknown kind.
+func TestSizeCoded(t *testing.T) {
+	for s := 0; s < 256; s++ {
+		want := s == 0 || s == 1 || s == 2 || s == 4 || s == 8
+		if got := SizeCoded(uint8(s)); got != want {
+			t.Errorf("SizeCoded(%d) = %v, want %v", s, got, want)
+		}
+	}
+	for _, c := range []struct {
+		k    Kind
+		size uint8
+	}{{Load, 3}, {STA, 16}, {Kind(NumKinds), 8}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewOp(%d, %d) did not panic", c.k, c.size)
+				}
+			}()
+			NewOp(c.k, c.size)
+		}()
 	}
 }
 
@@ -63,12 +96,12 @@ func TestStringForms(t *testing.T) {
 		u    UOp
 		want string
 	}{
-		{UOp{Kind: Load, Dst: 3, Addr: 0x10, IP: 0x400000}, "ld"},
-		{UOp{Kind: STA, Addr: 0x20}, "sta [0x20]"},
-		{UOp{Kind: STD, Src1: 4}, "std r4"},
-		{UOp{Kind: Branch, Taken: true}, "br t"},
-		{UOp{Kind: Branch, Taken: false}, "br nt"},
-		{UOp{Kind: IntALU, Dst: 1, Src1: 2, Src2: 3}, "alu"},
+		{UOp{Op: NewOp(Load, 8), Dst: 3, Addr: 0x10, IP: 0x400000}, "ld"},
+		{UOp{Op: NewOp(STA, 8), Addr: 0x20}, "sta [0x20]"},
+		{UOp{Op: NewOp(STD, 8), Src1: 4}, "std r4"},
+		{UOp{Op: NewOp(Branch, 0).WithBranch(true, false)}, "br t"},
+		{UOp{Op: NewOp(Branch, 0)}, "br nt"},
+		{UOp{Op: NewOp(IntALU, 8), Dst: 1, Src1: 2, Src2: 3}, "alu"},
 	}
 	for _, c := range cases {
 		if got := c.u.String(); !strings.Contains(got, c.want) {
@@ -93,10 +126,10 @@ func TestConstants(t *testing.T) {
 // uop costs one UOp plus one Dep, so a field added to either grows every
 // recording in the process by that much per uop.
 func TestLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(UOp{}); sz != 16 {
-		t.Errorf("UOp is %d bytes, want 16", sz)
+	if sz := unsafe.Sizeof(UOp{}); sz != 12 {
+		t.Errorf("UOp is %d bytes, want 12", sz)
 	}
-	if sz := unsafe.Sizeof(Dep{}); sz != 6 {
-		t.Errorf("Dep is %d bytes, want 6", sz)
+	if sz := unsafe.Sizeof(Dep{}); sz != 4 {
+		t.Errorf("Dep is %d bytes, want 4", sz)
 	}
 }
