@@ -121,6 +121,8 @@ func runJob(job serve.Job, args []string) {
 	if op.verbose {
 		fmt.Fprintln(os.Stderr, counters)
 		if op.remote == "" {
+			traces, uops, bytes := trace.RecordingTotals()
+			fmt.Fprintf(os.Stderr, "recordings: %d traces, %d uops, %.1f MiB\n", traces, uops, float64(bytes)/(1<<20))
 			if kb, ok := peakRSSKiB(); ok {
 				fmt.Fprintf(os.Stderr, "peak RSS: %.1f MiB (VmHWM)\n", float64(kb)/1024)
 			}

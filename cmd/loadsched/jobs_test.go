@@ -15,6 +15,8 @@ import (
 
 	"loadsched/internal/runner"
 	"loadsched/internal/serve"
+	"loadsched/internal/trace"
+	"loadsched/internal/uop"
 )
 
 // withTiny appends the job size these tests run at, small enough that a
@@ -111,22 +113,30 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestVerbosePrintsPeakRSS: with -v a local job prints the process's peak
-// resident set, read from Linux's /proc/self/status, on its own line right
-// after the runner line; a -remote job, whose simulating process is the
-// server, prints the runner line alone.
+// TestVerbosePrintsPeakRSS: with -v a local job prints what the process's
+// trace recordings hold and its peak resident set, read from Linux's
+// /proc/self/status, each on its own line right after the runner line; a
+// -remote job, whose simulating process is the server, prints the runner
+// line alone.
 func TestVerbosePrintsPeakRSS(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("VmHWM is read from Linux's /proc/self/status")
 	}
+	recs := regexp.MustCompile(`^recordings: ([0-9]+) traces, ([0-9]+) uops, [0-9]+\.[0-9] MiB$`)
 	peak := regexp.MustCompile(`^peak RSS: [0-9]+\.[0-9] MiB \(VmHWM\)$`)
 	_, stderr, code := runCLI(t, withTiny("figure", "5", "-v")...)
 	if code != 0 {
 		t.Fatalf("exit %d\n%s", code, stderr)
 	}
 	lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
-	if n := len(lines); n < 2 || !strings.HasPrefix(lines[n-2], "runner: ") || !peak.MatchString(lines[n-1]) {
-		t.Fatalf("stderr does not end with the runner line and a peak RSS line:\n%s", stderr)
+	n := len(lines)
+	if n < 3 || !strings.HasPrefix(lines[n-3], "runner: ") || !recs.MatchString(lines[n-2]) || !peak.MatchString(lines[n-1]) {
+		t.Fatalf("stderr does not end with the runner line, a recordings line and a peak RSS line:\n%s", stderr)
+	}
+	// Figure 5 replays at least one trace, so the process holds at least
+	// one recording of at least one chunk.
+	if m := recs.FindStringSubmatch(lines[n-2]); m[1] == "0" || m[2] == "0" {
+		t.Fatalf("recordings line reports nothing recorded: %s", lines[n-2])
 	}
 
 	srv := serve.New(serve.Config{Workers: 1, Cache: runner.NewCache()})
@@ -136,8 +146,8 @@ func TestVerbosePrintsPeakRSS(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("remote: exit %d\n%s", code, stderr)
 	}
-	if !strings.Contains(stderr, "runner: ") || strings.Contains(stderr, "peak RSS") {
-		t.Fatalf("remote stderr wants the runner line and no peak RSS line:\n%s", stderr)
+	if !strings.Contains(stderr, "runner: ") || strings.Contains(stderr, "peak RSS") || strings.Contains(stderr, "recordings: ") {
+		t.Fatalf("remote stderr wants the runner line and no recordings or peak RSS line:\n%s", stderr)
 	}
 }
 
@@ -249,7 +259,7 @@ func TestTraceFilesOfBothVersionsReplay(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("trace info %s: exit %d\n%s", path, code, stderr)
 		}
-		for _, want := range []string{"version:     " + v + "\n", "uops:        200\n"} {
+		for _, want := range []string{"version:     " + v + "\n", "uops:        200\n", "pass:        200 uops\n"} {
 			if !strings.Contains(info, want) {
 				t.Errorf("trace info %s lacks %q:\n%s", path, want, info)
 			}
@@ -266,5 +276,38 @@ func TestTraceFilesOfBothVersionsReplay(t *testing.T) {
 	}
 	if stats[0] != stats[1] {
 		t.Fatalf("v1 and v2 replays differ:\n--- v1 ---\n%s--- v2 ---\n%s", stats[0], stats[1])
+	}
+}
+
+// TestTraceInfoPrintsPass: `trace info` prints how many uops one replay
+// pass holds, and no side-car line. A file that ends on a whole store
+// replays all of its uops; one cut between an STA and its STD replays up
+// to that STA, one uop fewer.
+func TestTraceInfoPrintsPass(t *testing.T) {
+	p, _ := trace.TraceByName(trace.GroupSysmarkNT, "ex")
+	us := trace.Collect(p, 2000)
+	cut := -1
+	for i := len(us) - 1; i > 0; i-- {
+		if us[i].Kind() == uop.STA {
+			cut = i
+			break
+		}
+	}
+	if cut < 0 {
+		t.Fatal("no STA in the first 2000 uops of SysmarkNT/ex")
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct{ n, pass int }{{cut + 2, cut + 2}, {cut + 1, cut}} {
+		path := filepath.Join(dir, fmt.Sprintf("ex-%d.lsut", tc.n))
+		if _, stderr, code := runCLI(t, "trace", "record", "-n", fmt.Sprint(tc.n), "-o", path); code != 0 {
+			t.Fatalf("trace record -n %d: exit %d\n%s", tc.n, code, stderr)
+		}
+		info, stderr, code := runCLI(t, "trace", "info", path)
+		if code != 0 {
+			t.Fatalf("trace info %s: exit %d\n%s", path, code, stderr)
+		}
+		if want := fmt.Sprintf("pass:        %d uops\n", tc.pass); !strings.Contains(info, want) || strings.Contains(info, "side-car") {
+			t.Errorf("trace info of %d uops wants %q and no side-car line:\n%s", tc.n, want, info)
+		}
 	}
 }

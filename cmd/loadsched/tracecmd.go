@@ -62,13 +62,12 @@ func runTraceInfo(args []string) {
 	fmt.Printf("file:        %s\n", path)
 	fmt.Printf("version:     %d\n", fi.Version)
 	fmt.Printf("uops:        %d\n", fi.Uops)
+	fmt.Printf("pass:        %d uops\n", fi.Pass)
 	if fi.Version >= 2 {
 		fmt.Printf("chunks:      %d (up to %d uops each, CRC-32C checked)\n", fi.Chunks, trace.ChunkUops)
 	}
 	fmt.Printf("payload:     %d bytes (%.2f bytes/uop)\n", fi.PayloadBytes, fi.BytesPerUop())
 	fmt.Printf("file size:   %d bytes\n", fi.FileBytes)
-	fmt.Printf("side-car:    %d bytes (%.2f bytes/uop), built in %.2f ms\n",
-		fi.SidecarBytes, fi.SidecarBytesPerUop(), float64(fi.SidecarBuildNanos)/1e6)
 	fmt.Printf("kinds:")
 	for k, n := range fi.KindCounts {
 		if n == 0 {

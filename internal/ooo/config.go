@@ -162,6 +162,10 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxRenamePool bounds Config.RenamePool, and with it every per-slot array
+// NewEngine allocates.
+const maxRenamePool = 1<<16 - 1
+
 // Validate checks the configuration for consistency.
 func (c Config) Validate() error {
 	switch {
@@ -171,10 +175,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ooo: non-positive window sizes")
 	case c.Window > c.RenamePool:
 		return fmt.Errorf("ooo: scheduling window %d exceeds rename pool %d", c.Window, c.RenamePool)
-	case c.RenamePool >= uop.DepSaturated:
-		// Side-car rename treats a saturated producer delta as retired,
-		// which is exact only while fewer uops than that are in flight.
-		return fmt.Errorf("ooo: rename pool %d must stay below the side-car delta bound %d", c.RenamePool, uop.DepSaturated)
+	case c.RenamePool >= maxRenamePool:
+		return fmt.Errorf("ooo: rename pool %d must stay below %d", c.RenamePool, maxRenamePool)
 	case c.IntUnits <= 0 || c.MemUnits <= 0 || c.FPUnits <= 0 || c.ComplexUnits <= 0 || c.STDPorts <= 0:
 		return fmt.Errorf("ooo: every execution-unit count must be positive")
 	case c.NewPolicy == nil && c.Scheme.UsesCHT() && c.CHT == nil:

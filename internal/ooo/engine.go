@@ -11,7 +11,7 @@ import (
 // The engine is decomposed into one file per pipeline stage, all operating
 // on the shared machine state below:
 //
-//	frontend.go  fetch + rename (branch stall, side-car producers, MOB entry)
+//	frontend.go  fetch + rename (branch stall, alias-table producers, MOB entry)
 //	schedule.go  dispatch walk, port allocation, replay debt
 //	ready.go     event-driven core: wakeup links, ready set, fast-forward
 //	memory.go    MOB queries, load classification, collision resolution
@@ -30,21 +30,25 @@ import (
 // Every speculation decision flows through the SpeculationPolicy seam, so
 // stage code contains machine mechanics only.
 
-// Source supplies the dynamic uop stream with its static dependence
-// side-car (see internal/trace deplink.go). NextBatchRef exposes the
-// source's next decoded run as direct slices — uops and side-car entries in
-// lockstep, valid until the next call on the source — plus the number of
-// STAs before the run, which the engine does not read: it counts stores
-// itself at rename. Handing out references instead of filling caller
-// buffers keeps the fetch path copy-free; the engine treats the slices as
-// read-only (shared recording chunks back them for every sweep engine at
-// once). Sources are endless, and the side-car's position deltas share an
-// origin with the engine's rename count because the engine observes the
-// stream from its beginning. trace.Replay cursors and trace.StreamReader
-// implement Source directly; trace.NewBatches adapts any scalar
-// trace.Source.
+// Source supplies the dynamic uop stream. NextBatchRef exposes the
+// source's next decoded run as a direct slice, valid until the next call
+// on the source; handing out references instead of filling caller buffers
+// keeps the fetch path copy-free, and the engine treats the slice as
+// read-only. Its second and third results are placeholders, always nil and
+// 0: they once carried a dependence side-car and a store count, which the
+// engine now derives at rename, and they stay only while the benchmark
+// module destructures three results. Sources are endless. trace.Replay
+// cursors and trace.StreamReader implement Source directly;
+// trace.NewBatches adapts any scalar trace.Source.
 type Source interface {
-	NextBatchRef() (us []uop.UOp, deps []uop.Dep, stasBefore int64)
+	NextBatchRef() (us []uop.UOp, placeholder []uop.Dep, zero int64)
+}
+
+// aliasEntry is one register's alias-table entry: the slot and rename age
+// of its youngest renamed writer, age -1 if none yet.
+type aliasEntry struct {
+	slot int32
+	age  int64
 }
 
 // LoadEvent describes one retired load for statistical consumers, in 16
@@ -258,12 +262,10 @@ func (m *mobState) capacity() int { return len(m.flags) }
 // Engine is the out-of-order machine.
 type Engine struct {
 	cfg Config
-	// src supplies the uop stream. Rename reads fetchRefU/fetchRefD —
-	// zero-copy views into the source's decoded chunk, uops and side-car
-	// entries in lockstep — from fetchPos on.
+	// src supplies the uop stream. Rename reads fetchRefU, a zero-copy
+	// view into the source's decoded chunk, from fetchPos on.
 	src       Source
 	fetchRefU []uop.UOp
-	fetchRefD []uop.Dep
 	fetchPos  int
 	hier      *cache.Hierarchy
 	missq     *cache.MissQueue
@@ -293,6 +295,10 @@ type Engine struct {
 	wakeQ     wakeHeap
 	renameAge int64
 	naive     bool
+
+	// alias maps each register, indexed by its byte so no register can
+	// fall outside it, to its youngest renamed writer (frontend.go).
+	alias [256]aliasEntry
 
 	now int64
 
@@ -376,6 +382,9 @@ func NewEngine(cfg Config, src Source) *Engine {
 	}
 	e.defPol, _ = e.policy.(*defaultPolicy)
 	e.oracle = e.policy.Oracle()
+	for i := range e.alias {
+		e.alias[i].age = -1
+	}
 	return e
 }
 

@@ -379,16 +379,15 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	// Side-car rename is exact only for pools below the delta saturation
-	// bound: the largest such pool is accepted, the bound itself rejected
-	// by name.
+	// The largest pool below the ceiling is accepted, the ceiling itself
+	// rejected by name.
 	edge := DefaultConfig()
-	edge.RenamePool = uop.DepSaturated - 1
+	edge.RenamePool = maxRenamePool - 1
 	if err := edge.Validate(); err != nil {
 		t.Errorf("RenamePool %d rejected: %v", edge.RenamePool, err)
 	}
-	edge.RenamePool = uop.DepSaturated
-	if err := edge.Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprint(uop.DepSaturated)) {
+	edge.RenamePool = maxRenamePool
+	if err := edge.Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxRenamePool)) {
 		t.Errorf("RenamePool %d: err = %v, want one naming the bound", edge.RenamePool, err)
 	}
 }

@@ -13,14 +13,14 @@ import (
 // policy for each load's collision prediction. A mispredicted branch stalls
 // fetch until the branch resolves plus the refill bubble.
 //
-// Producer resolution reads the static dependence side-car every Source
-// publishes: the trace layer has already answered "who produces this
-// register?" as a backward stream-position delta, so rename reduces to a
-// watermark compare — a producer delta db is in flight exactly when
-// db <= count, and its slot is then robIdx(count-db), because rename and
-// retire are both in order, so the last count stream positions occupy the
-// ROB densely. No alias tables are maintained at all; rename_diff_test.go
-// checks the result against a per-register alias-table reference.
+// Producer resolution goes through an alias table: for each register,
+// the slot and age of its youngest renamed writer. Rename and retire are
+// both in order, so the in-flight uops are exactly the last count renamed,
+// ages renameAge-count up to renameAge-1, and a writer is in flight exactly
+// when its age is at least the window head's. A retired writer's slot may
+// since hold a younger uop; the age compare tells them apart without
+// touching the slot. rename_diff_test.go checks the result against an
+// independent per-register reference that inspects the slots instead.
 //
 // Stores are numbered here too: a store's id is its rank among the
 // stream's STAs, so an STA's rename appends the next MOB record, and its
@@ -39,18 +39,16 @@ func (e *Engine) fetchRename() {
 			return
 		}
 		if e.fetchPos == len(e.fetchRefU) {
-			us, ds, _ := e.src.NextBatchRef()
+			us, _, _ := e.src.NextBatchRef()
 			if len(us) == 0 {
-				// Sources are endless by contract; running dry would desync
-				// the side-car from the rename count.
+				// Sources are endless by contract.
 				panic("ooo: source ran dry")
 			}
-			e.fetchRefU, e.fetchRefD, e.fetchPos = us, ds, 0
+			e.fetchRefU, e.fetchPos = us, 0
 		}
-		j := e.fetchPos
+		u := &e.fetchRefU[e.fetchPos]
 		e.fetchPos++
-		u := &e.fetchRefU[j]
-		e.renameDep(u, &e.fetchRefD[j])
+		e.rename(u)
 		if u.Kind() == uop.Branch && u.Mispredicted() {
 			// Fetch goes down the wrong path; stall until this branch
 			// resolves plus the refill bubble.
@@ -61,33 +59,33 @@ func (e *Engine) fetchRename() {
 	}
 }
 
-// renameDep allocates and links one uop using its side-car entry. cnt is
-// the in-flight population before this uop: in-flight entries occupy window
-// positions 0..cnt-1 (head-relative), so a producer db positions back in
-// the stream is in flight iff db <= cnt, at slot robIdx(cnt-db) — stream
-// distance equals window distance because rename and retire are both in
-// order. A saturated delta compares as retired, which is exact under the
-// RenamePool bound Config.Validate enforces.
-func (e *Engine) renameDep(u *uop.UOp, d *uop.Dep) {
+// rename allocates and links one uop. Each source resolves through the
+// alias table to its youngest writer, in flight when its age is at least
+// headAge, the age of the oldest in-flight uop; the uop then becomes its
+// destination's youngest writer. Sources resolve first, so a uop that
+// reads and writes one register links to the older writer.
+func (e *Engine) rename(u *uop.UOp) {
 	idx := e.robIdx(e.count)
-	cnt := e.count
+	age := e.renameAge
+	headAge := age - int64(e.count)
 	e.count++
 	r := &e.rob
-	r.clearSlot(idx, *u, e.renameAge)
+	r.clearSlot(idx, *u, age)
 	e.renameAge++
 	e.rsCount++
 
-	if db := int(d.Src1Back); db != 0 && db <= cnt {
-		p := int32(e.robIdx(cnt - db))
-		r.src1Prod[idx], r.src1Age[idx] = p, r.age[p]
+	if a := &e.alias[u.Src1]; a.age >= headAge {
+		r.src1Prod[idx], r.src1Age[idx] = a.slot, a.age
 	} else {
 		r.src1Prod[idx], r.src1Age[idx] = -1, 0
 	}
-	if db := int(d.Src2Back); db != 0 && db <= cnt {
-		p := int32(e.robIdx(cnt - db))
-		r.src2Prod[idx], r.src2Age[idx] = p, r.age[p]
+	if a := &e.alias[u.Src2]; a.age >= headAge {
+		r.src2Prod[idx], r.src2Age[idx] = a.slot, a.age
 	} else {
 		r.src2Prod[idx], r.src2Age[idx] = -1, 0
+	}
+	if u.Dst != uop.NoReg {
+		e.alias[u.Dst] = aliasEntry{slot: int32(idx), age: age}
 	}
 	if u.Kind() == uop.Branch && u.Mispredicted() {
 		r.flags[idx] |= fBlockingBranch

@@ -97,7 +97,7 @@ func FuzzEngineReplay(f *testing.F) {
 	for _, id := range []int64{-5, 7, 1 << 40} {
 		us, sids := make([]uop.UOp, trace.ChunkUops), make([]int64, trace.ChunkUops)
 		for i := range us {
-			if us[i] = cycle[i%len(cycle)]; us[i].Kind().IsStorePart() {
+			if us[i] = cycle[i%len(cycle)]; us[i].Kind() == uop.STA || us[i].Kind() == uop.STD {
 				sids[i] = id
 			}
 		}

@@ -17,15 +17,16 @@ import (
 // per-uop cost.
 func BenchmarkFetchRename(b *testing.B) {
 	prof := trace.Profile{Name: "bench-fetch-rename", Seed: 7}
-	b.Run("sidecar", func(b *testing.B) {
+	b.Run("alias", func(b *testing.B) {
 		cfg := DefaultConfig()
 		cfg.Window, cfg.RenamePool = 1024, 1024
 		e := NewEngine(cfg, trace.Replay(prof))
-		// drain empties the window in bulk. Clearing every slot's flags
-		// retires the in-flight population as far as rename can observe
-		// (side-car deltas exceed the zeroed count), and sliding the MOB
-		// ring forward keeps its occupancy where in-order retirement would
-		// have left it. The youngest few records stay live so a store
+		// drain empties the window in bulk. Zeroing the count retires the
+		// in-flight population as far as rename can observe (the head's age
+		// becomes renameAge, which every alias-table writer is younger
+		// than), clearing every slot's flags frees the slots, and sliding
+		// the MOB ring forward keeps its occupancy where in-order
+		// retirement would have left it. The youngest few records stay live so a store
 		// split across the drain (STA before, STD after) still finds its
 		// ring record.
 		drain := func() {
@@ -48,13 +49,13 @@ func BenchmarkFetchRename(b *testing.B) {
 		}
 		// The measured loop cycles over a fixed prefix of the shared
 		// recording: restarting the stream every epoch keeps any
-		// iteration count inside the shared (decoded, side-car-built)
-		// chunks instead of spilling into private tail generation, which
-		// would swamp rename with generator cost.
+		// iteration count inside the shared (recorded) chunks instead of
+		// spilling into private tail generation, which would swamp rename
+		// with generator cost.
 		resetStream := func() {
 			drain()
 			e.src = trace.Replay(prof)
-			e.fetchRefU, e.fetchRefD, e.fetchPos = nil, nil, 0
+			e.fetchRefU, e.fetchPos = nil, 0
 			e.mob.first, e.mob.length, e.mob.start = 1, 0, 0
 			e.staDoneTo, e.allDoneTo = 1, 1
 		}
@@ -72,8 +73,8 @@ func BenchmarkFetchRename(b *testing.B) {
 			}
 			e.fetchRename()
 		}
-		// Warm one full epoch (chunk decode + side-car build + engine
-		// steady state) before measuring.
+		// Warm one full epoch (recording + engine steady state) before
+		// measuring.
 		for i := 0; i < stepsPerEpoch; i++ {
 			step()
 		}

@@ -10,13 +10,13 @@ import (
 	"loadsched/internal/uop"
 )
 
-// Differential checks for side-car rename: the producer links rename
-// derives from the trace layer's dependence side-car must match, slot for
-// slot, what per-register alias tables — the original renamer — resolve on
-// the same stream, across randomized machines, mixed trace groups and
-// wrapping file replay. The reference also counts the stream's STAs, which
-// number the stores, so it checks the youngest store rename stamps on each
-// load and store half.
+// Differential checks for rename: the producer links the engine's alias
+// table resolves by age must match, slot for slot, what an independent
+// per-register reference resolves by inspecting the slots themselves
+// (valid, same age, still writing the register), across randomized
+// machines, mixed trace groups and wrapping file replay. The reference
+// also counts the stream's STAs, which number the stores, so it checks the
+// youngest store rename stamps on each load and store half.
 
 // aliasRef is the reference renamer: for each architectural register, the
 // slot and rename age of its youngest renamed writer.
@@ -76,7 +76,7 @@ func checkRename(t *testing.T, e *Engine, n uint64) {
 			p1, s1 := ref.resolve(e, u.Src1)
 			p2, s2 := ref.resolve(e, u.Src2)
 			if r.src1Prod[idx] != p1 || r.src1Age[idx] != s1 || r.src2Prod[idx] != p2 || r.src2Age[idx] != s2 {
-				t.Fatalf("cycle %d, uop %d: producers (%d,%d)/(%d,%d), alias tables say (%d,%d)/(%d,%d)",
+				t.Fatalf("cycle %d, uop %d: producers (%d,%d)/(%d,%d), the reference says (%d,%d)/(%d,%d)",
 					e.Now(), pos, r.src1Prod[idx], r.src1Age[idx], r.src2Prod[idx], r.src2Age[idx], p1, s1, p2, s2)
 			}
 			if p1 >= 0 {
@@ -91,7 +91,7 @@ func checkRename(t *testing.T, e *Engine, n uint64) {
 			case uop.Load:
 				loads++
 			}
-			if k := u.Kind(); (k == uop.Load || k.IsStorePart()) && r.lastStore[idx] != stas {
+			if k := u.Kind(); (k == uop.Load || k == uop.STA || k == uop.STD) && r.lastStore[idx] != stas {
 				t.Fatalf("cycle %d, uop %d (%s): youngest store %d, the stream has %d STAs up to it",
 					e.Now(), pos, k, r.lastStore[idx], stas)
 			}
@@ -109,9 +109,10 @@ func checkRename(t *testing.T, e *Engine, n uint64) {
 	}
 }
 
-// TestRenameSidecarDiff checks side-car rename against the alias tables on
+// TestRenameSidecarDiff checks alias-table rename against the reference on
 // randomized machine+workload configurations over shared-recording cursors
-// (the sweep hot path).
+// (the sweep hot path). It kept its name from the dependence side-car that
+// rename once read.
 func TestRenameSidecarDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x51deca6))
 	profiles := diffProfiles(rng, 5)
@@ -134,8 +135,8 @@ func TestRenameSidecarDiff(t *testing.T) {
 }
 
 // TestRenameSidecarDiffStreamWrap replays a recorded trace file through
-// StreamReader past its end, so the side-car's renumbering-invariant deltas
-// and the engine's store count are checked across wrap-around.
+// StreamReader past its end, so producers that reach back through the wrap
+// and the engine's store count are checked across it.
 func TestRenameSidecarDiffStreamWrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x77a9))
 	prof := diffProfiles(rng, 1)[0]

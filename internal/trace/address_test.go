@@ -241,22 +241,54 @@ func TestNewRefusesWideProfiles(t *testing.T) {
 		if tc.wide && strconv.IntSize == 32 {
 			continue
 		}
-		msg := func() (msg string) {
-			defer func() { msg = fmt.Sprint(recover()) }()
-			New(tc.p)
-			return ""
-		}()
+		msg := newPanic(tc.p)
 		if !strings.Contains(msg, tc.want) || !strings.Contains(msg, tc.p.Name) {
 			t.Errorf("New(%s): panic %q, want one naming %q", tc.p.Name, msg, tc.want)
 		}
 	}
 }
 
-// TestGeneratorProfileEcho ensures Profile() reflects applied defaults.
+// newPanic returns what New(p) panics with, or "" if it returns.
+func newPanic(p Profile) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	New(p)
+	return ""
+}
+
+// TestNewRefusesOversizedPrograms: a recording numbers static uops below
+// maxStaticUops, so New panics on a profile whose program has more,
+// naming the profile and the count, while every built-in trace fits.
+func TestNewRefusesOversizedPrograms(t *testing.T) {
+	largest := 0
+	for _, g := range Groups() {
+		for _, p := range g.Traces {
+			largest = max(largest, len(buildProgram(p).tmpl))
+		}
+	}
+	if largest > maxStaticUops {
+		t.Fatalf("a built-in trace builds %d static uops, more than %d", largest, maxStaticUops)
+	}
+	p := Profile{Name: "oversized", NumFuncs: 1000}
+	n := len(buildProgram(p).tmpl)
+	if n <= maxStaticUops {
+		t.Fatalf("%s builds only %d static uops", p.Name, n)
+	}
+	if msg := newPanic(p); !strings.Contains(msg, p.Name) || !strings.Contains(msg, fmt.Sprint(n)) {
+		t.Fatalf("New(%s): panic %q, want one naming the profile and %d static uops", p.Name, msg, n)
+	}
+	t.Logf("largest built-in program: %d static uops; %s: %d", largest, p.Name, n)
+}
+
+// TestGeneratorProfileEcho ensures the generator runs the defaulted
+// profile.
 func TestGeneratorProfileEcho(t *testing.T) {
 	g := New(Profile{Name: "x", Seed: 1})
-	p := g.Profile()
+	p := g.prog.prof
 	if p.NumFuncs == 0 || p.LoadFrac == 0 {
-		t.Fatal("Profile() should return the defaulted profile")
+		t.Fatal("the generator should run the defaulted profile")
 	}
 }

@@ -8,8 +8,9 @@ package trace
 // see every chunk write and read.
 const offHeap = false
 
-// allocChunk returns a zeroed chunk on the Go heap.
-func allocChunk() *recChunk { return heapChunk() }
+// allocChunk returns a zeroed chunk with room for nAddrs addresses on the
+// Go heap.
+func allocChunk(nAddrs int) *recChunk { return heapChunk(nAddrs) }
 
 // free leaves a heap chunk to the collector.
 func (ch *recChunk) free() {}

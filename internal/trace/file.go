@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"time"
 
 	"loadsched/internal/uop"
 )
@@ -42,8 +41,8 @@ import (
 // rejects violations. The writer numbers uops by stream position, and no
 // decoded uop.UOp carries the value: a uop's place in the stream is its
 // position. The reader likewise rejects register numbers at or beyond
-// uop.MaxArchRegs, which the dependence side-car indexes by, IPs or
-// addresses that need more than 32 bits, and access sizes other than 0, 1,
+// uop.MaxArchRegs, the synthetic ISA's register file, IPs or addresses
+// that need more than 32 bits, and access sizes other than 0, 1,
 // 2, 4 and 8, which a uop's op byte has no code for.
 //
 // StoreIDs are in the format, but no decoded uop carries one either: the
@@ -269,18 +268,6 @@ type StreamReader struct {
 	view    ChunkView
 	viewPos int
 
-	// Dependence side-car, rebuilt per recycled chunk during replay (never
-	// during the open-time scan, which must not advance the analyzer). The
-	// analyzer's state carries across wraps untouched: a producer can reach
-	// back through a wrap, as it would in a register renamer, and the store
-	// count keeps rising as the engine's does. deps is one recycled buffer,
-	// so side-car replay stays constant-RSS.
-	an       depAnalyzer
-	deps     []uop.Dep
-	depBase  int64 // STAs before the current chunk
-	depUops  int64 // uops whose side-car has been built (across wraps)
-	depNanos int64 // cumulative side-car build time
-
 	passUops int64 // uops consumed from the file this pass
 
 	// Metadata collected by the open-time scan (for trace info), kinds
@@ -426,9 +413,6 @@ func (r *StreamReader) rewind() error {
 	r.br.Reset(r.rs)
 	r.passUops, r.viewPos = 0, 0
 	r.view.us = nil
-	// The analyzer's state carries across the wrap untouched, so register
-	// reach-through and the store count both continue seamlessly into the
-	// next pass.
 	return nil
 }
 
@@ -488,41 +472,24 @@ func (r *StreamReader) nextChunk() {
 	}
 	r.passUops += int64(n)
 	r.viewPos = 0
-	// Build the chunk's side-car unconditionally: the analyzer must observe
-	// every replayed uop to keep its carry correct whatever mix of Next and
-	// NextBatchRef the consumer uses, and emitting the links costs barely
-	// more than observing.
-	if cap(r.deps) < n {
-		r.deps = make([]uop.Dep, ChunkUops)
-	}
-	start := time.Now()
-	r.depBase = r.an.buildInto(r.deps[:n], r.view.us[:n])
-	r.depNanos += time.Since(start).Nanoseconds()
-	r.depUops += int64(n)
 }
 
-// NextBatchRef returns the remainder of the current decoded chunk as direct
-// views (see Cursor.NextBatchRef for the contract): the reader builds each
-// chunk's side-car once at decode, so the views are final and stay valid
-// until the next call on this reader.
+// NextBatchRef returns the remainder of the current decoded chunk as a
+// direct view, and the placeholders ooo.Source names (nil and 0). The view
+// stays valid until the next call on this reader.
 func (r *StreamReader) NextBatchRef() ([]uop.UOp, []uop.Dep, int64) {
 	if r.viewPos == len(r.view.us) {
 		r.nextChunk()
 	}
 	n := len(r.view.us)
-	us, deps := r.view.us[r.viewPos:n], r.deps[r.viewPos:n]
+	us := r.view.us[r.viewPos:n]
 	r.viewPos = n
-	return us, deps, r.depBase
+	return us, nil, 0
 }
 
-// SidecarBytes reports the cumulative side-car footprint built during
-// replay so far (4 bytes per replayed uop; the resident buffer is one
-// recycled chunk's worth).
-func (r *StreamReader) SidecarBytes() int64 { return r.depUops * depSize }
-
-// SidecarBuildNanos reports the cumulative time spent building side-cars
-// during replay.
-func (r *StreamReader) SidecarBuildNanos() int64 { return r.depNanos }
+// SidecarBuildNanos reports 0: replay builds no dependence side-car, since
+// the engine resolves producers at rename.
+func (r *StreamReader) SidecarBuildNanos() int64 { return 0 }
 
 // FileInfo summarizes a trace file for `loadsched trace info`.
 type FileInfo struct {
@@ -532,10 +499,9 @@ type FileInfo struct {
 	PayloadBytes int64 // v2 chunk payloads / v1 record bytes, sans framing
 	FileBytes    int64
 	KindCounts   [uop.NumKinds]int64
-	// SidecarBytes and SidecarBuildNanos describe the dependence side-car
-	// one replay pass of the file builds (one chunk resident at a time).
-	SidecarBytes      int64
-	SidecarBuildNanos int64
+	// Pass is how many uops one replay pass holds: Uops, or one fewer
+	// when the file cuts its last store between the STA and its STD.
+	Pass int64
 }
 
 // BytesPerUop is the payload density — the headline the packed format is
@@ -545,15 +511,6 @@ func (fi *FileInfo) BytesPerUop() float64 {
 		return 0
 	}
 	return float64(fi.PayloadBytes) / float64(fi.Uops)
-}
-
-// SidecarBytesPerUop is the side-car density a replay pays on top of the
-// decoded view.
-func (fi *FileInfo) SidecarBytesPerUop() float64 {
-	if fi.Uops == 0 {
-		return 0
-	}
-	return float64(fi.SidecarBytes) / float64(fi.Uops)
 }
 
 // InspectTraceFile validates path and reports its shape without ever
@@ -568,19 +525,13 @@ func InspectTraceFile(path string) (*FileInfo, error) {
 		return nil, err
 	}
 	defer r.Close()
-	fi := &FileInfo{
+	return &FileInfo{
 		Version:      r.Version(),
 		Uops:         r.Uops(),
 		Chunks:       r.Chunks(),
 		PayloadBytes: r.PayloadBytes(),
 		FileBytes:    st.Size(),
 		KindCounts:   r.kinds,
-	}
-	for seen := int64(0); seen < r.pass; {
-		us, _, _ := r.NextBatchRef()
-		seen += int64(len(us))
-	}
-	fi.SidecarBytes = r.SidecarBytes()
-	fi.SidecarBuildNanos = r.SidecarBuildNanos()
-	return fi, nil
+		Pass:         r.pass,
+	}, nil
 }

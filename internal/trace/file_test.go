@@ -126,7 +126,7 @@ func storeCycle(n int, id int64, staFirst bool) ([]uop.UOp, []int64) {
 	us, sids := make([]uop.UOp, n), make([]int64, n)
 	for i := range us {
 		us[i] = cycle[i%len(cycle)]
-		if us[i].Kind().IsStorePart() {
+		if k := us[i].Kind(); k == uop.STA || k == uop.STD {
 			sids[i] = id
 		}
 	}

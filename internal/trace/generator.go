@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 
 	"loadsched/internal/predict"
@@ -48,15 +49,19 @@ type frameState struct {
 }
 
 // New builds a generator for the profile. It panics on a profile whose
-// address regions can pass 2^32: uops carry IA-32-width addresses, and such
-// a profile is a programming error, as a bad machine configuration is to
-// ooo.NewEngine.
+// address regions can pass 2^32, since uops carry IA-32-width addresses,
+// and on one whose program has more static uops than a recording can
+// number (maxStaticUops). Such a profile is a programming error, as a bad
+// machine configuration is to ooo.NewEngine.
 func New(p Profile) *Generator {
 	p = p.withDefaults()
 	if err := p.checkAddressSpace(1 << 32); err != nil {
 		panic(err)
 	}
 	prog := buildProgram(p)
+	if n := len(prog.tmpl); n > maxStaticUops {
+		panic(fmt.Errorf("trace: profile %q builds %d static uops; a recording numbers at most %d", p.Name, n, maxStaticUops))
+	}
 	g := &Generator{
 		prog:      prog,
 		rng:       rand.New(rand.NewSource(p.Seed ^ 0x5eed_d15c)),
@@ -76,9 +81,6 @@ func New(p Profile) *Generator {
 	return g
 }
 
-// Profile returns the (defaulted) profile the generator runs.
-func (g *Generator) Profile() Profile { return g.prog.prof }
-
 // Next emits the next dynamic uop. It never ends; callers bound the length.
 func (g *Generator) Next() uop.UOp {
 	var u uop.UOp
@@ -86,16 +88,17 @@ func (g *Generator) Next() uop.UOp {
 	return u
 }
 
-// nextInto writes the next dynamic uop into *u, overwriting every field. A
-// recording fills its chunk slots through it: returning the uop by value
+// nextInto writes the next dynamic uop into *u, overwriting every field,
+// and returns the id of the static uop it emitted. A recording stores that
+// id in place of the uop's static fields; returning the uop by value
 // through every generation step measured slower than writing it in place.
-func (g *Generator) nextInto(u *uop.UOp) {
+func (g *Generator) nextInto(u *uop.UOp) uint16 {
 	for {
 		if len(g.stack) == 0 {
 			g.pushTopLevel()
 		}
-		if g.step(g.stack[len(g.stack)-1], u) {
-			return
+		if id, ok := g.step(g.stack[len(g.stack)-1], u); ok {
+			return id
 		}
 	}
 }
@@ -132,51 +135,53 @@ func (g *Generator) push(fn *function, callerSP uint64) {
 }
 
 // step advances one frame's program counter, possibly emitting a uop into
-// *u. It returns false when it performed a control action (push/pop)
-// instead.
-func (g *Generator) step(f *frameState, u *uop.UOp) bool {
+// *u. It returns the emitted static uop's id and true, or false when it
+// performed a control action (push/pop) instead.
+func (g *Generator) step(f *frameState, u *uop.UOp) (uint16, bool) {
 	switch f.stage {
 	case stPrologue:
 		if f.idx < len(f.fn.prologue) {
-			g.materialize(&f.fn.prologue[f.idx], f, u)
+			su := &f.fn.prologue[f.idx]
+			g.materialize(su, f, u)
 			f.idx++
-			return true
+			return su.id, true
 		}
 		f.stage, f.idx = stBody, 0
 		if len(f.fn.body) == 0 {
 			f.stage = stEpilogue
 		}
-		return false
+		return 0, false
 
 	case stBody:
 		blk := &f.fn.body[f.blockIdx]
 		if f.idx < len(blk.uops) {
-			g.materialize(&blk.uops[f.idx], f, u)
+			su := &blk.uops[f.idx]
+			g.materialize(su, f, u)
 			f.idx++
-			return true
+			return su.id, true
 		}
 		if blk.call != nil && !f.callDone {
 			callee := g.prog.funcs[blk.call.callee]
 			if len(g.stack) >= g.prog.prof.MaxCallDepth {
 				f.callDone = true // depth limit: elide the call entirely
-				return false
+				return 0, false
 			}
 			if f.callIdx < len(blk.call.paramStores) {
 				su := &blk.call.paramStores[f.callIdx]
 				g.materializeParamStore(su, f, callee, u)
 				f.callIdx++
-				return true
+				return su.id, true
 			}
 			if !f.inCall {
 				// Emit the transfer and enter the callee.
 				g.materialize(&blk.call.transfer, f, u)
 				f.inCall = true
 				g.push(callee, f.sp)
-				return true
+				return blk.call.transfer.id, true
 			}
 			// The callee returned (pop brought us back here).
 			f.inCall, f.callDone = false, true
-			return false
+			return 0, false
 		}
 		// Block branch, then advance the loop.
 		g.materializeBranch(&blk.branch, f, u)
@@ -189,42 +194,34 @@ func (g *Generator) step(f *frameState, u *uop.UOp) bool {
 		} else {
 			f.stage, f.idx = stEpilogue, 0
 		}
-		return true
+		return blk.branch.id, true
 
 	default: // stEpilogue
 		if f.idx < len(f.fn.epilogue) {
-			g.materialize(&f.fn.epilogue[f.idx], f, u)
+			su := &f.fn.epilogue[f.idx]
+			g.materialize(su, f, u)
 			f.idx++
-			return true
+			return su.id, true
 		}
 		g.stack = g.stack[:len(g.stack)-1]
-		return false
+		return 0, false
 	}
 }
 
-// materialize turns a static uop into a dynamic one in *u, synthesizing
-// its address. Store halves carry no id: a store's id is its rank among
-// the stream's STAs.
+// materialize turns a static uop into a dynamic one in *u: its template,
+// with a memory uop's address synthesized. Store halves carry no id: a
+// store's id is its rank among the stream's STAs.
 func (g *Generator) materialize(su *staticUOp, f *frameState, u *uop.UOp) {
-	*u = uop.UOp{
-		IP:   su.ip,
-		Op:   uop.NewOp(su.kind, wordSize),
-		Dst:  su.dst,
-		Src1: su.src1,
-		Src2: su.src2,
-	}
-	switch su.kind {
-	case uop.Load, uop.STA:
+	*u = g.prog.tmpl[su.id]
+	if su.kind == uop.Load || su.kind == uop.STA {
 		u.Addr = uint32(g.address(su, f))
-	case uop.Branch:
-		u.Op = u.Op.WithBranch(true, false) // call/return transfers; conditionals use materializeBranch
 	}
 }
 
 // materializeParamStore emits an outgoing-parameter store half; its address
 // lies in the callee's (not yet pushed) frame.
 func (g *Generator) materializeParamStore(su *staticUOp, f *frameState, callee *function, u *uop.UOp) {
-	g.materialize(su, f, u)
+	*u = g.prog.tmpl[su.id]
 	if su.kind == uop.STA {
 		calleeSP := f.sp - uint64(callee.frameSize)
 		u.Addr = uint32(calleeSP + uint64(su.off))
@@ -234,15 +231,17 @@ func (g *Generator) materializeParamStore(su *staticUOp, f *frameState, callee *
 // materializeBranch resolves a conditional branch's direction and models the
 // front-end predictor to set the Mispredicted flag.
 func (g *Generator) materializeBranch(su *staticUOp, f *frameState, u *uop.UOp) {
+	*u = g.prog.tmpl[su.id]
 	var taken bool
 	if su.loopBranch {
 		taken = f.iter+1 < f.iters
 	} else {
 		taken = g.rng.Float64() < su.takenBias
 	}
-	pred := g.bpred.Predict(uint64(su.ip))
-	*u = uop.UOp{IP: su.ip, Op: uop.NewOp(uop.Branch, 0).WithBranch(taken, pred.Taken != taken), Src1: su.src1}
-	g.bpred.Update(uint64(su.ip), taken)
+	ip := uint64(u.IP)
+	pred := g.bpred.Predict(ip)
+	u.Op = u.Op.WithBranch(taken, pred.Taken != taken)
+	g.bpred.Update(ip, taken)
 }
 
 // address synthesizes the effective address of a memory uop.

@@ -14,7 +14,8 @@ import (
 // unregistered recordings that leaking their chunks would add at least
 // 64 MB of resident memory, and fails if VmRSS grows by more than a
 // quarter of that: release must return a mapped chunk's pages to the
-// operating system.
+// operating system. The loop is sized from the pages a filled recording
+// really maps, so it keeps its 64 MB as the chunk format changes.
 func TestReleasedRecordingsLeaveRSS(t *testing.T) {
 	if !offHeap {
 		t.Skip("recording chunks stay on the Go heap in this build")
@@ -22,21 +23,32 @@ func TestReleasedRecordingsLeaveRSS(t *testing.T) {
 	const (
 		leak      = 64 << 20
 		recChunks = 16
-		recBytes  = recChunks * ChunkUops * 22
 	)
+	page := os.Getpagesize()
 	p := Profile{Name: "rss", Seed: 5}
-	fill := func() {
+	// fill records recChunks chunks, releases them and returns the bytes
+	// their mappings held, whole pages each.
+	fill := func() int {
 		r := newRecording(p)
 		r.chunk(recChunks - 1)
+		mapped := 0
+		for i := range recChunks {
+			mapped += (len(r.chunks[i].Load().mem) + page - 1) / page * page
+		}
 		r.release()
+		return mapped
 	}
-	fill() // the first recording settles the heap the generator needs
+	recBytes := fill() // the first recording also settles the heap the generator needs
+	if recBytes == 0 {
+		t.Fatal("a filled recording maps no pages")
+	}
+	fills := leak/recBytes + 1
 	before := vmRSS(t)
-	for range leak/recBytes + 1 {
+	for range fills {
 		fill()
 	}
 	grew := vmRSS(t) - before
-	t.Logf("RSS grew by %d KiB over %d released recordings", grew>>10, leak/recBytes+1)
+	t.Logf("RSS grew by %d KiB over %d released recordings of %d KiB each", grew>>10, fills, recBytes>>10)
 	if grew > leak/4 {
 		t.Fatalf("RSS grew by %d KiB, want <= %d KiB", grew>>10, leak/4>>10)
 	}

@@ -8,16 +8,35 @@ import (
 	"testing"
 )
 
-// TestReplayMatchesGenerator pins the shared recording to the generator: a
-// cursor must emit the exact stream a fresh generator would.
+// TestReplayMatchesGenerator pins the recording to the generator for every
+// built-in trace: a cursor must emit the exact stream a fresh generator
+// would, through a run of Next calls that leaves it mid-chunk and then
+// batches to past the third chunk, so every static uop's template, branch
+// bits and address come back through the recorded words.
 func TestReplayMatchesGenerator(t *testing.T) {
-	p := Profile{Name: "replay-eq", Seed: 42}
-	g := New(p)
-	c := Replay(p)
-	for i := 0; i < 20000; i++ {
-		want, got := g.Next(), c.Next()
-		if got != want {
-			t.Fatalf("uop %d: replay %+v, generator %+v", i, got, want)
+	const mid, total = 1000, 3*ChunkUops + ChunkUops/2
+	for _, grp := range Groups() {
+		for _, p := range grp.Traces {
+			r := newRecording(p)
+			c, g := &Cursor{rec: r}, New(p)
+			for i := 0; i < mid; i++ {
+				if want, got := g.Next(), c.Next(); got != want {
+					t.Fatalf("%s/%s uop %d: replay %+v, generator %+v", grp.Name, p.Name, i, got, want)
+				}
+			}
+			for pos := mid; pos < total; {
+				us, _, _ := c.NextBatchRef()
+				for i := range us {
+					if want := g.Next(); us[i] != want {
+						t.Fatalf("%s/%s uop %d: replay %+v, generator %+v", grp.Name, p.Name, pos+i, us[i], want)
+					}
+				}
+				pos += len(us)
+			}
+			if r.Len() < 3*ChunkUops {
+				t.Fatalf("%s/%s: %d uops recorded", grp.Name, p.Name, r.Len())
+			}
+			r.release()
 		}
 	}
 }
@@ -91,8 +110,8 @@ var concurrentRuns atomic.Int64
 // TestReplayConcurrent races many cursors over one cold recording; run
 // under -race this checks chunk production and publication. Half the
 // goroutines replay with Next against the generator, half with
-// NextBatchRef against a private Batches adapter, uops and side-car both,
-// and every one runs past a shrunk sharing cap into its private tail.
+// NextBatchRef against a private Batches adapter, and every one runs past
+// a shrunk sharing cap into its private tail.
 func TestReplayConcurrent(t *testing.T) {
 	defer func(old int) { maxSharedUops = old }(maxSharedUops)
 	maxSharedUops = 2 * ChunkUops
@@ -118,17 +137,15 @@ func TestReplayConcurrent(t *testing.T) {
 			}
 			ref := NewBatches(New(p))
 			for pos := 0; pos < total; {
-				us, deps, base := c.NextBatchRef()
-				wantUs, wantDeps, wantBase := ref.NextBatchRef()
-				if len(us) != len(wantUs) || len(deps) != len(wantDeps) || base != wantBase {
-					errs <- fmt.Sprintf("batch at uop %d: %d uops, %d deps, base %d; want %d, %d, %d",
-						pos, len(us), len(deps), base, len(wantUs), len(wantDeps), wantBase)
+				us, _, _ := c.NextBatchRef()
+				wantUs, _, _ := ref.NextBatchRef()
+				if len(us) != len(wantUs) {
+					errs <- fmt.Sprintf("batch at uop %d: %d uops, want %d", pos, len(us), len(wantUs))
 					return
 				}
 				for i := range us {
-					if us[i] != wantUs[i] || deps[i] != wantDeps[i] {
-						errs <- fmt.Sprintf("NextBatchRef diverged at uop %d: %+v %+v, want %+v %+v",
-							pos+i, us[i], deps[i], wantUs[i], wantDeps[i])
+					if us[i] != wantUs[i] {
+						errs <- fmt.Sprintf("NextBatchRef diverged at uop %d: %+v, want %+v", pos+i, us[i], wantUs[i])
 						return
 					}
 				}
@@ -143,10 +160,32 @@ func TestReplayConcurrent(t *testing.T) {
 	}
 }
 
+// TestBatchesMatchReplay pins the scalar-source adapter from stream
+// position 0: wrapping a plain generator must yield the same uops, batch
+// for batch, as the shared recording's cursor, and both must return the
+// placeholder results nil and 0.
+func TestBatchesMatchReplay(t *testing.T) {
+	p := Profile{Name: "batches-eq", Seed: 95}
+	ad, c := NewBatches(New(p)), Replay(p)
+	for chunk := 0; chunk < 4; chunk++ {
+		us, deps, zero := ad.NextBatchRef()
+		wantUs, wantDeps, wantZero := c.NextBatchRef()
+		if len(us) != len(wantUs) || deps != nil || wantDeps != nil || zero != 0 || wantZero != 0 {
+			t.Fatalf("chunk %d: %d uops, placeholders %v, %d; want %d, nil, 0 from both",
+				chunk, len(us), deps, zero, len(wantUs))
+		}
+		for i := range us {
+			if us[i] != wantUs[i] {
+				t.Fatalf("chunk %d uop %d: %+v, want %+v", chunk, i, us[i], wantUs[i])
+			}
+		}
+	}
+}
+
 // BenchmarkRecording measures first-touch recording, what the first replay
 // of a profile in a process pays: each op builds a fresh recording of gcc
 // (unregistered, so every op is cold), produces its first
-// benchRecordChunks chunks, uops and side-car, and releases it. It reports
+// benchRecordChunks chunks, and releases it. It reports
 // ns and heap-allocated bytes per recorded uop, generator construction
 // included; mapped chunks are not heap bytes.
 func BenchmarkRecording(b *testing.B) {

@@ -37,8 +37,9 @@ import (
 // chunk at a time.
 //
 // A decoded chunk is a ChunkView: a flat []uop.UOp, so replay stays a
-// plain slice read. In-process recordings (materialize.go) never pack:
-// they hold each chunk once, flat, as the generator produced it.
+// plain slice read. In-process recordings (materialize.go) use a format of
+// their own: they store static-uop ids and addresses, since their
+// generator's static program holds every other field.
 
 const (
 	chunkShift = 12
@@ -178,9 +179,6 @@ type ChunkView struct {
 	seqs []int64   // file Seq of us[i], len n
 	sids []int64   // file StoreID of us[i], len n
 }
-
-// Len reports the view's uop population.
-func (v *ChunkView) Len() int { return len(v.us) }
 
 // UOp returns uop i of the view. i must be in [0, Len()).
 func (v *ChunkView) UOp(i int) uop.UOp { return v.us[i] }

@@ -49,8 +49,8 @@ func TestPackedChunkRoundTrip(t *testing.T) {
 		if err := c.decode(&v, 0); err != nil {
 			t.Fatalf("decode chunk at %d: %v", off, err)
 		}
-		if v.Len() != len(us) {
-			t.Fatalf("chunk at %d: decoded %d uops, want %d", off, v.Len(), len(us))
+		if len(v.us) != len(us) {
+			t.Fatalf("chunk at %d: decoded %d uops, want %d", off, len(v.us), len(us))
 		}
 		for i, w := range us {
 			if got := v.UOp(i); got != w {
@@ -130,10 +130,10 @@ func TestUnmarshalChunkRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRecordingFootprint pins what a recording holds: each chunk once,
-// as flat uops plus side-car (16 bytes/uop), with no packed copy beside
-// them. The accounted bytes must say so, and the live heap must hold no
-// chunk where chunks are mapped outside it.
+// TestRecordingFootprint pins what a recording holds: each chunk once, as
+// a 2-byte word per uop and a 4-byte address per load and STA, with no
+// decoded or packed copy beside them. The accounted bytes must say so, and
+// the live heap must hold no chunk where chunks are mapped outside it.
 func TestRecordingFootprint(t *testing.T) {
 	const n = 16 * ChunkUops
 	heap := func() uint64 {
@@ -150,32 +150,35 @@ func TestRecordingFootprint(t *testing.T) {
 		us, _, _ := c.NextBatchRef()
 		seen += len(us)
 	}
-	live := float64(int64(heap())-int64(before)) / n
+	// The cursor's decode buffer is one chunk of flat uops whatever the
+	// recording's length; it is counted apart from the recording.
+	decodeBuf := int64(ChunkUops * unsafe.Sizeof(uop.UOp{}))
+	live := float64(int64(heap())-int64(before)-decodeBuf) / n
 	runtime.KeepAlive(c)
 
 	if r.Len() != n {
 		t.Fatalf("recording holds %d uops, want %d", r.Len(), n)
 	}
-	if b := r.PackedBytes(); b != 0 {
-		t.Fatalf("recording holds %d packed bytes, want none", b)
+	if b := r.SidecarBytes(); b != 0 {
+		t.Fatalf("recording holds %d side-car bytes, want none", b)
 	}
-	perUop := float64(int64(r.Len())*int64(unsafe.Sizeof(uop.UOp{}))+r.SidecarBytes()) / float64(r.Len())
-	if perUop > 16 {
-		t.Fatalf("recording accounts %.2f bytes/uop, want <= 16 (flat uops + side-car)", perUop)
+	perUop := float64(r.PackedBytes()) / float64(r.Len())
+	if perUop < 2 || perUop > 4.5 {
+		t.Fatalf("recording accounts %.2f bytes/uop, want 2 (a word) to 4.5", perUop)
 	}
-	// The live heap holds the generator, the chunk slots and, where
-	// chunks stay on the heap, the chunks themselves; a chunk mapped back
-	// onto the heap, a second copy of the stream (a packed form at ~8
-	// bytes/uop), or a field grown back onto UOp or Dep, would not fit
-	// under this bound.
+	// The live heap holds the generator with its program and templates
+	// and the chunk slots and, where chunks stay on the heap, the chunks
+	// themselves; a chunk mapped back onto the heap, a decoded copy of the
+	// stream (12 bytes/uop), or a second decode buffer would not fit under
+	// this bound.
 	bound := 2.0
 	if !offHeap {
-		bound += 16
+		bound += 4.5
 	}
 	if live > bound {
-		t.Fatalf("recording retains %.2f heap bytes/uop, want <= %.0f", live, bound)
+		t.Fatalf("recording retains %.2f heap bytes/uop beside the %d-byte decode buffer, want <= %.1f", live, decodeBuf, bound)
 	}
-	t.Logf("recording footprint: %.2f accounted, %.2f live heap bytes/uop over %d uops", perUop, live, n)
+	t.Logf("recording footprint: %.2f accounted, %.2f live heap bytes/uop over %d uops, plus a %d-byte decode buffer", perUop, live, n, decodeBuf)
 }
 
 // TestCursorNextBatchMatchesNext pins the batch path (NextBatchRef) to the

@@ -32,19 +32,22 @@ const (
 )
 
 // staticUOp is one uop of the static program. Dynamic fields (address,
-// sequence number) are synthesized at emission time. Every registered
+// branch outcome) are synthesized at emission time. Every registered
 // recording keeps its generator's program live for the whole process, so
 // the fields are ordered and sized to pack the struct into 32 bytes
-// (TestStaticUOpLayout pins it): an IP fits 32 bits, as uop.UOp.IP does.
+// (TestStaticUOpLayout pins it).
 type staticUOp struct {
-	ip         uint32
+	// id numbers the static uop densely in creation order: its template is
+	// program.tmpl[id], and its IP is codeBase + 4*id.
+	id         uint16
 	kind       uop.Kind
 	dst        uop.Reg
 	src1, src2 uop.Reg
 	mem        memClass
 	// loopBranch marks the body's back-edge branch.
 	loopBranch bool
-	// callBranch marks an always-taken call transfer.
+	// callBranch marks an always-taken call transfer or return; every
+	// other Branch is a conditional block branch.
 	callBranch bool
 	// off is the frame offset (mcFrame/mcParam) or global index (mcGlobal).
 	off int32
@@ -95,21 +98,39 @@ type function struct {
 type program struct {
 	prof  Profile
 	funcs []*function
+	// tmpl holds one template per static uop, indexed by its id: the uop
+	// every emission of it starts from, with its IP, op byte and registers
+	// set and its address and branch outcome left for the generator. The
+	// generator and a recording's decoder both build uops from it, so the
+	// static fields have one encoding.
+	tmpl []uop.UOp
 	// hotWeights biases top-level function selection (80/20-ish reuse).
 	hotWeights []float64
 	// numStreamCursors is the number of private stream cursors allocated.
 	numStreamCursors int
 }
 
-// ipAllocator hands out unique static instruction pointers per function.
-type ipAllocator struct {
-	next uint32
+// maxStaticUops bounds a program's static uops: a recording stores each
+// dynamic uop as its static id in the low idBits of a 16-bit word, beside
+// the branch outcome.
+const (
+	idBits        = 14
+	maxStaticUops = 1 << idBits
+)
+
+// idAllocator numbers static uops densely in creation order. Functions are
+// packed back to back in the code segment (as a linker would lay them
+// out), so the id also places the uop's IP: codeBase + 4*id.
+type idAllocator struct {
+	n int
 }
 
-func (a *ipAllocator) take() uint32 {
-	ip := a.next
-	a.next += 4
-	return ip
+// take returns the next id. Past 2^16 static uops ids wrap; New refuses
+// any program of more than maxStaticUops before it emits a uop.
+func (a *idAllocator) take() uint16 {
+	id := uint16(a.n)
+	a.n++
+	return id
 }
 
 // regAllocator assigns destination registers round-robin inside a function
@@ -182,12 +203,13 @@ func buildProgram(p Profile) *program {
 	// Functions are packed back to back in the code segment (as a linker
 	// would lay them out); 0x1000-aligned spans would make every function's
 	// k-th uop alias into the same predictor set regardless of table size.
-	ips := &ipAllocator{next: uint32(codeBase)}
+	ids := &idAllocator{}
 	cursors := 0
 	for fid := p.NumFuncs - 1; fid >= 0; fid-- {
-		prog.funcs[fid] = buildFunction(p, rng, fid, prog.funcs, &cursors, ips)
+		prog.funcs[fid] = buildFunction(p, rng, fid, prog.funcs, &cursors, ids)
 	}
 	prog.numStreamCursors = cursors
+	prog.buildTemplates(ids.n)
 	// Zipf-ish top-level weights (exponent 0.5): hot functions dominate but
 	// the tail still executes, so the dynamic stream exercises enough static
 	// loads to pressure small prediction tables (as the paper's IA-32 traces
@@ -199,6 +221,47 @@ func buildProgram(p Profile) *program {
 	return prog
 }
 
+// buildTemplates fills tmpl with the template of each of the program's n
+// static uops. (Past 2^16 wrapped ids share entries; New refuses such a
+// program by its length.)
+func (prog *program) buildTemplates(n int) {
+	prog.tmpl = make([]uop.UOp, n)
+	set := func(sus []staticUOp) {
+		for i := range sus {
+			prog.tmpl[sus[i].id] = sus[i].template()
+		}
+	}
+	for _, f := range prog.funcs {
+		set(f.prologue)
+		for b := range f.body {
+			blk := &f.body[b]
+			set(blk.uops)
+			if blk.call != nil {
+				set(blk.call.paramStores)
+				set([]staticUOp{blk.call.transfer})
+			}
+			set([]staticUOp{blk.branch})
+		}
+		set(f.epilogue)
+	}
+}
+
+// template returns the uop every emission of su starts from. Memory uops
+// and everything but a conditional branch access a word; calls and returns
+// are always taken. A conditional branch reads only Src1, and its outcome
+// is resolved per emission.
+func (su *staticUOp) template() uop.UOp {
+	ip := uint32(codeBase) + 4*uint32(su.id)
+	if su.kind == uop.Branch && !su.callBranch {
+		return uop.UOp{IP: ip, Op: uop.NewOp(uop.Branch, 0), Src1: su.src1}
+	}
+	op := uop.NewOp(su.kind, wordSize)
+	if su.kind == uop.Branch {
+		op = op.WithBranch(true, false)
+	}
+	return uop.UOp{IP: ip, Op: op, Dst: su.dst, Src1: su.src1, Src2: su.src2}
+}
+
 // meanDraw returns a positive integer near mean (uniform in [1, 2*mean-1]).
 func meanDraw(rng *rand.Rand, mean int) int {
 	if mean <= 1 {
@@ -207,7 +270,7 @@ func meanDraw(rng *rand.Rand, mean int) int {
 	return 1 + rng.Intn(2*mean-1)
 }
 
-func buildFunction(p Profile, rng *rand.Rand, fid int, funcs []*function, cursors *int, ips *ipAllocator) *function {
+func buildFunction(p Profile, rng *rand.Rand, fid int, funcs []*function, cursors *int, ids *idAllocator) *function {
 	regs := newRegAllocator(rng, fid)
 	f := &function{
 		id:        fid,
@@ -231,7 +294,7 @@ func buildFunction(p Profile, rng *rand.Rand, fid int, funcs []*function, cursor
 	// then save registers below them.
 	for j := 0; j < f.numParams; j++ {
 		f.prologue = append(f.prologue, staticUOp{
-			ip: ips.take(), kind: uop.Load, dst: regs.dest(),
+			id: ids.take(), kind: uop.Load, dst: regs.dest(),
 			mem: mcParam, off: f.paramOffset(j),
 		})
 	}
@@ -240,8 +303,8 @@ func buildFunction(p Profile, rng *rand.Rand, fid int, funcs []*function, cursor
 		// save stores resolve immediately.
 		off := f.saveOffset(s)
 		f.prologue = append(f.prologue,
-			staticUOp{ip: ips.take(), kind: uop.STA, mem: mcFrame, off: off},
-			staticUOp{ip: ips.take(), kind: uop.STD, mem: mcFrame, off: off},
+			staticUOp{id: ids.take(), kind: uop.STA, mem: mcFrame, off: off},
+			staticUOp{id: ids.take(), kind: uop.STD, mem: mcFrame, off: off},
 		)
 	}
 
@@ -251,18 +314,18 @@ func buildFunction(p Profile, rng *rand.Rand, fid int, funcs []*function, cursor
 		localSlots = append(localSlots, int32((f.numSaves+l)*wordSize))
 	}
 	for b := 0; b < nBlocks; b++ {
-		f.body = append(f.body, buildBlock(p, rng, f, ips, regs, localSlots, b == nBlocks-1, leafness, funcs, cursors))
+		f.body = append(f.body, buildBlock(p, rng, f, ids, regs, localSlots, b == nBlocks-1, leafness, funcs, cursors))
 	}
 
 	// Epilogue: restore loads mirror the prologue saves, then return.
 	for s := 0; s < f.numSaves; s++ {
 		f.epilogue = append(f.epilogue, staticUOp{
-			ip: ips.take(), kind: uop.Load, dst: regs.dest(),
+			id: ids.take(), kind: uop.Load, dst: regs.dest(),
 			mem: mcFrame, off: f.saveOffset(s),
 		})
 	}
 	f.epilogue = append(f.epilogue, staticUOp{
-		ip: ips.take(), kind: uop.Branch, callBranch: true,
+		id: ids.take(), kind: uop.Branch, callBranch: true,
 	})
 	return f
 }
@@ -279,7 +342,7 @@ func (f *function) padOffset(k int) int32 {
 // paramOffset is the frame offset of incoming parameter j (top of frame).
 func (f *function) paramOffset(j int) int32 { return int32(f.frameSize - (j+1)*wordSize) }
 
-func buildBlock(p Profile, rng *rand.Rand, f *function, ips *ipAllocator, regs *regAllocator, localSlots []int32, last bool, leafness float64, funcs []*function, cursors *int) block {
+func buildBlock(p Profile, rng *rand.Rand, f *function, ids *idAllocator, regs *regAllocator, localSlots []int32, last bool, leafness float64, funcs []*function, cursors *int) block {
 	var blk block
 	n := meanDraw(rng, p.MeanBlockLen)
 	// Recent local-variable stores this block can pair a reload with.
@@ -287,7 +350,7 @@ func buildBlock(p Profile, rng *rand.Rand, f *function, ips *ipAllocator, regs *
 		r := rng.Float64()
 		switch {
 		case r < p.LoadFrac:
-			blk.uops = append(blk.uops, buildLoad(p, rng, f, ips, regs, localSlots, cursors))
+			blk.uops = append(blk.uops, buildLoad(p, rng, f, ids, regs, localSlots, cursors))
 		case r < p.LoadFrac+p.StoreFrac:
 			off := localSlots[rng.Intn(len(localSlots))]
 			mem, st := memClass(mcFrame), int32(0)
@@ -311,24 +374,24 @@ func buildBlock(p Profile, rng *rand.Rand, f *function, ips *ipAllocator, regs *
 				stdSrc = regs.slowSource() // a just-computed local value
 			}
 			blk.uops = append(blk.uops,
-				staticUOp{ip: ips.take(), kind: uop.STA, mem: mem, off: off, stream: st, cursor: cursor, src1: staSrc},
-				staticUOp{ip: ips.take(), kind: uop.STD, mem: mem, off: off, stream: st, cursor: cursor, src1: stdSrc},
+				staticUOp{id: ids.take(), kind: uop.STA, mem: mem, off: off, stream: st, cursor: cursor, src1: staSrc},
+				staticUOp{id: ids.take(), kind: uop.STD, mem: mem, off: off, stream: st, cursor: cursor, src1: stdSrc},
 			)
 		case r < p.LoadFrac+p.StoreFrac+p.FPFrac:
 			d := regs.dest()
 			regs.noteSlow(d)
 			blk.uops = append(blk.uops, staticUOp{
-				ip: ips.take(), kind: uop.FPU, dst: d, src1: regs.source(), src2: regs.source(),
+				id: ids.take(), kind: uop.FPU, dst: d, src1: regs.source(), src2: regs.source(),
 			})
 		case r < p.LoadFrac+p.StoreFrac+p.FPFrac+p.ComplexFrac:
 			d := regs.dest()
 			regs.noteSlow(d)
 			blk.uops = append(blk.uops, staticUOp{
-				ip: ips.take(), kind: uop.Complex, dst: d, src1: regs.source(), src2: regs.source(),
+				id: ids.take(), kind: uop.Complex, dst: d, src1: regs.source(), src2: regs.source(),
 			})
 		default:
 			blk.uops = append(blk.uops, staticUOp{
-				ip: ips.take(), kind: uop.IntALU, dst: regs.dest(), src1: regs.source(), src2: regs.source(),
+				id: ids.take(), kind: uop.IntALU, dst: regs.dest(), src1: regs.source(), src2: regs.source(),
 			})
 		}
 	}
@@ -349,15 +412,15 @@ func buildBlock(p Profile, rng *rand.Rand, f *function, ips *ipAllocator, regs *
 				src = regs.slowSource() // freshly computed argument
 			}
 			cs.paramStores = append(cs.paramStores,
-				staticUOp{ip: ips.take(), kind: uop.STA, mem: mcParam, off: off},
-				staticUOp{ip: ips.take(), kind: uop.STD, mem: mcParam, off: off, src1: src},
+				staticUOp{id: ids.take(), kind: uop.STA, mem: mcParam, off: off},
+				staticUOp{id: ids.take(), kind: uop.STD, mem: mcParam, off: off, src1: src},
 			)
 		}
-		cs.transfer = staticUOp{ip: ips.take(), kind: uop.Branch, callBranch: true}
+		cs.transfer = staticUOp{id: ids.take(), kind: uop.Branch, callBranch: true}
 		blk.call = cs
 	}
 	blk.branch = staticUOp{
-		ip: ips.take(), kind: uop.Branch, loopBranch: last, src1: regs.source(),
+		id: ids.take(), kind: uop.Branch, loopBranch: last, src1: regs.source(),
 		takenBias: drawBranchBias(p, rng),
 	}
 	return blk
@@ -376,10 +439,10 @@ func drawBranchBias(p Profile, rng *rand.Rand) float64 {
 	return 0.015
 }
 
-func buildLoad(p Profile, rng *rand.Rand, f *function, ips *ipAllocator, regs *regAllocator, localSlots []int32, cursors *int) staticUOp {
+func buildLoad(p Profile, rng *rand.Rand, f *function, ids *idAllocator, regs *regAllocator, localSlots []int32, cursors *int) staticUOp {
 	d := regs.dest()
 	regs.noteSlow(d)
-	u := staticUOp{ip: ips.take(), kind: uop.Load, dst: d, src1: regs.source()}
+	u := staticUOp{id: ids.take(), kind: uop.Load, dst: d, src1: regs.source()}
 	r := rng.Float64()
 	switch {
 	case r < p.StreamFrac:

@@ -87,7 +87,7 @@ func decodeTraceFile(data []byte) ([]uop.UOp, error) {
 func checkStoreIDs(us []uop.UOp, sids []int64) ([]uop.UOp, error) {
 	var halves []int
 	for i, u := range us {
-		if u.Kind().IsStorePart() {
+		if k := u.Kind(); k == uop.STA || k == uop.STD {
 			halves = append(halves, i)
 		} else if sids[i] != 0 {
 			return nil, fmt.Errorf("record %d is no store half but carries StoreID %d", i, sids[i])

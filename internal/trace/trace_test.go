@@ -70,7 +70,7 @@ func TestSTAAlwaysPrecedesSTD(t *testing.T) {
 	stores := 0
 	want := uop.STA
 	for i, u := range us {
-		if !u.Kind().IsStorePart() {
+		if k := u.Kind(); k != uop.STA && k != uop.STD {
 			continue
 		}
 		if u.Kind() != want {

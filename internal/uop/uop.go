@@ -60,9 +60,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// IsStorePart reports whether the uop is one half of a store.
-func (k Kind) IsStorePart() bool { return k == STA || k == STD }
-
 // Reg names an architectural register. Register 0 means "none": no source
 // dependency or no destination. The synthetic ISA has a flat integer/FP
 // register file; the renamer does not care about banks.
@@ -79,8 +76,10 @@ const MaxArchRegs = 64
 // a kind are zero (e.g. Addr for IntALU). The traces model IA-32, so an IP
 // and a linear address are 32 bits wide, and the kind, access size and
 // branch outcome share one op byte, so the struct packs to 12 bytes — uops
-// are copied on every fetch, trace replay and recording step, and every
-// recorded uop is one UOp, so the layout is hot. A uop carries no sequence
+// are copied on every fetch, rename and recording decode, so the layout is
+// hot. A recording does not store UOps: it stores each uop's static id and
+// address, and its cursors decode them back into UOps from the static
+// program's templates. A uop carries no sequence
 // number and no store id: its place in the stream is its position, which
 // every consumer already counts (the engine's rename counter, a trace
 // file's record index), and a store's id is its rank among the stream's
@@ -164,32 +163,15 @@ func (u *UOp) Taken() bool { return u.Op&opTaken != 0 }
 // timing model can charge a refill bubble.
 func (u *UOp) Mispredicted() bool { return u.Op&opMispredicted != 0 }
 
-// Dep is one uop's entry in the static dependence side-car: the part of
-// register renaming that is a pure function of the uop stream, precomputed
-// once per trace chunk and shared by every machine configuration replaying
-// it (the same observation that makes Moshovos-style dependence prediction
-// work — dependences are stable stream properties). Producers are
-// stream-position deltas, so they do not depend on where in the stream a
-// batch sits, or on how often a finite trace has wrapped. A load's
-// youngest older store needs no entry: the engine counts STAs at rename.
-//
-// The struct packs to 4 bytes; the side-car rides next to the 12-byte uop
-// itself, so a recorded uop costs 16 bytes.
-type Dep struct {
-	// Src1Back and Src2Back give each source register's producer as a
-	// backward stream-position delta: the producer of SrcN is the uop
-	// DepSrcNBack positions earlier in the stream. 0 means no in-trace
-	// producer (NoReg source, or no prior writer); DepSaturated means the
-	// true delta is DepSaturated or larger — callers must treat any delta
-	// at or beyond their in-flight window as already-retired, which is
-	// exact as long as the window holds fewer than DepSaturated uops.
-	Src1Back, Src2Back uint16
-}
+// Dep is the element type of the second result of every NextBatchRef
+// (ooo.Source), which is always nil: the engine resolves register producers
+// at rename through its own alias table, so no source publishes a
+// dependence side-car any more. The type stays only while the benchmark
+// module destructures that result, and goes with it.
+type Dep struct{}
 
-// DepSaturated is the saturation value of the Src1Back/Src2Back deltas.
-const DepSaturated = 1<<16 - 1
-
-// HasMemAddr reports whether Addr is meaningful for this uop.
+// HasMemAddr reports whether Addr is meaningful for this uop: a recording
+// stores an address for exactly these uops, and its decoder asks this.
 func (u *UOp) HasMemAddr() bool { k := u.Kind(); return k == Load || k == STA }
 
 // String renders a compact single-line description, for debugging and logs.

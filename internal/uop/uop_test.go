@@ -21,12 +21,15 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestKindClasses pins which kinds carry an address, the class a
+// recording stores an address for and its decoder reads one back for:
+// loads and STAs, and no other kind.
 func TestKindClasses(t *testing.T) {
-	if !STA.IsStorePart() || !STD.IsStorePart() {
-		t.Error("STA/STD are store parts")
-	}
-	if Load.IsStorePart() {
-		t.Error("Load is not a store part")
+	for k := Kind(0); k < numKinds; k++ {
+		u := UOp{Op: NewOp(k, 0)}
+		if got, want := u.HasMemAddr(), k == Load || k == STA; got != want {
+			t.Errorf("%s: HasMemAddr %v, want %v", k, got, want)
+		}
 	}
 }
 
@@ -122,14 +125,11 @@ func TestConstants(t *testing.T) {
 	}
 }
 
-// TestLayout pins the record sizes a recording is made of: every recorded
-// uop costs one UOp plus one Dep, so a field added to either grows every
-// recording in the process by that much per uop.
+// TestLayout pins the uop's size: every fetch, rename and recording decode
+// copies one, as does each slot of the engine's window and of every
+// cursor's decode buffer.
 func TestLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(UOp{}); sz != 12 {
 		t.Errorf("UOp is %d bytes, want 12", sz)
-	}
-	if sz := unsafe.Sizeof(Dep{}); sz != 4 {
-		t.Errorf("Dep is %d bytes, want 4", sz)
 	}
 }
