@@ -113,7 +113,7 @@ serve-smoke:
 
 # fuzz-smoke: fuzz both trace-file readers and the engine behind them for
 # 30 s each, beyond the checked-in seeds `go test` replays: FuzzReader (the
-# batch and side-car replay path), FuzzStreamReader (accept/reject
+# batch replay path the engine consumes), FuzzStreamReader (accept/reject
 # agreement with the whole-file reference decode) and FuzzEngineReplay
 # (every accepted file replayed past its end through an Inclusive machine,
 # which must not panic or livelock). `go test -fuzz` takes one target per

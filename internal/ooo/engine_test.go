@@ -18,7 +18,7 @@ type sliceSource struct {
 	pos  int
 }
 
-// newSliceSource wraps the sequence in the side-car batch adapter the
+// newSliceSource wraps the sequence in the batch adapter the
 // engine consumes.
 func newSliceSource(uops []uop.UOp) *trace.Batches {
 	return trace.NewBatches(&sliceSource{uops: uops})
