@@ -22,8 +22,8 @@ import (
 // itself. A cursor decodes a chunk into its own ChunkUops-uop buffer by
 // copying each id's template from the static program, setting the branch
 // bits and taking the next address where the uop has one, so every
-// consumer still reads a plain []uop.UOp. Decoding costs a few ns a uop;
-// the engine spends about a hundred times that per uop.
+// consumer still reads a plain []uop.UOp. Decoding costs a few ns a uop,
+// a small fraction of what the engine spends on it.
 //
 // Chunk memory is mapped outside the Go heap where the platform allows it
 // (chunkmem_mmap.go), one mapping per chunk sized to its content: the
